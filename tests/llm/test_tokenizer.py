@@ -1,10 +1,16 @@
 """Tests for the deterministic tokenizer."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.llm.tokenizer import HashTokenizer
+
+
+def _pieces_of(tok, text):
+    return [tok.decode([t]) for t in tok.encode(text)]
 
 
 class TestBasics:
@@ -23,10 +29,15 @@ class TestBasics:
         assert tok.encode("abc def") == tok.encode("abc def")
 
     def test_long_words_chunked(self):
+        # 10 characters split 4|4|2 at max_piece_len=4, but 6|4 at 6.
         tok = HashTokenizer(max_piece_len=4)
-        ids = tok.encode("abcdefgh")
-        assert len(ids) == 2
-        assert tok.decode(ids) == "abcdefgh"
+        assert _pieces_of(tok, "abcdefghij") == ["abcd", "efgh", "ij"]
+        assert _pieces_of(HashTokenizer(), "abcdefghij") == ["abcdef", "ghij"]
+
+    def test_leading_space_budget(self):
+        # A fused leading space gets one character on top of the budget.
+        tok = HashTokenizer(max_piece_len=4)
+        assert _pieces_of(tok, " abcde") == [" abcd", "e"]
 
     def test_count_matches_encode(self):
         tok = HashTokenizer()
@@ -47,6 +58,13 @@ class TestBasics:
     def test_invalid_piece_len(self):
         with pytest.raises(ValueError):
             HashTokenizer(max_piece_len=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "6", None, True, False, -1])
+    def test_non_int_piece_len_rejected(self, bad):
+        # The budget is compiled into a regex: a float would split text
+        # wrongly without an error, and a bool is not a length.
+        with pytest.raises(ValueError, match="max_piece_len"):
+            HashTokenizer(max_piece_len=bad)
 
     def test_unknown_id_decode(self):
         tok = HashTokenizer()
@@ -96,3 +114,94 @@ class TestPrefixStability:
         full = tok.encode(p + "tail words")
         head = tok.encode(p)
         assert full[: len(head)] == head
+
+
+# -- Equivalence with the greedy splitter the one-pattern rule replaced ---
+
+_REF_PIECE_RE = re.compile(r" ?[A-Za-z0-9_]+|\s+|[^A-Za-z0-9_\s]")
+
+
+class _ReferenceTokenizer:
+    """The earlier splitter's logic, unchanged, as an oracle: one coarse regex
+    finds words, whitespace runs and punctuation, and a Python loop chunks
+    each match to the budget."""
+
+    def __init__(self, max_piece_len):
+        self.max_piece_len = max_piece_len
+        self._piece_to_id = {}
+        self._id_to_piece = []
+
+    def _pieces(self, text):
+        for match in _REF_PIECE_RE.finditer(text):
+            piece = match.group(0)
+            budget = self.max_piece_len + (1 if piece.startswith(" ") else 0)
+            if len(piece) <= budget:
+                yield piece
+            else:
+                yield piece[:budget]
+                rest = piece[budget:]
+                for i in range(0, len(rest), self.max_piece_len):
+                    yield rest[i : i + self.max_piece_len]
+
+    def _intern(self, piece):
+        pid = self._piece_to_id.get(piece)
+        if pid is None:
+            pid = len(self._id_to_piece)
+            self._piece_to_id[piece] = pid
+            self._id_to_piece.append(piece)
+        return pid
+
+    def encode(self, text):
+        return [self._intern(p) for p in self._pieces(text)]
+
+
+_fragments = st.one_of(
+    st.text(alphabet="abcXYZ019_", min_size=1, max_size=20),  # words
+    st.text(alphabet=" ", min_size=1, max_size=20),  # space runs
+    st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x85\u00a0\u2003\u3000",
+            min_size=1, max_size=20),  # mixed ASCII/Unicode whitespace runs
+    st.text(alphabet="éßжλ中ñ", min_size=1, max_size=6),  # non-ASCII letters
+    st.sampled_from([".", ",", '"', "{", "}", ":", "-", "!"]),
+    st.text(max_size=8),  # anything
+)
+_texts = st.lists(_fragments, max_size=12).map("".join)
+
+
+def _assert_equivalent(max_piece_len, texts):
+    tok = HashTokenizer(max_piece_len=max_piece_len)
+    ref = _ReferenceTokenizer(max_piece_len)
+    for text in texts:
+        vocab = tok.vocab_size
+        n = tok.count(text)
+        assert tok.vocab_size == vocab  # count never interns
+        ids = tok.encode(text)
+        assert ids == ref.encode(text)
+        assert n == len(ids)
+        assert tok._id_to_piece == ref._id_to_piece
+        assert tok.decode(ids) == text
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=8),
+           st.lists(_texts, min_size=1, max_size=5))
+    def test_matches_reference_splitter(self, max_piece_len, texts):
+        # A sequence of encodes on one instance, so interning order across
+        # calls (first sight, left to right) is compared too.
+        _assert_equivalent(max_piece_len, texts)
+
+    def test_lone_space_after_run_does_not_fuse(self):
+        # The 8-space run splits 7|1; the trailing space continues the run,
+        # so it must not fuse into "word" (word lookbehind).
+        text = "x" + " " * 8 + "word"
+        _assert_equivalent(6, [text])
+        assert _pieces_of(HashTokenizer(), text) == [
+            "x", " " * 7, " ", "word"]
+
+    def test_space_run_continuation_capped(self):
+        # Only the run's first chunk gets the extra space: 7+6+2, not
+        # 7+7+1 (space-run lookbehind).
+        text = "x" + " " * 15 + "word"
+        _assert_equivalent(6, [text])
+        assert _pieces_of(HashTokenizer(), text) == [
+            "x", " " * 7, " " * 6, " " * 2, "word"]
