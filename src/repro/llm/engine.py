@@ -13,31 +13,24 @@ server uses:
 * every decode step produces one token per running sequence and costs
   bandwidth-bound time (weights amortized over the batch).
 
-Three replay modes produce the same integer metrics (and clocks equal to
+Two replay modes produce the same integer metrics (and clocks equal to
 float rounding):
 
-``mode="vector"`` (default when numpy is available)
-    The event-driven replay below, with its per-request Python state
-    vectorized: request metrics live in numpy arrays keyed by a dense
-    request index (``RequestMetrics`` objects are materialized once, in
-    bulk, at the end of the run), admission waves stamp clocks with one
-    fancy-indexed assignment, a request's prompt-path block references are
-    forked and released as a single bundle
-    (:meth:`RadixPrefixCache.fork_path_bundle`), and the block pool itself
-    runs on the numpy backend (``BlockManager(vector=True)``). The clock
-    arithmetic is the *same sequence of scalar float operations* as
-    ``"event"``, so the two produce bit-identical clocks, not merely
-    rounding-equal ones. ``REPRO_SERVING_VECTOR=0`` selects ``"event"``
-    instead, keeping the scalar implementation available as the
-    one-layer-up oracle.
-
-``mode="event"``
+``mode="vector"`` (the default)
     Event-driven: between admission and completion events the batch
     composition is fixed, so the clock advances over whole runs of decode
     steps with the closed-form arithmetic-series sum
     (:meth:`CostModel.decode_run_time`) — O(batch) work per event instead
-    of O(steps x batch) Python work per token. Exact per-request
-    ``first_token_at_s``/``finished_at_s`` stamps are still produced.
+    of O(steps x batch) Python work per token. Runs are cut at every step
+    boundary where the stepwise loop could act differently, so both modes
+    probe admission at identical clocks. Per-request state is vectorized:
+    request metrics live in numpy arrays keyed by a dense request index
+    (``RequestMetrics`` objects are materialized once, in bulk, at the end
+    of the run), admission waves stamp clocks with one fancy-indexed
+    assignment, a request's prompt-path block references are forked and
+    released as a single bundle
+    (:meth:`RadixPrefixCache.fork_path_bundle`), and the block pool itself
+    runs on the numpy backend (``BlockManager(vector=True)``).
 
 ``mode="stepwise"``
     The original per-token loop, kept as the equivalence oracle
@@ -94,9 +87,9 @@ chunks that advance one per admission point, interleaved with decode
 steps, so a long prompt no longer stalls the batch; radix inserts, pins,
 and paged block reservations settle chunk by chunk. Per-tenant KV block
 quotas (``tenant_kv_quota_blocks``) bound any tenant's concurrent block
-charge, blocking head-of-line exactly like a full pool. The three replay
+charge, blocking head-of-line exactly like a full pool. The two replay
 modes stay exact: preemption decisions depend only on requests and the
-clock, so the event loops cut their closed-form decode runs at every
+clock, so the event loop cuts its closed-form decode runs at every
 boundary where the stepwise loop could act — arrivals (even with a full
 batch), the step after an admission wave (new members become eligible
 victims there), active chunked prefills, and time-driven priority shifts
@@ -111,14 +104,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import (
     BlockAllocation,
     BlockManager,
     paged_accounting_enabled,
-    serving_vector_enabled,
 )
 from repro.llm.costmodel import CostModel
 from repro.llm.hardware import CLUSTER_1XL4, Cluster
@@ -137,11 +132,6 @@ from repro.llm.scheduler import (
 )
 from repro.llm.tracing import EngineTrace, TraceRecorder, serving_trace_enabled
 
-try:  # numpy backs mode="vector"; without it the scalar modes remain.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
-
 
 #: Valid ``EngineConfig.preemption`` modes.
 PREEMPTION_MODES = ("off", "recompute", "swap")
@@ -154,13 +144,11 @@ class EngineConfig:
     ``max_batch_size`` caps concurrent sequences (vLLM ``max_num_seqs``);
     ``kv_capacity_tokens`` overrides the cost model's derived capacity
     (useful for the memory-pressure ablation); ``mode`` selects the replay
-    engine: ``"vector"`` (numpy request state over the event loop),
-    ``"event"`` (closed-form multi-step advance, scalar state),
-    ``"stepwise"`` (per-token reference loop), or ``"auto"`` (vector
-    unless ``REPRO_SERVING_VECTOR=0`` drops it to event, or
-    ``REPRO_SERVING_FASTPATH=0`` forces stepwise); ``kv_accounting``
-    selects the admission
-    model: ``"paged"`` (block-granular, vLLM-style), ``"tokens"`` (the
+    engine: ``"vector"`` (the event loop: closed-form multi-step advance
+    over numpy request state), ``"stepwise"`` (per-token reference
+    loop), or ``"auto"`` (vector unless ``REPRO_SERVING_FASTPATH=0``
+    forces stepwise); ``kv_accounting`` selects the admission model:
+    ``"paged"`` (block-granular, vLLM-style), ``"tokens"`` (the
     token-sum oracle), or ``"auto"`` (paged unless
     ``REPRO_SERVING_PAGED=0``); ``block_tokens`` is the paged block size
     (16 in vLLM by default; 1 makes paged numerically identical to the
@@ -208,11 +196,29 @@ class EngineConfig:
     trace: str = "auto"
 
     def __post_init__(self):
-        # Name validity fails here, at config construction; env-dependent
-        # resolution (oracle gates, numpy availability) stays in the
-        # engine's _resolve_* helpers.
-        if self.mode not in ("auto", "vector", "event", "stepwise"):
+        # Name and size validity fail here, at config construction;
+        # env-dependent resolution (oracle gates) stays in the engine's
+        # _resolve_* helpers.
+        if self.mode not in ("auto", "vector", "stepwise"):
             raise ServingError(f"unknown engine mode {self.mode!r}")
+        for name, optional in (
+            ("max_batch_size", False),
+            ("kv_capacity_tokens", True),
+            ("block_tokens", False),
+            ("prefill_chunk_tokens", True),
+        ):
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            # bool is an Integral; True as a batch size is a typo, not 1.
+            if (
+                not isinstance(value, Integral)
+                or isinstance(value, bool)
+                or value < 1
+            ):
+                raise ServingError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
         if self.kv_accounting not in ("auto", "paged", "tokens"):
             raise ServingError(f"unknown kv accounting {self.kv_accounting!r}")
         validate_policy_name(self.scheduler)
@@ -220,14 +226,6 @@ class EngineConfig:
             raise ServingError(
                 f"unknown preemption mode {self.preemption!r}; "
                 f"choose from {PREEMPTION_MODES}"
-            )
-        if (
-            self.prefill_chunk_tokens is not None
-            and self.prefill_chunk_tokens <= 0
-        ):
-            raise ServingError(
-                f"prefill_chunk_tokens must be positive (or None for "
-                f"monolithic prefill), got {self.prefill_chunk_tokens}"
             )
         if (
             self.scheduler_deadline_s is not None
@@ -263,7 +261,7 @@ class _Running:
     #: Continuous-batching lifecycle state. ``in_decode`` marks membership
     #: in the engine's preemption-victim list; ``admit_step`` is the global
     #: decode step the member (re-)joined the batch at, offset by tokens
-    #: already decoded, so the event loops price completions and preempt
+    #: already decoded, so the event loop prices completions and preempt
     #: settlements as ``step - admit_step``; ``admit_gen`` versions the
     #: member's completion-heap entries (bumped on preemption, so stale
     #: entries are recognizably dead).
@@ -351,13 +349,9 @@ class EngineResult:
 
 def _resolve_mode(mode: str) -> str:
     if mode == "auto":
-        if not serving_fastpath_enabled():
-            return "stepwise"
-        return "vector" if serving_vector_enabled() else "event"
-    if mode not in ("vector", "event", "stepwise"):
+        return "vector" if serving_fastpath_enabled() else "stepwise"
+    if mode not in ("vector", "stepwise"):
         raise ServingError(f"unknown engine mode {mode!r}")
-    if mode == "vector" and _np is None:
-        raise ServingError("mode='vector' requires numpy")
     return mode
 
 
@@ -389,7 +383,7 @@ class _VectorState:
         # Replay-time stamps land at random row indices as events fire, so
         # these are numpy from the start. Zero-initialized: a zero-output
         # request's first-token stamp keeps the RequestMetrics default of
-        # 0.0, like the scalar modes.
+        # 0.0, like the stepwise loop.
         self.out = _np.zeros(self._cap, dtype=_np.int64)
         self.admitted = _np.zeros(self._cap, dtype=_np.float64)
         self.first = _np.zeros(self._cap, dtype=_np.float64)
@@ -533,8 +527,6 @@ class SimulatedLLMEngine:
             raise ServingError(f"no KV memory left for {model.name} on this cluster")
         self.kv_accounting = _resolve_accounting(self.config.kv_accounting)
         self.block_tokens = self.config.block_tokens
-        if self.block_tokens <= 0:
-            raise ServingError("block_tokens must be positive")
         # Paged admission: a BlockManager owns the physical pool, the radix
         # cache attaches per-node allocations to it. Capacity is floored to
         # whole blocks, exactly as a real paged allocator would.
@@ -549,9 +541,9 @@ class SimulatedLLMEngine:
         )
         # The oracle mode keeps the scan-based node cache so
         # REPRO_SERVING_FASTPATH=0 reproduces the original implementation
-        # end to end; other modes resolve the backend themselves (flat
-        # array-backed when numpy is present and REPRO_SERVING_RADIX=1,
-        # node tree + lazy heap otherwise).
+        # end to end; the event loop resolves the backend itself (flat
+        # array-backed when REPRO_SERVING_RADIX=1, node tree + lazy heap
+        # otherwise).
         self.cache = RadixPrefixCache(
             eviction="scan" if self.mode == "stepwise" else "auto",
             block_manager=self.blocks,
@@ -700,8 +692,6 @@ class SimulatedLLMEngine:
         mark = tracer.mark() if tracer is not None else None
         if self.mode == "vector":
             result = self._run_event_vector()
-        elif self.mode == "event":
-            result = self._run_event()
         else:
             result = self._run_stepwise()
         if tracer is not None:
@@ -772,7 +762,7 @@ class SimulatedLLMEngine:
             if self.tracer is not None:
                 # One canonical-clock advance per step; the recorder
                 # merges consecutive steps back into whole runs so its
-                # clock matches the event modes bit for bit.
+                # clock matches the event loop bit for bit.
                 self.tracer.decode(
                     sum(r.context_len for r in running), len(running), 1
                 )
@@ -799,185 +789,21 @@ class SimulatedLLMEngine:
         return self._result(done, decode_steps, peak, max_batch_seen)
 
     # --------------------------------------------------- event-driven mode
-    def _run_event(self) -> EngineResult:
+    def _run_event_vector(self) -> EngineResult:
         """O(events) replay: the batch is fixed between admission and
         completion events, so each event advances the clock over a whole
         run of decode steps with the closed-form sum. All per-batch state
         (size, context-length sum, next completion) is maintained
-        incrementally — no per-event scans of the running set."""
-        done: List[RequestMetrics] = []
-        peak = 0
-        decode_steps = 0
-        max_batch_seen = 0
+        incrementally — no per-event scans of the running set. Runs are
+        cut at every step boundary where the stepwise loop could act
+        differently, so both loops probe admission (and the radix cache)
+        with identical call sequences at clocks equal to float rounding.
 
-        # (completion_step, admission_order, member, admit_gen): a request
-        # (re-)admitted at global step S with n tokens left completes at
-        # step S + n. Preemption bumps the member's admit_gen, so an entry
-        # whose gen no longer matches is dead and is purged lazily.
-        completions: List[Tuple[int, int, _Running, int]] = []
-        order = 0
-        batch = 0  # running sequences
-        context_sum = 0  # sum of their current context lengths
-        step = 0  # global decode-step counter
-        fresh: List[_Running] = []  # admitted, awaiting their first token
-
-        def _detach(m: _Running) -> None:
-            # Settle a preemption victim out of the incremental batch
-            # state: its decode progress is the steps elapsed since it
-            # (re-)joined the batch.
-            nonlocal batch, context_sum
-            m.decoded = step - m.admit_step
-            batch -= 1
-            context_sum -= m.context_len
-
-        self._preempt_detach = _detach
-        preempt_on = self.preemption != "off"
-        chunking = self.chunk_tokens is not None
-
-        while (
-            len(self.scheduler) or self._future or batch or self._prefilling
-        ):
-            wave: List[_Running] = []
-            self._admit(wave, n_active=batch)
-            if batch == 0 and not wave:
-                if self._prefilling:
-                    continue
-                if len(self.scheduler):
-                    raise ServingError("admission stalled with empty batch")
-                if self._future:
-                    # Idle engine: jump the clock to the next arrival.
-                    arrival = self._future[0][0]
-                    self._clock = max(self._clock, arrival)
-                    if self.tracer is not None:
-                        self.tracer.idle(arrival)
-                    continue
-                break
-            max_batch_seen = max(max_batch_seen, batch + len(wave))
-            peak = max(peak, self._sample_usage())
-
-            retired = False
-            for m in wave:
-                if m.request.output_tokens == 0:
-                    # Retired without a decode step, at the post-prefill clock.
-                    self._finish(m, done)
-                    retired = True
-                else:
-                    batch += 1
-                    context_sum += m.context_len
-                    m.admit_step = step - m.decoded
-                    heappush(
-                        completions,
-                        (
-                            m.admit_step + m.request.output_tokens,
-                            order,
-                            m,
-                            m.admit_gen,
-                        ),
-                    )
-                    order += 1
-                    if m.decoded == 0:
-                        fresh.append(m)
-            if batch == 0:
-                continue
-
-            # Next event: the earliest completion. A zero-output retirement
-            # just freed capacity, and the stepwise loop re-attempts
-            # admission after exactly one decode step — mirror that cadence
-            # so both modes issue identical cache probes.
-            if preempt_on:
-                while (
-                    completions
-                    and completions[0][2].admit_gen != completions[0][3]
-                ):
-                    heappop(completions)  # preempted before completing
-            steps = completions[0][0] - step
-            if chunking and steps > 1 and self._prefilling:
-                # Chunked prefills advance once per step boundary in the
-                # stepwise loop; mirror that cadence exactly.
-                steps = 1
-            if preempt_on and steps > 1 and not self._admission_blocked:
-                if self._pending_decode and len(self.scheduler):
-                    # The last wave's members join the preemption-victim
-                    # list at the next admission probe, where a waiting
-                    # candidate may evict one of them; the stepwise loop
-                    # probes at the very next step boundary, so cut the
-                    # run there.
-                    steps = 1
-                elif len(self.scheduler):
-                    # A time-driven priority shift (a waiting deadline
-                    # expiring) can change which candidate is head-of-line
-                    # and thereby enable a preemption mid-run; cut at the
-                    # step boundary where the stepwise loop would see it.
-                    shift = self.scheduler.next_priority_shift(self._clock)
-                    if shift is not None:
-                        steps = self._cap_steps_at_arrival(
-                            context_sum, batch, steps, shift
-                        )
-            if (
-                retired
-                and len(self.scheduler)
-                and batch < self.config.max_batch_size
-                and steps > 1
-            ):
-                steps = 1
-            if (
-                self._future
-                and steps > 1
-                and (batch < self.config.max_batch_size or preempt_on)
-            ):
-                # Arrival event: cut the decode run at the first step
-                # boundary whose clock reaches the next arrival — the
-                # boundary where the stepwise loop would see it and attempt
-                # admission. With a full batch the arrival cannot be
-                # admitted anyway — unless preemption is on, in which case
-                # the arriving candidate may evict a victim right there.
-                steps = self._cap_steps_at_arrival(
-                    context_sum, batch, steps, self._future[0][0]
-                )
-            if self.tracer is not None:
-                self.tracer.decode(context_sum, batch, steps)
-            first_dt = self.cost.decode_run_time(context_sum, batch, 1)
-            total_dt = (
-                first_dt
-                if steps == 1
-                else self.cost.decode_run_time(context_sum, batch, steps)
-            )
-            start = self._clock
-            self._clock = start + total_dt
-            decode_steps += steps
-            step += steps
-            context_sum += batch * steps
-            if fresh:
-                first_at = start + first_dt
-                for m in fresh:
-                    m.metrics.first_token_at_s = first_at
-                fresh.clear()
-            while completions and (
-                completions[0][2].admit_gen != completions[0][3]
-                or completions[0][0] <= step
-            ):
-                _, _, m, gen = heappop(completions)
-                if m.admit_gen != gen:
-                    continue  # stale entry of a preempted member
-                m.decoded = m.request.output_tokens
-                batch -= 1
-                context_sum -= m.context_len
-                self._finish(m, done)
-
-        self._preempt_detach = None
-        return self._result(done, decode_steps, peak, max_batch_seen)
-
-    # ------------------------------------------------- vectorized event mode
-    def _run_event_vector(self) -> EngineResult:
-        """The event loop of :meth:`_run_event` over numpy request state:
-        identical control flow and — critically — the identical sequence
-        of scalar float operations on the clock, so clocks (and therefore
-        schedules, including online arrival cuts) are bit-identical to the
-        scalar event mode. What changes is the per-request Python work:
-        metric stamps land in :class:`_VectorState` rows (whole admission
-        waves per assignment), prompt-path block references fork/release
-        as one bundle per request, and ``RequestMetrics`` objects plus the
-        aggregate token sums materialize in bulk at the end of the run."""
+        Per-request state is vectorized: metric stamps land in
+        :class:`_VectorState` rows (whole admission waves per assignment),
+        prompt-path block references fork/release as one bundle per
+        request, and ``RequestMetrics`` objects plus the aggregate token
+        sums materialize in bulk at the end of the run."""
         vect = _VectorState(len(self.scheduler) + len(self._future))
         self._vstate = vect
         try:
@@ -986,14 +812,22 @@ class SimulatedLLMEngine:
             decode_steps = 0
             max_batch_seen = 0
 
+            # (completion_step, admission_order, member, admit_gen): a
+            # request (re-)admitted at global step S with n tokens left
+            # completes at step S + n. Preemption bumps the member's
+            # admit_gen, so an entry whose gen no longer matches is dead
+            # and is purged lazily.
             completions: List[Tuple[int, int, _Running, int]] = []
             order = 0
-            batch = 0
-            context_sum = 0
-            step = 0
+            batch = 0  # running sequences
+            context_sum = 0  # sum of their current context lengths
+            step = 0  # global decode-step counter
             fresh: List[int] = []  # vector-state rows awaiting first token
 
             def _detach(m: _Running) -> None:
+                # Settle a preemption victim out of the incremental batch
+                # state: its decode progress is the steps elapsed since it
+                # (re-)joined the batch.
                 nonlocal batch, context_sum
                 m.decoded = step - m.admit_step
                 batch -= 1
@@ -1013,10 +847,13 @@ class SimulatedLLMEngine:
                 self._admit(wave, n_active=batch)
                 if batch == 0 and not wave:
                     if self._prefilling:
+                        # Chunked prefills advance (and move the clock)
+                        # inside _admit; keep probing until one is ready.
                         continue
                     if len(self.scheduler):
                         raise ServingError("admission stalled with empty batch")
                     if self._future:
+                        # Idle engine: jump the clock to the next arrival.
                         arrival = self._future[0][0]
                         self._clock = max(self._clock, arrival)
                         if self.tracer is not None:
@@ -1029,6 +866,8 @@ class SimulatedLLMEngine:
                 retired = False
                 for m in wave:
                     if m.request.output_tokens == 0:
+                        # Retired without a decode step, at the
+                        # post-prefill clock.
                         self._finish(m, done)
                         retired = True
                     else:
@@ -1050,6 +889,9 @@ class SimulatedLLMEngine:
                 if batch == 0:
                     continue
 
+                # Next event: the earliest live completion. Each check
+                # below cuts the run shorter, at the first step boundary
+                # where the stepwise loop could act differently.
                 if preempt_on:
                     while (
                         completions
@@ -1058,11 +900,23 @@ class SimulatedLLMEngine:
                         heappop(completions)  # preempted before completing
                 steps = completions[0][0] - step
                 if chunking and steps > 1 and self._prefilling:
+                    # Chunked prefills advance once per step boundary in
+                    # the stepwise loop; mirror that cadence exactly.
                     steps = 1
                 if preempt_on and steps > 1 and not self._admission_blocked:
                     if self._pending_decode and len(self.scheduler):
+                        # The last wave's members join the preemption-victim
+                        # list at the next admission probe, where a waiting
+                        # candidate may evict one of them; the stepwise loop
+                        # probes at the very next step boundary, so cut the
+                        # run there.
                         steps = 1
                     elif len(self.scheduler):
+                        # A time-driven priority shift (a waiting deadline
+                        # expiring) can change which candidate is
+                        # head-of-line and thereby enable a preemption
+                        # mid-run; cut at the step boundary where the
+                        # stepwise loop would see it.
                         shift = self.scheduler.next_priority_shift(
                             self._clock
                         )
@@ -1076,12 +930,23 @@ class SimulatedLLMEngine:
                     and batch < self.config.max_batch_size
                     and steps > 1
                 ):
+                    # A zero-output retirement just freed capacity, and the
+                    # stepwise loop re-attempts admission after exactly one
+                    # decode step — mirror that cadence so both loops issue
+                    # identical cache probes.
                     steps = 1
                 if (
                     self._future
                     and steps > 1
                     and (batch < self.config.max_batch_size or preempt_on)
                 ):
+                    # Arrival event: cut the decode run at the first step
+                    # boundary whose clock reaches the next arrival — the
+                    # boundary where the stepwise loop would see it and
+                    # attempt admission. With a full batch the arrival
+                    # cannot be admitted anyway — unless preemption is on,
+                    # in which case the arriving candidate may evict a
+                    # victim right there.
                     steps = self._cap_steps_at_arrival(
                         context_sum, batch, steps, self._future[0][0]
                     )
@@ -1273,8 +1138,8 @@ class SimulatedLLMEngine:
     def _admit(self, running: List[_Running], n_active: Optional[int] = None) -> None:
         """Admit the policy's picks while memory and batch slots allow,
         appending members to ``running``. The stepwise loop passes its full
-        running list; the event loops pass an empty wave list plus
-        ``n_active`` (their incremental batch count).
+        running list; the event loop passes an empty wave list plus
+        ``n_active`` (its incremental batch count).
 
         The policy only chooses *which* waiting request is next — if that
         request does not fit, admission blocks (no skip-ahead), exactly the
@@ -1856,7 +1721,7 @@ class SimulatedLLMEngine:
         decode progress, re-enters the waiting queue, and is re-admitted
         like any other candidate (head-of-line, same need accounting)."""
         req = m.request
-        self._preempt_detach(m)  # event modes also settle m.decoded here
+        self._preempt_detach(m)  # the event loop also settles m.decoded here
         for i, x in enumerate(self._decode_order):
             if x is m:
                 del self._decode_order[i]

@@ -14,7 +14,7 @@ skipping its prefill. Mirrors the structure SGLang/vLLM use:
 
 Two storage backends implement the same contract:
 
-``backend="flat"`` (default when numpy is present)
+``backend="flat"`` (the default)
     A flat, array-backed radix tree: node records live in slot-indexed
     parallel arrays (edge spans into one contiguous numpy token store;
     refcounts, last-touch ticks and links in plain Python lists — see the
@@ -29,8 +29,7 @@ Two storage backends implement the same contract:
 
 ``backend="node"``
     Today's per-node Python-object tree — the equivalence oracle.
-    ``REPRO_SERVING_RADIX=0`` keeps it everywhere, mirroring
-    ``REPRO_SERVING_VECTOR`` one layer down; the randomized suites in
+    ``REPRO_SERVING_RADIX=0`` keeps it everywhere; the randomized suites in
     ``tests/llm/test_radix_flat.py`` / ``test_radix_equivalence.py``
     enforce bit-identical match lengths, eviction victims and order,
     counters, block allocations, and engine clocks across backends.
@@ -71,13 +70,10 @@ from array import array
 from heapq import heappush, heappop
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro.errors import ServingError
 from repro.llm.blocks import BlockAllocation, BlockManager
-
-try:  # numpy backs the flat array-backed radix backend; its absence
-    import numpy as _np  # only disables it (the node-tree oracle remains).
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
 
 #: Packed token width used for offset-based edge comparison ("q" = int64,
 #: wide enough for any realistic vocabulary id).
@@ -104,12 +100,9 @@ def serving_fastpath_enabled() -> bool:
 
 
 def serving_radix_enabled() -> bool:
-    """Whether the flat array-backed radix backend is enabled (the default
-    when numpy is importable). ``REPRO_SERVING_RADIX=0`` keeps the
-    node-object tree — the equivalence oracle — everywhere, mirroring
-    ``REPRO_SERVING_VECTOR`` one layer down."""
-    if _np is None:
-        return False
+    """Whether the flat array-backed radix backend is enabled (the
+    default). ``REPRO_SERVING_RADIX=0`` keeps the node-object tree — the
+    equivalence oracle — everywhere."""
     flag = os.environ.get("REPRO_SERVING_RADIX", "1").strip().lower()
     return flag not in ("0", "false", "off", "no")
 
@@ -120,15 +113,11 @@ def _resolve_backend(backend: str, eviction: str) -> str:
     ``"scan"``) selects the node backend — those engines live on the
     node-object tree, and tests/benches that construct them inspect its
     internals. ``backend="auto"`` with ``eviction="auto"`` takes the flat
-    backend whenever numpy and both fast-path flags allow it."""
+    backend whenever both fast-path flags allow it."""
     if backend not in ("auto", "flat", "node"):
         raise ValueError(f"unknown radix backend {backend!r}")
-    if backend == "flat":
-        if _np is None:
-            raise ServingError("backend='flat' requires numpy")
-        return "flat"
-    if backend == "node":
-        return "node"
+    if backend in ("flat", "node"):
+        return backend
     if (
         eviction == "auto"
         and serving_radix_enabled()
@@ -201,8 +190,8 @@ class RadixPrefixCache:
 
     Constructing ``RadixPrefixCache(...)`` dispatches on ``backend`` (see
     :func:`_resolve_backend`): the default returns a :class:`_FlatRadixCache`
-    when numpy is present and ``REPRO_SERVING_RADIX`` allows it, else this
-    node-object reference implementation. Both expose the same API and make
+    when ``REPRO_SERVING_RADIX`` allows it, else this node-object
+    reference implementation. Both expose the same API and make
     bit-identical decisions."""
 
     def __new__(cls, **kwargs):
@@ -981,8 +970,6 @@ class _FlatRadixCache(RadixPrefixCache):
         eviction: str = "auto",
         block_manager: Optional[BlockManager] = None,
     ):
-        if _np is None:  # pragma: no cover - guarded by _resolve_backend
-            raise ServingError("backend='flat' requires numpy")
         if eviction != "auto":
             raise ServingError(
                 "the flat backend owns its eviction engine; an explicit "

@@ -11,9 +11,9 @@ admission wave. Everything is stamped on the *simulated* clock.
 
 The canonical clock
 -------------------
-The three replay modes do not share a bit-identical engine clock: the
+The two replay modes do not share a bit-identical engine clock: the
 stepwise oracle accumulates :meth:`CostModel.decode_step_time` per token
-while the event modes jump whole decode runs with the closed-form
+while the event loop jumps whole decode runs with the closed-form
 :meth:`CostModel.decode_run_time` — equal only up to float rounding.
 Spans, however, must compare ``==`` across modes (span equality is an
 equivalence axis alongside the metric checks), so the recorder keeps its
@@ -26,7 +26,7 @@ equivalence axis alongside the metric checks), so the recorder keeps its
   across modes;
 * decode time is reported as ``(context_sum, batch, steps)`` advances
   (one per step in stepwise, one per closed-form run in the event
-  modes).  Consecutive compatible advances — same batch, context sum
+  loop).  Consecutive compatible advances — same batch, context sum
   continuing the arithmetic series — are *merged*, and the merged run is
   priced with a single ``decode_run_time`` call whenever any stamp,
   instant, gauge, or non-decode charge needs the clock.  Merge
@@ -36,8 +36,8 @@ equivalence axis alongside the metric checks), so the recorder keeps its
   agree bit for bit.
 
 The canonical clock therefore equals each engine clock only up to float
-rounding (like the engine clocks among themselves), but is *identical*
-across modes — which is the property span equality needs.
+rounding (as the two engine clocks equal each other), but is
+*identical* across modes — which is the property span equality needs.
 
 Exports: Chrome trace-event JSON (``chrome://tracing`` / Perfetto; one
 process row per track — policy, replica — and one thread per engine

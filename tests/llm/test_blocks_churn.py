@@ -17,12 +17,7 @@ import pytest
 from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import BlockManager
 
-try:
-    import numpy  # noqa: F401
-
-    BACKENDS = [False, True]
-except ImportError:  # pragma: no cover - environment without numpy
-    BACKENDS = [False]
+BACKENDS = [False, True]
 
 
 class Churner:

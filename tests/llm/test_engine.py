@@ -169,10 +169,11 @@ class TestEngineConfigValidation:
             assert name in msg
 
     def test_unknown_mode_at_config_time(self):
-        from repro.errors import ReproError
+        from repro.errors import ServingError
 
-        with pytest.raises(ReproError):
-            EngineConfig(mode="warp")
+        for mode in ("warp", "event"):
+            with pytest.raises(ServingError, match="unknown engine mode"):
+                EngineConfig(mode=mode)
 
     def test_unknown_accounting_at_config_time(self):
         from repro.errors import ReproError
@@ -183,7 +184,37 @@ class TestEngineConfigValidation:
     def test_valid_names_still_accepted(self):
         for scheduler in ("auto", "fcfs", "sjf", "prefix-affinity", "fair-share"):
             EngineConfig(scheduler=scheduler)
-        for mode in ("auto", "vector", "event", "stepwise"):
+        for mode in ("auto", "vector", "stepwise"):
             EngineConfig(mode=mode)
         for acc in ("auto", "paged", "tokens"):
             EngineConfig(kv_accounting=acc)
+        EngineConfig(
+            max_batch_size=1,
+            kv_capacity_tokens=1,
+            block_tokens=1,
+            prefill_chunk_tokens=1,
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_batch_size", 0),
+            ("max_batch_size", -1),
+            ("max_batch_size", 2.5),
+            ("max_batch_size", True),
+            ("max_batch_size", None),
+            ("kv_capacity_tokens", 0),
+            ("kv_capacity_tokens", 35.5),
+            ("block_tokens", 0),
+            ("block_tokens", 2.5),
+            ("block_tokens", "16"),
+            ("prefill_chunk_tokens", 0),
+            ("prefill_chunk_tokens", 2.5),
+            ("prefill_chunk_tokens", False),
+        ],
+    )
+    def test_bad_sizes_rejected_at_config_time(self, field, value):
+        from repro.errors import ServingError
+
+        with pytest.raises(ServingError, match=f"{field} must be an integer"):
+            EngineConfig(**{field: value})

@@ -1,10 +1,11 @@
 """Randomized equivalence: event-driven engine vs the stepwise oracle.
 
-The event engine must reproduce the stepwise loop's integer metrics
-*exactly* (cached/prefill/decode tokens, peak KV, batch sizes, decode
-steps, cache hit/miss/evicted counters) and its clocks to float rounding
-(1e-6 relative) — the closed-form decode-run sum replaces a per-token
-accumulation, so bit-identical floats are not expected.
+The event loop (``mode="vector"``, the default) must reproduce the
+stepwise loop's integer metrics *exactly* (cached/prefill/decode tokens,
+peak KV, batch sizes, decode steps, cache hit/miss/evicted counters) and
+its clocks to float rounding (1e-6 relative) — the closed-form decode-run
+sum replaces a per-token accumulation, so bit-identical floats are not
+expected.
 
 The radix cache's extended invariants (pin refcounts, heap coverage) are
 checked after every run.
@@ -60,7 +61,7 @@ def random_workload(rng, n_requests=40, vocab=50, max_len=60, max_out=12):
 
 
 def run_mode(requests, mode, waves=1, **cfg_kwargs):
-    # This suite checks replay-mode (event vs stepwise) equivalence; its
+    # This suite checks replay-mode (event loop vs stepwise) equivalence; its
     # tight-capacity workloads are sized in tokens, so it runs on the
     # token-sum accounting oracle. Paged-accounting equivalence (including
     # event vs stepwise under blocks) lives in test_paged_equivalence.py.
@@ -88,12 +89,12 @@ def assert_equivalent(requests, waves=1, **cfg_kwargs):
         for r in requests
     ]
     e_step, r_step = run_mode(oracle_reqs, "stepwise", waves=waves, **cfg_kwargs)
-    e_evt, r_evt = run_mode(requests, "event", waves=waves, **cfg_kwargs)
+    e_evt, r_evt = run_mode(requests, "vector", waves=waves, **cfg_kwargs)
 
-    assert e_step.mode == "stepwise" and e_evt.mode == "event"
+    assert e_step.mode == "stepwise" and e_evt.mode == "vector"
     # The stepwise oracle always keeps the node tree + scan eviction; the
-    # event engine resolves the fast cache (flat array-backed when numpy
-    # and REPRO_SERVING_RADIX allow, node tree + lazy heap otherwise).
+    # event loop resolves the fast cache (flat array-backed when
+    # REPRO_SERVING_RADIX allows, node tree + lazy heap otherwise).
     assert e_step.cache.backend == "node" and e_step.cache.eviction == "scan"
     if serving_radix_enabled() and serving_fastpath_enabled():
         assert e_evt.cache.backend == "flat"
@@ -200,7 +201,6 @@ class TestRandomizedEquivalence:
 class TestEventModeBasics:
     def test_default_mode_is_vector(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
-        monkeypatch.delenv("REPRO_SERVING_VECTOR", raising=False)
         eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
         assert eng.mode == "vector"
         if serving_radix_enabled() and serving_fastpath_enabled():
@@ -208,19 +208,8 @@ class TestEventModeBasics:
         else:
             assert eng.cache.eviction == "heap"
 
-    def test_vector_flag_selects_scalar_event(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
-        monkeypatch.setenv("REPRO_SERVING_VECTOR", "0")
-        eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
-        assert eng.mode == "event"
-        if serving_radix_enabled() and serving_fastpath_enabled():
-            assert eng.cache.backend == "flat"
-        else:
-            assert eng.cache.eviction == "heap"
-
     def test_radix_flag_selects_node_backend(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
-        monkeypatch.delenv("REPRO_SERVING_VECTOR", raising=False)
         monkeypatch.setenv("REPRO_SERVING_RADIX", "0")
         eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
         assert eng.mode == "vector"
@@ -236,7 +225,7 @@ class TestEventModeBasics:
 
     def test_capacity_error_in_both_modes(self):
         big = Request(0, tuple(range(2000)), 10)
-        for mode in ("vector", "event", "stepwise"):
+        for mode in ("vector", "stepwise"):
             eng = SimulatedLLMEngine(
                 LLAMA3_8B,
                 CLUSTER_1XL4,

@@ -4,9 +4,9 @@ The contract: with every arrival at t=0 and the ``fcfs`` policy, the
 online path (arrival heap -> policy pool -> policy-driven admission) must
 reproduce the offline engine's schedules, integer metrics and cache
 counters *exactly*, and its clocks to float rounding (1e-6 relative) — in
-both replay modes (event and stepwise). ``REPRO_SERVING_ONLINE=0`` must
-force that offline shape end to end even when a different policy and real
-arrival stamps are configured.
+both replay modes (the event loop, ``mode="vector"``, and stepwise).
+``REPRO_SERVING_ONLINE=0`` must force that offline shape end to end even
+when a different policy and real arrival stamps are configured.
 """
 
 import random
@@ -20,6 +20,9 @@ from repro.llm.models import LLAMA3_8B
 from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
 from repro.llm.workload import TraceRequest, WorkloadTrace
+
+#: Both replay loops; test ids name the event loop by its kind ("event").
+MODES = [pytest.param("vector", id="event"), "stepwise"]
 
 
 def random_workload(rng, n_requests=40, vocab=50, max_len=60, max_out=12):
@@ -117,7 +120,7 @@ class TestOnlineEquivalence:
     (exercising request construction, the scheduler pool, and SLO stamps
     on top of the engine loops)."""
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(6))
     def test_trace_at_t0_matches_generate(self, mode, seed):
         rng = random.Random(seed)
@@ -157,7 +160,7 @@ class TestOnlineEquivalence:
             assert m.arrival_s == 0.0
             assert m.queueing_delay_s == m.admitted_at_s
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(6))
     def test_engine_level_roomy(self, mode, seed):
         rng = random.Random(100 + seed)
@@ -177,7 +180,7 @@ class TestOnlineEquivalence:
 
         assert_online_matches_offline(make, mode)
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(4))
     def test_engine_level_memory_pressure(self, mode, seed):
         rng = random.Random(200 + seed)
@@ -201,7 +204,7 @@ class TestOnlineEquivalence:
             make, mode, kv_capacity_tokens=need + slack, max_batch_size=8
         )
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(3))
     def test_engine_level_multi_wave(self, mode, seed):
         rng = random.Random(300 + seed)
@@ -226,7 +229,7 @@ class TestPagedOnlineEquivalence:
     """The online path composes with paged-KV admission: fcfs @ t=0 still
     matches offline under block accounting, both modes."""
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(3))
     def test_paged_roomy(self, mode, seed):
         rng = random.Random(400 + seed)
@@ -331,7 +334,7 @@ class TestOnlineEventVsStepwise:
             make(), "stepwise", scheduler=policy, max_batch_size=4
         )
         _, r_evt = run_engine(
-            make(), "event", scheduler=policy, max_batch_size=4
+            make(), "vector", scheduler=policy, max_batch_size=4
         )
         # Completion order can differ only through float boundaries; the
         # chosen seeds are verified deterministic.

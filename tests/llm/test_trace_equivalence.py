@@ -5,12 +5,13 @@ Two contracts (the ISSUE's acceptance axes):
 * **Observer invariance**: tracing ON leaves every ``EngineResult``
   metric — integer counters AND float clocks — **bit-identical** to the
   same replay with tracing OFF, across schedulers x preemption x chunked
-  prefill x KV accounting, in all three replay modes. The recorder only
+  prefill x KV accounting, in both replay modes. The recorder only
   observes; it never perturbs the replay.
 
-* **Mode invariance**: stepwise, event, and vector emit **identical
-  span sets** — the same spans, instants, and gauge samples with the
-  same simulated-clock stamps under ``==`` — even though the engine
+* **Mode invariance**: the stepwise oracle and the event loop
+  (``mode="vector"``) emit **identical span sets** — the same spans,
+  instants, and gauge samples with the same simulated-clock stamps
+  under ``==`` — even though the engine
   clocks themselves agree only to float rounding (the recorder's
   canonical clock rebuilds time from mode-invariant deltas; see
   ``repro/llm/tracing.py``). The one excluded value is the
@@ -30,7 +31,7 @@ from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
 from repro.llm.scheduler import serving_online_enabled, serving_preempt_enabled
 
-MODES = ("stepwise", "event", "vector")
+MODES = ("stepwise", "vector")
 
 #: The full feature matrix the equivalences must hold over. Equivalence
 #: is gate-agnostic (both sides of every comparison degrade identically
@@ -202,7 +203,7 @@ class TestTracingIsPureObserver:
 
 
 class TestModeInvariantSpans:
-    """stepwise == event == vector span sets, stamps compared with ==."""
+    """stepwise == event-loop span sets, stamps compared with ==."""
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("seed", range(3))
@@ -215,13 +216,10 @@ class TestModeInvariantSpans:
             _, result = run_traced(clone(reqs), mode, "on", **cfg)
             traces[mode] = result.trace
         ref = traces["stepwise"]
-        for mode in ("event", "vector"):
-            tr = traces[mode]
-            assert tr.spans == ref.spans, mode
-            assert tr.instants == ref.instants, mode
-            assert strip_store_bytes(tr.gauges) == strip_store_bytes(
-                ref.gauges
-            ), mode
+        tr = traces["vector"]
+        assert tr.spans == ref.spans
+        assert tr.instants == ref.instants
+        assert strip_store_bytes(tr.gauges) == strip_store_bytes(ref.gauges)
         # The meta records which mode actually replayed each trace.
         for mode in MODES:
             assert traces[mode].meta["mode"] == mode
@@ -257,7 +255,7 @@ class TestTraceMachineryFires:
         rng = random.Random(42)
         reqs = trace_workload(rng, n_requests=40)
         _, result = run_traced(
-            clone(reqs), "event", "on", **CONFIGS["deadline-swap-chunked"]
+            clone(reqs), "vector", "on", **CONFIGS["deadline-swap-chunked"]
         )
         names = {s.name for s in result.trace.spans}
         assert "queued" in names
@@ -279,7 +277,7 @@ class TestTraceMachineryFires:
         eng = SimulatedLLMEngine(
             LLAMA3_8B,
             CLUSTER_1XL4,
-            EngineConfig(mode="event", trace="on", scheduler="fcfs"),
+            EngineConfig(mode="vector", trace="on", scheduler="fcfs"),
         )
         eng.submit_all(clone(reqs[:12]))
         r1 = eng.run()
