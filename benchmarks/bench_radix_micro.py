@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the flat array-backed radix cache against the
-node-object tree it replaces.
+"""Micro-benchmarks of the flat array-backed radix cache against its
+node-object reference (``backend="node"``).
 
 The shape where the node backend structurally loses is the paper's
 "sorted rows" pattern: a run of requests shares one long prompt base
@@ -9,33 +9,34 @@ retire under eviction pressure as the scan advances to the next base.
 Every probe then walks a long edge and diverges inside it — the node
 tree resolves that with a per-token Python loop over the edge span,
 the flat backend with a single vectorized compare over the contiguous
-token store. The two backends are bit-identical by contract —
+token store; the node tree also scans the whole tree for every eviction
+victim. The two backends are bit-identical by contract —
 ``tests/llm/test_radix_flat.py`` and ``test_radix_equivalence.py``
 enforce it — so the ratio below measures pure implementation speed on
 identical work.
 
 Acceptance bar (asserted, then recorded for the perf trajectory):
-``radix_flat_speedup >= 2.0`` on the match+insert+evict loop. The
-end-to-end replay ratio is recorded as a no-regression guard with a
-conservative bar — the cache is one component of replay cost, so its
-e2e effect is real but diluted.
+``radix_flat_speedup >= 6.0`` (median of interleaved runs) on the
+match+insert+evict loop. The end-to-end replay ratio is recorded as a
+no-regression guard with a conservative bar — the cache is one component
+of replay cost, so its e2e effect is real but diluted.
 """
 
-import os
 import random
+import statistics
 import time
 
 from conftest import perf_record, run_once
 
 from repro.llm.client import SimulatedLLMClient
 from repro.llm.engine import EngineConfig
-from repro.llm.radix import RadixPrefixCache, pack_tokens, serving_radix_enabled
+from repro.llm.radix import RadixPrefixCache, pack_tokens
 from repro.llm.workload import TraceRequest, WorkloadTrace, bursty_arrivals
 
 #: Token budget the eviction loop holds the tree to — a few bases'
 #: worth, so retired groups are evicted as the scan moves on and the
-#: LRU engine (lazy re-keyed heap vs intrusive doubly-linked list)
-#: stays on the hot path.
+#: LRU engine (full-tree scan vs intrusive doubly-linked list) stays on
+#: the hot path.
 _CAP_TOKENS = 64_000
 
 
@@ -81,52 +82,54 @@ def _drive(cache, stream):
     )
 
 
-def _time(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
+#: Acceptance bar of ``radix_flat_speedup``.
+_FLAT_SPEEDUP_BAR = 6.0
+
+
+def _interleaved(slow, fast, pairs=5):
+    """Time ``slow`` and ``fast`` in alternating runs; returns the median
+    per-pair wall-time ratio (host load drifts hit both halves of a pair
+    alike), the best time of each, and each side's last result."""
+    ratios, slow_s, fast_s = [], [], []
+    for _ in range(pairs):
         t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        slow_res = slow()
+        t1 = time.perf_counter()
+        fast_res = fast()
+        t2 = time.perf_counter()
+        slow_s.append(t1 - t0)
+        fast_s.append(t2 - t1)
+        ratios.append((t1 - t0) / max(t2 - t1, 1e-9))
+    return statistics.median(ratios), min(slow_s), min(fast_s), slow_res, fast_res
 
 
 def bench_radix_flat_vs_node(benchmark):
-    """Headline: flat backend >= 2x the node tree on match+insert+evict.
+    """Headline: flat backend >= ``_FLAT_SPEEDUP_BAR`` x the node
+    reference on match+insert+evict.
 
     Both backends run the identical admission stream; their counters must
     agree exactly (the equivalence contract) before the ratio means
-    anything. The node side pins ``eviction="heap"`` — the production
-    node configuration, not the O(n log n) scan oracle — so the bar is
-    against the strongest incumbent."""
+    anything."""
     stream = _sorted_rows_stream()
-    node_s, node_counters = _time(
-        lambda: _drive(RadixPrefixCache(eviction="heap"), stream)
-    )
-    if not serving_radix_enabled():
-        benchmark.pedantic(
-            lambda: _drive(RadixPrefixCache(eviction="heap"), stream),
-            rounds=1,
-            iterations=1,
-        )
-        return
-    flat_s, flat_counters = _time(
-        lambda: _drive(RadixPrefixCache(backend="flat"), stream)
+    ratio, node_s, flat_s, node_counters, flat_counters = _interleaved(
+        lambda: _drive(RadixPrefixCache(backend="node"), stream),
+        lambda: _drive(RadixPrefixCache(backend="flat"), stream),
     )
     run_once(benchmark, lambda: _drive(RadixPrefixCache(backend="flat"), stream))
     assert flat_counters == node_counters, (
         "backends diverged on identical work: "
         f"flat {flat_counters} vs node {node_counters}"
     )
-    ratio = node_s / max(flat_s, 1e-9)
     benchmark.extra_info["node_seconds"] = round(node_s, 4)
     benchmark.extra_info["flat_seconds"] = round(flat_s, 4)
     benchmark.extra_info["speedup"] = round(ratio, 3)
-    assert ratio >= 2.0, (
+    assert ratio >= _FLAT_SPEEDUP_BAR, (
         f"flat backend {flat_s:.4f}s vs node {node_s:.4f}s: "
-        f"{ratio:.2f}x is below the 2x bar"
+        f"{ratio:.2f}x is below the {_FLAT_SPEEDUP_BAR}x bar"
     )
-    perf_record("radix", "radix_flat_speedup", ratio, ">= 2.0")
+    perf_record(
+        "radix", "radix_flat_speedup", ratio, f">= {_FLAT_SPEEDUP_BAR}"
+    )
 
 
 def _e2e_trace(n_interactive=96, header_tokens=800):
@@ -152,34 +155,35 @@ def _e2e_trace(n_interactive=96, header_tokens=800):
     return WorkloadTrace(reqs, name="radix-e2e-admission")
 
 
-def _replay(trace):
+def _replay(trace, backend="flat"):
     client = SimulatedLLMClient(
-        engine_config=EngineConfig(max_batch_size=4, kv_capacity_tokens=120_000)
+        engine_config=EngineConfig(
+            mode="vector", max_batch_size=4, kv_capacity_tokens=120_000
+        )
     )
+    if backend == "node":
+        engine = client.engine
+        engine.cache = RadixPrefixCache(
+            backend="node", block_manager=engine.blocks
+        )
     return client.generate_trace(trace, deadline_s=2.0)
 
 
 def bench_radix_e2e_replay(benchmark):
-    """End-to-end vector replay, flat vs node backend, same trace.
+    """End-to-end vector replay, flat vs node backend, same trace (the
+    node run substitutes its cache into the vector engine).
 
     Recorded as a no-regression guard (``>= 0.9``): the flat backend must
-    never make whole-trace replay slower. The measured ratio lands just
-    above 1 on this shape — the cache is a single-digit share of replay
-    cost — and the conservative bar absorbs shared-runner noise on a
-    wall-clock ratio of a sub-second replay."""
+    never make whole-trace replay slower. The measured ratio lands near 1
+    on this shape — the cache is a single-digit share of replay cost and
+    the trace evicts nothing — and the conservative bar absorbs
+    shared-runner noise on a wall-clock ratio of a sub-second replay."""
     trace = _e2e_trace()
-    if not serving_radix_enabled():
-        run_once(benchmark, lambda: _replay(trace))
-        return
-    os.environ["REPRO_SERVING_RADIX"] = "0"
-    try:
-        node_s, node_res = _time(lambda: _replay(trace), repeats=5)
-    finally:
-        del os.environ["REPRO_SERVING_RADIX"]
-    flat_s, flat_res = _time(lambda: _replay(trace), repeats=5)
+    ratio, node_s, flat_s, node_res, flat_res = _interleaved(
+        lambda: _replay(trace, "node"), lambda: _replay(trace), pairs=9
+    )
     res = run_once(benchmark, lambda: _replay(trace))
     assert res.total_seconds == node_res.total_seconds == flat_res.total_seconds
-    ratio = node_s / max(flat_s, 1e-9)
     benchmark.extra_info["node_seconds"] = round(node_s, 4)
     benchmark.extra_info["flat_seconds"] = round(flat_s, 4)
     benchmark.extra_info["e2e_speedup"] = round(ratio, 3)

@@ -181,7 +181,7 @@ def bench_engine_paged_eviction_pressure(benchmark):
 
 def bench_engine_eviction_pressure(benchmark):
     """Replay under a KV capacity that forces continuous eviction (the
-    amortized-eviction hot path: pin/unpin churn plus heap pops)."""
+    flat cache's eviction hot path: pin/unpin churn plus LRU-list walks)."""
     requests = _replay_requests(
         n_requests=800, n_groups=40, suffix_len=60, out_lo=8, out_hi=24
     )
@@ -204,7 +204,8 @@ def bench_engine_eviction_pressure(benchmark):
 
 
 def bench_engine_eviction_pressure_stepwise_oracle(benchmark):
-    """Eviction-pressure baseline: stepwise loop + scan-based eviction."""
+    """Eviction-pressure baseline: stepwise loop + node-tree radix
+    reference (full-scan eviction)."""
     requests = _replay_requests(
         n_requests=800, n_groups=40, suffix_len=60, out_lo=8, out_hi=24
     )
@@ -234,11 +235,11 @@ def _deep_prompts(n_prompts=400, depth=600, seed=0):
 
 
 def bench_radix_match_insert_deep(benchmark):
-    """match+insert over deep shared prefixes (heap/packed-bytes cache)."""
+    """match+insert over deep shared prefixes (the default flat cache)."""
     prompts = _deep_prompts()
 
     def work():
-        cache = RadixPrefixCache(eviction="heap")
+        cache = RadixPrefixCache()
         hits = 0
         for p in prompts:
             hits += cache.match(p)
@@ -250,11 +251,12 @@ def bench_radix_match_insert_deep(benchmark):
 
 
 def bench_radix_match_insert_deep_scan_oracle(benchmark):
-    """Same workload through the reference (scan/tuple-slice) cache."""
+    """Same workload through the node-tree reference (tuple-slice
+    compares, full-scan eviction)."""
     prompts = _deep_prompts()
 
     def work():
-        cache = RadixPrefixCache(eviction="scan")
+        cache = RadixPrefixCache(backend="node")
         hits = 0
         for p in prompts:
             hits += cache.match(p)
@@ -278,12 +280,13 @@ def _long_edge_prompts(n_prompts=3000, seed=2):
 
 
 def bench_radix_long_edges_packed(benchmark):
-    """Replayed long-edge probes with pre-packed bytes (startswith path)."""
+    """Replayed long-edge probes with pre-packed bytes (zero-copy probe
+    views)."""
     prompts = _long_edge_prompts()
     packed = {id(p): pack_tokens(p) for p in set(prompts)}
 
     def work():
-        cache = RadixPrefixCache(eviction="heap")
+        cache = RadixPrefixCache()
         hits = 0
         for p in prompts:
             b = packed[id(p)]
@@ -296,11 +299,12 @@ def bench_radix_long_edges_packed(benchmark):
 
 
 def bench_radix_long_edges_unpacked(benchmark):
-    """Same probes without packed bytes (tuple-slice compare path)."""
+    """Same probes without packed bytes (the cache marshals each probe
+    once, memoized by tuple identity)."""
     prompts = _long_edge_prompts()
 
     def work():
-        cache = RadixPrefixCache(eviction="heap")
+        cache = RadixPrefixCache()
         hits = 0
         for p in prompts:
             hits += cache.match(p)
@@ -312,12 +316,13 @@ def bench_radix_long_edges_unpacked(benchmark):
 
 
 def bench_radix_eviction_churn(benchmark):
-    """Insert/evict cycles on a populated tree: amortized heap pops vs the
-    oracle's full-tree scan per victim (see the *_scan twin)."""
+    """Insert/evict cycles on a populated tree: the flat cache's LRU-list
+    walk vs the node reference's full-tree scan per victim (see the
+    *_scan twin)."""
     prompts = _deep_prompts(n_prompts=300, depth=300, seed=1)
 
-    def work(eviction):
-        cache = RadixPrefixCache(eviction=eviction)
+    def work():
+        cache = RadixPrefixCache()
         freed = 0
         for i, p in enumerate(prompts):
             cache.insert(p)
@@ -325,7 +330,7 @@ def bench_radix_eviction_churn(benchmark):
                 freed += cache.evict(200, protected=[prompts[i - 1]])
         return freed
 
-    freed = benchmark(lambda: work("heap"))
+    freed = benchmark(work)
     assert freed > 0
 
 
@@ -333,7 +338,7 @@ def bench_radix_eviction_churn_scan_oracle(benchmark):
     prompts = _deep_prompts(n_prompts=300, depth=300, seed=1)
 
     def work():
-        cache = RadixPrefixCache(eviction="scan")
+        cache = RadixPrefixCache(backend="node")
         freed = 0
         for i, p in enumerate(prompts):
             cache.insert(p)

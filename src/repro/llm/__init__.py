@@ -8,13 +8,12 @@ discrete-event simulator (see DESIGN.md "Substitutions"):
     Deterministic incremental-vocabulary tokenizer (prefix-stable).
 ``radix``
     RadixAttention-style prefix cache over token sequences with LRU
-    eviction and refcounted pin-locking for running requests. The default
-    backend stores node records in flat slot-indexed arrays (contiguous
-    numpy token store, vectorized prefix compares, intrusive-list LRU);
-    the original
-    node-object tree stays selectable as the equivalence oracle
-    (``REPRO_SERVING_RADIX=0``), with its own heap/scan eviction engines
-    (scan = the original reference, ``REPRO_SERVING_FASTPATH=0``).
+    eviction and refcounted pin-locking for running requests. Two
+    backends: the default stores node records in flat slot-indexed arrays
+    (contiguous numpy token store, vectorized prefix compares,
+    intrusive-list LRU); ``backend="node"``, a node-object tree with
+    full-scan eviction, is its one reference and runs under the stepwise
+    engine oracle (``REPRO_SERVING_FASTPATH=0``).
 ``blocks``
     Paged KV block manager with ref-counted blocks (vLLM-style). The
     engine admits on it by default: radix nodes own the blocks backing
@@ -74,7 +73,12 @@ from repro.llm.cluster import (
     ReplicaStats,
     serving_cluster_enabled,
 )
-from repro.llm.engine import EngineConfig, EngineResult, SimulatedLLMEngine
+from repro.llm.engine import (
+    EngineConfig,
+    EngineResult,
+    SimulatedLLMEngine,
+    serving_fastpath_enabled,
+)
 from repro.llm.hardware import CLUSTER_1XL4, CLUSTER_8XL4, Cluster, GPUSpec
 from repro.llm.models import LLAMA3_1B, LLAMA3_8B, LLAMA3_70B, ModelSpec
 from repro.llm.scheduler import (
@@ -103,12 +107,7 @@ from repro.llm.pricing import (
     estimated_savings,
     openai_gpt4o_mini,
 )
-from repro.llm.radix import (
-    RadixPrefixCache,
-    pack_tokens,
-    serving_fastpath_enabled,
-    serving_radix_enabled,
-)
+from repro.llm.radix import RadixPrefixCache, pack_tokens
 from repro.llm.request import Request, RequestMetrics
 from repro.llm.tokenizer import HashTokenizer
 
@@ -120,7 +119,6 @@ __all__ = [
     "RadixPrefixCache",
     "pack_tokens",
     "serving_fastpath_enabled",
-    "serving_radix_enabled",
     "Request",
     "RequestMetrics",
     "GPUSpec",

@@ -34,8 +34,8 @@ float rounding):
 
 ``mode="stepwise"``
     The original per-token loop, kept as the equivalence oracle
-    (``REPRO_SERVING_FASTPATH=0`` selects it, plus the scan-based radix
-    eviction, everywhere).
+    (``REPRO_SERVING_FASTPATH=0`` selects it everywhere). It runs on the
+    radix cache's node-tree reference (``backend="node"``).
 
 Two *KV accounting* models gate admission (orthogonal to the replay mode):
 
@@ -102,6 +102,7 @@ reproducing the pre-continuous-batching engine bit for bit.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from numbers import Integral
@@ -118,7 +119,7 @@ from repro.llm.blocks import (
 from repro.llm.costmodel import CostModel
 from repro.llm.hardware import CLUSTER_1XL4, Cluster
 from repro.llm.models import LLAMA3_8B, ModelSpec
-from repro.llm.radix import RadixPrefixCache, serving_fastpath_enabled
+from repro.llm.radix import RadixPrefixCache
 from repro.llm.request import Request, RequestMetrics
 from repro.llm.scheduler import (
     SCHEDULER_POLICIES,
@@ -347,6 +348,15 @@ class EngineResult:
         return self.fragmentation_tokens / denom
 
 
+def serving_fastpath_enabled() -> bool:
+    """Whether ``mode="auto"`` picks the vector replay loop (the default).
+    ``REPRO_SERVING_FASTPATH=0`` picks the stepwise oracle instead, which
+    also runs the node-tree radix reference — mirroring
+    ``REPRO_CORE_FASTPATH`` for the solver layer."""
+    flag = os.environ.get("REPRO_SERVING_FASTPATH", "1").strip().lower()
+    return flag not in ("0", "false", "off", "no")
+
+
 def _resolve_mode(mode: str) -> str:
     if mode == "auto":
         return "vector" if serving_fastpath_enabled() else "stepwise"
@@ -539,13 +549,11 @@ class SimulatedLLMEngine:
             if self.kv_accounting == "paged"
             else None
         )
-        # The oracle mode keeps the scan-based node cache so
+        # The stepwise oracle runs the node-tree radix reference, so
         # REPRO_SERVING_FASTPATH=0 reproduces the original implementation
-        # end to end; the event loop resolves the backend itself (flat
-        # array-backed when REPRO_SERVING_RADIX=1, node tree + lazy heap
-        # otherwise).
+        # end to end; the vector loop runs the flat backend.
         self.cache = RadixPrefixCache(
-            eviction="scan" if self.mode == "stepwise" else "auto",
+            backend="node" if self.mode == "stepwise" else "flat",
             block_manager=self.blocks,
         )
         self._use_pins = self.mode != "stepwise"
@@ -1094,7 +1102,7 @@ class SimulatedLLMEngine:
         block figures use the *charged* total (allocated + reserved —
         invariant to decode progress, unlike raw ``used_blocks``);
         ``radix_store_bytes`` is the one backend-dependent field (the
-        stepwise oracle forces the scan/node backend) and is excluded
+        stepwise oracle runs the node backend) and is excluded
         from the cross-mode equality suite accordingly."""
         cache = self.cache
         bm = self.blocks
@@ -1467,7 +1475,7 @@ class SimulatedLLMEngine:
     ) -> List[Sequence[int]]:
         """Eviction-protection list for an admission-time evict. Pin modes
         protect persistently via pin counts, so only the candidate's
-        matched prefix needs transient cover; the scan-based oracle mode
+        matched prefix needs transient cover; the stepwise oracle mode
         protects running prompts (and mid-chunk partial paths) explicitly.
         Rebuilt before every evict call — a preemption may have shrunk the
         running set since the last probe."""

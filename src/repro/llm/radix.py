@@ -12,51 +12,18 @@ skipping its prefill. Mirrors the structure SGLang/vLLM use:
   refcount (``lock_ref``) up to the root and are never evicted, exactly like
   vLLM's block refcounts / SGLang's ``lock_ref``.
 
-Two storage backends implement the same contract:
-
-``backend="flat"`` (the default)
-    A flat, array-backed radix tree: node records live in slot-indexed
-    parallel arrays (edge spans into one contiguous numpy token store;
-    refcounts, last-touch ticks and links in plain Python lists — see the
-    class docstring for why), child dispatch is a single ``(node,
-    first_token) -> child`` hash map, longest-common-prefix compares are
-    vectorized numpy slices instead of per-token loops, and LRU eviction
-    walks an intrusive
-    doubly-linked list kept strictly sorted by ``(last_access, node_id)``
-    — O(1) touch and pop, no heap churn. Implemented by
-    :class:`_FlatRadixCache`; selected automatically by
-    ``RadixPrefixCache()`` (see :func:`serving_radix_enabled`).
-
-``backend="node"``
-    Today's per-node Python-object tree — the equivalence oracle.
-    ``REPRO_SERVING_RADIX=0`` keeps it everywhere; the randomized suites in
-    ``tests/llm/test_radix_flat.py`` / ``test_radix_equivalence.py``
-    enforce bit-identical match lengths, eviction victims and order,
-    counters, block allocations, and engine clocks across backends.
-
-Requesting an explicit eviction engine (below) also selects the node
-backend — the flat backend owns its own eviction structure.
-
-Two eviction engines share the node-object tree:
-
-``eviction="heap"`` (node-backend default)
-    Amortized O(log n) eviction: evictable leaves live in a lazy min-heap
-    keyed by LRU timestamp. Stale entries (re-touched, pinned, no longer a
-    leaf, already evicted) are skipped at pop time. Edge comparison in
-    ``match``/``insert`` runs over a packed byte view of the probe
-    (``bytes.startswith`` with an offset), so no per-edge tuple slices are
-    allocated on the hot path.
-
-``eviction="scan"``
-    The original reference implementation: a full-tree scan per evicted
-    leaf and tuple-slice edge compares. Kept as the equivalence oracle —
-    ``REPRO_SERVING_FASTPATH=0`` selects it (and the stepwise engine loop)
-    everywhere.
-
-Both engines make identical eviction decisions: LRU timestamps are unique
-per node (a tick touches one root path, which contains at most one leaf),
-so "pop the min-stamp evictable leaf" and "scan for the min-stamp evictable
-leaf" pick the same victim.
+Two backends implement the same contract. ``backend="flat"`` (the
+default, :class:`_FlatRadixCache`) is what the engine runs: node records
+live in slot-indexed parallel arrays over one contiguous numpy token store,
+child dispatch is a single ``(node, first_token) -> child`` hash map,
+longest-common-prefix compares are vectorized slices, and LRU eviction
+walks an intrusive doubly-linked list kept strictly sorted by
+``(last_access, node_id)``. ``backend="node"`` is its one reference: a
+per-node Python-object tree with tuple-slice edge compares and a full-tree
+scan for each eviction victim. The stepwise engine oracle runs it, and the
+suites in ``tests/llm/test_radix_flat.py``, ``test_radix_equivalence.py``
+and ``test_radix_contract.py`` hold the two to identical match lengths,
+eviction victims and order, counters, block allocations and engine clocks.
 
 Token counts are the currency: the engine charges the tree's
 ``total_tokens`` against KV memory and asks it to ``evict`` under pressure.
@@ -65,9 +32,7 @@ Token counts are the currency: the engine charges the tree's
 from __future__ import annotations
 
 import itertools
-import os
 from array import array
-from heapq import heappush, heappop
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
@@ -75,62 +40,18 @@ import numpy as _np
 from repro.errors import ServingError
 from repro.llm.blocks import BlockAllocation, BlockManager
 
-#: Packed token width used for offset-based edge comparison ("q" = int64,
-#: wide enough for any realistic vocabulary id).
+#: Packed token width of :func:`pack_tokens` ("q" = int64, wide enough for
+#: any realistic vocabulary id). Packing a probe costs O(len) Python-int
+#: marshalling, so the cache never packs probes itself: callers that replay
+#: the same token sequences (the client packs once per distinct prompt, see
+#: ``SimulatedLLMClient``) pass ``packed=`` and amortize it to nothing.
 _PACK_CODE = "q"
 _PACK_BYTES = 8
-#: Edges shorter than this are compared with a plain tuple slice — the
-#: allocation is tiny and beats any packed-probe bookkeeping. Long edges
-#: (shared headers, whole-prompt leaves) use ``bytes.startswith`` at an
-#: offset when the caller supplies a packed probe: zero allocation, one C
-#: call. Packing a probe costs O(len) Python-int marshalling, so the cache
-#: never packs probes itself — callers that replay the same token
-#: sequences repeatedly (the client packs once per distinct prompt, see
-#: ``SimulatedLLMClient``) pass ``packed=`` and amortize it to nothing.
-_BYTES_MIN_EDGE = 16
-
-
-def serving_fastpath_enabled() -> bool:
-    """Whether the serving-layer fast paths (event-driven engine replay,
-    heap-based radix eviction) are enabled. ``REPRO_SERVING_FASTPATH=0``
-    forces the stepwise/scan reference oracle, mirroring
-    ``REPRO_CORE_FASTPATH`` for the solver layer."""
-    flag = os.environ.get("REPRO_SERVING_FASTPATH", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-def serving_radix_enabled() -> bool:
-    """Whether the flat array-backed radix backend is enabled (the
-    default). ``REPRO_SERVING_RADIX=0`` keeps the node-object tree — the
-    equivalence oracle — everywhere."""
-    flag = os.environ.get("REPRO_SERVING_RADIX", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-def _resolve_backend(backend: str, eviction: str) -> str:
-    """Map the ``backend``/``eviction`` constructor arguments to a concrete
-    backend name. Explicitly naming an eviction engine (``"heap"`` /
-    ``"scan"``) selects the node backend — those engines live on the
-    node-object tree, and tests/benches that construct them inspect its
-    internals. ``backend="auto"`` with ``eviction="auto"`` takes the flat
-    backend whenever both fast-path flags allow it."""
-    if backend not in ("auto", "flat", "node"):
-        raise ValueError(f"unknown radix backend {backend!r}")
-    if backend in ("flat", "node"):
-        return backend
-    if (
-        eviction == "auto"
-        and serving_radix_enabled()
-        and serving_fastpath_enabled()
-    ):
-        return "flat"
-    return "node"
 
 
 class _Node:
     __slots__ = (
         "edge",
-        "edge_bytes",
         "children",
         "parent",
         "last_access",
@@ -138,7 +59,6 @@ class _Node:
         "lock_ref",
         "pin_count",
         "dead",
-        "heap_entries",
         "alloc",
     )
 
@@ -146,7 +66,6 @@ class _Node:
 
     def __init__(self, edge: Tuple[int, ...], parent: Optional["_Node"]):
         self.edge = edge
-        self.edge_bytes: Optional[bytes] = None
         self.children: Dict[int, "_Node"] = {}
         self.parent = parent
         self.last_access = 0
@@ -156,8 +75,6 @@ class _Node:
         #: Number of active pins whose path ends exactly at this node.
         self.pin_count = 0
         self.dead = False
-        #: Live eviction-heap entries referencing this node (heap mode).
-        self.heap_entries = 0
         #: Physical KV blocks backing this edge's tokens (paged accounting
         #: only; None when the cache has no block manager).
         self.alloc: Optional[BlockAllocation] = None
@@ -178,7 +95,7 @@ def _common_prefix_len(edge: Sequence[int], tokens: Sequence[int], pos: int) -> 
 def pack_tokens(tokens: Sequence[int]) -> Optional[bytes]:
     """Pack token ids into a fixed-width byte string suitable for the
     ``packed=`` argument of :meth:`RadixPrefixCache.match`/``insert``, or
-    None if any id does not fit (falls back to tuple compares)."""
+    None if any id does not fit int64."""
     try:
         return array(_PACK_CODE, tokens).tobytes()
     except (OverflowError, TypeError, ValueError):
@@ -188,32 +105,26 @@ def pack_tokens(tokens: Sequence[int]) -> Optional[bytes]:
 class RadixPrefixCache:
     """Prefix cache with LRU eviction and pinned (refcounted) paths.
 
-    Constructing ``RadixPrefixCache(...)`` dispatches on ``backend`` (see
-    :func:`_resolve_backend`): the default returns a :class:`_FlatRadixCache`
-    when ``REPRO_SERVING_RADIX`` allows it, else this node-object
-    reference implementation. Both expose the same API and make
-    bit-identical decisions."""
+    ``RadixPrefixCache()`` returns the flat backend
+    (:class:`_FlatRadixCache`); ``RadixPrefixCache(backend="node")`` returns
+    this node-object tree, the flat backend's reference. Both expose the
+    same API and make bit-identical decisions."""
 
     def __new__(cls, **kwargs):
-        if cls is RadixPrefixCache and _resolve_backend(
-            kwargs.get("backend", "auto"), kwargs.get("eviction", "auto")
-        ) == "flat":
+        backend = kwargs.get("backend", "flat")
+        if backend not in ("flat", "node"):
+            raise ServingError(f"unknown radix backend {backend!r}")
+        if cls is RadixPrefixCache and backend == "flat":
             return super().__new__(_FlatRadixCache)
         return super().__new__(cls)
 
     def __init__(
         self,
         *,
-        backend: str = "auto",
-        eviction: str = "auto",
+        backend: str = "flat",  # consumed by __new__
         block_manager: Optional[BlockManager] = None,
     ):
-        if eviction == "auto":
-            eviction = "heap" if serving_fastpath_enabled() else "scan"
-        if eviction not in ("heap", "scan"):
-            raise ValueError(f"unknown eviction mode {eviction!r}")
         self.backend = "node"
-        self.eviction = eviction
         #: Optional paged-KV authority: when set, every node owns a block
         #: allocation for its edge tokens — created on insert, divided on
         #: edge splits (the straddling block is ref-shared), released on
@@ -231,17 +142,6 @@ class RadixPrefixCache:
         #: :meth:`stats` and compared across backends by the equivalence
         #: suites).
         self.n_nodes = 0
-        #: Lazy min-heap of (last_access, node_id, node) eviction candidates
-        #: (heap mode only). Entries are pushed when a node *becomes* an
-        #: evictable leaf (creation, unpin, child evicted) — NOT on every
-        #: LRU touch, which keeps match/insert walks heap-free. A touched
-        #: node's entry goes stale-low; evict() re-pushes it at its current
-        #: stamp when popped (lazy increase-key), so pops still come out in
-        #: true LRU order.
-        self._heap: Optional[List[Tuple[int, int, _Node]]] = (
-            [] if eviction == "heap" else None
-        )
-        self._fast = self._heap is not None
         # One-slot identity memo: the engine probes the same prompt tuple
         # with insert -> pin, so pin() reuses insert()'s end node instead
         # of re-walking the path. (Safe: the token string spelled
@@ -255,23 +155,14 @@ class RadixPrefixCache:
         self._clock += 1
         return self._clock
 
-    def _push_candidate(self, node: _Node) -> None:
-        """Register a node that just became an evictable leaf. A node with
-        a live entry needs no second one — stale-stamp entries are re-keyed
-        at pop time, so one entry always suffices (and repeated pin/unpin
-        cycles cannot grow the heap)."""
-        if node.heap_entries == 0:
-            node.heap_entries = 1
-            heappush(self._heap, (node.last_access, node.node_id, node))
-
     # --------------------------------------------------------------- match
     def match(self, tokens: Sequence[int], packed: Optional[bytes] = None) -> int:
         """Length of the longest cached prefix of ``tokens``.
 
         Refreshes LRU timestamps along the matched path. ``packed`` is an
-        optional pre-packed probe (``array("q", tokens).tobytes()``) that
-        turns long-edge compares into allocation-free ``bytes.startswith``
-        calls.
+        optional pre-packed probe (:func:`pack_tokens`); the flat backend
+        views it zero-copy, this reference compares tuple slices and
+        ignores it.
         """
         now = self._tick()
         node = self.root
@@ -280,19 +171,13 @@ class RadixPrefixCache:
             tokens = tuple(tokens)
         pos = 0
         n = len(tokens)
-        tb = packed
         while pos < n:
             child = node.children.get(tokens[pos])
             if child is None:
                 break
             edge = child.edge
             k = len(edge)
-            eb = child.edge_bytes
-            if eb is not None and tb is not None:
-                full = tb.startswith(eb, pos * _PACK_BYTES)
-            else:
-                full = tokens[pos : pos + k] == edge
-            if full:
+            if tokens[pos : pos + k] == edge:
                 child.last_access = now
                 pos += k
                 node = child
@@ -322,19 +207,13 @@ class RadixPrefixCache:
             tokens = tuple(tokens)
         pos = 0
         n = len(tokens)
-        tb = packed
         while pos < n:
             child = node.children.get(tokens[pos])
             if child is None:
                 break
             edge = child.edge
             k = len(edge)
-            eb = child.edge_bytes
-            if eb is not None and tb is not None:
-                full = tb.startswith(eb, pos * _PACK_BYTES)
-            else:
-                full = tokens[pos : pos + k] == edge
-            if full:
+            if tokens[pos : pos + k] == edge:
                 pos += k
                 node = child
                 continue
@@ -367,8 +246,8 @@ class RadixPrefixCache:
     # --------------------------------------------------------------- stats
     @property
     def token_store_bytes(self) -> int:
-        """The backend's token-storage footprint in bytes (packed-edge
-        payload here; the flat backend reports its contiguous store
+        """The backend's token-storage footprint in bytes (edge tokens at
+        int64 width here; the flat backend reports its contiguous store
         buffer). O(1) — the trace recorder samples it per admission wave."""
         return self.total_tokens * _PACK_BYTES
 
@@ -380,7 +259,6 @@ class RadixPrefixCache:
         ``token_store_bytes`` is backend-specific (see the property)."""
         return {
             "backend": self.backend,
-            "eviction": self.eviction,
             "nodes": self.n_nodes,
             "total_tokens": self.total_tokens,
             "token_store_bytes": self.token_store_bytes,
@@ -393,10 +271,7 @@ class RadixPrefixCache:
     # -------------------------------------------------------------- insert
     def insert(self, tokens: Sequence[int], packed: Optional[bytes] = None) -> int:
         """Cache ``tokens``; returns the number of *newly* cached tokens.
-
-        ``packed`` as in :meth:`match`; new long edges inherit their packed
-        form from it (a byte-slice, no re-marshalling).
-        """
+        ``packed`` as in :meth:`match`."""
         now = self._tick()
         node = self.root
         node.last_access = now
@@ -404,22 +279,16 @@ class RadixPrefixCache:
             tokens = tuple(tokens)
         pos = 0
         n = len(tokens)
-        fast = self._fast
-        tb = packed
         while pos < n:
             child = node.children.get(tokens[pos])
             if child is None:
                 leaf = _Node(edge=tokens[pos:], parent=node)
-                if fast and tb is not None and n - pos >= _BYTES_MIN_EDGE:
-                    leaf.edge_bytes = tb[pos * _PACK_BYTES :]
                 leaf.last_access = now
                 if self._bm is not None:
                     # The engine pre-checks capacity before inserting, so
                     # this draw from the pool cannot fail mid-admission.
                     leaf.alloc = self._bm.allocate(len(leaf.edge))
                 node.children[tokens[pos]] = leaf
-                if fast:
-                    self._push_candidate(leaf)
                 added = len(leaf.edge)
                 self.total_tokens += added
                 self.n_nodes += 1
@@ -427,12 +296,7 @@ class RadixPrefixCache:
                 return added
             edge = child.edge
             k = len(edge)
-            eb = child.edge_bytes
-            if eb is not None and tb is not None:
-                full = tb.startswith(eb, pos * _PACK_BYTES)
-            else:
-                full = tokens[pos : pos + k] == edge
-            if full:
+            if tokens[pos : pos + k] == edge:
                 child.last_access = now
                 pos += k
                 node = child
@@ -444,13 +308,6 @@ class RadixPrefixCache:
             mid = _Node(edge=head, parent=node)
             mid.last_access = now
             mid.lock_ref = child.lock_ref
-            if eb is not None:
-                if len(head) >= _BYTES_MIN_EDGE:
-                    mid.edge_bytes = eb[: k * _PACK_BYTES]
-                if len(tail) >= _BYTES_MIN_EDGE:
-                    child.edge_bytes = eb[k * _PACK_BYTES :]
-                else:
-                    child.edge_bytes = None
             if self._bm is not None:
                 # Divide the edge's blocks at the split point; a block the
                 # cut falls inside is ref-shared between head and tail.
@@ -535,13 +392,6 @@ class RadixPrefixCache:
             cur.lock_ref -= 1
             if cur.lock_ref < 0:
                 raise ServingError("lock refcount went negative")
-            if (
-                self._fast
-                and cur.lock_ref == 0
-                and not cur.children
-                and not cur.dead
-            ):
-                self._push_candidate(cur)
             cur = cur.parent
 
     # ---------------------------------------------------- block ownership
@@ -638,8 +488,8 @@ class RadixPrefixCache:
     # ------------------------------------------------------ legacy walkers
     def path_node_ids(self, tokens: Sequence[int]) -> Set[int]:
         """Ids of nodes along the cached path of ``tokens`` (tolerant walk:
-        stops wherever the cache diverges). Used by the scan oracle to
-        protect running requests' prompts from eviction."""
+        stops wherever the cache diverges). :meth:`evict` uses it to
+        protect the ``protected`` paths."""
         ids: Set[int] = set()
         node = self.root
         pos = 0
@@ -686,39 +536,22 @@ class RadixPrefixCache:
 
         Victim *selection* is pure LRU either way, so the paged and token
         oracles pick victims in the same order — only the stopping point
-        differs.
+        differs. This reference scans the whole tree for each victim.
         """
         if unit not in ("tokens", "blocks"):
             raise ServingError(f"unknown eviction unit {unit!r}")
         if unit == "blocks" and self._bm is None:
             raise ServingError("block-denominated eviction needs a block manager")
-        if not self._fast:
-            return self._evict_scan(n_units, protected, unit)
-        tickets = [self.pin(seq) for seq in protected]
-        try:
-            freed = 0
-            heap = self._heap
-            while freed < n_units:
-                victim: Optional[_Node] = None
-                while heap:
-                    stamp, nid, node = heappop(heap)
-                    node.heap_entries -= 1
-                    if node.dead or node.children or node.lock_ref:
-                        continue  # no longer a candidate (re-pushed if it
-                        # becomes one again: unpin / child eviction)
-                    if node.last_access != stamp:
-                        # Touched since it was pushed: lazy increase-key.
-                        self._push_candidate(node)
-                        continue
-                    victim = node
-                    break
-                if victim is None:
-                    break
-                freed += self._remove_leaf(victim, unit)
-            return freed
-        finally:
-            for ticket in tickets:
-                self.unpin(ticket)
+        protected_ids: Set[int] = set()
+        for seq in protected:
+            protected_ids |= self.path_node_ids(seq)
+        freed = 0
+        while freed < n_units:
+            victim = self._lru_leaf(protected_ids)
+            if victim is None:
+                break
+            freed += self._remove_leaf(victim, unit)
+        return freed
 
     def _remove_leaf(self, victim: _Node, unit: str = "tokens") -> int:
         k = len(victim.edge)
@@ -737,29 +570,7 @@ class RadixPrefixCache:
             self._bm.release(victim.alloc)
             victim.alloc = None
             freed_blocks = self._bm.free_blocks - before
-        if (
-            self._fast
-            and parent is not self.root
-            and not parent.children
-            and parent.lock_ref == 0
-        ):
-            self._push_candidate(parent)
         return freed_blocks if unit == "blocks" else k
-
-    def _evict_scan(
-        self, n_units: int, protected: Iterable[Sequence[int]], unit: str = "tokens"
-    ) -> int:
-        """Reference eviction: full-tree LRU scan per victim."""
-        protected_ids: Set[int] = set()
-        for seq in protected:
-            protected_ids |= self.path_node_ids(seq)
-        freed = 0
-        while freed < n_units:
-            victim = self._lru_leaf(protected_ids)
-            if victim is None:
-                break
-            freed += self._remove_leaf(victim, unit)
-        return freed
 
     def _lru_leaf(self, protected_ids: Set[int]) -> Optional[_Node]:
         best: Optional[_Node] = None
@@ -774,7 +585,7 @@ class RadixPrefixCache:
             ):
                 # Ties happen when one insert both splits an edge and adds
                 # a divergent leaf (one tick stamps both); break them by
-                # node id — the order the lazy heap uses — instead of
+                # node id — the flat backend's LRU-list order — instead of
                 # traversal order.
                 if best is None or (node.last_access, node.node_id) < (
                     best.last_access,
@@ -787,22 +598,20 @@ class RadixPrefixCache:
     # ---------------------------------------------------------- invariants
     def check_invariants(self) -> None:
         """Debug/testing: verify token accounting, tree structure, pin
-        refcounts, and (heap mode) eviction-heap coverage."""
+        refcounts, and block ownership."""
         count = 0
+        n_nodes = 0
         stack = [self.root]
-        nodes: List[_Node] = []
         while stack:
             node = stack.pop()
-            nodes.append(node)
             if node is not self.root:
+                n_nodes += 1
                 if not node.edge:
                     raise ServingError("non-root node with empty edge")
                 if node.parent is None:
                     raise ServingError("non-root node without parent")
                 if node.dead:
                     raise ServingError("evicted node still reachable")
-                if node.edge_bytes is not None and node.edge_bytes != pack_tokens(node.edge):
-                    raise ServingError("packed edge out of sync with edge tokens")
                 if self._bm is not None:
                     if node.alloc is None:
                         raise ServingError(
@@ -853,43 +662,11 @@ class RadixPrefixCache:
             raise ServingError(
                 f"token accounting drift: counted {count}, recorded {self.total_tokens}"
             )
-        if len(nodes) - 1 != self.n_nodes:
+        if n_nodes != self.n_nodes:
             raise ServingError(
-                f"node accounting drift: counted {len(nodes) - 1}, "
+                f"node accounting drift: counted {n_nodes}, "
                 f"recorded {self.n_nodes}"
             )
-        if self._fast:
-            entry_tally: Dict[int, int] = {}
-            for stamp, nid, node in self._heap:
-                if nid != node.node_id:
-                    raise ServingError("heap entry id out of sync with node")
-                if stamp > node.last_access:
-                    raise ServingError(
-                        "heap entry stamp ahead of node LRU stamp"
-                    )
-                entry_tally[nid] = entry_tally.get(nid, 0) + 1
-            for node in nodes:
-                tally = entry_tally.get(node.node_id, 0)
-                if tally != node.heap_entries:
-                    raise ServingError(
-                        f"heap entry counter drift at node {node.node_id}: "
-                        f"counted {tally}, recorded {node.heap_entries}"
-                    )
-                if tally > 1:
-                    raise ServingError(
-                        f"duplicate heap entries for node {node.node_id}"
-                    )
-                if (
-                    node is self.root
-                    or node.children
-                    or node.lock_ref
-                    or node.dead
-                ):
-                    continue
-                if tally == 0:
-                    raise ServingError(
-                        f"evictable leaf {node.node_id} missing from eviction heap"
-                    )
         if self._bm is not None:
             self._bm.check_invariants()
 
@@ -948,7 +725,8 @@ class _FlatRadixCache(RadixPrefixCache):
     * **LRU eviction** walks an intrusive doubly-linked list kept strictly
       sorted by ``(last_access, node_id)``: every touch carries a fresh
       global-maximum stamp, so touched nodes re-append at the tail (O(1))
-      and the head scan yields victims in exactly the lazy heap's order.
+      and the head scan yields victims in exactly the order the node
+      tree's full scan picks them.
       Because a parent is stamped whenever any descendant is touched,
       ``stamp(parent) >= stamp(child)`` always holds; the single case where
       a victim's parent becomes an evictable leaf that sorts *before* the
@@ -958,7 +736,8 @@ class _FlatRadixCache(RadixPrefixCache):
     Equivalence with the node backend — match lengths, eviction victims
     and order, counters, block allocations — is enforced by the randomized
     suites in ``tests/llm/test_radix_flat.py`` and
-    ``tests/llm/test_radix_equivalence.py``.
+    ``tests/llm/test_radix_equivalence.py`` and by the shrinking state
+    machine in ``tests/llm/test_radix_contract.py``.
 
     Token ids must fit int64 — the same bound :func:`pack_tokens` assumes.
     """
@@ -966,17 +745,10 @@ class _FlatRadixCache(RadixPrefixCache):
     def __init__(
         self,
         *,
-        backend: str = "auto",
-        eviction: str = "auto",
+        backend: str = "flat",  # consumed by __new__
         block_manager: Optional[BlockManager] = None,
     ):
-        if eviction != "auto":
-            raise ServingError(
-                "the flat backend owns its eviction engine; an explicit "
-                "eviction= selects the node backend"
-            )
         self.backend = "flat"
-        self.eviction = "flat-lru"
         self._bm = block_manager
         self.total_tokens = 0
         self._clock = 0
@@ -1670,8 +1442,7 @@ class _FlatRadixCache(RadixPrefixCache):
                 raise ServingError("overlapping edge spans in the token store")
             end = st + k
         # LRU list: doubly linked, strictly sorted by (stamp, id), covering
-        # exactly the live non-root slots — the flat analogue of the heap
-        # coverage check.
+        # exactly the live non-root slots.
         seen = 0
         prev_slot = -1
         prev_key: Optional[Tuple[int, int]] = None

@@ -7,7 +7,7 @@ its clocks to float rounding (1e-6 relative) — the closed-form decode-run
 sum replaces a per-token accumulation, so bit-identical floats are not
 expected.
 
-The radix cache's extended invariants (pin refcounts, heap coverage) are
+The radix cache's extended invariants (pin refcounts, LRU-list order) are
 checked after every run.
 """
 
@@ -19,11 +19,7 @@ from repro.errors import CapacityError
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
-from repro.llm.radix import (
-    pack_tokens,
-    serving_fastpath_enabled,
-    serving_radix_enabled,
-)
+from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
 
 
@@ -92,17 +88,10 @@ def assert_equivalent(requests, waves=1, **cfg_kwargs):
     e_evt, r_evt = run_mode(requests, "vector", waves=waves, **cfg_kwargs)
 
     assert e_step.mode == "stepwise" and e_evt.mode == "vector"
-    # The stepwise oracle always keeps the node tree + scan eviction; the
-    # event loop resolves the fast cache (flat array-backed when
-    # REPRO_SERVING_RADIX allows, node tree + lazy heap otherwise).
-    assert e_step.cache.backend == "node" and e_step.cache.eviction == "scan"
-    if serving_radix_enabled() and serving_fastpath_enabled():
-        assert e_evt.cache.backend == "flat"
-    else:
-        # REPRO_SERVING_FASTPATH=0 also forces the scan eviction oracle.
-        assert e_evt.cache.backend == "node"
-        expected = "heap" if serving_fastpath_enabled() else "scan"
-        assert e_evt.cache.eviction == expected
+    # The stepwise oracle runs the node-tree radix reference; the vector
+    # loop runs the flat backend.
+    assert e_step.cache.backend == "node"
+    assert e_evt.cache.backend == "flat"
 
     for rs, re in zip(r_step, r_evt):
         # Integer metrics: identical.
@@ -203,25 +192,13 @@ class TestEventModeBasics:
         monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
         eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
         assert eng.mode == "vector"
-        if serving_radix_enabled() and serving_fastpath_enabled():
-            assert eng.cache.backend == "flat"
-        else:
-            assert eng.cache.eviction == "heap"
-
-    def test_radix_flag_selects_node_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
-        monkeypatch.setenv("REPRO_SERVING_RADIX", "0")
-        eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
-        assert eng.mode == "vector"
-        assert eng.cache.backend == "node"
-        assert eng.cache.eviction == "heap"
+        assert eng.cache.backend == "flat"
 
     def test_env_flag_selects_oracle(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVING_FASTPATH", "0")
         eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
         assert eng.mode == "stepwise"
         assert eng.cache.backend == "node"
-        assert eng.cache.eviction == "scan"
 
     def test_capacity_error_in_both_modes(self):
         big = Request(0, tuple(range(2000)), 10)

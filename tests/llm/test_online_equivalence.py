@@ -21,8 +21,8 @@ from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
 from repro.llm.workload import TraceRequest, WorkloadTrace
 
-#: Both replay loops; test ids name the event loop by its kind ("event").
-MODES = [pytest.param("vector", id="event"), "stepwise"]
+#: Both replay loops.
+MODES = ["vector", "stepwise"]
 
 
 def random_workload(rng, n_requests=40, vocab=50, max_len=60, max_out=12):

@@ -26,8 +26,8 @@ from repro.llm.request import Request
 
 from tests.llm.test_engine_equivalence import random_workload
 
-#: Both replay loops; test ids name the event loop by its kind ("event").
-MODES = [pytest.param("vector", id="event"), "stepwise"]
+#: Both replay loops.
+MODES = ["vector", "stepwise"]
 
 
 def run_accounting(requests, kv_accounting, mode, block_tokens=1, waves=1, **cfg):

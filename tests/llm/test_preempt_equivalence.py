@@ -174,7 +174,7 @@ class TestModeEquivalenceWithPreemption:
     @pytest.mark.parametrize("preemption", ["recompute", "swap"])
     @pytest.mark.parametrize("chunk", [None, 64])
     @pytest.mark.parametrize("seed", range(4))
-    def test_three_modes_agree(self, seed, chunk, preemption):
+    def test_modes_agree(self, seed, chunk, preemption):
         reqs = preempt_workload(random.Random(seed))
         cfg = dict(
             scheduler="deadline",

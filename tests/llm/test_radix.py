@@ -1,5 +1,5 @@
 """Tests for the radix prefix cache, including hypothesis invariants,
-pin/unpin refcounting, and heap-vs-scan eviction equivalence."""
+pin/unpin refcounting, and flat-vs-node backend equivalence."""
 
 import random
 
@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ServingError
 from repro.llm.radix import RadixPrefixCache, pack_tokens
+
+BACKENDS = ("flat", "node")
 
 
 class TestMatchInsert:
@@ -102,6 +104,21 @@ class TestEviction:
         assert c.match([1, 2]) == 2
         c.check_invariants()
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_parent_left_as_leaf_is_taken_in_same_call(self, backend):
+        """Evicting a leaf can leave its parent an evictable leaf with the
+        same LRU stamp and a smaller node id, i.e. ahead of the victim in
+        LRU order. One evict call must still take it (the flat backend
+        steps its list cursor back to the parent)."""
+        for first, second in (((0,), (0, 0)), ((0, 0), (0, 1))):
+            c = RadixPrefixCache(backend=backend)
+            c.insert(first)
+            c.insert(second)
+            total = c.total_tokens
+            assert c.evict(total) == total
+            assert c.stats()["nodes"] == 0
+            c.check_invariants()
+
 
 class TestPathNodes:
     def test_path_ids_tolerant(self):
@@ -113,9 +130,12 @@ class TestPathNodes:
         assert c.path_node_ids([42]) == set()
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestPinning:
-    def test_pin_protects_path(self):
-        c = RadixPrefixCache(eviction="heap")
+    """Pin semantics, each checked on both backends."""
+
+    def test_pin_protects_path(self, backend):
+        c = RadixPrefixCache(backend=backend)
         c.insert([1, 2, 3])
         c.insert([9, 8, 7])
         ticket = c.pin([1, 2, 3])
@@ -127,23 +147,23 @@ class TestPinning:
         c.check_invariants()
         assert c.evict(100) == 3
 
-    def test_pin_miss_returns_none(self):
-        c = RadixPrefixCache(eviction="heap")
+    def test_pin_miss_returns_none(self, backend):
+        c = RadixPrefixCache(backend=backend)
         assert c.pin([1, 2]) is None
         c.unpin(None)  # no-op
 
-    def test_unpin_without_pin_raises(self):
-        c = RadixPrefixCache(eviction="heap")
+    def test_unpin_without_pin_raises(self, backend):
+        c = RadixPrefixCache(backend=backend)
         c.insert([1, 2])
         ticket = c.pin([1, 2])
         c.unpin(ticket)
         with pytest.raises(ServingError):
             c.unpin(ticket)
 
-    def test_split_inherits_lock_refs(self):
+    def test_split_inherits_lock_refs(self, backend):
         """A pinned path stays pinned after a later insert splits one of
         its edges — the split head inherits the tail's refcount."""
-        c = RadixPrefixCache(eviction="heap")
+        c = RadixPrefixCache(backend=backend)
         c.insert([1, 2, 3, 4, 5])
         ticket = c.pin([1, 2, 3, 4, 5])
         c.insert([1, 2, 9])  # splits [1..5] into [1,2] + [3,4,5]
@@ -155,8 +175,8 @@ class TestPinning:
         c.check_invariants()
         assert c.evict(100) == 5
 
-    def test_pin_partial_edge_protects_whole_node(self):
-        c = RadixPrefixCache(eviction="heap")
+    def test_pin_partial_edge_protects_whole_node(self, backend):
+        c = RadixPrefixCache(backend=backend)
         c.insert([1, 2, 3, 4])
         ticket = c.pin([1, 2])  # ends mid-edge: pins the [1,2,3,4] node
         assert c.evict(100) == 0
@@ -164,8 +184,8 @@ class TestPinning:
         assert c.evict(100) == 4
         c.check_invariants()
 
-    def test_nested_pins(self):
-        c = RadixPrefixCache(eviction="heap")
+    def test_nested_pins(self, backend):
+        c = RadixPrefixCache(backend=backend)
         c.insert([1, 2, 3])
         t1 = c.pin([1, 2, 3])
         t2 = c.pin([1, 2, 3])
@@ -175,73 +195,51 @@ class TestPinning:
         assert c.evict(100) == 3
         c.check_invariants()
 
-    def test_pin_unpin_cycles_do_not_grow_heap(self):
-        """Regression: unpin used to push a fresh heap entry per cycle,
-        leaking memory in a long-lived engine that never evicts."""
-        c = RadixPrefixCache(eviction="heap")
-        c.insert([1, 2, 3])
-        for _ in range(1000):
-            c.unpin(c.pin([1, 2, 3]))
-            c.match([1, 2, 3])
-        assert len(c._heap) <= 2
-        c.check_invariants()
 
-    def test_pins_respected_in_scan_mode_too(self):
-        c = RadixPrefixCache(eviction="scan")
-        c.insert([1, 2, 3])
-        c.insert([9, 8])
-        ticket = c.pin([1, 2, 3])
-        assert c.evict(100) == 2
-        assert c.match([1, 2, 3]) == 3
-        c.unpin(ticket)
-        c.check_invariants()
-
-
-class TestHeapScanEquivalence:
-    """Both eviction engines must make identical decisions on identical
-    operation sequences — the scan implementation is the oracle."""
+class TestFlatVsNode:
+    """Both backends must make identical decisions on identical operation
+    sequences — the node tree is the flat backend's reference."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_op_sequence(self, seed):
         rng = random.Random(seed)
-        heap_c = RadixPrefixCache(eviction="heap")
-        scan_c = RadixPrefixCache(eviction="scan")
+        flat = RadixPrefixCache()
+        node = RadixPrefixCache(backend="node")
         pool = [
             [rng.randrange(6) for _ in range(rng.randrange(1, 10))]
             for _ in range(12)
         ]
-        pins = []  # parallel (heap_ticket, scan_ticket, seq)
+        pins = []  # parallel (flat_ticket, node_ticket)
         for _ in range(300):
             op = rng.random()
             seq = rng.choice(pool)
             # The packed-probe argument must never change results (the
-            # scan cache ignores it entirely; the heap cache uses it for
-            # long-edge compares).
+            # node cache ignores it; the flat cache views it zero-copy).
             packed = pack_tokens(seq) if rng.random() < 0.5 else None
             if op < 0.35:
-                assert heap_c.insert(seq, packed) == scan_c.insert(seq, packed)
+                assert flat.insert(seq, packed) == node.insert(seq, packed)
             elif op < 0.6:
-                assert heap_c.match(seq, packed) == scan_c.match(seq, packed)
+                assert flat.match(seq, packed) == node.match(seq, packed)
             elif op < 0.75 and len(pins) < 4:
-                th, ts = heap_c.pin(seq), scan_c.pin(seq)
-                assert (th is None) == (ts is None)
-                pins.append((th, ts))
+                tf, tn = flat.pin(seq), node.pin(seq)
+                assert (tf is None) == (tn is None)
+                pins.append((tf, tn))
             elif op < 0.85 and pins:
-                th, ts = pins.pop(rng.randrange(len(pins)))
-                heap_c.unpin(th)
-                scan_c.unpin(ts)
+                tf, tn = pins.pop(rng.randrange(len(pins)))
+                flat.unpin(tf)
+                node.unpin(tn)
             else:
                 n = rng.randrange(1, 12)
                 protected = [rng.choice(pool)] if rng.random() < 0.5 else []
-                assert heap_c.evict(n, protected=protected) == scan_c.evict(
+                assert flat.evict(n, protected=protected) == node.evict(
                     n, protected=protected
                 )
-            assert heap_c.total_tokens == scan_c.total_tokens
-            heap_c.check_invariants()
-            scan_c.check_invariants()
-        assert heap_c.hits == scan_c.hits
-        assert heap_c.misses == scan_c.misses
-        assert heap_c.evicted_tokens == scan_c.evicted_tokens
+            assert flat.total_tokens == node.total_tokens
+            flat.check_invariants()
+            node.check_invariants()
+        assert flat.hits == node.hits
+        assert flat.misses == node.misses
+        assert flat.evicted_tokens == node.evicted_tokens
 
 
 @st.composite
@@ -250,12 +248,12 @@ def token_seqs(draw):
     return [draw(st.integers(min_value=0, max_value=5)) for _ in range(n)]
 
 
-@pytest.mark.parametrize("eviction", ["heap", "scan"])
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(seqs=st.lists(token_seqs(), min_size=1, max_size=12))
-    def test_insert_then_match_full(self, eviction, seqs):
-        c = RadixPrefixCache(eviction=eviction)
+    def test_insert_then_match_full(self, backend, seqs):
+        c = RadixPrefixCache(backend=backend)
         for s in seqs:
             c.insert(s)
             assert c.match(s) == len(s)
@@ -263,10 +261,10 @@ class TestProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(seqs=st.lists(token_seqs(), min_size=1, max_size=12))
-    def test_total_tokens_equals_unique_prefix_mass(self, eviction, seqs):
+    def test_total_tokens_equals_unique_prefix_mass(self, backend, seqs):
         """total_tokens == number of distinct prefixes (trie nodes at token
         granularity), independent of insertion order."""
-        c = RadixPrefixCache(eviction=eviction)
+        c = RadixPrefixCache(backend=backend)
         for s in seqs:
             c.insert(s)
         prefixes = {tuple(s[:k]) for s in seqs for k in range(1, len(s) + 1)}
@@ -276,8 +274,8 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(seqs=st.lists(token_seqs(), min_size=2, max_size=10),
            n_evict=st.integers(min_value=1, max_value=20))
-    def test_eviction_preserves_invariants(self, eviction, seqs, n_evict):
-        c = RadixPrefixCache(eviction=eviction)
+    def test_eviction_preserves_invariants(self, backend, seqs, n_evict):
+        c = RadixPrefixCache(backend=backend)
         for s in seqs:
             c.insert(s)
         before = c.total_tokens
@@ -287,8 +285,8 @@ class TestProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(seqs=st.lists(token_seqs(), min_size=1, max_size=10))
-    def test_match_never_exceeds_probe(self, eviction, seqs):
-        c = RadixPrefixCache(eviction=eviction)
+    def test_match_never_exceeds_probe(self, backend, seqs):
+        c = RadixPrefixCache(backend=backend)
         for s in seqs:
             c.insert(s)
         for s in seqs:
@@ -297,8 +295,8 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(seqs=st.lists(token_seqs(), min_size=1, max_size=10),
            n_evict=st.integers(min_value=1, max_value=20))
-    def test_pinned_inserts_survive_eviction(self, eviction, seqs, n_evict):
-        c = RadixPrefixCache(eviction=eviction)
+    def test_pinned_inserts_survive_eviction(self, backend, seqs, n_evict):
+        c = RadixPrefixCache(backend=backend)
         tickets = []
         for s in seqs:
             c.insert(s)

@@ -1,0 +1,144 @@
+"""Shrinking state-machine test of the radix cache contract.
+
+Hypothesis drives the flat backend and its node-tree reference in
+lockstep, each over its own ``BlockManager``: inserts (including pool
+exhaustion), side-effecting and side-effect-free probes, pins, eviction
+in both units with protected paths, and block-bundle forks and releases.
+After every rule the two must have returned the same values and agree
+on every ``stats()`` counter and on the pool's free blocks, and both
+must pass ``check_invariants()``. A divergence shrinks to a short
+operation sequence that replays it.
+"""
+
+from types import SimpleNamespace
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.errors import CapacityError
+from repro.llm.blocks import BlockManager
+from repro.llm.radix import RadixPrefixCache, pack_tokens
+
+#: A small alphabet and short prompts make shared prefixes, edge splits
+#: and pool exhaustion common.
+TOKENS = st.lists(st.integers(0, 3), max_size=12).map(tuple)
+
+COUNTERS = (
+    "nodes",
+    "total_tokens",
+    "hits",
+    "misses",
+    "evicted_tokens",
+    "evicted_nodes",
+)
+
+
+class RadixContract(RuleBasedStateMachine):
+    @initialize(vector=st.booleans(), block_tokens=st.sampled_from([1, 2, 4]))
+    def build(self, vector, block_tokens):
+        self.pools = tuple(
+            BlockManager(64, block_tokens, vector=vector) for _ in range(2)
+        )
+        self.caches = tuple(
+            RadixPrefixCache(backend=backend, block_manager=pool)
+            for backend, pool in zip(("flat", "node"), self.pools)
+        )
+        self.pins = []
+        self.bundles = []
+
+    def both(self, op):
+        """Apply ``op`` to (flat, node); their results must be equal."""
+        flat, node = (op(c) for c in self.caches)
+        assert flat == node
+        return flat
+
+    @rule(toks=TOKENS, packed=st.booleans())
+    def insert(self, toks, packed):
+        pb = pack_tokens(toks) if packed else None
+
+        def op(cache):
+            try:
+                return cache.insert(toks, pb)
+            except CapacityError:
+                return "capacity"
+
+        self.both(op)
+
+    @rule(toks=TOKENS, packed=st.booleans())
+    def match(self, toks, packed):
+        pb = pack_tokens(toks) if packed else None
+        self.both(lambda c: c.match(toks, pb))
+
+    @rule(toks=TOKENS)
+    def match_len(self, toks):
+        self.both(lambda c: c.match_len(toks))
+
+    @rule(probes=st.lists(TOKENS, max_size=4))
+    def match_many(self, probes):
+        reqs = [
+            SimpleNamespace(prompt_tokens=t, prompt_bytes=pack_tokens(t))
+            for t in probes
+        ]
+        self.both(lambda c: c.match_many(reqs))
+
+    @rule(toks=TOKENS)
+    def pin(self, toks):
+        tickets = [c.pin(toks) for c in self.caches]
+        assert (tickets[0] is None) == (tickets[1] is None)
+        if tickets[0] is not None:
+            self.pins.append(tickets)
+
+    @precondition(lambda self: self.pins)
+    @rule(i=st.integers(0, 7))
+    def unpin(self, i):
+        tickets = self.pins.pop(i % len(self.pins))
+        for cache, ticket in zip(self.caches, tickets):
+            cache.unpin(ticket)
+
+    @rule(
+        n=st.integers(1, 40),
+        unit=st.sampled_from(["tokens", "blocks"]),
+        protected=st.lists(TOKENS, max_size=2),
+    )
+    def evict(self, n, unit, protected):
+        self.both(lambda c: c.evict(n, protected=protected, unit=unit))
+
+    @rule(toks=TOKENS)
+    def fork_path_bundle(self, toks):
+        bundles = [c.fork_path_bundle(toks) for c in self.caches]
+        shapes = [
+            None if b is None else (sorted(b.block_ids), b.n_tokens)
+            for b in bundles
+        ]
+        assert shapes[0] == shapes[1]
+        if bundles[0] is not None:
+            self.bundles.append(bundles)
+
+    @precondition(lambda self: self.bundles)
+    @rule(i=st.integers(0, 7))
+    def release_bundle(self, i):
+        bundles = self.bundles.pop(i % len(self.bundles))
+        for pool, bundle in zip(self.pools, bundles):
+            pool.release(bundle)
+
+    @invariant()
+    def backends_agree(self):
+        flat, node = (c.stats() for c in self.caches)
+        for key in COUNTERS:
+            assert flat[key] == node[key], key
+        assert self.pools[0].free_blocks == self.pools[1].free_blocks
+        for cache in self.caches:
+            cache.check_invariants()
+
+
+RadixContract.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)
+TestRadixContract = RadixContract.TestCase

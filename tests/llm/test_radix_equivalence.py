@@ -3,12 +3,12 @@ oracle.
 
 The flat array-backed radix cache (``RadixPrefixCache(backend="flat")``,
 the default) must make exactly the same caching
-decisions as the node-object tree it replaces: match lengths, eviction
-victims and order, hit/miss/eviction counters, block allocations, and
-therefore every engine clock — compared with plain ``==``, not approx,
-because both backends drive the *same* engine mode and the cache is the
-only thing that differs. ``REPRO_SERVING_RADIX=0`` restores the node
-path end to end.
+decisions as its node-object reference (``backend="node"``): match
+lengths, eviction victims and order, hit/miss/eviction counters, block
+allocations, and therefore every engine clock — compared with plain
+``==``, not approx, because both runs use the *same* engine mode and the
+cache is the only thing that differs. The node run substitutes its cache
+into a vector-mode engine before ``run``.
 
 Scope: paged x preemption x chunked-prefill shapes, eviction pressure,
 multi-wave warm caches, timed arrivals, every scheduler policy.
@@ -21,18 +21,8 @@ import pytest
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
-from repro.llm.radix import (
-    pack_tokens,
-    serving_fastpath_enabled,
-    serving_radix_enabled,
-)
+from repro.llm.radix import RadixPrefixCache, pack_tokens
 from repro.llm.request import Request
-
-pytestmark = pytest.mark.skipif(
-    not (serving_radix_enabled() and serving_fastpath_enabled()),
-    reason="flat radix backend unavailable (numpy missing, "
-    "REPRO_SERVING_RADIX=0, or REPRO_SERVING_FASTPATH=0)",
-)
 
 
 def random_workload(rng, n_requests=40, vocab=50, max_len=60, max_out=12):
@@ -85,8 +75,13 @@ def clone(requests):
     ]
 
 
-def run_engine(requests, waves=1, **cfg_kwargs):
-    eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4, EngineConfig(**cfg_kwargs))
+def run_engine(requests, backend, waves=1, **cfg_kwargs):
+    """Run the vector engine on the ``backend`` radix cache."""
+    eng = SimulatedLLMEngine(
+        LLAMA3_8B, CLUSTER_1XL4, EngineConfig(mode="vector", **cfg_kwargs)
+    )
+    if backend == "node":
+        eng.cache = RadixPrefixCache(backend="node", block_manager=eng.blocks)
     results = []
     per_wave = max(1, len(requests) // waves)
     for w in range(waves):
@@ -127,11 +122,9 @@ def assert_bit_identical(rf, rn):
         assert mf.finished_at_s == mn.finished_at_s
 
 
-def assert_flat_matches_node(monkeypatch, requests, waves=1, **cfg_kwargs):
-    e_flat, r_flat = run_engine(clone(requests), waves=waves, **cfg_kwargs)
-    with monkeypatch.context() as m:
-        m.setenv("REPRO_SERVING_RADIX", "0")
-        e_node, r_node = run_engine(clone(requests), waves=waves, **cfg_kwargs)
+def assert_flat_matches_node(requests, waves=1, **cfg_kwargs):
+    e_flat, r_flat = run_engine(clone(requests), "flat", waves=waves, **cfg_kwargs)
+    e_node, r_node = run_engine(clone(requests), "node", waves=waves, **cfg_kwargs)
     assert e_flat.cache.backend == "flat"
     assert e_node.cache.backend == "node"
     for rf, rn in zip(r_flat, r_node):
@@ -154,20 +147,19 @@ class TestFlatVsNode:
     """Bit-identical flat vs node backend across the workload space."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_roomy_capacity(self, monkeypatch, seed):
+    def test_roomy_capacity(self, seed):
         rng = random.Random(seed)
-        assert_flat_matches_node(monkeypatch, random_workload(rng))
+        assert_flat_matches_node(random_workload(rng))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_eviction_pressure(self, monkeypatch, seed):
+    def test_eviction_pressure(self, seed):
         """Tight KV capacity: heavy eviction churn exercises the intrusive
-        LRU order against the lazy heap's victim sequence."""
+        LRU order against the node tree's full-scan victim sequence."""
         rng = random.Random(1000 + seed)
         reqs = random_workload(rng, n_requests=30, max_len=40, max_out=8)
         need = max(r.prompt_len + r.output_tokens for r in reqs)
         slack = max(r.prompt_len for r in reqs)
         assert_flat_matches_node(
-            monkeypatch,
             reqs,
             kv_accounting="tokens",
             kv_capacity_tokens=need + slack,
@@ -175,23 +167,22 @@ class TestFlatVsNode:
         )
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_paged_splits_mid_block(self, monkeypatch, seed):
+    def test_paged_splits_mid_block(self, seed):
         """Small blocks force edge splits inside blocks: straddle-shared
         allocations, owner rebinding, and block-denominated eviction."""
         rng = random.Random(2000 + seed)
         reqs = random_workload(rng, n_requests=30)
         assert_flat_matches_node(
-            monkeypatch, reqs, kv_accounting="paged", block_tokens=8
+            reqs, kv_accounting="paged", block_tokens=8
         )
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_paged_eviction_pressure(self, monkeypatch, seed):
+    def test_paged_eviction_pressure(self, seed):
         rng = random.Random(3000 + seed)
         reqs = random_workload(rng, n_requests=30, max_len=40, max_out=8)
         need = max(r.prompt_len + r.output_tokens for r in reqs)
         slack = max(r.prompt_len for r in reqs)
         assert_flat_matches_node(
-            monkeypatch,
             reqs,
             kv_accounting="paged",
             block_tokens=8,
@@ -203,7 +194,7 @@ class TestFlatVsNode:
         "policy", ["fcfs", "sjf", "prefix-affinity", "fair-share", "deadline"]
     )
     @pytest.mark.parametrize("seed", range(2))
-    def test_online_arrivals_all_policies(self, monkeypatch, policy, seed):
+    def test_online_arrivals_all_policies(self, policy, seed):
         """Timed arrivals through every admission policy — including the
         bulk match_many path prefix-affinity now takes."""
         rng = random.Random(4000 + seed)
@@ -213,11 +204,11 @@ class TestFlatVsNode:
             t += rng.expovariate(30.0)
             r.arrival_s = t
         assert_flat_matches_node(
-            monkeypatch, reqs, scheduler=policy, max_batch_size=4
+            reqs, scheduler=policy, max_batch_size=4
         )
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_preemption_and_chunked_prefill(self, monkeypatch, seed):
+    def test_preemption_and_chunked_prefill(self, seed):
         """Continuous batching on: preemption recompute/swap plus chunked
         prefill's rolling insert/pin over growing prompt slices."""
         rng = random.Random(5000 + seed)
@@ -229,7 +220,6 @@ class TestFlatVsNode:
         need = max(r.prompt_len + r.output_tokens for r in reqs)
         slack = max(r.prompt_len for r in reqs)
         assert_flat_matches_node(
-            monkeypatch,
             reqs,
             scheduler="deadline",
             preemption="recompute",
@@ -239,7 +229,7 @@ class TestFlatVsNode:
         )
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_preemption_paged(self, monkeypatch, seed):
+    def test_preemption_paged(self, seed):
         rng = random.Random(6000 + seed)
         reqs = random_workload(rng, n_requests=25, max_len=50, max_out=10)
         t = 0.0
@@ -249,7 +239,6 @@ class TestFlatVsNode:
         need = max(r.prompt_len + r.output_tokens for r in reqs)
         slack = max(r.prompt_len for r in reqs)
         assert_flat_matches_node(
-            monkeypatch,
             reqs,
             scheduler="deadline",
             preemption="swap",
@@ -261,27 +250,14 @@ class TestFlatVsNode:
         )
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_multi_wave_warm_cache(self, monkeypatch, seed):
+    def test_multi_wave_warm_cache(self, seed):
         """Warm prefix cache across runs of one long-lived engine."""
         rng = random.Random(7000 + seed)
-        assert_flat_matches_node(
-            monkeypatch, random_workload(rng, n_requests=45), waves=3
-        )
+        assert_flat_matches_node(random_workload(rng, n_requests=45), waves=3)
 
-    def test_zero_output_only(self, monkeypatch):
+    def test_zero_output_only(self):
         reqs = [
             Request(i, tuple(range(10 * i, 10 * i + 5)), 0, tenant=f"t{i % 2}")
             for i in range(6)
         ]
-        assert_flat_matches_node(monkeypatch, reqs)
-
-    def test_radix_flag_restores_node_path(self, monkeypatch):
-        """REPRO_SERVING_RADIX=0 swaps the backend end to end."""
-        with monkeypatch.context() as m:
-            m.setenv("REPRO_SERVING_RADIX", "0")
-            eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4, EngineConfig())
-            assert eng.cache.backend == "node"
-            assert eng.cache.eviction == "heap"
-        eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4, EngineConfig())
-        assert eng.cache.backend == "flat"
-        assert eng.cache.eviction == "flat-lru"
+        assert_flat_matches_node(reqs)

@@ -1,7 +1,7 @@
 """Unit-level flat radix backend tests: backend resolution, randomized
-op-sequence equivalence against both node-backend eviction engines, LCP
-edge cases on both backends, match_len side-effect-freeness under
-eviction pressure, and pin-ticket semantics.
+op-sequence equivalence against the node-tree reference, LCP edge cases
+on both backends, match_len side-effect-freeness under eviction
+pressure, and pin-ticket semantics.
 
 Engine-level equivalence (clocks, block allocations, preemption) lives
 in test_radix_equivalence.py; this file closes the cache-level contract
@@ -14,22 +14,11 @@ import pytest
 
 from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import BlockManager
-from repro.llm.radix import (
-    RadixPrefixCache,
-    _FlatRadixCache,
-    pack_tokens,
-    serving_radix_enabled,
-)
-
-pytestmark = pytest.mark.skipif(
-    not serving_radix_enabled(),
-    reason="flat radix backend unavailable (numpy missing or "
-    "REPRO_SERVING_RADIX=0)",
-)
+from repro.llm.radix import RadixPrefixCache, _FlatRadixCache, pack_tokens
 
 
-def trio(capacity_tokens=None, block_tokens=4):
-    """(flat, heap, scan) caches over identical block pools (or none)."""
+def pair(capacity_tokens=None, block_tokens=4):
+    """(flat, node) caches over identical block pools (or none)."""
     def bm():
         if capacity_tokens is None:
             return None
@@ -37,8 +26,7 @@ def trio(capacity_tokens=None, block_tokens=4):
 
     return (
         RadixPrefixCache(backend="flat", block_manager=bm()),
-        RadixPrefixCache(eviction="heap", block_manager=bm()),
-        RadixPrefixCache(eviction="scan", block_manager=bm()),
+        RadixPrefixCache(backend="node", block_manager=bm()),
     )
 
 
@@ -61,39 +49,16 @@ def assert_counters_agree(caches):
 
 class TestBackendResolution:
     def test_default_is_flat(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
+        # The engine-mode switch does not reach the cache constructor.
+        monkeypatch.setenv("REPRO_SERVING_FASTPATH", "0")
         assert isinstance(RadixPrefixCache(), _FlatRadixCache)
         assert RadixPrefixCache().backend == "flat"
-        assert RadixPrefixCache().eviction == "flat-lru"
 
     def test_explicit_backends(self):
         assert RadixPrefixCache(backend="flat").backend == "flat"
-        assert RadixPrefixCache(backend="node").backend == "node"
-        with pytest.raises(ValueError):
+        assert type(RadixPrefixCache(backend="node")) is RadixPrefixCache
+        with pytest.raises(ServingError, match="unknown radix backend 'trie'"):
             RadixPrefixCache(backend="trie")
-
-    def test_explicit_eviction_selects_node_backend(self):
-        # Tests and oracles that name an eviction engine get the node
-        # tree — the flat backend owns its own eviction order.
-        assert RadixPrefixCache(eviction="heap").backend == "node"
-        assert RadixPrefixCache(eviction="scan").backend == "node"
-
-    def test_flat_rejects_explicit_eviction(self):
-        with pytest.raises(ServingError):
-            RadixPrefixCache(backend="flat", eviction="heap")
-
-    def test_radix_flag_disables_flat(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
-        monkeypatch.setenv("REPRO_SERVING_RADIX", "0")
-        c = RadixPrefixCache()
-        assert c.backend == "node" and c.eviction == "heap"
-        # Forcing the backend overrides the flag.
-        assert RadixPrefixCache(backend="flat").backend == "flat"
-
-    def test_fastpath_flag_disables_flat(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_FASTPATH", "0")
-        c = RadixPrefixCache()
-        assert c.backend == "node" and c.eviction == "scan"
 
 
 class TestLcpEdgeCases:
@@ -186,7 +151,7 @@ class TestMatchLenSideEffectFree:
     def test_under_eviction_pressure(self):
         """match_len never touches stamps, counters, or eviction order —
         interleaving probes between evictions must not change victims."""
-        probed, silent = trio(capacity_tokens=64), trio(capacity_tokens=64)
+        probed, silent = pair(capacity_tokens=64), pair(capacity_tokens=64)
         rng = random.Random(23)
         seqs = [
             tuple(rng.randrange(5) for _ in range(rng.randrange(1, 16)))
@@ -208,12 +173,12 @@ class TestMatchLenSideEffectFree:
                 assert len(set(freed)) == 1, (i, freed)
             for c in (*probed, *silent):
                 c.check_invariants()
-        # The probed trio saw 60+ match_len calls the silent trio never
+        # The probed pair saw 60+ match_len calls the silent pair never
         # did; identical counters prove the probes were side-effect-free.
         assert_counters_agree([*probed, *silent])
 
     def test_counters_untouched(self):
-        for c in trio():
+        for c in pair():
             c.insert((1, 2, 3))
             before = dict(c.stats())
             assert c.match_len((1, 2, 3)) == 3
@@ -223,13 +188,13 @@ class TestMatchLenSideEffectFree:
 
 
 class TestRandomizedOpEquivalence:
-    """Flat vs heap vs scan on random op sequences, invariants each step:
+    """Flat vs node on random op sequences, invariants each step:
     the cache-level analogue of test_radix_equivalence.py."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_paged_ops(self, seed):
         rng = random.Random(seed)
-        caches = trio(capacity_tokens=256, block_tokens=4)
+        caches = pair(capacity_tokens=256, block_tokens=4)
         pins = []
         for step in range(1200):
             op = rng.random()
@@ -271,7 +236,7 @@ class TestRandomizedOpEquivalence:
     @pytest.mark.parametrize("seed", range(2))
     def test_unpaged_ops(self, seed):
         rng = random.Random(100 + seed)
-        caches = trio()
+        caches = pair()
         for step in range(1500):
             op = rng.random()
             toks = tuple(rng.randrange(5) for _ in range(rng.randrange(0, 20)))
@@ -289,29 +254,29 @@ class TestRandomizedOpEquivalence:
     def test_fork_paths_agree(self):
         rng = random.Random(31)
         flat = RadixPrefixCache(backend="flat", block_manager=BlockManager(512, 4))
-        heap = RadixPrefixCache(eviction="heap", block_manager=BlockManager(512, 4))
+        node = RadixPrefixCache(backend="node", block_manager=BlockManager(512, 4))
         for _ in range(60):
             toks = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 20)))
             try:
                 a = flat.insert(toks)
-                b = heap.insert(toks)
+                b = node.insert(toks)
                 assert a == b
             except CapacityError:
                 continue
             ff = flat.fork_path(toks)
-            hf = heap.fork_path(toks)
-            assert [f.block_ids for f in ff] == [f.block_ids for f in hf]
-            assert [f.n_tokens for f in ff] == [f.n_tokens for f in hf]
+            nf = node.fork_path(toks)
+            assert [f.block_ids for f in ff] == [f.block_ids for f in nf]
+            assert [f.n_tokens for f in ff] == [f.n_tokens for f in nf]
             fb = flat.fork_path_bundle(toks)
-            hb = heap.fork_path_bundle(toks)
-            assert (fb is None) == (hb is None)
+            nb = node.fork_path_bundle(toks)
+            assert (fb is None) == (nb is None)
             if fb is not None:
-                assert sorted(fb.block_ids) == sorted(hb.block_ids)
-                assert fb.n_tokens == hb.n_tokens
-            for f in ff + hf + ([fb, hb] if fb is not None else []):
-                (flat._bm if f in ff or f is fb else heap._bm).release(f)
+                assert sorted(fb.block_ids) == sorted(nb.block_ids)
+                assert fb.n_tokens == nb.n_tokens
+            for f in ff + nf + ([fb, nb] if fb is not None else []):
+                (flat._bm if f in ff or f is fb else node._bm).release(f)
             flat.check_invariants()
-            heap.check_invariants()
+            node.check_invariants()
 
 
 class TestFlatPinning:
@@ -373,7 +338,6 @@ class TestFlatStorage:
         c.insert((1, 2, 3))
         s = c.stats()
         assert s["backend"] == "flat"
-        assert s["eviction"] == "flat-lru"
         assert s["nodes"] == 1
         assert s["total_tokens"] == 3
         assert s["token_store_bytes"] >= 3 * 8

@@ -99,7 +99,7 @@ class TestSJF:
 
 class TestPrefixAffinity:
     def test_prefers_cached_extension(self):
-        cache = RadixPrefixCache(eviction="heap")
+        cache = RadixPrefixCache()
         cache.insert((1, 2, 3, 4, 5))
         p = PrefixAffinityPolicy()
         cold = req(0, (9, 9, 9, 9))
@@ -111,7 +111,7 @@ class TestPrefixAffinity:
         assert cache.hits == 0 and cache.misses == 0
 
     def test_falls_back_to_fcfs_when_cold(self):
-        cache = RadixPrefixCache(eviction="heap")
+        cache = RadixPrefixCache()
         p = PrefixAffinityPolicy()
         a, b = req(0, (1, 2)), req(1, (3, 4))
         p.submit(a)

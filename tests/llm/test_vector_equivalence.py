@@ -128,7 +128,7 @@ def assert_vector_matches_stepwise(requests, waves=1, **cfg_kwargs):
     assert e_vec.cache.total_tokens == e_step.cache.total_tokens
 
 
-class TestVectorVsEvent:
+class TestVectorVsStepwise:
     """The vectorized event loop vs the stepwise oracle across the
     workload space."""
 
