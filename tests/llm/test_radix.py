@@ -130,12 +130,14 @@ class TestPathNodes:
         assert c.path_node_ids([42]) == set()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestPinning:
-    """Pin semantics, each checked on both backends."""
+    """Pin semantics on the default (flat) backend; TestNodePinning runs
+    the same checks on the node reference."""
 
-    def test_pin_protects_path(self, backend):
-        c = RadixPrefixCache(backend=backend)
+    backend = "flat"
+
+    def test_pin_protects_path(self):
+        c = RadixPrefixCache(backend=self.backend)
         c.insert([1, 2, 3])
         c.insert([9, 8, 7])
         ticket = c.pin([1, 2, 3])
@@ -147,23 +149,23 @@ class TestPinning:
         c.check_invariants()
         assert c.evict(100) == 3
 
-    def test_pin_miss_returns_none(self, backend):
-        c = RadixPrefixCache(backend=backend)
+    def test_pin_miss_returns_none(self):
+        c = RadixPrefixCache(backend=self.backend)
         assert c.pin([1, 2]) is None
         c.unpin(None)  # no-op
 
-    def test_unpin_without_pin_raises(self, backend):
-        c = RadixPrefixCache(backend=backend)
+    def test_unpin_without_pin_raises(self):
+        c = RadixPrefixCache(backend=self.backend)
         c.insert([1, 2])
         ticket = c.pin([1, 2])
         c.unpin(ticket)
         with pytest.raises(ServingError):
             c.unpin(ticket)
 
-    def test_split_inherits_lock_refs(self, backend):
+    def test_split_inherits_lock_refs(self):
         """A pinned path stays pinned after a later insert splits one of
         its edges — the split head inherits the tail's refcount."""
-        c = RadixPrefixCache(backend=backend)
+        c = RadixPrefixCache(backend=self.backend)
         c.insert([1, 2, 3, 4, 5])
         ticket = c.pin([1, 2, 3, 4, 5])
         c.insert([1, 2, 9])  # splits [1..5] into [1,2] + [3,4,5]
@@ -175,8 +177,8 @@ class TestPinning:
         c.check_invariants()
         assert c.evict(100) == 5
 
-    def test_pin_partial_edge_protects_whole_node(self, backend):
-        c = RadixPrefixCache(backend=backend)
+    def test_pin_partial_edge_protects_whole_node(self):
+        c = RadixPrefixCache(backend=self.backend)
         c.insert([1, 2, 3, 4])
         ticket = c.pin([1, 2])  # ends mid-edge: pins the [1,2,3,4] node
         assert c.evict(100) == 0
@@ -184,8 +186,8 @@ class TestPinning:
         assert c.evict(100) == 4
         c.check_invariants()
 
-    def test_nested_pins(self, backend):
-        c = RadixPrefixCache(backend=backend)
+    def test_nested_pins(self):
+        c = RadixPrefixCache(backend=self.backend)
         c.insert([1, 2, 3])
         t1 = c.pin([1, 2, 3])
         t2 = c.pin([1, 2, 3])
@@ -194,6 +196,10 @@ class TestPinning:
         c.unpin(t2)
         assert c.evict(100) == 3
         c.check_invariants()
+
+
+class TestNodePinning(TestPinning):
+    backend = "node"
 
 
 class TestFlatVsNode:
