@@ -52,7 +52,7 @@ def bench_ggr_fastpath_vs_python_speedup(benchmark, repro_seed):
     the identical schedule. The workload size is pinned (not REPRO_SCALE)
     so the recorded ratio is comparable across runs; interleaved min-of-5
     timing plus the fast/oracle ratio cancels machine speed (same
-    methodology as bench_engine_replay_vector_vs_event)."""
+    methodology as bench_engine_replay_event_speedup)."""
     if not HAVE_NUMPY:
         pytest.skip("compiled fast path unavailable (numpy missing)")
     ds = dataset("movies", 0.1, repro_seed)

@@ -11,25 +11,20 @@ is shared, the block manager enforces *how much* physical memory that costs
 engine (see :func:`paged_accounting_enabled`), mirroring
 ``REPRO_SERVING_FASTPATH`` for the replay loop.
 
-The manager has two interchangeable storage backends. The default keeps
-the free pool in a Python list and refcounts in a dict — the reference
-implementation. ``vector=True`` keeps the free pool as a numpy stack and
-refcounts as a numpy array, so multi-block operations (a prompt path's
-fork bundle, a decode tail's growth, a victim's release) are single slab
-operations instead of per-block Python loops; profiling the event replay
-showed those loops were roughly half its runtime. The engine's event
-loop (``mode="vector"``) selects it and the stepwise oracle keeps the
-scalar manager; both backends implement identical semantics — same
-counts, same errors, same block-id hand-out order.
+The pool is a Python list used as a LIFO free stack plus a dict of
+refcounts; every operation is a short per-block loop. Both replay modes
+share it: the stepwise loop forks each radix node on a request's prompt
+path separately (:meth:`BlockManager.fork`), the event loop forks the
+whole path as one multiset of ids (:meth:`BlockManager.fork_ids`) — the
+same references either way.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as _np
 
 from repro.errors import CapacityError, ServingError
 
@@ -42,6 +37,13 @@ def paged_accounting_enabled() -> bool:
     return flag not in ("0", "false", "off", "no")
 
 
+def check_size(name: str, value) -> None:
+    """Raise :class:`ServingError` unless ``value`` is an integer >= 1.
+    bool is an Integral, but True as a size is a typo, not 1."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+        raise ServingError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class BlockAllocation:
     """A contiguous logical run of ref-counted block ids.
@@ -52,32 +54,20 @@ class BlockAllocation:
     the straddling block. Tokens occupy positions ``[start_offset,
     start_offset + n_tokens)`` laid out consecutively across the blocks —
     the invariant every block computation below relies on.
+
+    ``block_ids`` may be a *multiset*: :meth:`BlockManager.fork_ids`
+    builds one allocation from a request's references to every node
+    allocation along its prompt path, and a block straddling a radix edge
+    split appears once per node that holds it. Fork and release act per
+    occurrence, so the duplicates need no special case.
     """
 
     block_ids: List[int]
     n_tokens: int
     released: bool = False
     start_offset: int = 0
-    #: Bundles (see :meth:`BlockManager.fork_ids`) hold a *multiset* of
-    #: block ids — one request's references to every node allocation along
-    #: its prompt path, concatenated. A block straddling a radix edge split
-    #: legitimately appears in two adjacent path nodes, so release must
-    #: decrement per occurrence rather than treat the ids as distinct.
-    bundle: bool = False
-    #: Vector backend only: the bundle decomposed as distinct ids (a numpy
-    #: array) plus the rare extra occurrences of straddle blocks (a short
-    #: list, each id also present in ``uniq``). Precomputed at fork time so
-    #: both fork and release are plain fancy-indexing passes — no sort, no
-    #: scatter-add — over the distinct ids.
-    uniq: object = field(default=None, repr=False)
-    extra: object = field(default=None, repr=False)
-    #: Vector backend only: memo of ``block_ids`` as a numpy array (see
-    #: :meth:`BlockManager.ids_array`). Node allocations in the radix tree
-    #: are forked into every admitted request's path bundle, so the
-    #: conversion pays off across admissions. Invalidated by :meth:`grow`.
-    ids_arr: object = field(default=None, repr=False)
     #: Flat radix backend only: the node *slot* this allocation is bound to
-    #: (-1 when unowned — forks, bundles, and node-backend allocations).
+    #: (-1 when unowned — forks and node-backend allocations).
     #: Rebound on every radix edge split; the flat backend's invariant
     #: checker verifies slot and allocation agree.
     owner: int = field(default=-1, repr=False)
@@ -94,14 +84,9 @@ class BlockManager:
         Tokens per block (16 in vLLM by default).
     """
 
-    def __init__(
-        self,
-        capacity_tokens: int,
-        block_tokens: int = 16,
-        vector: bool = False,
-    ):
-        if capacity_tokens <= 0 or block_tokens <= 0:
-            raise ServingError("capacity_tokens and block_tokens must be positive")
+    def __init__(self, capacity_tokens: int, block_tokens: int = 16):
+        check_size("capacity_tokens", capacity_tokens)
+        check_size("block_tokens", block_tokens)
         if capacity_tokens < block_tokens:
             raise ServingError(
                 f"capacity of {capacity_tokens} tokens holds zero "
@@ -109,19 +94,9 @@ class BlockManager:
             )
         self.block_tokens = block_tokens
         self.n_blocks = capacity_tokens // block_tokens
-        self.vector = vector
-        if vector:
-            # Free pool as a LIFO stack in [0, _free_top); refcounts as a
-            # dense array. Slab pops come off the stack top in the same
-            # high-to-low order the scalar list.pop() hands out.
-            self._free_arr = _np.arange(self.n_blocks, dtype=_np.int64)
-            self._free_top = self.n_blocks
-            self._refs_arr = _np.zeros(self.n_blocks, dtype=_np.int64)
-            self._free = None
-            self._refs = None
-        else:
-            self._free: List[int] = list(range(self.n_blocks))
-            self._refs: Dict[int, int] = {}
+        # Free blocks as a LIFO stack; refcounts of the blocks in use.
+        self._free: List[int] = list(range(self.n_blocks))
+        self._refs: Dict[int, int] = {}
         # KV tokens parked in host memory by preempt-swap: they occupy no
         # device blocks (that is the point of swapping out), only this
         # ledger, which unpark draws back down. Purely token-denominated —
@@ -138,8 +113,6 @@ class BlockManager:
 
     @property
     def free_blocks(self) -> int:
-        if self.vector:
-            return self._free_top
         return len(self._free)
 
     @property
@@ -173,211 +146,53 @@ class BlockManager:
     def _pop_free(self, need: int) -> List[int]:
         """Take ``need`` blocks off the free stack at refcount 1. The
         caller has already checked capacity."""
-        if not self.vector:
-            ids = [self._free.pop() for _ in range(need)]
-            for b in ids:
-                self._refs[b] = 1
-            return ids
-        if need == 0:
-            return []
-        top = self._free_top
-        new_top = top - need
-        taken = self._free_arr[new_top:top]
-        self._refs_arr[taken] = 1
-        self._free_top = new_top
-        return taken[::-1].tolist()
+        ids = [self._free.pop() for _ in range(need)]
+        for b in ids:
+            self._refs[b] = 1
+        return ids
 
     def fork(self, alloc: BlockAllocation) -> BlockAllocation:
         """Share an allocation copy-free: bump every block's refcount."""
         if alloc.released:
             raise ServingError("fork of a released allocation")
-        if alloc.bundle:
-            # A bundle's ids are a multiset; per-occurrence semantics only
-            # exist on the fork_ids path.
-            ids = alloc.block_ids
-            if not ids and alloc.uniq is not None:
-                ids = alloc.uniq.tolist() + list(alloc.extra or ())
-            return self.fork_ids(ids, alloc.n_tokens)
-        if self.vector:
-            refs = self._refs_arr
-            ids = _np.asarray(alloc.block_ids, dtype=_np.int64)
-            if ids.size:
-                cur = refs[ids]
-                if cur.min() <= 0:
-                    raise ServingError("fork of a freed block")
-                refs[ids] = cur + 1
-        else:
-            for b in alloc.block_ids:
-                if self._refs.get(b, 0) <= 0:
-                    raise ServingError(f"fork of freed block {b}")
-                self._refs[b] += 1
-        return BlockAllocation(
-            block_ids=list(alloc.block_ids),
-            n_tokens=alloc.n_tokens,
-            start_offset=alloc.start_offset,
-        )
+        return self.fork_ids(alloc.block_ids, alloc.n_tokens, alloc.start_offset)
 
     def fork_ids(
-        self, block_ids: Sequence[int], n_tokens: int
+        self, block_ids: Sequence[int], n_tokens: int, start_offset: int = 0
     ) -> BlockAllocation:
-        """Fork a concatenated multiset of block ids, returning a *bundle*
-        allocation: each occurrence takes — and release later drops — one
-        reference. Callers that already know the multiset structure (the
-        radix path walk does) should use :meth:`fork_bundle` directly; this
-        derives it with a sort."""
-        if not self.vector:
-            for b in block_ids:
-                if self._refs.get(b, 0) <= 0:
-                    raise ServingError(f"fork of freed block {b}")
-                self._refs[b] += 1
-            return BlockAllocation(
-                block_ids=list(block_ids), n_tokens=n_tokens, bundle=True
-            )
-        uniq, cnt = _np.unique(
-            _np.asarray(block_ids, dtype=_np.int64), return_counts=True
-        )
-        dup = cnt > 1
-        extra = _np.repeat(uniq[dup], cnt[dup] - 1).tolist()
-        return self.fork_bundle(uniq.tolist(), extra, n_tokens)
-
-    def fork_bundle(
-        self, base: List[int], extra: List[int], n_tokens: int
-    ) -> BlockAllocation:
-        """Fork a whole prompt path's blocks in one pass: ``base`` holds
-        every distinct block id, ``extra`` the additional occurrences of
-        blocks referenced twice along the path (a block straddling a radix
-        edge split belongs to both adjacent nodes — rare, and structurally
-        known to the radix walk, so no dedup sort is ever needed here).
-        This is how the vectorized engine admits a request with one
-        refcount operation instead of one fork per radix node."""
-        if not self.vector:
-            return self.fork_ids(base + extra, n_tokens)
-        refs = self._refs_arr
-        arr = _np.asarray(base, dtype=_np.int64)
-        if arr.size:
-            cur = refs[arr]
-            if cur.min() <= 0:
-                raise ServingError("fork of a freed block")
-            refs[arr] = cur + 1
-        for b in extra:
-            if refs[b] <= 0:
+        """Take one reference per occurrence in ``block_ids`` (a multiset:
+        see :class:`BlockAllocation`) and return them as a new allocation,
+        which :meth:`release` drops per occurrence again. All or nothing:
+        a freed id raises with every refcount as it was."""
+        refs = self._refs
+        for i, b in enumerate(block_ids):
+            if refs.get(b, 0) <= 0:
+                for taken in block_ids[:i]:
+                    refs[taken] -= 1
                 raise ServingError(f"fork of freed block {b}")
             refs[b] += 1
-        alloc = BlockAllocation(
-            block_ids=base + extra, n_tokens=n_tokens, bundle=True
+        return BlockAllocation(
+            block_ids=list(block_ids),
+            n_tokens=n_tokens,
+            start_offset=start_offset,
         )
-        alloc.uniq = arr
-        alloc.extra = extra
-        return alloc
-
-    def ids_array(self, alloc: BlockAllocation) -> "object":
-        """``alloc.block_ids`` as a cached numpy int64 array (vector
-        backend only). Safe to alias: the array is never mutated — growing
-        the allocation drops the memo and a fresh conversion rebuilds it."""
-        arr = alloc.ids_arr
-        if arr is None:
-            arr = alloc.ids_arr = _np.asarray(
-                alloc.block_ids, dtype=_np.int64
-            )
-        return arr
-
-    def fork_bundle_parts(
-        self, parts: List["object"], extra: List[int], n_tokens: int
-    ) -> BlockAllocation:
-        """:meth:`fork_bundle` taking the distinct ids as a list of numpy
-        arrays (per-node slices from :meth:`ids_array`) instead of a python
-        list — one concatenate replaces per-id list building on the
-        admission hot path. Vector backend only."""
-        refs = self._refs_arr
-        if len(parts) == 1:
-            arr = parts[0]
-        else:
-            arr = _np.concatenate(parts)
-        if arr.size:
-            cur = refs[arr]
-            if cur.min() <= 0:
-                raise ServingError("fork of a freed block")
-            refs[arr] = cur + 1
-        for b in extra:
-            if refs[b] <= 0:
-                raise ServingError(f"fork of freed block {b}")
-            refs[b] += 1
-        # block_ids stays empty: for vector bundles, uniq/extra are the
-        # source of truth (release and the scalar fallbacks below honor
-        # them), and materializing the python list would cost more than the
-        # fork itself.
-        alloc = BlockAllocation(block_ids=[], n_tokens=n_tokens, bundle=True)
-        alloc.uniq = arr
-        alloc.extra = extra
-        return alloc
 
     def release(self, alloc: BlockAllocation) -> None:
         """Drop one reference per block-id occurrence; free blocks reaching
         zero."""
         if alloc.released:
             raise ServingError("double free of allocation")
-        if self.vector:
-            self._release_vector(alloc)
-        else:
-            ids = alloc.block_ids
-            if alloc.bundle and not ids and alloc.uniq is not None:
-                # Vector-built bundle drained on a scalar manager:
-                # reconstitute the multiset from its decomposition.
-                ids = alloc.uniq.tolist() + list(alloc.extra or ())
-            for b in ids:
-                refs = self._refs.get(b, 0)
-                if refs <= 0:
-                    raise ServingError(f"double free of block {b}")
-                if refs == 1:
-                    del self._refs[b]
-                    self._free.append(b)
-                else:
-                    self._refs[b] = refs - 1
-        alloc.released = True
-
-    def _release_vector(self, alloc: BlockAllocation) -> None:
-        refs = self._refs_arr
-        if alloc.bundle:
-            if alloc.uniq is None:
-                # Bundle forked on the scalar backend: derive its base /
-                # extra decomposition once.
-                uniq, cnt = _np.unique(
-                    _np.asarray(alloc.block_ids, dtype=_np.int64),
-                    return_counts=True,
-                )
-                dup = cnt > 1
-                alloc.uniq = uniq
-                alloc.extra = _np.repeat(uniq[dup], cnt[dup] - 1).tolist()
-            ids = alloc.uniq
-            if not ids.size:
-                return
-            after = refs[ids] - 1
-            if after.min() < 0:
-                raise ServingError("double free of block")
-            refs[ids] = after
-            if alloc.extra:
-                for b in alloc.extra:
-                    r = refs[b] - 1
-                    if r < 0:
-                        raise ServingError(f"double free of block {b}")
-                    refs[b] = r
-                freed = ids[refs[ids] == 0]
+        refs = self._refs
+        for b in alloc.block_ids:
+            r = refs.get(b, 0)
+            if r <= 0:
+                raise ServingError(f"double free of block {b}")
+            if r == 1:
+                del refs[b]
+                self._free.append(b)
             else:
-                freed = ids[after == 0]
-        else:
-            ids = _np.asarray(alloc.block_ids, dtype=_np.int64)
-            if not ids.size:
-                return
-            after = refs[ids] - 1
-            if after.min() < 0:
-                raise ServingError("double free of block")
-            refs[ids] = after
-            freed = ids[after == 0]
-        n = freed.size
-        if n:
-            top = self._free_top
-            self._free_arr[top : top + n] = freed
-            self._free_top = top + n
+                refs[b] = r - 1
+        alloc.released = True
 
     def split(
         self, alloc: BlockAllocation, head_tokens: int
@@ -419,14 +234,9 @@ class BlockManager:
         )
         if cut % self.block_tokens:
             straddle = alloc.block_ids[tail_start]
-            if self.vector:
-                if self._refs_arr[straddle] <= 0:
-                    raise ServingError(f"split across freed block {straddle}")
-                self._refs_arr[straddle] += 1
-            else:
-                if self._refs.get(straddle, 0) <= 0:
-                    raise ServingError(f"split across freed block {straddle}")
-                self._refs[straddle] += 1
+            if self._refs.get(straddle, 0) <= 0:
+                raise ServingError(f"split across freed block {straddle}")
+            self._refs[straddle] += 1
         alloc.released = True
         return head, tail
 
@@ -447,7 +257,6 @@ class BlockManager:
             )
         if need > 0:
             alloc.block_ids.extend(self._pop_free(need))
-            alloc.ids_arr = None
         alloc.n_tokens = new_total
 
     # ------------------------------------------------- preempt-swap parking
@@ -527,22 +336,6 @@ class BlockManager:
             quota = self._tenant_quota.get(tenant)
             if quota is not None and used > quota:
                 raise ServingError(f"tenant {tenant!r} over quota")
-        self._check_pool_invariants()
-
-    def _check_pool_invariants(self) -> None:
-        if self.vector:
-            refs = self._refs_arr
-            free = self._free_arr[: self._free_top]
-            if refs.min() < 0:
-                raise ServingError("negative refcount recorded")
-            if free.size and refs[free].max() > 0:
-                raise ServingError("block appears both free and referenced")
-            if _np.unique(free).size != free.size:
-                raise ServingError("duplicate block in free list")
-            used = int(_np.count_nonzero(refs))
-            if used + free.size != self.n_blocks:
-                raise ServingError("blocks leaked or invented")
-            return
         refs_blocks = set(self._refs)
         free_blocks = set(self._free)
         if refs_blocks & free_blocks:

@@ -27,10 +27,9 @@ float rounding):
     request metrics live in numpy arrays keyed by a dense request index
     (``RequestMetrics`` objects are materialized once, in bulk, at the end
     of the run), admission waves stamp clocks with one fancy-indexed
-    assignment, a request's prompt-path block references are forked and
-    released as a single bundle
-    (:meth:`RadixPrefixCache.fork_path_bundle`), and the block pool itself
-    runs on the numpy backend (``BlockManager(vector=True)``).
+    assignment, and a request's prompt-path block references are forked
+    and released as a single bundle
+    (:meth:`RadixPrefixCache.fork_path_bundle`).
 
 ``mode="stepwise"``
     The original per-token loop, kept as the equivalence oracle
@@ -105,7 +104,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -114,6 +112,7 @@ from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import (
     BlockAllocation,
     BlockManager,
+    check_size,
     paged_accounting_enabled,
 )
 from repro.llm.costmodel import CostModel
@@ -211,15 +210,7 @@ class EngineConfig:
             value = getattr(self, name)
             if value is None and optional:
                 continue
-            # bool is an Integral; True as a batch size is a typo, not 1.
-            if (
-                not isinstance(value, Integral)
-                or isinstance(value, bool)
-                or value < 1
-            ):
-                raise ServingError(
-                    f"{name} must be an integer >= 1, got {value!r}"
-                )
+            check_size(name, value)
         if self.kv_accounting not in ("auto", "paged", "tokens"):
             raise ServingError(f"unknown kv accounting {self.kv_accounting!r}")
         validate_policy_name(self.scheduler)
@@ -541,11 +532,7 @@ class SimulatedLLMEngine:
         # cache attaches per-node allocations to it. Capacity is floored to
         # whole blocks, exactly as a real paged allocator would.
         self.blocks: Optional[BlockManager] = (
-            BlockManager(
-                self.capacity_tokens,
-                self.block_tokens,
-                vector=self.mode == "vector",
-            )
+            BlockManager(self.capacity_tokens, self.block_tokens)
             if self.kv_accounting == "paged"
             else None
         )

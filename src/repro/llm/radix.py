@@ -418,11 +418,10 @@ class RadixPrefixCache:
         return forks
 
     def fork_path_bundle(self, tokens: Sequence[int]) -> Optional[BlockAllocation]:
-        """Single-allocation variant of :meth:`fork_path` for the
-        vectorized engine: the block ids of every node on the cached path
-        are concatenated and forked in one refcount pass
-        (:meth:`BlockManager.fork_ids`), so admitting a request costs one
-        vector operation over ~path-length ids instead of one fork per
+        """Single-allocation variant of :meth:`fork_path` for the event
+        loop: the block ids of every node on the cached path are
+        concatenated and forked by one :meth:`BlockManager.fork_ids` call,
+        so admitting a request builds one allocation instead of one per
         radix node. The ids form a multiset — a block straddling an edge
         split belongs to two adjacent nodes and is referenced once per
         node, exactly as the per-node forks would. Returns None without a
@@ -435,55 +434,19 @@ class RadixPrefixCache:
         cur: Optional[_Node] = self._resolve_end(tokens)
         if cur is None:
             return None
-        bm = self._bm
-        extra: List[int] = []
+        ids: List[int] = []
         n_tokens = 0
         root = self.root
-        if bm.vector:
-            # Per-node id arrays are memoized on the allocations, so the
-            # bundle is a concatenate of cached arrays — no per-id work.
-            parts: List[object] = []
-            while cur is not None and cur is not root:
-                alloc = cur.alloc
-                if alloc is None:
-                    raise ServingError(
-                        f"node {cur.node_id} has no block allocation to fork"
-                    )
-                arr = alloc.ids_arr
-                if arr is None:
-                    arr = bm.ids_array(alloc)
-                parent = cur.parent
-                if alloc.start_offset and parent is not None and parent is not root:
-                    # A nonzero start offset means this edge begins
-                    # mid-block: its first block is the straddle shared
-                    # with — and listed last in — the parent edge's
-                    # allocation, so it enters the distinct set via the
-                    # parent and only its second occurrence is recorded
-                    # here.
-                    extra.append(alloc.block_ids[0])
-                    parts.append(arr[1:])
-                else:
-                    parts.append(arr)
-                n_tokens += alloc.n_tokens
-                cur = parent
-            return bm.fork_bundle_parts(parts, extra, n_tokens)
-        base: List[int] = []
         while cur is not None and cur is not root:
             alloc = cur.alloc
             if alloc is None:
                 raise ServingError(
                     f"node {cur.node_id} has no block allocation to fork"
                 )
-            bids = alloc.block_ids
-            parent = cur.parent
-            if alloc.start_offset and parent is not None and parent is not root:
-                extra.append(bids[0])
-                base.extend(bids[1:])
-            else:
-                base.extend(bids)
+            ids += alloc.block_ids
             n_tokens += alloc.n_tokens
-            cur = parent
-        return self._bm.fork_bundle(base, extra, n_tokens)
+            cur = cur.parent
+        return self._bm.fork_ids(ids, n_tokens)
 
     # ------------------------------------------------------ legacy walkers
     def path_node_ids(self, tokens: Sequence[int]) -> Set[int]:
@@ -627,9 +590,9 @@ class RadixPrefixCache:
                             f"{node.alloc.n_tokens} tokens for a "
                             f"{len(node.edge)}-token edge"
                         )
-                    # The structural fact fork_path_bundle's straddle
-                    # detection rests on: an edge starting mid-block shares
-                    # that block with its parent edge, where it is last.
+                    # BlockManager.split's structure: an edge starting
+                    # mid-block shares that block with its parent edge,
+                    # where it is last.
                     if node.alloc.start_offset and node.parent is not self.root:
                         parent_alloc = node.parent.alloc
                         if (
@@ -1187,51 +1150,19 @@ class _FlatRadixCache(RadixPrefixCache):
         cur = self._resolve_end(tokens)
         if cur is None:
             return None
-        bm = self._bm
-        extra: List[int] = []
+        ids: List[int] = []
         n_tokens = 0
         parent = self._parent
-        if bm.vector:
-            parts: List[object] = []
-            while cur != 0:
-                alloc = self._allocs[cur]
-                if alloc is None:
-                    raise ServingError(
-                        f"node {self._nid[cur]} has no block allocation to fork"
-                    )
-                arr = alloc.ids_arr
-                if arr is None:
-                    arr = bm.ids_array(alloc)
-                p = parent[cur]
-                if alloc.start_offset and p != 0:
-                    # Mid-block edge start: its first block is the straddle
-                    # shared with (and listed last in) the parent edge's
-                    # allocation — the parent contributes the distinct id,
-                    # only the second occurrence is recorded here.
-                    extra.append(alloc.block_ids[0])
-                    parts.append(arr[1:])
-                else:
-                    parts.append(arr)
-                n_tokens += alloc.n_tokens
-                cur = p
-            return bm.fork_bundle_parts(parts, extra, n_tokens)
-        base: List[int] = []
         while cur != 0:
             alloc = self._allocs[cur]
             if alloc is None:
                 raise ServingError(
                     f"node {self._nid[cur]} has no block allocation to fork"
                 )
-            bids = alloc.block_ids
-            p = parent[cur]
-            if alloc.start_offset and p != 0:
-                extra.append(bids[0])
-                base.extend(bids[1:])
-            else:
-                base.extend(bids)
+            ids += alloc.block_ids
             n_tokens += alloc.n_tokens
-            cur = p
-        return bm.fork_bundle(base, extra, n_tokens)
+            cur = parent[cur]
+        return self._bm.fork_ids(ids, n_tokens)
 
     # ------------------------------------------------------ legacy walkers
     def path_node_ids(self, tokens: Sequence[int]) -> Set[int]:

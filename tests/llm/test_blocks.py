@@ -43,6 +43,26 @@ class TestAllocation:
         with pytest.raises(ServingError):
             BlockManager(capacity_tokens=16, block_tokens=0)
 
+    @pytest.mark.parametrize(
+        "capacity_tokens, block_tokens",
+        [
+            (64.5, 16),
+            (64, 4.5),
+            ("64", 16),
+            (64, "16"),
+            (True, 1),
+            (64, True),
+            (None, 16),
+            (-16, 16),
+            (16, -1),
+        ],
+    )
+    def test_sizes_must_be_integers_at_least_one(
+        self, capacity_tokens, block_tokens
+    ):
+        with pytest.raises(ServingError, match=r"must be an integer >= 1"):
+            BlockManager(capacity_tokens, block_tokens)
+
     def test_capacity_below_one_block_rejected(self):
         # A sub-block capacity would silently yield a zero-block pool that
         # can never admit anything; fail loudly at construction instead.

@@ -6,8 +6,8 @@ The engine drives the allocator through exactly these interleavings once
 preemption is on — a victim's tail is parked mid-decode while radix
 eviction releases shared path blocks and a re-admission forks them back.
 This suite removes the engine from the loop and hammers the allocator
-directly, on both the scalar and numpy backends, ending every sequence by
-draining to a full free pool (nothing leaked, nothing invented).
+directly, ending every sequence by draining to a full free pool (nothing
+leaked, nothing invented).
 """
 
 import random
@@ -17,18 +17,14 @@ import pytest
 from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import BlockManager
 
-BACKENDS = [False, True]
-
 
 class Churner:
     """One randomized op sequence against one BlockManager."""
 
-    def __init__(self, rng, vector, n_blocks=64, block_tokens=16):
+    def __init__(self, rng, n_blocks=64, block_tokens=16):
         self.rng = rng
         self.bm = BlockManager(
-            capacity_tokens=n_blocks * block_tokens,
-            block_tokens=block_tokens,
-            vector=vector,
+            capacity_tokens=n_blocks * block_tokens, block_tokens=block_tokens
         )
         self.live = []  # allocations we own and must eventually release
         self.expected_parked = 0
@@ -167,25 +163,22 @@ class Churner:
 
 
 class TestBlockChurn:
-    @pytest.mark.parametrize("vector", BACKENDS)
     @pytest.mark.parametrize("seed", range(10))
-    def test_randomized_churn(self, seed, vector):
-        Churner(random.Random(seed), vector).run()
+    def test_randomized_churn(self, seed):
+        Churner(random.Random(seed)).run()
 
-    @pytest.mark.parametrize("vector", BACKENDS)
     @pytest.mark.parametrize("seed", range(4))
-    def test_churn_tiny_blocks(self, seed, vector):
+    def test_churn_tiny_blocks(self, seed):
         """block_tokens=1 (the token-oracle shape): no straddles, every
         split lands on a block edge — the degenerate arithmetic path."""
         Churner(
-            random.Random(100 + seed), vector, n_blocks=48, block_tokens=1
+            random.Random(100 + seed), n_blocks=48, block_tokens=1
         ).run()
 
-    @pytest.mark.parametrize("vector", BACKENDS)
-    def test_park_then_total_eviction_then_unpark(self, vector):
+    def test_park_then_total_eviction_then_unpark(self):
         """A parked tail survives the device pool being fully recycled —
         the swap contract: host-side KV owns no device blocks."""
-        bm = BlockManager(capacity_tokens=128, block_tokens=16, vector=vector)
+        bm = BlockManager(capacity_tokens=128, block_tokens=16)
         victim = bm.allocate(100)
         assert bm.park(victim) == 100
         bm.check_invariants()

@@ -41,11 +41,9 @@ COUNTERS = (
 
 
 class RadixContract(RuleBasedStateMachine):
-    @initialize(vector=st.booleans(), block_tokens=st.sampled_from([1, 2, 4]))
-    def build(self, vector, block_tokens):
-        self.pools = tuple(
-            BlockManager(64, block_tokens, vector=vector) for _ in range(2)
-        )
+    @initialize(block_tokens=st.sampled_from([1, 2, 4]))
+    def build(self, block_tokens):
+        self.pools = tuple(BlockManager(64, block_tokens) for _ in range(2))
         self.caches = tuple(
             RadixPrefixCache(backend=backend, block_manager=pool)
             for backend, pool in zip(("flat", "node"), self.pools)
@@ -118,6 +116,20 @@ class RadixContract(RuleBasedStateMachine):
             for b in bundles
         ]
         assert shapes[0] == shapes[1]
+        # The per-node forks are the reference: the bundle holds exactly
+        # their references, one per block occurrence.
+        for pool, cache, shape in zip(self.pools, self.caches, shapes):
+            forks = cache.fork_path(toks)
+            assert shape == (
+                None
+                if not forks
+                else (
+                    sorted(b for f in forks for b in f.block_ids),
+                    sum(f.n_tokens for f in forks),
+                )
+            )
+            for f in forks:
+                pool.release(f)
         if bundles[0] is not None:
             self.bundles.append(bundles)
 
