@@ -11,9 +11,9 @@ re-prefill every header, while prefix-aware routing keeps each tenant's
 header hot on one replica — the paper's prefix-sharing insight lifted
 from admission ordering to placement.
 
-Acceptance bars (asserted and perf-recorded when the cluster and online
-layers are enabled; the simulation is deterministic, so these are exact
-replays, not noisy wall-clock measurements):
+Acceptance bars (asserted and perf-recorded; the simulation is
+deterministic, so these are exact replays, not noisy wall-clock
+measurements):
 
 * ``cluster_prefix_routing_phr_ratio`` — prefix-aware vs round-robin
   aggregate prefix hit rate at 4 replicas, >= 1.3x (measured ~2.8x).
@@ -25,9 +25,8 @@ import random
 
 from conftest import perf_record, run_once
 
-from repro.llm.cluster import ClusterConfig, ClusterEngine, serving_cluster_enabled
+from repro.llm.cluster import ClusterConfig, ClusterEngine
 from repro.llm.engine import EngineConfig
-from repro.llm.scheduler import serving_online_enabled
 from repro.llm.workload import TraceRequest, WorkloadTrace
 
 #: Per-replica serving point: tight batch and a KV pool that fits ~two of
@@ -88,13 +87,6 @@ def _record(benchmark, res):
     benchmark.extra_info["makespan_s"] = round(res.total_seconds, 3)
 
 
-def _cluster_layers_enabled():
-    """The comparison bars only hold with real routing *and* real arrival
-    stamps; under either oracle gate the benches still run (smoke), but
-    the assertions and perf records are skipped."""
-    return serving_cluster_enabled() and serving_online_enabled()
-
-
 def bench_cluster_round_robin(benchmark):
     """Cache-blind spraying baseline at 4 replicas."""
     trace = _contention_trace()
@@ -117,8 +109,7 @@ def bench_cluster_tenant_sharded(benchmark):
     trace = _contention_trace()
     res = run_once(benchmark, lambda: _run(trace, "tenant-sharded"))
     _record(benchmark, res)
-    if _cluster_layers_enabled():
-        assert res.load_skew > 0.0
+    assert res.load_skew > 0.0
 
 
 def bench_cluster_prefix_routing(benchmark):
@@ -134,22 +125,21 @@ def bench_cluster_prefix_routing(benchmark):
     benchmark.extra_info["round_robin_goodput"] = round(
         baseline.goodput_attainment, 4
     )
-    if _cluster_layers_enabled():
-        phr_ratio = res.prefix_hit_rate / max(baseline.prefix_hit_rate, 1e-9)
-        goodput_ratio = res.goodput_attainment / max(
-            baseline.goodput_attainment, 1e-9
-        )
-        assert phr_ratio >= 1.3, (
-            f"prefix-aware PHR {res.prefix_hit_rate:.3f} vs round-robin "
-            f"{baseline.prefix_hit_rate:.3f}: below the 1.3x bar"
-        )
-        assert goodput_ratio >= 1.1
-        perf_record(
-            "cluster", "cluster_prefix_routing_phr_ratio", phr_ratio, ">= 1.3"
-        )
-        perf_record(
-            "cluster", "cluster_goodput_ratio", goodput_ratio, ">= 1.1"
-        )
+    phr_ratio = res.prefix_hit_rate / max(baseline.prefix_hit_rate, 1e-9)
+    goodput_ratio = res.goodput_attainment / max(
+        baseline.goodput_attainment, 1e-9
+    )
+    assert phr_ratio >= 1.3, (
+        f"prefix-aware PHR {res.prefix_hit_rate:.3f} vs round-robin "
+        f"{baseline.prefix_hit_rate:.3f}: below the 1.3x bar"
+    )
+    assert goodput_ratio >= 1.1
+    perf_record(
+        "cluster", "cluster_prefix_routing_phr_ratio", phr_ratio, ">= 1.3"
+    )
+    perf_record(
+        "cluster", "cluster_goodput_ratio", goodput_ratio, ">= 1.1"
+    )
 
 
 def bench_cluster_replica_scaling(benchmark):
@@ -167,12 +157,11 @@ def bench_cluster_replica_scaling(benchmark):
         benchmark.extra_info[f"goodput_{n}r"] = round(
             res.goodput_attainment, 4
         )
-    if _cluster_layers_enabled():
-        assert (
-            results[1].total_seconds
-            > results[2].total_seconds
-            > results[4].total_seconds
-        )
+    assert (
+        results[1].total_seconds
+        > results[2].total_seconds
+        > results[4].total_seconds
+    )
 
 
 def bench_cluster_spawn_backend(benchmark):

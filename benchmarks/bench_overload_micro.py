@@ -22,7 +22,6 @@ from conftest import perf_record, run_once
 
 from repro.llm.client import SimulatedLLMClient
 from repro.llm.engine import EngineConfig
-from repro.llm.scheduler import serving_online_enabled, serving_preempt_enabled
 from repro.llm.workload import TraceRequest, WorkloadTrace, bursty_arrivals
 
 #: Run-level SLO used for goodput accounting (and the EDF default): every
@@ -120,9 +119,7 @@ def bench_overload_sjf(benchmark):
 
 def bench_overload_deadline_preempt(benchmark):
     """EDF + recompute preemption on the same trace, with the acceptance
-    bar: >= 1.3x the FCFS goodput-under-deadline and at least SJF's
-    (only asserted when the continuous-batching layer is enabled — under
-    REPRO_SERVING_PREEMPT=0 the deadline policy falls back to fcfs)."""
+    bar: >= 1.3x the FCFS goodput-under-deadline and at least SJF's."""
     trace = _overload_trace()
     fcfs = _replay(trace, "fcfs")
     sjf = _replay(trace, "sjf")
@@ -142,25 +139,22 @@ def bench_overload_deadline_preempt(benchmark):
     benchmark.extra_info["sjf_goodput_attainment"] = round(
         sjf.slo.attainment, 4
     )
-    if serving_online_enabled() and serving_preempt_enabled():
-        ratio = res.slo.attainment / max(fcfs.slo.attainment, 1e-9)
-        assert ratio >= 1.3, (
-            f"deadline+preempt goodput {res.slo.attainment:.3f} vs fcfs "
-            f"{fcfs.slo.attainment:.3f}: below the 1.3x bar"
-        )
-        assert res.slo.attainment >= sjf.slo.attainment, (
-            f"deadline+preempt goodput {res.slo.attainment:.3f} below sjf "
-            f"{sjf.slo.attainment:.3f}"
-        )
-        assert res.engine_result.n_preemptions > 0
-        perf_record(
-            "overload",
-            "overload_deadline_preempt_goodput_ratio",
-            ratio,
-            ">= 1.3",
-        )
-    else:
-        assert res.engine_result.n_preemptions == 0
+    ratio = res.slo.attainment / max(fcfs.slo.attainment, 1e-9)
+    assert ratio >= 1.3, (
+        f"deadline+preempt goodput {res.slo.attainment:.3f} vs fcfs "
+        f"{fcfs.slo.attainment:.3f}: below the 1.3x bar"
+    )
+    assert res.slo.attainment >= sjf.slo.attainment, (
+        f"deadline+preempt goodput {res.slo.attainment:.3f} below sjf "
+        f"{sjf.slo.attainment:.3f}"
+    )
+    assert res.engine_result.n_preemptions > 0
+    perf_record(
+        "overload",
+        "overload_deadline_preempt_goodput_ratio",
+        ratio,
+        ">= 1.3",
+    )
 
 
 def bench_overload_swap_vs_recompute(benchmark):
@@ -178,6 +172,5 @@ def bench_overload_swap_vs_recompute(benchmark):
         ),
     )
     _record(benchmark, res)
-    if serving_online_enabled() and serving_preempt_enabled():
-        assert res.engine_result.n_preemptions > 0
-        assert res.engine_result.preempted_tokens_swapped > 0
+    assert res.engine_result.n_preemptions > 0
+    assert res.engine_result.preempted_tokens_swapped > 0

@@ -17,7 +17,6 @@ from conftest import perf_record, run_once
 
 from repro.llm.client import SimulatedLLMClient
 from repro.llm.engine import EngineConfig
-from repro.llm.scheduler import serving_online_enabled
 from repro.llm.workload import TraceRequest, WorkloadTrace
 
 #: Tight-but-feasible serving point for the contention trace below: the
@@ -99,8 +98,7 @@ def bench_trace_fair_share(benchmark):
 
 def bench_trace_prefix_affinity(benchmark):
     """Prefix-affinity on the interleaved trace, with the acceptance bar:
-    >= 1.2x the FCFS prefix hit rate (only asserted when the online layer
-    is enabled — under REPRO_SERVING_ONLINE=0 every policy is FCFS)."""
+    >= 1.2x the FCFS prefix hit rate."""
     trace = _three_tenant_trace()
     baseline = _replay(trace, "fcfs", **_CONTENTION_CFG)
     res = run_once(
@@ -110,21 +108,18 @@ def bench_trace_prefix_affinity(benchmark):
     benchmark.extra_info["fcfs_prefix_hit_rate"] = round(
         baseline.prefix_hit_rate, 4
     )
-    if serving_online_enabled():
-        phr_ratio = res.prefix_hit_rate / max(baseline.prefix_hit_rate, 1e-9)
-        assert phr_ratio >= 1.2, (
-            f"prefix-affinity PHR {res.prefix_hit_rate:.3f} vs fcfs "
-            f"{baseline.prefix_hit_rate:.3f}: below the 1.2x bar"
-        )
-        assert res.slo.ttft.p95 <= baseline.slo.ttft.p95
-        perf_record(
-            "scheduler",
-            "scheduler_prefix_affinity_phr_ratio",
-            phr_ratio,
-            ">= 1.2",
-        )
-    else:
-        assert res.scheduler == "fcfs"
+    phr_ratio = res.prefix_hit_rate / max(baseline.prefix_hit_rate, 1e-9)
+    assert phr_ratio >= 1.2, (
+        f"prefix-affinity PHR {res.prefix_hit_rate:.3f} vs fcfs "
+        f"{baseline.prefix_hit_rate:.3f}: below the 1.2x bar"
+    )
+    assert res.slo.ttft.p95 <= baseline.slo.ttft.p95
+    perf_record(
+        "scheduler",
+        "scheduler_prefix_affinity_phr_ratio",
+        phr_ratio,
+        ">= 1.2",
+    )
 
 
 def bench_trace_offline_gate_overhead(benchmark):
@@ -174,16 +169,15 @@ def bench_trace_bursty_fair_share(benchmark):
     )
     fcfs_steady_p95 = baseline.slo.per_tenant["steady"].ttft.p95
     benchmark.extra_info["fcfs_steady_p95_ttft_s"] = round(fcfs_steady_p95, 4)
-    if serving_online_enabled():
-        # How much the DRR quantum shields the steady background tenant
-        # from the foreground burst, vs letting fcfs drown it.
-        ratio = fcfs_steady_p95 / max(
-            per_tenant["steady"].ttft.p95, 1e-9
-        )
-        assert ratio >= 1.2
-        perf_record(
-            "scheduler",
-            "scheduler_fair_share_steady_p95_ttft_ratio",
-            ratio,
-            ">= 1.2",
-        )
+    # How much the DRR quantum shields the steady background tenant
+    # from the foreground burst, vs letting fcfs drown it.
+    ratio = fcfs_steady_p95 / max(
+        per_tenant["steady"].ttft.p95, 1e-9
+    )
+    assert ratio >= 1.2
+    perf_record(
+        "scheduler",
+        "scheduler_fair_share_steady_p95_ttft_ratio",
+        ratio,
+        ">= 1.2",
+    )

@@ -111,8 +111,9 @@ def bench_sql_dedup_heavy_optimized(benchmark):
 
 
 def bench_sql_dedup_heavy_oracle(benchmark):
-    """The same query with REPRO_SQL_OPT-off semantics (one model call per
-    row) — the comparison baseline."""
+    """The same query on the unoptimized oracle path
+    (``OptimizerConfig(enabled=False)``, ``LLMRuntime(dedup=False,
+    memo=False)``: one model call per row) — the comparison baseline."""
     db = _make_db(opt=False)
     run_once(benchmark, lambda: db.sql(DEDUP_SQL))
     benchmark.extra_info["engine_prompt_tokens"] = _engine_prompt_tokens(db)

@@ -97,7 +97,8 @@ class RunResult:
     #: SQL-optimizer telemetry: rows actually solved/served after dedup and
     #: memo lookups (== every row the LLM calls saw when dedup is off),
     #: prompt tokens the duplicates would have cost, and rows answered from
-    #: the cross-call memo (the latter two are zero with REPRO_SQL_OPT=0).
+    #: the cross-call memo (the latter two are zero with dedup and memo
+    #: off).
     n_distinct_llm_rows: int = 0
     dedup_saved_prompt_tokens: int = 0
     memo_hits: int = 0
@@ -185,7 +186,7 @@ def run_query(
     seed: int = 0,
     max_batch_size: int = 64,
     kv_capacity_tokens: Optional[int] = None,
-    kv_accounting: str = "auto",
+    kv_accounting: str = "paged",
     block_tokens: int = 16,
     tokenizer: Optional[HashTokenizer] = None,
 ) -> RunResult:

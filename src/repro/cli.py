@@ -188,13 +188,13 @@ def _serve_trace_from_args(args):
     return trace
 
 
-def _trace_header(trace, suffix: str = "") -> str:
+def _trace_header(trace) -> str:
     return (
         f"trace {trace.name!r}: {trace.n_requests} requests, "
         f"{len(trace.tenants)} tenants "
         f"({', '.join(trace.tenants)}), "
         f"{trace.duration_s:.2f}s span, "
-        f"~{trace.offered_rate_rps():.1f} req/s offered" + suffix
+        f"~{trace.offered_rate_rps():.1f} req/s offered"
     )
 
 
@@ -203,7 +203,7 @@ def run_serve_trace(args) -> str:
     render the policy comparison + per-tenant SLO tables."""
     from repro.llm.client import SimulatedLLMClient
     from repro.llm.engine import EngineConfig
-    from repro.llm.scheduler import SCHEDULER_POLICIES, serving_online_enabled
+    from repro.llm.scheduler import SCHEDULER_POLICIES
     from repro.llm.tokenizer import HashTokenizer
 
     policies = (
@@ -214,11 +214,7 @@ def run_serve_trace(args) -> str:
     trace = _serve_trace_from_args(args)
 
     lines = [
-        _trace_header(
-            trace,
-            "" if serving_online_enabled() else "  [REPRO_SERVING_ONLINE=0: "
-            "offline replay, fcfs only]",
-        ),
+        _trace_header(trace),
         "",
         "policy            phr     p50_ttft  p95_ttft  p99_ttft  e2e_p95"
         "   goodput    makespan  npre",
@@ -237,7 +233,7 @@ def run_serve_trace(args) -> str:
                 preemption=args.preemption,
                 prefill_chunk_tokens=args.chunk,
                 scheduler_deadline_s=args.deadline_policy,
-                trace="on" if args.emit_trace else "auto",
+                trace="on" if args.emit_trace else "off",
             ),
             tokenizer=tokenizer,
         )
@@ -293,7 +289,6 @@ def run_serve_cluster(args) -> str:
         ROUTING_POLICIES,
         ClusterConfig,
         ClusterEngine,
-        serving_cluster_enabled,
     )
     from repro.llm.engine import EngineConfig
     from repro.llm.tokenizer import HashTokenizer
@@ -306,11 +301,7 @@ def run_serve_cluster(args) -> str:
     trace = _serve_trace_from_args(args)
 
     lines = [
-        _trace_header(
-            trace,
-            "" if serving_cluster_enabled() else "  [REPRO_SERVING_CLUSTER=0: "
-            "single-replica reference]",
-        ),
+        _trace_header(trace),
         "",
         "routing            replicas  phr     goodput   skew    makespan"
         "  backend",
@@ -330,7 +321,7 @@ def run_serve_cluster(args) -> str:
                     preemption=args.preemption,
                     prefill_chunk_tokens=args.chunk,
                     scheduler_deadline_s=args.deadline_policy,
-                    trace="on" if args.emit_trace else "auto",
+                    trace="on" if args.emit_trace else "off",
                 ),
             ),
             tokenizer=tokenizer,

@@ -20,7 +20,7 @@ discrete-event simulator (see DESIGN.md "Substitutions"):
     their edges, matched prefixes are fork-shared, decode tails grow
     block-by-block, and eviction returns blocks to the pool. The
     token-sum admission heuristic stays selectable as the oracle
-    (``EngineConfig.kv_accounting="tokens"`` / ``REPRO_SERVING_PAGED=0``).
+    (``EngineConfig.kv_accounting="tokens"``).
 ``hardware`` / ``models``
     GPU and model registries (L4, 8xL4; Llama-3 1B/8B/70B) with memory,
     bandwidth, FLOPs, weight bytes and KV bytes/token.
@@ -42,27 +42,23 @@ discrete-event simulator (see DESIGN.md "Substitutions"):
     Online scheduling policies (fcfs / sjf / prefix-affinity / fair-share
     deficit round-robin) in front of the engine's admission, plus SLO
     accounting: queueing-delay/TTFT/E2E percentiles, per-tenant
-    breakdowns, goodput under a deadline. ``REPRO_SERVING_ONLINE=0``
-    forces the offline (fcfs, all-arrivals-at-t=0) reference path.
+    breakdowns, goodput under a deadline. The ``fcfs`` policy over an
+    all-arrivals-at-t=0 trace is the offline reference path.
 ``client``
     High-level client: strings in, answers + usage + simulated latency out.
 ``cluster``
     Multi-replica serving: N per-replica engines behind pluggable routing
     (round-robin / least-queue / prefix-aware sketches / tenant-sharded
     consistent hashing), replayed inline or over a spawn process pool with
-    bit-identical merged metrics. ``REPRO_SERVING_CLUSTER=0`` forces the
-    1-replica single-engine reference.
+    bit-identical merged metrics. ``ClusterConfig(n_replicas=1)`` is the
+    single-engine reference.
 ``pricing``
     OpenAI / Anthropic prompt-caching billing models (Table 3 / Table 4).
 ``prompts``
     The JSON prompt construction used by the paper's LLM operator (§5).
 """
 
-from repro.llm.blocks import (
-    BlockAllocation,
-    BlockManager,
-    paged_accounting_enabled,
-)
+from repro.llm.blocks import BlockAllocation, BlockManager
 from repro.llm.client import BatchResult, SimulatedLLMClient, TraceResult
 from repro.llm.cluster import (
     CLUSTER_BACKENDS,
@@ -71,7 +67,6 @@ from repro.llm.cluster import (
     ClusterEngine,
     ClusterResult,
     ReplicaStats,
-    serving_cluster_enabled,
 )
 from repro.llm.engine import (
     EngineConfig,
@@ -88,7 +83,6 @@ from repro.llm.scheduler import (
     SLOReport,
     compute_slo,
     make_policy,
-    serving_online_enabled,
 )
 from repro.llm.workload import (
     ARRIVAL_PROCESSES,
@@ -115,7 +109,6 @@ __all__ = [
     "HashTokenizer",
     "BlockAllocation",
     "BlockManager",
-    "paged_accounting_enabled",
     "RadixPrefixCache",
     "pack_tokens",
     "serving_fastpath_enabled",
@@ -141,11 +134,9 @@ __all__ = [
     "ReplicaStats",
     "ROUTING_POLICIES",
     "CLUSTER_BACKENDS",
-    "serving_cluster_enabled",
     "SCHEDULER_POLICIES",
     "SchedulerPolicy",
     "make_policy",
-    "serving_online_enabled",
     "LatencySummary",
     "SLOReport",
     "compute_slo",

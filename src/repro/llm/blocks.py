@@ -7,9 +7,9 @@ engine uses the manager for admission control; the radix tree decides *what*
 is shared, the block manager enforces *how much* physical memory that costs
 (including fragmentation from partially-filled last blocks).
 
-``REPRO_SERVING_PAGED=0`` selects the token-sum admission oracle in the
-engine (see :func:`paged_accounting_enabled`), mirroring
-``REPRO_SERVING_FASTPATH`` for the replay loop.
+The engine's token-sum admission (``EngineConfig(kv_accounting="tokens")``)
+is the oracle this accounting is tested against: with ``block_tokens=1``
+paged admission reproduces it exactly.
 
 The pool is a Python list used as a LIFO free stack plus a dict of
 refcounts; every operation is a short per-block loop. Both replay modes
@@ -21,20 +21,11 @@ same references either way.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import CapacityError, ServingError
-
-
-def paged_accounting_enabled() -> bool:
-    """Whether the engine admits on block-granular paged-KV accounting
-    (the default) instead of the token-sum oracle.
-    ``REPRO_SERVING_PAGED=0`` forces the oracle everywhere."""
-    flag = os.environ.get("REPRO_SERVING_PAGED", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
 
 
 def check_size(name: str, value) -> None:

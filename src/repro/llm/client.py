@@ -17,7 +17,7 @@ from repro.llm.engine import EngineConfig, EngineResult, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4, Cluster
 from repro.llm.models import LLAMA3_8B, ModelSpec
 from repro.llm.request import Request
-from repro.llm.scheduler import SLOReport, serving_online_enabled
+from repro.llm.scheduler import SLOReport
 from repro.llm.tokenizer import HashTokenizer
 from repro.llm.workload import WorkloadTrace
 
@@ -83,15 +83,13 @@ def requests_from_trace(
     """Build engine :class:`Request`\\ s from a trace, exactly as
     :meth:`SimulatedLLMClient.generate_trace` does — sequential ids from
     ``start_id`` in trace (arrival) order, decode lengths from
-    ``output_text``/``output_len``, arrival stamps offset by ``base_s``
-    (dropped entirely under ``REPRO_SERVING_ONLINE=0``).
+    ``output_text``/``output_len``, arrival stamps offset by ``base_s``.
 
     Shared with :class:`~repro.llm.cluster.ClusterEngine` so a 1-replica
     cluster constructs byte-identical requests to the single-engine client
     path — the foundation of the cluster equivalence oracle. Returns
     ``(requests, output_texts)`` aligned with ``trace.requests``.
     """
-    online = serving_online_enabled()
     cache = encode_cache if encode_cache is not None else encode_cache_for(tokenizer)
     requests: List[Request] = []
     out_texts: List[str] = []
@@ -112,7 +110,7 @@ def requests_from_trace(
                 output_tokens=n_out,
                 output_text=tr.output_text,
                 prompt_bytes=packed,
-                arrival_s=base_s + tr.arrival_s if online else base_s,
+                arrival_s=base_s + tr.arrival_s,
                 tenant=tr.tenant,
                 deadline_s=tr.deadline_s,
             )
@@ -229,10 +227,9 @@ class SimulatedLLMClient:
 
         Arrival stamps are offset by the engine's current clock (a
         long-lived server receiving its second trace sees arrivals "from
-        now"), so queueing delay / TTFT / E2E stay arrival-relative. With
-        ``REPRO_SERVING_ONLINE=0`` the stamps are dropped entirely and the
-        trace replays as an offline batch in arrival order — combined with
-        the engine's forced ``fcfs`` policy, that is byte-identical to
+        now"), so queueing delay / TTFT / E2E stay arrival-relative. A
+        trace with every arrival at t=0 (:meth:`WorkloadTrace.at_time_zero`)
+        under the ``fcfs`` policy replays byte-identically to
         :meth:`generate` on the same prompt sequence.
 
         ``deadline_s`` (arrival-relative) feeds the goodput accounting of

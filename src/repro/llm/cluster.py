@@ -70,10 +70,9 @@ arrival stamps (an idle replica jumps its clock to the next arrival), so
 every per-request clock — admission, first token, completion — is exact
 global simulation time and the merged metrics need no adjustment.
 
-``REPRO_SERVING_CLUSTER=0`` is the oracle switch: it forces 1 replica,
-round-robin routing, and the inline backend, reproducing the existing
-single-engine replay exactly — schedules, clocks, and cache counters —
-mirroring ``REPRO_SERVING_FASTPATH`` / ``REPRO_SERVING_ONLINE``.
+The single-engine replay is the oracle: ``ClusterConfig(n_replicas=1)``
+reproduces it exactly — schedules, clocks, and cache counters
+(``tests/llm/test_cluster_equivalence.py``).
 
 Each :meth:`ClusterEngine.run_trace` call is a self-contained replay:
 fresh replica engines and router state per call, so a cluster result is a
@@ -88,9 +87,11 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServingError
+from repro.llm.blocks import check_size
 from repro.llm.costmodel import CostModel
 from repro.llm.encode_cache import encode_cache_for
 from repro.llm.engine import EngineConfig, EngineResult, SimulatedLLMEngine
@@ -115,15 +116,6 @@ ROUTING_POLICIES = ("round-robin", "least-queue", "prefix-aware", "tenant-sharde
 CLUSTER_BACKENDS = ("inline", "spawn")
 
 
-def serving_cluster_enabled() -> bool:
-    """Whether multi-replica cluster serving is enabled.
-    ``REPRO_SERVING_CLUSTER=0`` forces every :class:`ClusterEngine` down to
-    1 replica, round-robin routing, and the inline backend — the
-    single-engine reference oracle."""
-    flag = os.environ.get("REPRO_SERVING_CLUSTER", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
 @dataclass
 class ClusterConfig:
     """Cluster tunables; every name is validated at construction time so a
@@ -134,8 +126,8 @@ class ClusterConfig:
     bound the prefix-aware router's per-replica shadow radix trees
     (budget = ``digest_block * sketch_entries`` tokens);
     ``vnodes``/``pins`` shape the tenant-sharded hash ring;
-    ``max_workers`` caps the spawn pool (default: one worker per replica,
-    bounded by available CPUs).
+    ``max_workers`` caps the spawn pool (``None``: one worker per
+    replica, bounded by available CPUs). Sizes must be integers >= 1.
     """
 
     n_replicas: int = 1
@@ -149,10 +141,10 @@ class ClusterConfig:
     max_workers: Optional[int] = None
 
     def __post_init__(self):
-        if self.n_replicas < 1:
-            raise ServingError(
-                f"n_replicas must be >= 1, got {self.n_replicas}"
-            )
+        for name in ("n_replicas", "digest_block", "sketch_entries", "vnodes"):
+            check_size(name, getattr(self, name))
+        if self.max_workers is not None:
+            check_size("max_workers", self.max_workers)
         if self.routing not in ROUTING_POLICIES:
             raise ServingError(
                 f"unknown routing policy {self.routing!r}; "
@@ -163,16 +155,19 @@ class ClusterConfig:
                 f"unknown cluster backend {self.backend!r}; "
                 f"choose from {CLUSTER_BACKENDS}"
             )
-        if self.digest_block < 1:
-            raise ServingError("digest_block must be >= 1")
-        if self.sketch_entries < 1:
-            raise ServingError("sketch_entries must be >= 1")
-        if self.vnodes < 1:
-            raise ServingError("vnodes must be >= 1")
+        if not isinstance(self.pins, dict):
+            raise ServingError(
+                f"pins must be a dict of tenant -> replica, got {self.pins!r}"
+            )
         for tenant, replica in self.pins.items():
-            if not 0 <= replica < self.n_replicas:
+            if (
+                not isinstance(replica, Integral)
+                or isinstance(replica, bool)
+                or not 0 <= replica < self.n_replicas
+            ):
                 raise ServingError(
-                    f"pin {tenant!r} -> replica {replica} out of range "
+                    f"pin {tenant!r} -> replica {replica!r} is not an "
+                    f"integer replica index in range "
                     f"(cluster has {self.n_replicas} replicas)"
                 )
 
@@ -787,16 +782,9 @@ class ClusterEngine:
         self.tokenizer = tokenizer or HashTokenizer()
         self._encode_cache = encode_cache_for(self.tokenizer)
         self.cost = CostModel(model=model, cluster=cluster)
-        if serving_cluster_enabled():
-            self.n_replicas = self.config.n_replicas
-            self.routing = self.config.routing
-            self.backend = self.config.backend
-        else:
-            # The oracle: exactly the single-engine replay, regardless of
-            # the configured fleet shape.
-            self.n_replicas = 1
-            self.routing = "round-robin"
-            self.backend = "inline"
+        self.n_replicas = self.config.n_replicas
+        self.routing = self.config.routing
+        self.backend = self.config.backend
 
     # ----------------------------------------------------------- telemetry
     def encode_cache_stats(self) -> Dict[str, int]:

@@ -51,10 +51,10 @@ Two *KV accounting* models gate admission (orthogonal to the replay mode):
     ``fragmentation_tokens``.
 
 ``kv_accounting="tokens"``
-    The original token-sum heuristic, kept as the selectable oracle
-    (``REPRO_SERVING_PAGED=0`` selects it everywhere). With
-    ``block_tokens=1`` the paged path reproduces this oracle's schedules
-    and clocks exactly (a block is a token; no rounding, no straddles).
+    The original token-sum heuristic, kept as the oracle paged admission
+    is tested against: with ``block_tokens=1`` the paged path reproduces
+    its schedules and clocks exactly (a block is a token; no rounding, no
+    straddles; ``tests/llm/test_paged_equivalence.py``).
 
 Disabling the prefix cache turns the same machinery into the paper's
 *No Cache* baseline: every prompt prefills fully and its KV is private,
@@ -71,8 +71,7 @@ naturally (it probes admission at every step boundary), the event loop
 cuts its closed-form decode runs at the first step boundary past the next
 arrival, so both modes attempt admission at identical clocks. With every
 arrival at t=0 and the ``fcfs`` policy this degenerates exactly to the
-offline batch replay (``tests/llm/test_online_equivalence.py``);
-``REPRO_SERVING_ONLINE=0`` forces that offline shape everywhere.
+offline batch replay (``tests/llm/test_online_equivalence.py``).
 
 **Continuous batching** (PR 8): admission is no longer one-shot. With
 ``EngineConfig.preemption`` enabled, the scheduling policy may name a
@@ -93,10 +92,10 @@ boundary where the stepwise loop could act — arrivals (even with a full
 batch), the step after an admission wave (new members become eligible
 victims there), active chunked prefills, and time-driven priority shifts
 (a waiting deadline expiring —
-:meth:`SchedulerPolicy.next_priority_shift`). ``REPRO_SERVING_PREEMPT=0``
-forces the one-shot admit-and-forget shape everywhere — no preemption,
-monolithic prefill, the ``deadline`` policy falling back to ``fcfs`` —
-reproducing the pre-continuous-batching engine bit for bit.
+:meth:`SchedulerPolicy.next_priority_shift`). The defaults —
+``preemption="off"``, ``prefill_chunk_tokens=None`` — are the one-shot
+admit-and-forget engine these features are tested against
+(``tests/llm/test_preempt_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -104,33 +103,26 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from numbers import Real
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as _np
 
 from repro.errors import CapacityError, ServingError
-from repro.llm.blocks import (
-    BlockAllocation,
-    BlockManager,
-    check_size,
-    paged_accounting_enabled,
-)
+from repro.llm.blocks import BlockAllocation, BlockManager, check_size
 from repro.llm.costmodel import CostModel
 from repro.llm.hardware import CLUSTER_1XL4, Cluster
 from repro.llm.models import LLAMA3_8B, ModelSpec
 from repro.llm.radix import RadixPrefixCache
 from repro.llm.request import Request, RequestMetrics
 from repro.llm.scheduler import (
-    SCHEDULER_POLICIES,
     SchedulerPolicy,
     SLOReport,
     compute_slo,
     make_policy,
-    serving_online_enabled,
-    serving_preempt_enabled,
     validate_policy_name,
 )
-from repro.llm.tracing import EngineTrace, TraceRecorder, serving_trace_enabled
+from repro.llm.tracing import EngineTrace, TraceRecorder
 
 
 #: Valid ``EngineConfig.preemption`` modes.
@@ -148,36 +140,33 @@ class EngineConfig:
     over numpy request state), ``"stepwise"`` (per-token reference
     loop), or ``"auto"`` (vector unless ``REPRO_SERVING_FASTPATH=0``
     forces stepwise); ``kv_accounting`` selects the admission model:
-    ``"paged"`` (block-granular, vLLM-style), ``"tokens"`` (the
-    token-sum oracle), or ``"auto"`` (paged unless
-    ``REPRO_SERVING_PAGED=0``); ``block_tokens`` is the paged block size
+    ``"paged"`` (block-granular, vLLM-style; the default) or ``"tokens"``
+    (the token-sum oracle); ``block_tokens`` is the paged block size
     (16 in vLLM by default; 1 makes paged numerically identical to the
     token oracle); ``scheduler`` names the online admission policy
-    (:data:`repro.llm.scheduler.SCHEDULER_POLICIES`; ``"auto"``/``"fcfs"``
-    is the offline-equivalent default, and ``REPRO_SERVING_ONLINE=0``
-    forces ``fcfs`` regardless).
+    (:data:`repro.llm.scheduler.SCHEDULER_POLICIES`; ``"fcfs"`` is the
+    offline-equivalent default).
     """
 
     enable_prefix_cache: bool = True
     max_batch_size: int = 64
     kv_capacity_tokens: Optional[int] = None
     mode: str = "auto"
-    kv_accounting: str = "auto"
+    kv_accounting: str = "paged"
     block_tokens: int = 16
-    scheduler: str = "auto"
+    scheduler: str = "fcfs"
     #: Decode preemption: ``"off"`` (one-shot admit-and-forget, the
     #: oracle), ``"recompute"`` (a preempted request's decode-tail KV is
     #: dropped and re-prefilled at re-admission), or ``"swap"`` (the tail
     #: is parked in host memory and swapped back at PCIe-priced cost —
     #: see :meth:`CostModel.swap_time`). Preemption fires only when the
     #: scheduling policy names a victim (:meth:`SchedulerPolicy.
-    #: preempt_victim`); ``REPRO_SERVING_PREEMPT=0`` forces ``"off"``.
+    #: preempt_victim`).
     preemption: str = "off"
     #: Chunked prefill: split prompts whose prefill exceeds this many
     #: tokens into chunks interleaved with decode steps, so one long
     #: prompt no longer stalls the whole batch's TTFT. ``None`` prefills
-    #: monolithically (the oracle); ``REPRO_SERVING_PREEMPT=0`` forces
-    #: ``None``.
+    #: monolithically (the oracle).
     prefill_chunk_tokens: Optional[int] = None
     #: Default relative SLO deadline handed to the ``deadline`` scheduler
     #: (requests carrying their own ``Request.deadline_s`` override it).
@@ -189,16 +178,14 @@ class EngineConfig:
     tenant_kv_quota_blocks: Optional[dict] = None
     #: Request-lifecycle tracing (:mod:`repro.llm.tracing`): ``"on"``
     #: records spans/instants/gauges into ``EngineResult.trace``;
-    #: ``"off"`` keeps the no-op path (``tracer is None``, zero per-event
-    #: cost); ``"auto"`` follows ``REPRO_SERVING_TRACE`` — **off** by
-    #: default, inverted vs the other serving gates, because tracing is
-    #: an opt-in observer rather than a replay layer.
-    trace: str = "auto"
+    #: ``"off"`` (the default) keeps the no-op path (``tracer is None``,
+    #: zero per-event cost).
+    trace: str = "off"
 
     def __post_init__(self):
-        # Name and size validity fail here, at config construction;
-        # env-dependent resolution (oracle gates) stays in the engine's
-        # _resolve_* helpers.
+        # Name, size and type validity fail here, at config construction,
+        # with one-line errors; only mode="auto" is resolved later, in the
+        # engine (it reads REPRO_SERVING_FASTPATH).
         if self.mode not in ("auto", "vector", "stepwise"):
             raise ServingError(f"unknown engine mode {self.mode!r}")
         for name, optional in (
@@ -211,7 +198,7 @@ class EngineConfig:
             if value is None and optional:
                 continue
             check_size(name, value)
-        if self.kv_accounting not in ("auto", "paged", "tokens"):
+        if self.kv_accounting not in ("paged", "tokens"):
             raise ServingError(f"unknown kv accounting {self.kv_accounting!r}")
         validate_policy_name(self.scheduler)
         if self.preemption not in PREEMPTION_MODES:
@@ -219,18 +206,27 @@ class EngineConfig:
                 f"unknown preemption mode {self.preemption!r}; "
                 f"choose from {PREEMPTION_MODES}"
             )
-        if (
-            self.scheduler_deadline_s is not None
-            and self.scheduler_deadline_s <= 0
+        deadline = self.scheduler_deadline_s
+        if deadline is not None and (
+            not isinstance(deadline, Real)
+            or isinstance(deadline, bool)
+            or not deadline > 0  # also rejects NaN
         ):
             raise ServingError(
-                f"scheduler_deadline_s must be positive, got "
-                f"{self.scheduler_deadline_s}"
+                f"scheduler_deadline_s must be a positive number, got "
+                f"{deadline!r}"
             )
-        if self.trace not in ("auto", "on", "off"):
+        if self.tenant_kv_quota_blocks is not None:
+            if not isinstance(self.tenant_kv_quota_blocks, dict):
+                raise ServingError(
+                    f"tenant_kv_quota_blocks must be a dict of tenant -> "
+                    f"blocks, got {self.tenant_kv_quota_blocks!r}"
+                )
+            for tenant, quota in self.tenant_kv_quota_blocks.items():
+                check_size(f"tenant_kv_quota_blocks[{tenant!r}]", quota)
+        if self.trace not in ("on", "off"):
             raise ServingError(
-                f"unknown trace mode {self.trace!r}; "
-                f"choose from ('auto', 'on', 'off')"
+                f"unknown trace mode {self.trace!r}; choose from ('on', 'off')"
             )
 
 
@@ -472,39 +468,6 @@ class _VectorState:
         )
 
 
-def _resolve_trace(trace: str) -> bool:
-    if trace == "auto":
-        return serving_trace_enabled()
-    if trace not in ("on", "off"):
-        raise ServingError(f"unknown trace mode {trace!r}")
-    return trace == "on"
-
-
-def _resolve_accounting(accounting: str) -> str:
-    if accounting == "auto":
-        return "paged" if paged_accounting_enabled() else "tokens"
-    if accounting not in ("paged", "tokens"):
-        raise ServingError(f"unknown kv accounting {accounting!r}")
-    return accounting
-
-
-def _resolve_scheduler(name: str) -> str:
-    if name == "auto":
-        name = "fcfs"
-    if name not in SCHEDULER_POLICIES:
-        raise ServingError(
-            f"unknown scheduler policy {name!r}; choose from {SCHEDULER_POLICIES}"
-        )
-    # The offline oracle: every engine schedules FCFS, regardless of config.
-    if not serving_online_enabled():
-        return "fcfs"
-    # The continuous-batching oracle: the deadline policy belongs to that
-    # layer, so disabling it falls back to FCFS like the offline gate.
-    if name == "deadline" and not serving_preempt_enabled():
-        return "fcfs"
-    return name
-
-
 class SimulatedLLMEngine:
     """Discrete-event engine; see module docstring."""
 
@@ -526,7 +489,7 @@ class SimulatedLLMEngine:
         )
         if self.capacity_tokens <= 0:
             raise ServingError(f"no KV memory left for {model.name} on this cluster")
-        self.kv_accounting = _resolve_accounting(self.config.kv_accounting)
+        self.kv_accounting = self.config.kv_accounting
         self.block_tokens = self.config.block_tokens
         # Paged admission: a BlockManager owns the physical pool, the radix
         # cache attaches per-node allocations to it. Capacity is floored to
@@ -550,7 +513,7 @@ class SimulatedLLMEngine:
         #: Arrived-but-unadmitted requests live in the scheduling policy;
         #: not-yet-arrived requests wait in a (arrival_s, seq) heap and are
         #: released into the policy as the clock passes their stamp.
-        self.scheduler_name = _resolve_scheduler(self.config.scheduler)
+        self.scheduler_name = self.config.scheduler
         sched_kwargs = {}
         if (
             self.scheduler_name == "deadline"
@@ -564,18 +527,12 @@ class SimulatedLLMEngine:
         #: when tracing is off — every hook site gates on that one
         #: attribute test, so the disabled path costs nothing.
         self.tracer: Optional[TraceRecorder] = (
-            TraceRecorder(self.cost) if _resolve_trace(self.config.trace) else None
+            TraceRecorder(self.cost) if self.config.trace == "on" else None
         )
         self.scheduler.bind_tracer(self.tracer)
         self._peak_waiting = 0
-        # Continuous-batching layer: REPRO_SERVING_PREEMPT=0 forces the
-        # one-shot admit-and-forget shape (no preemption, monolithic
-        # prefill) regardless of config — the selectable oracle.
-        preempt_layer = serving_preempt_enabled()
-        self.preemption = self.config.preemption if preempt_layer else "off"
-        self.chunk_tokens = (
-            self.config.prefill_chunk_tokens if preempt_layer else None
-        )
+        self.preemption = self.config.preemption
+        self.chunk_tokens = self.config.prefill_chunk_tokens
         self._quota_on = bool(
             self.blocks is not None and self.config.tenant_kv_quota_blocks
         )

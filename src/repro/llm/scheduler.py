@@ -61,10 +61,10 @@ may additionally name a running victim to evict from the batch via
 :meth:`SchedulerPolicy.preempt_victim`; the default implementation names
 none, so every pre-existing policy keeps its exact behavior.
 
-``REPRO_SERVING_ONLINE=0`` disables the online layer end to end: engines
-force the FCFS policy and trace replay drops arrival stamps (everything
-behaves as an offline batch at t=0) — the selectable reference oracle,
-mirroring ``REPRO_SERVING_FASTPATH`` / ``REPRO_SERVING_PAGED``.
+The offline engine is the online layer's oracle: the ``fcfs`` policy over
+a trace with every arrival at t=0 (:meth:`WorkloadTrace.at_time_zero`)
+replays exactly like an offline batch
+(``tests/llm/test_online_equivalence.py``).
 
 SLO accounting (:func:`compute_slo`) rolls per-request queueing delay,
 TTFT and end-to-end latency into exact nearest-rank p50/p95/p99
@@ -74,7 +74,6 @@ breakdowns, and goodput under a deadline.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -82,26 +81,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServingError
 from repro.llm.request import Request, RequestMetrics
-
-
-def serving_online_enabled() -> bool:
-    """Whether the online serving layer (arrival-timed admission, pluggable
-    scheduling policies) is enabled. ``REPRO_SERVING_ONLINE=0`` forces the
-    offline reference path — FCFS policy, all arrivals treated as t=0 —
-    end to end."""
-    flag = os.environ.get("REPRO_SERVING_ONLINE", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-def serving_preempt_enabled() -> bool:
-    """Whether the continuous-batching layer (decode preemption, chunked
-    prefill, the deadline scheduler) is enabled. ``REPRO_SERVING_PREEMPT=0``
-    forces the one-shot admit-and-forget reference engine — preemption off,
-    prompts prefilled monolithically, ``deadline`` mapped to ``fcfs`` —
-    reproducing the pre-continuous-batching engine bit for bit, mirroring
-    ``REPRO_SERVING_ONLINE`` one layer up."""
-    flag = os.environ.get("REPRO_SERVING_PREEMPT", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
 
 
 # --------------------------------------------------------------------------
@@ -543,10 +522,10 @@ SCHEDULER_POLICIES = ("fcfs", "sjf", "prefix-affinity", "fair-share", "deadline"
 
 
 def validate_policy_name(name: str) -> str:
-    """Reject an unknown scheduler-policy name (``"auto"`` allowed) —
-    called from ``EngineConfig.__post_init__`` so a typo fails when the
-    config is built, not at first admission deep in a replay."""
-    if name != "auto" and name not in SCHEDULER_POLICIES:
+    """Reject an unknown scheduler-policy name — called from
+    ``EngineConfig.__post_init__`` so a typo fails when the config is
+    built, not at first admission deep in a replay."""
+    if name not in SCHEDULER_POLICIES:
         raise ServingError(
             f"unknown scheduler policy {name!r}; choose from {SCHEDULER_POLICIES}"
         )

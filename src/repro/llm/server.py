@@ -292,7 +292,7 @@ class BatchInferenceServer:
         if not job.trace_tracks:
             raise ServingError(
                 f"job {job_id!r} has no trace — enable tracing "
-                f"(EngineConfig.trace='on' or REPRO_SERVING_TRACE=1)"
+                f"(EngineConfig.trace='on')"
             )
         write_trace(job.trace_tracks, path)
 

@@ -47,9 +47,10 @@ per tenant from either format.
 
 Tracing is **off by default**: the engine keeps ``tracer = None`` and
 every hook site is gated with one attribute test, so the replay loops
-pay nothing.  ``REPRO_SERVING_TRACE=1`` (or ``EngineConfig.trace="on"``)
-enables it; tracing ON leaves every ``EngineResult`` metric bit-identical
-(the recorder only observes) and replay speed within the perf-recorded
+pay nothing.  ``EngineConfig.trace="on"`` enables it; tracing ON leaves
+every ``EngineResult`` metric bit-identical (the recorder only observes;
+``tests/llm/test_tracing.py`` checks the engine, client, server and
+cluster paths) and replay speed within the perf-recorded
 ``tracing_overhead_ratio >= 0.9`` guard (``benchmarks/
 bench_tracing_micro.py``).
 """
@@ -57,21 +58,11 @@ bench_tracing_micro.py``).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-
-
-def serving_trace_enabled() -> bool:
-    """Whether lifecycle tracing is enabled by default (``EngineConfig.
-    trace="auto"``). Inverted polarity vs the other serving gates:
-    tracing is an opt-in observer, so the default is **off** and
-    ``REPRO_SERVING_TRACE=1`` turns it on."""
-    flag = os.environ.get("REPRO_SERVING_TRACE", "0").strip().lower()
-    return flag in ("1", "true", "on", "yes")
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.relational.optimizer import (
     explain_plan,
     explain_sql,
     optimize_plan,
-    sql_opt_enabled,
 )
 from repro.relational.table import Table
 
@@ -48,5 +47,4 @@ __all__ = [
     "optimize_plan",
     "explain_plan",
     "explain_sql",
-    "sql_opt_enabled",
 ]

@@ -78,9 +78,9 @@ class Catalog:
 
 class Database:
     """SQL-facing facade over the catalog, an LLM runtime, and the SQL
-    optimizer (``optimizer_config`` defaults to the ``REPRO_SQL_OPT``-gated
-    rewrites; pass ``OptimizerConfig(enabled=False)`` for the unoptimized
-    reference plans).
+    optimizer (``optimizer_config`` defaults to every rewrite on; pass
+    ``OptimizerConfig(enabled=False)`` for the unoptimized reference
+    plans).
 
     The cross-call LLM answer memo is **database-scoped**: the session
     owns one bounded :class:`AnswerMemoStore` (``answer_memo``), adopted

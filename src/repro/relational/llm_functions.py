@@ -29,9 +29,9 @@ group of identical rows is served by its representative's single prompt.
 A *simulated* answerer that is sensitive to the scheduled cell order or
 to ``row_id`` (e.g. a position-effect judge in an accuracy study over a
 table with duplicate projected rows) can observe the collapse; run such
-studies with ``LLMRuntime(dedup=False, memo=False)`` — or
-``REPRO_SQL_OPT=0``, which restores the one-call-per-row reference path
-everywhere (the equivalence oracle for the optimizer test suite).
+studies with ``LLMRuntime(dedup=False, memo=False)``, the
+one-call-per-row reference path (the equivalence oracle for the
+optimizer test suite).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.llm.costmodel import estimate_tokens
 from repro.llm.engine import EngineResult
 from repro.llm.prompts import build_prompt
 from repro.relational.expressions import LLMExpr
-from repro.relational.optimizer import sql_opt_enabled
 from repro.relational.table import Table
 
 #: Signature of a simulated model: (query, cells in prompt order, row id) -> text.
@@ -165,9 +164,9 @@ class LLMRuntime:
     answerer:
         Simulated model behaviour; see :data:`Answerer`.
     dedup / memo:
-        Input dedup and the cross-call answer memo. ``None`` (default)
-        follows the ``REPRO_SQL_OPT`` gate; explicit ``True``/``False``
-        override it per runtime.
+        Input dedup and the cross-call answer memo (both on by default);
+        ``dedup=False, memo=False`` is the one-call-per-row reference
+        path.
     memo_store:
         The answer memo's backing store. Each runtime gets a private
         bounded store by default; a :class:`~repro.relational.catalog.Database`
@@ -182,20 +181,12 @@ class LLMRuntime:
     ggr_config: Optional[GGRConfig] = None
     answerer: Answerer = default_answerer
     validate: bool = False
-    dedup: Optional[bool] = None
-    memo: Optional[bool] = None
+    dedup: bool = True
+    memo: bool = True
     calls: List[LLMCallStats] = field(default_factory=list)
     memo_store: AnswerMemoStore = field(
         default_factory=AnswerMemoStore, repr=False
     )
-
-    @property
-    def dedup_enabled(self) -> bool:
-        return sql_opt_enabled() if self.dedup is None else self.dedup
-
-    @property
-    def memo_enabled(self) -> bool:
-        return sql_opt_enabled() if self.memo is None else self.memo
 
     def _count_tokens(self, text: str) -> int:
         if self.client is not None:
@@ -219,7 +210,7 @@ class LLMRuntime:
         # 1. Cross-call memo: rows already answered by an earlier call —
         # of this runtime or of any runtime sharing the (Database-scoped)
         # store. Lookups are skipped entirely while the store is empty.
-        memo_on = self.memo_enabled
+        memo_on = self.memo
         memo_hits = 0
         pending: List[int] = []
         if memo_on and len(self.memo_store):
@@ -237,7 +228,7 @@ class LLMRuntime:
         # only group representatives are solved and served.
         groups: List[List[int]]
         reps: List[int]
-        if self.dedup_enabled:
+        if self.dedup:
             slot_of: Dict[Row, int] = {}
             groups, reps = [], []
             for i in pending:

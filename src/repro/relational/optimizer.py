@@ -23,11 +23,11 @@ in what order LLM predicates run*, never the query result:
     surviving rows. (Every Project is deterministic row-wise here:
     aggregates are lifted into ``Aggregate`` by the planner.)
 
-The unoptimized plan is kept as the equivalence oracle: ``REPRO_SQL_OPT=0``
-(or ``OptimizerConfig(enabled=False)``) disables every rewrite *and* the
-runtime-level input dedup / answer memo in
-:class:`~repro.relational.llm_functions.LLMRuntime`, mirroring the
-``REPRO_CORE_FASTPATH`` / ``REPRO_SERVING_FASTPATH`` pattern.
+The unoptimized plan is kept as the equivalence oracle:
+``OptimizerConfig(enabled=False)`` disables every rewrite, and
+``LLMRuntime(dedup=False, memo=False)`` the runtime-level input dedup /
+answer memo in :class:`~repro.relational.llm_functions.LLMRuntime`
+(``tests/relational/test_optimizer_equivalence.py``).
 
 ``explain_plan`` / ``Database.explain`` render the optimized tree with
 the rewrites that fired and the estimated LLM prompt tokens per operator.
@@ -36,7 +36,6 @@ the rewrites that fired and the estimated LLM prompt tokens per operator.
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -70,28 +69,18 @@ from repro.relational.operators import (
 _CELL_OVERHEAD_CHARS = 8.0
 
 
-def sql_opt_enabled() -> bool:
-    """True when the SQL optimizer (and the runtime dedup/memo) is on.
-
-    ``REPRO_SQL_OPT=0``/``false``/``no``/``off`` forces the unoptimized
-    reference path everywhere — the equivalence oracle.
-    """
-    flag = os.environ.get("REPRO_SQL_OPT", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Switches and estimation constants for the optimizer.
 
-    ``enabled=None`` defers to :func:`sql_opt_enabled` (the env gate);
-    ``True``/``False`` override it per database. The selectivity defaults
-    are deliberately neutral (0.5): without per-predicate feedback the
-    ranking degenerates to cheapest-tokens-first, which is the safe
-    ordering when every LLM predicate is equally likely to pass rows.
+    ``enabled=False`` keeps the unoptimized plan (the oracle). The
+    selectivity defaults are deliberately neutral (0.5): without
+    per-predicate feedback the ranking degenerates to
+    cheapest-tokens-first, which is the safe ordering when every LLM
+    predicate is equally likely to pass rows.
     """
 
-    enabled: Optional[bool] = None
+    enabled: bool = True
     split_conjuncts: bool = True
     pushdown_non_llm: bool = True
     reorder_llm_predicates: bool = True
@@ -104,9 +93,6 @@ class OptimizerConfig:
     default_cell_chars: float = 48.0
     #: Fallback field count for ``LLM(..., *)`` with no known schema.
     default_n_fields: int = 6
-
-    def resolve_enabled(self) -> bool:
-        return sql_opt_enabled() if self.enabled is None else self.enabled
 
 
 DEFAULT_OPTIMIZER_CONFIG = OptimizerConfig()
@@ -277,7 +263,7 @@ def optimize_plan(
 ) -> OptimizedPlan:
     """Apply the enabled rewrites to ``plan`` (the input tree is not
     mutated). Returns the rewritten tree and a report of what fired."""
-    if not config.resolve_enabled():
+    if not config.enabled:
         return OptimizedPlan(plan=plan, enabled=False)
     out = OptimizedPlan(plan=plan)
     out.plan = _rewrite(plan, catalog, config, out)
@@ -394,7 +380,7 @@ def explain_plan(
             else "rewrites: (none applied)"
         )
     else:
-        header = "optimizer disabled (REPRO_SQL_OPT=0); unoptimized plan"
+        header = "optimizer disabled (enabled=False); unoptimized plan"
     lines: List[str] = [header]
     # Source statistics are collected once for the whole tree (a join's
     # per-field maxima): token annotations are coarse estimates anyway, and

@@ -27,14 +27,9 @@ class TestCLI:
         capsys.readouterr()
 
     def test_explain_default_demo(self, capsys):
-        from repro.relational import sql_opt_enabled
-
         assert main(["explain", "--scale", "0.004"]) == 0
         out = capsys.readouterr().out
-        if sql_opt_enabled():
-            assert "rewrites:" in out
-        else:  # REPRO_SQL_OPT=0 CI run: the unoptimized oracle plan
-            assert "optimizer disabled" in out
+        assert "rewrites:" in out
         assert "Filter[LLM]" in out
         assert "CatalogScan(movies)" in out
 
@@ -77,13 +72,8 @@ class TestServeTrace:
              "--policy", "fcfs,prefix-affinity", "--deadline", "120"]
         ) == 0
         out = capsys.readouterr().out
-        from repro.llm.scheduler import serving_online_enabled
-
         assert "fcfs" in out
-        if serving_online_enabled():
-            assert "prefix-affinity" in out
-        else:  # REPRO_SERVING_ONLINE=0 CI run: both rows resolve to fcfs
-            assert "offline replay" in out
+        assert "prefix-affinity" in out
         assert "p95_ttft" in out
         assert "per-tenant SLO" in out and "(all)" in out
         assert "deadline" in out
@@ -99,10 +89,7 @@ class TestServeTrace:
         assert main(
             ["serve-trace", "--policy", "sjf", "--trace", str(saved)]
         ) == 0
-        out = capsys.readouterr().out
-        from repro.llm.scheduler import serving_online_enabled
-
-        assert ("sjf" if serving_online_enabled() else "fcfs") in out
+        assert "sjf" in capsys.readouterr().out
 
     def test_unknown_policy_fails_cleanly(self, capsys):
         assert main(
@@ -126,14 +113,9 @@ class TestServeCluster:
              "--deadline", "120"]
         ) == 0
         out = capsys.readouterr().out
-        from repro.llm.cluster import serving_cluster_enabled
-
         assert "round-robin" in out
-        if serving_cluster_enabled():
-            assert "prefix-aware" in out
-            assert "replica" in out and "load skew" in out
-        else:  # REPRO_SERVING_CLUSTER=0 CI run: single-replica reference
-            assert "single-replica reference" in out
+        assert "prefix-aware" in out
+        assert "replica" in out and "load skew" in out
         assert "goodput" in out
         assert "per-tenant SLO" in out and "(all)" in out
 
@@ -149,12 +131,7 @@ class TestServeCluster:
              "--routing", "least-queue"]
         ) == 0
         out = capsys.readouterr().out
-        from repro.llm.cluster import serving_cluster_enabled
-
-        if serving_cluster_enabled():
-            assert "least-queue" in out
-        else:  # gate forces the single-replica round-robin reference
-            assert "single-replica reference" in out
+        assert "least-queue" in out
         assert "12 requests" in out
 
     def test_unknown_routing_fails_cleanly(self, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CapacityError, ServingError
-from repro.llm.blocks import BlockManager, paged_accounting_enabled
+from repro.llm.blocks import BlockManager
 
 
 class TestAllocation:
@@ -256,17 +256,6 @@ class TestSplit:
         bm.release(clone)
         assert bm.used_blocks == 0
         bm.check_invariants()
-
-
-class TestEnvFlag:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_PAGED", raising=False)
-        assert paged_accounting_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", " 0 "])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SERVING_PAGED", value)
-        assert not paged_accounting_enabled()
 
 
 class TestRandomizedChurn:

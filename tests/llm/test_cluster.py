@@ -1,5 +1,5 @@
 """Unit coverage of the cluster layer: routing policies, config
-validation, result accounting, and the ``REPRO_SERVING_CLUSTER`` gate.
+validation, and result accounting.
 The randomized oracle comparisons live in ``test_cluster_equivalence.py``.
 """
 
@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.errors import ReproError, ServingError
+from repro.errors import ServingError
 from repro.llm.cluster import (
     CLUSTER_BACKENDS,
     ROUTING_POLICIES,
@@ -17,7 +17,6 @@ from repro.llm.cluster import (
     RoundRobinRouter,
     TenantShardedRouter,
     make_router,
-    serving_cluster_enabled,
 )
 from repro.llm.costmodel import CostModel
 from repro.llm.engine import EngineConfig
@@ -25,14 +24,6 @@ from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.request import Request
 from repro.llm.workload import TraceRequest, WorkloadTrace
-
-
-@pytest.fixture(autouse=True)
-def _cluster_layer_on(monkeypatch):
-    """These tests exercise the cluster layer's internals, so pin the
-    gate open even in the ``REPRO_SERVING_CLUSTER=0`` CI run (the gate
-    tests below re-set the variable themselves)."""
-    monkeypatch.delenv("REPRO_SERVING_CLUSTER", raising=False)
 
 
 def _cost():
@@ -90,11 +81,24 @@ class TestClusterConfig:
             dict(vnodes=0),
             dict(n_replicas=2, pins={"a": 2}),
             dict(n_replicas=2, pins={"a": -1}),
+            dict(n_replicas=True),
+            dict(n_replicas=2.0),
+            dict(n_replicas="2"),
+            dict(vnodes=2.5),
+            dict(digest_block=True),
+            dict(sketch_entries=None),
+            dict(max_workers=-1),
+            dict(max_workers=0),
+            dict(max_workers=1.5),
+            dict(n_replicas=2, pins={"a": "0"}),
+            dict(n_replicas=2, pins={"a": True}),
+            dict(n_replicas=2, pins=[("a", 0)]),
         ],
     )
     def test_invalid_rejected_at_construction(self, kwargs):
-        with pytest.raises(ReproError):
+        with pytest.raises(ServingError) as err:
             ClusterConfig(**kwargs)
+        assert "\n" not in str(err.value)
 
     def test_unknown_routing_lists_choices(self):
         with pytest.raises(ServingError, match="round-robin"):
@@ -268,22 +272,3 @@ class TestClusterEngine:
         assert res.slo.attainment == 1.0
         tight = res.slo_report(1e-9)
         assert tight.attainment < 1.0
-
-
-class TestClusterGate:
-    def test_gate_forces_single_replica(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_CLUSTER", "0")
-        assert not serving_cluster_enabled()
-        eng = ClusterEngine(
-            ClusterConfig(n_replicas=4, routing="prefix-aware", backend="spawn")
-        )
-        assert eng.n_replicas == 1
-        assert eng.routing == "round-robin"
-        assert eng.backend == "inline"
-        res = eng.run_trace(_trace())
-        assert res.n_replicas == 1
-        assert len(res.replicas) == 1
-
-    def test_gate_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_CLUSTER", raising=False)
-        assert serving_cluster_enabled()

@@ -3,8 +3,8 @@
 Two contracts, mirroring the repo's oracle convention:
 
 1. **1-replica cluster == single engine, exactly.** A
-   :class:`ClusterEngine` with one replica and round-robin routing (or
-   any fleet shape under ``REPRO_SERVING_CLUSTER=0``) must reproduce
+   :class:`ClusterEngine` with one replica (any routing policy, either
+   backend) must reproduce
    :meth:`SimulatedLLMClient.generate_trace` on a fresh client —
    schedules, per-request clocks (``==``, same code path), aggregate
    counters, and radix-cache counters.
@@ -24,14 +24,6 @@ from repro.llm.client import SimulatedLLMClient
 from repro.llm.cluster import ClusterConfig, ClusterEngine
 from repro.llm.engine import EngineConfig
 from repro.llm.workload import TraceRequest, WorkloadTrace
-
-
-@pytest.fixture(autouse=True)
-def _cluster_layer_on(monkeypatch):
-    """Pin the gate open even in the ``REPRO_SERVING_CLUSTER=0`` CI run
-    — these are the tests that *prove* the gated layer equals its
-    oracle (the explicit gate test re-sets the variable itself)."""
-    monkeypatch.delenv("REPRO_SERVING_CLUSTER", raising=False)
 
 
 def random_trace(rng, n_requests=40, n_tenants=4, header_words=60):
@@ -116,35 +108,20 @@ class TestSingleReplicaOracle:
 
         assert_cluster_matches_single(cres, sres, client.engine)
 
-    def test_gate_forces_oracle_shape(self, monkeypatch):
-        """REPRO_SERVING_CLUSTER=0: even a 4-replica prefix-aware spawn
-        config replays as the single-engine reference."""
-        monkeypatch.setenv("REPRO_SERVING_CLUSTER", "0")
-        rng = random.Random(77)
-        trace = random_trace(rng, n_requests=30)
-        ecfg = EngineConfig(max_batch_size=4)
-        cres = ClusterEngine(
-            ClusterConfig(
-                n_replicas=4,
-                routing="prefix-aware",
-                backend="spawn",
-                engine=ecfg,
-            )
-        ).run_trace(trace)
-        monkeypatch.delenv("REPRO_SERVING_CLUSTER")
-        client = SimulatedLLMClient(engine_config=ecfg)
-        sres = client.generate_trace(trace)
-        assert_cluster_matches_single(cres, sres, client.engine)
-
-    @pytest.mark.parametrize("routing", ["least-queue", "tenant-sharded"])
+    @pytest.mark.parametrize(
+        "routing", ["least-queue", "tenant-sharded", "prefix-aware"]
+    )
     def test_any_routing_degenerates_at_one_replica(self, routing):
-        """With one replica every policy routes everything to replica 0,
-        so the oracle holds regardless of the configured policy."""
+        """With one replica every policy routes everything to replica 0
+        and the spawn backend replays inline, so the oracle holds
+        regardless of the configured policy and backend."""
         rng = random.Random(55)
         trace = random_trace(rng, n_requests=25)
         ecfg = EngineConfig(max_batch_size=4)
         cres = ClusterEngine(
-            ClusterConfig(n_replicas=1, routing=routing, engine=ecfg)
+            ClusterConfig(
+                n_replicas=1, routing=routing, backend="spawn", engine=ecfg
+            )
         ).run_trace(trace)
         client = SimulatedLLMClient(engine_config=ecfg)
         sres = client.generate_trace(trace)

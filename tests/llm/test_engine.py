@@ -162,11 +162,12 @@ class TestEngineConfigValidation:
         from repro.errors import ReproError
         from repro.llm.scheduler import SCHEDULER_POLICIES
 
-        with pytest.raises(ReproError) as exc_info:
-            EngineConfig(scheduler="warp")
-        msg = str(exc_info.value)
-        for name in SCHEDULER_POLICIES:
-            assert name in msg
+        for bad in ("warp", "auto"):
+            with pytest.raises(ReproError) as exc_info:
+                EngineConfig(scheduler=bad)
+            msg = str(exc_info.value)
+            for name in SCHEDULER_POLICIES:
+                assert name in msg
 
     def test_unknown_mode_at_config_time(self):
         from repro.errors import ServingError
@@ -178,21 +179,30 @@ class TestEngineConfigValidation:
     def test_unknown_accounting_at_config_time(self):
         from repro.errors import ReproError
 
-        with pytest.raises(ReproError):
-            EngineConfig(kv_accounting="warp")
+        for bad in ("warp", "auto"):
+            with pytest.raises(ReproError):
+                EngineConfig(kv_accounting=bad)
+        with pytest.raises(ReproError, match="unknown trace mode"):
+            EngineConfig(trace="auto")
 
     def test_valid_names_still_accepted(self):
-        for scheduler in ("auto", "fcfs", "sjf", "prefix-affinity", "fair-share"):
+        from repro.llm.scheduler import SCHEDULER_POLICIES
+
+        for scheduler in SCHEDULER_POLICIES:
             EngineConfig(scheduler=scheduler)
         for mode in ("auto", "vector", "stepwise"):
             EngineConfig(mode=mode)
-        for acc in ("auto", "paged", "tokens"):
+        for acc in ("paged", "tokens"):
             EngineConfig(kv_accounting=acc)
+        for trace in ("on", "off"):
+            EngineConfig(trace=trace)
         EngineConfig(
             max_batch_size=1,
             kv_capacity_tokens=1,
             block_tokens=1,
             prefill_chunk_tokens=1,
+            scheduler_deadline_s=1,
+            tenant_kv_quota_blocks={"a": 1},
         )
 
     @pytest.mark.parametrize(
@@ -211,10 +221,22 @@ class TestEngineConfigValidation:
             ("prefill_chunk_tokens", 0),
             ("prefill_chunk_tokens", 2.5),
             ("prefill_chunk_tokens", False),
+            ("tenant_kv_quota_blocks", {"a": 2.5}),
+            ("tenant_kv_quota_blocks", {"a": True}),
+            ("tenant_kv_quota_blocks", {"a": 0}),
+            ("tenant_kv_quota_blocks", [1]),
+            ("scheduler_deadline_s", "x"),
+            ("scheduler_deadline_s", True),
+            ("scheduler_deadline_s", 0),
         ],
     )
     def test_bad_sizes_rejected_at_config_time(self, field, value):
         from repro.errors import ServingError
 
-        with pytest.raises(ServingError, match=f"{field} must be an integer"):
+        # A quota names its tenant, e.g.
+        # "tenant_kv_quota_blocks['a'] must be an integer >= 1".
+        rule = "(an integer|a positive number|a dict)"
+        match = rf"^{field}\b.* must be {rule}"
+        with pytest.raises(ServingError, match=match) as err:
             EngineConfig(**{field: value})
+        assert "\n" not in str(err.value)

@@ -5,8 +5,6 @@ online path (arrival heap -> policy pool -> policy-driven admission) must
 reproduce the offline engine's schedules, integer metrics and cache
 counters *exactly*, and its clocks to float rounding (1e-6 relative) — in
 both replay modes (the event loop, ``mode="vector"``, and stepwise).
-``REPRO_SERVING_ONLINE=0`` must force that offline shape end to end even
-when a different policy and real arrival stamps are configured.
 """
 
 import random
@@ -253,7 +251,8 @@ class TestPagedOnlineEquivalence:
 
 
 class TestOfflineGate:
-    """REPRO_SERVING_ONLINE=0 selects the offline path end to end."""
+    """The offline shape (fcfs, every arrival at t=0) is explicit config:
+    a trace's :meth:`WorkloadTrace.at_time_zero`."""
 
     def _trace(self, n=20, seed=0):
         rng = random.Random(seed)
@@ -269,29 +268,9 @@ class TestOfflineGate:
             ]
         )
 
-    def test_gate_forces_fcfs_and_t0(self, monkeypatch):
-        trace = self._trace()
-        prompts = [r.prompt for r in trace.requests]
-        out_lens = [r.output_len for r in trace.requests]
-
-        monkeypatch.setenv("REPRO_SERVING_ONLINE", "0")
-        # Even an explicitly configured non-fcfs policy resolves to fcfs.
-        c_gated = SimulatedLLMClient(
-            engine_config=EngineConfig(scheduler="prefix-affinity")
-        )
-        assert c_gated.engine.scheduler_name == "fcfs"
-        r_gated = c_gated.generate_trace(trace)
-        assert r_gated.scheduler == "fcfs"
-
-        monkeypatch.delenv("REPRO_SERVING_ONLINE")
-        c_off = SimulatedLLMClient()
-        r_off = c_off.generate(prompts, output_lens=out_lens)
-        assert_results_equal(r_off.engine_result, r_gated.engine_result)
-
-    def test_online_differs_from_gated(self, monkeypatch):
-        """Sanity: with the gate open, timed arrivals actually change the
-        clocks (otherwise the gate test proves nothing)."""
-        monkeypatch.delenv("REPRO_SERVING_ONLINE", raising=False)
+    def test_online_differs_from_gated(self):
+        """Sanity: timed arrivals actually change the clocks (otherwise
+        the t=0 equivalence above proves nothing about them)."""
         trace = self._trace()
         online = SimulatedLLMClient().generate_trace(trace)
         offline = SimulatedLLMClient().generate_trace(trace.at_time_zero())

@@ -18,7 +18,6 @@ import random
 import pytest
 
 from repro.errors import ServingError
-from repro.llm.blocks import paged_accounting_enabled
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
@@ -229,32 +228,18 @@ class TestPagedBlockGranularity:
 
 
 class TestAccountingSelection:
-    def test_default_is_paged(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_PAGED", raising=False)
-        assert paged_accounting_enabled()
+    def test_default_is_paged(self):
         eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
         assert eng.kv_accounting == "paged"
         assert eng.blocks is not None
         assert eng.blocks.block_tokens == 16
 
-    def test_env_flag_selects_token_oracle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_PAGED", "0")
-        assert not paged_accounting_enabled()
-        eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
-        assert eng.kv_accounting == "tokens"
-        assert eng.blocks is None
-
-    def test_explicit_config_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_PAGED", "0")
-        eng = SimulatedLLMEngine(
-            LLAMA3_8B, CLUSTER_1XL4, EngineConfig(kv_accounting="paged")
-        )
-        assert eng.kv_accounting == "paged"
-        monkeypatch.delenv("REPRO_SERVING_PAGED")
+    def test_tokens_config_selects_token_oracle(self):
         eng = SimulatedLLMEngine(
             LLAMA3_8B, CLUSTER_1XL4, EngineConfig(kv_accounting="tokens")
         )
         assert eng.kv_accounting == "tokens"
+        assert eng.blocks is None
 
     def test_unknown_accounting_rejected(self):
         with pytest.raises(ServingError):

@@ -8,10 +8,9 @@ Two contracts:
   stepwise oracle — identical integer metrics including every
   preemption/chunk counter, clocks to float rounding (1e-6 relative).
 
-* **The one-shot oracle**: ``REPRO_SERVING_PREEMPT=0`` forces a config
-  with preemption, chunking and the deadline policy down to the
-  pre-continuous-batching engine — preemption off, monolithic prefill,
-  fcfs — reproducing a plain one-shot run bit for bit.
+* **The one-shot oracle**: ``preemption="off"`` with monolithic prefill
+  (``prefill_chunk_tokens=None``) is the pre-continuous-batching engine,
+  reproducing a plain one-shot run bit for bit.
 """
 
 import random
@@ -19,29 +18,11 @@ import random
 import pytest
 
 from repro.errors import ServingError
-from repro.llm.blocks import paged_accounting_enabled
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
-from repro.llm.scheduler import serving_online_enabled, serving_preempt_enabled
-
-#: Mode-equivalence holds under ANY oracle flag (both sides degrade the
-#: same way), but the tests asserting the machinery *fires* only make
-#: sense with the continuous-batching layer actually on.
-features_on = pytest.mark.skipif(
-    not (serving_preempt_enabled() and serving_online_enabled()),
-    reason="continuous batching disabled "
-    "(REPRO_SERVING_PREEMPT=0 or REPRO_SERVING_ONLINE=0)",
-)
-
-#: Tenant quotas are block-denominated: without paged accounting there is
-#: no BlockManager to enforce them against.
-needs_paged = pytest.mark.skipif(
-    not paged_accounting_enabled(),
-    reason="tenant KV quotas need paged accounting (REPRO_SERVING_PAGED=0)",
-)
 
 #: Tight serving point: 4 slots and a small KV pool, so the deadline
 #: policy has constant preemption pressure from the bursty arrivals.
@@ -218,7 +199,6 @@ class TestModeEquivalenceWithPreemption:
         _, r_vect = run_engine(clone(reqs), "vector", **cfg)
         assert_results_match(r_step, r_vect, exact_clocks=False)
 
-    @features_on
     def test_preemption_actually_fires(self):
         """Guard against a silently inert preemption path: under slot
         pressure with mixed deadlines, victims are evicted, re-admitted,
@@ -241,10 +221,6 @@ class TestModeEquivalenceWithPreemption:
         assert r_swap.preempted_tokens_recomputed == 0
         assert r_swap.preempted_tokens_swapped > 0
 
-    @pytest.mark.skipif(
-        not serving_preempt_enabled(),
-        reason="chunked prefill disabled (REPRO_SERVING_PREEMPT=0)",
-    )
     def test_chunked_prefill_fires_and_counts(self):
         rng = random.Random(777)
         reqs = preempt_workload(rng, max_len=120)
@@ -262,39 +238,37 @@ class TestModeEquivalenceWithPreemption:
 
 
 class TestOneShotOracle:
-    """REPRO_SERVING_PREEMPT=0 reproduces the pre-change engine bit for
-    bit, even with preemption/chunking/deadline configured."""
+    """preemption="off" + monolithic prefill reproduces the pre-change
+    engine bit for bit."""
 
     @pytest.mark.parametrize("mode", ["stepwise", "vector"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_env_flag_forces_one_shot(self, mode, seed, monkeypatch):
-        reqs = preempt_workload(random.Random(500 + seed))
-
-        # Baseline: the one-shot engine, no continuous-batching config.
-        _, r_plain = run_engine(
-            clone(reqs), mode, scheduler="fcfs", **PRESSURE_CFG
+    def test_monolithic_prefill_priced_by_cost_model(self, mode):
+        """The one-shot engine charges each admission wave exactly the
+        cost model's prefill time for its (new tokens, cached prefix)
+        entries. Prompts are long enough to be compute-bound, so the
+        attention term — and with it the cached-prefix offset — shows in
+        the clock."""
+        prefix = tuple(range(5000))
+        reqs = [
+            Request(0, prefix + tuple(range(10000, 11000)), 2),
+            Request(1, prefix + tuple(range(20000, 21000)), 2, arrival_s=100.0),
+        ]
+        eng, r = run_engine(reqs, mode)
+        cost = eng.cost
+        first, second = r.request_metrics
+        assert second.cached_tokens == len(prefix)
+        wave = cost.prefill_wave_time([(6000, 0)])
+        assert wave > cost.prefill_wave_time([(1, 0)])  # compute-bound
+        assert first.admitted_at_s == 0.0 + wave + cost.per_request_overhead_s
+        wave = cost.prefill_wave_time([(1000, len(prefix))])
+        assert (
+            second.admitted_at_s == 100.0 + wave + cost.per_request_overhead_s
         )
-
-        monkeypatch.setenv("REPRO_SERVING_PREEMPT", "0")
-        _, r_forced = run_engine(
-            clone(reqs),
-            mode,
-            scheduler="deadline",
-            scheduler_deadline_s=1.0,
-            preemption="swap",
-            prefill_chunk_tokens=48,
-            **PRESSURE_CFG,
-        )
-        assert r_forced.preemption == "off"
-        assert r_forced.scheduler == "fcfs"
-        assert_results_match(r_plain, r_forced, exact_clocks=True)
-        assert r_forced.n_preemptions == 0
-        assert r_forced.n_prefill_chunks == 0
 
     @pytest.mark.parametrize("mode", ["stepwise", "vector"])
     def test_off_config_matches_plain_fcfs(self, mode):
         """preemption="off" + monolithic prefill is the same engine as
-        before the refactor regardless of the env flag."""
+        before the refactor."""
         reqs = preempt_workload(random.Random(900))
         _, r_plain = run_engine(
             clone(reqs), mode, scheduler="fcfs", **PRESSURE_CFG
@@ -311,7 +285,6 @@ class TestOneShotOracle:
 
 
 class TestTenantQuota:
-    @needs_paged
     def test_quota_bounds_concurrent_blocks(self):
         """With one tenant capped, its requests admit in smaller groups
         but all complete; the ledger returns to zero."""
@@ -345,7 +318,6 @@ class TestTenantQuota:
         _, r_vect = run_engine(clone(reqs), "vector", **cfg)
         assert_results_match(r_step, r_vect, exact_clocks=False)
 
-    @needs_paged
     def test_oversized_request_names_tenant_and_quota(self):
         from repro.errors import CapacityError
 

@@ -172,21 +172,15 @@ class TestTraceJobs:
 
     def test_trace_with_scheduler_policy(self):
         from repro.llm.engine import EngineConfig
-        from repro.llm.scheduler import serving_online_enabled
 
         server = BatchInferenceServer(
             engine_config=EngineConfig(scheduler="prefix-affinity")
         )
         server.submit_trace("affine", self.trace(tag="a"))
-        expected = "prefix-affinity" if serving_online_enabled() else "fcfs"
-        assert server.job("affine").scheduler == expected
+        assert server.job("affine").scheduler == "prefix-affinity"
 
     def test_preemption_stats_recorded_and_reported(self):
         from repro.llm.engine import EngineConfig
-        from repro.llm.scheduler import (
-            serving_online_enabled,
-            serving_preempt_enabled,
-        )
         from repro.llm.workload import TraceRequest, WorkloadTrace
 
         # Two decode slots, one long-decode hog in front of urgent short
@@ -211,13 +205,10 @@ class TestTraceJobs:
         ]
         server.submit_trace("pre", WorkloadTrace(reqs, name="pre"))
         job = server.job("pre")
-        if serving_online_enabled() and serving_preempt_enabled():
-            assert job.preemption == "recompute"
-            assert job.n_preemptions > 0
-            assert job.preempted_tokens_recomputed > 0
-            assert job.preempted_tokens_swapped == 0
-        else:
-            assert job.n_preemptions == 0
+        assert job.preemption == "recompute"
+        assert job.n_preemptions > 0
+        assert job.preempted_tokens_recomputed > 0
+        assert job.preempted_tokens_swapped == 0
         report = server.report()
         assert "npre" in report
 
@@ -231,12 +222,6 @@ class TestTraceJobs:
 
 
 class TestClusterJobs:
-    @pytest.fixture(autouse=True)
-    def _cluster_layer_on(self, monkeypatch):
-        """These tests exercise the multi-replica layer directly, so pin
-        the gate open even in the ``REPRO_SERVING_CLUSTER=0`` CI run."""
-        monkeypatch.delenv("REPRO_SERVING_CLUSTER", raising=False)
-
     def trace(self, n=16, tag="c"):
         from repro.llm.workload import TraceRequest, WorkloadTrace
 

@@ -20,22 +20,24 @@ Two contracts (the ISSUE's acceptance axes):
   flat backend's arena.
 """
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.llm.client import SimulatedLLMClient
+from repro.llm.cluster import ClusterConfig, ClusterEngine
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
-from repro.llm.scheduler import serving_online_enabled, serving_preempt_enabled
+from repro.llm.server import BatchInferenceServer
+from repro.llm.workload import TraceRequest, WorkloadTrace
 
 MODES = ("stepwise", "vector")
 
-#: The full feature matrix the equivalences must hold over. Equivalence
-#: is gate-agnostic (both sides of every comparison degrade identically
-#: under the oracle env flags), so none of these need skips.
+#: The full feature matrix the equivalences must hold over.
 CONFIGS = {
     "baseline": dict(scheduler="fcfs", kv_accounting="tokens"),
     "sjf-recompute-paged": dict(
@@ -201,6 +203,73 @@ class TestTracingIsPureObserver:
         for attr in ("hits", "misses", "evicted_tokens", "total_tokens"):
             assert getattr(e_on.cache, attr) == getattr(e_off.cache, attr)
 
+    @pytest.mark.parametrize(
+        "path", ["client", "server", "cluster-inline", "cluster-spawn"]
+    )
+    def test_on_off_bit_identical_above_engine(self, path):
+        """The layers above the engine pass the trace switch through
+        without perturbing anything: the client's and the server's trace
+        replays, and a 2-replica cluster's merged metrics and per-replica
+        stats on each backend, are equal under ``==`` with tracing on."""
+        reqs = trace_workload(random.Random(4242))
+        trace = WorkloadTrace(
+            [
+                TraceRequest(
+                    r.arrival_s,
+                    " ".join(f"w{t}" for t in r.prompt_tokens),
+                    tenant=r.tenant,
+                    output_len=r.output_tokens,
+                    deadline_s=r.deadline_s,
+                )
+                for r in reqs
+            ]
+        )
+        cfg = dict(
+            scheduler="deadline",
+            preemption="swap",
+            prefill_chunk_tokens=32,
+            scheduler_deadline_s=1.0,
+            max_batch_size=4,
+            kv_capacity_tokens=4000,
+        )
+        runs = {}
+        for mode in ("off", "on"):
+            engine_config = EngineConfig(trace=mode, **cfg)
+            if path == "client":
+                client = SimulatedLLMClient(engine_config=engine_config)
+                runs[mode] = client.generate_trace(trace, deadline_s=2.0)
+            elif path == "server":
+                server = BatchInferenceServer(engine_config=engine_config)
+                server.submit_trace("job", trace, deadline_s=2.0)
+                runs[mode] = server.job("job")
+            else:
+                cluster = ClusterEngine(
+                    ClusterConfig(
+                        n_replicas=2,
+                        routing="prefix-aware",
+                        backend=path.split("-")[1],
+                        engine=engine_config,
+                    )
+                )
+                runs[mode] = cluster.run_trace(trace, deadline_s=2.0)
+        off, on = runs["off"], runs["on"]
+        if path == "client":
+            assert off.engine_result.trace is None
+            assert on.engine_result.trace is not None
+            assert_bit_identical(off.engine_result, on.engine_result)
+            assert on.slo == off.slo
+        elif path == "server":
+            assert not off.trace_tracks and on.trace_tracks
+            assert dataclasses.replace(on, trace_tracks=[]) == off
+        else:
+            assert len(on.trace_tracks()) == 2
+            assert on.request_metrics == off.request_metrics
+            assert on.total_seconds == off.total_seconds
+            assert on.replicas == off.replicas
+            assert on.slo == off.slo
+            for r_off, r_on in zip(off.engine_results, on.engine_results):
+                assert_bit_identical(r_off, r_on)
+
 
 class TestModeInvariantSpans:
     """stepwise == event-loop span sets, stamps compared with ==."""
@@ -242,11 +311,6 @@ class TestModeInvariantSpans:
         assert peaks.pop() > 0
 
 
-@pytest.mark.skipif(
-    not (serving_preempt_enabled() and serving_online_enabled()),
-    reason="continuous batching disabled "
-    "(REPRO_SERVING_PREEMPT=0 or REPRO_SERVING_ONLINE=0)",
-)
 class TestTraceMachineryFires:
     """Under pressure the trace actually contains the interesting events
     (otherwise the invariance tests above could pass vacuously)."""

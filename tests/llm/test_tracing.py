@@ -1,4 +1,4 @@
-"""Tests for the lifecycle-tracing module: gates, span structure,
+"""Tests for the lifecycle-tracing module: the trace switch, span structure,
 Chrome/JSONL export, ``trace-report``, edge cases (empty / single-request
 / all-shed traces), and the CLI surfacing (``--emit-trace``,
 ``repro trace-report``, server/cluster plumbing)."""
@@ -14,7 +14,7 @@ from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.request import Request
-from repro.llm.scheduler import compute_slo, serving_online_enabled
+from repro.llm.scheduler import compute_slo
 from repro.llm.tracing import (
     WAITING_SLOT,
     EngineTrace,
@@ -23,7 +23,6 @@ from repro.llm.tracing import (
     TraceSpan,
     export_chrome,
     export_jsonl,
-    serving_trace_enabled,
     trace_report,
     write_trace,
 )
@@ -59,25 +58,13 @@ def run_traced(requests, **cfg_kwargs):
 
 
 class TestGate:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_TRACE", raising=False)
-        assert not serving_trace_enabled()
-        result = run_traced(simple_requests(4), trace="auto")
-        assert result.trace is None
+    def test_default_off(self):
+        eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
+        assert eng.tracer is None
+        eng.submit_all(simple_requests(4))
+        assert eng.run().trace is None
 
-    def test_env_enables_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_TRACE", "1")
-        assert serving_trace_enabled()
-        result = run_traced(simple_requests(4), trace="auto")
-        assert result.trace is not None
-
-    def test_explicit_off_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_TRACE", "1")
-        result = run_traced(simple_requests(4), trace="off")
-        assert result.trace is None
-
-    def test_explicit_on_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_TRACE", raising=False)
+    def test_explicit_on_without_env(self):
         result = run_traced(simple_requests(4), trace="on")
         assert result.trace is not None
 
@@ -388,8 +375,6 @@ class TestCLITraceReport:
         assert "Traceback" not in err
 
     def test_cluster_emit_trace(self, tmp_path, capsys):
-        from repro.llm.cluster import serving_cluster_enabled
-
         out = tmp_path / "cluster.json"
         assert main(
             ["serve-cluster", "--scale", "0.004", "--requests", "10",
@@ -405,13 +390,7 @@ class TestCLITraceReport:
             for ev in events
             if ev["ph"] == "M" and ev["name"] == "process_name"
         }
-        if serving_cluster_enabled():
-            assert procs == {
-                "round-robin/replica0",
-                "round-robin/replica1",
-            }
-        else:  # gate forces the single-replica reference
-            assert procs == {"round-robin/replica0"}
+        assert procs == {"round-robin/replica0", "round-robin/replica1"}
 
 
 class TestServerTracePlumbing:
@@ -446,17 +425,16 @@ class TestServerTracePlumbing:
         }
         assert procs == {"job-a"}
 
-    def test_export_without_tracing_raises(self, tmp_path, monkeypatch):
+    def test_export_without_tracing_raises(self, tmp_path):
         from repro.llm.server import BatchInferenceServer
 
-        monkeypatch.delenv("REPRO_SERVING_TRACE", raising=False)
         server = BatchInferenceServer()
         server.submit_trace("job-b", self.trace())
         with pytest.raises(ServingError):
             server.export_trace("job-b", str(tmp_path / "no.json"))
 
     def test_cluster_job_tracks_named_per_replica(self, tmp_path):
-        from repro.llm.cluster import ClusterConfig, serving_cluster_enabled
+        from repro.llm.cluster import ClusterConfig
         from repro.llm.server import BatchInferenceServer
 
         server = BatchInferenceServer()
@@ -469,10 +447,7 @@ class TestServerTracePlumbing:
         )
         job = server.job("fleet")
         labels = [label for label, _ in job.trace_tracks]
-        if serving_cluster_enabled():
-            assert labels == ["fleet/replica0", "fleet/replica1"]
-        else:
-            assert labels == ["fleet/replica0"]
+        assert labels == ["fleet/replica0", "fleet/replica1"]
         path = tmp_path / "fleet.json"
         server.export_trace("fleet", str(path))
         json.loads(path.read_text())
@@ -493,6 +468,5 @@ class TestClusterPeakWaiting:
         )
         res = eng.run_trace(trace)
         assert all(s.peak_waiting >= 0 for s in res.replicas)
-        if serving_online_enabled():
-            assert any(s.peak_waiting > 0 for s in res.replicas)
+        assert any(s.peak_waiting > 0 for s in res.replicas)
         assert "peak_wait" in res.render_replicas()

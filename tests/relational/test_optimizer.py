@@ -16,7 +16,6 @@ from repro.relational.optimizer import (
     find_llm_exprs,
     optimize_plan,
     split_conjuncts,
-    sql_opt_enabled,
 )
 from repro.relational.sql import plan_sql
 
@@ -150,13 +149,11 @@ class TestRewrites:
         assert out.plan is plan
         assert not out.enabled and out.fired == []
 
-    def test_env_gate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_OPT", "0")
-        assert not sql_opt_enabled()
-        assert not optimize_plan(plan_sql(self.SQL)).enabled
-        monkeypatch.setenv("REPRO_SQL_OPT", "1")
-        assert sql_opt_enabled()
+    def test_enabled_by_default(self):
+        assert OptimizerConfig().enabled
         assert optimize_plan(plan_sql(self.SQL)).enabled
+        rt = LLMRuntime()
+        assert rt.dedup and rt.memo
 
     def test_optimized_execution_matches_reference(self):
         out_opt = make_db(opt=True).sql(self.SQL)
@@ -465,10 +462,9 @@ class TestAnswerMemoStore:
         db.sql("SELECT LLM('ask', a) AS x FROM t")
         first = len(seen)
         db.sql("SELECT LLM('ask', a) AS x FROM t")
-        if rt.memo_enabled:  # REPRO_SQL_OPT=0 disables the memo end to end
-            assert len(seen) == first
-            assert db.memo_stats["hits"] >= 2
-            assert db.memo_stats["entries"] == 2
+        assert len(seen) == first
+        assert db.memo_stats["hits"] >= 2
+        assert db.memo_stats["entries"] == 2
 
     def test_database_injected_store_wins(self):
         from repro.relational import AnswerMemoStore

@@ -1,7 +1,7 @@
 """Randomized optimizer-equivalence suite.
 
-The unoptimized path (``OptimizerConfig(enabled=False)`` + runtime
-dedup/memo off — what ``REPRO_SQL_OPT=0`` selects globally) is the
+The unoptimized path (``OptimizerConfig(enabled=False)`` +
+``LLMRuntime(dedup=False, memo=False)``) is the
 equivalence oracle: for generated SQL over randomized tables, the
 optimized engine must produce *identical* query results while issuing
 strictly fewer-or-equal answerer invocations (dedup/memo can only remove
@@ -147,23 +147,3 @@ def test_dedup_strictly_reduces_calls_on_redundant_table():
     out_ref, _ = run_one(sql, table, opt=False)
     assert tables_equal(out_ggr, out_ref)
     assert counter.n == opt_calls
-
-
-def test_env_gate_selects_oracle(monkeypatch):
-    """REPRO_SQL_OPT=0 must force the reference path end to end (runtime
-    defaults included), matching the explicit-config oracle."""
-    rng = random.Random(99)
-    table = random_table(rng)
-    sql = "SELECT LLM('p5 summarize', text, note) AS s, id FROM t WHERE val >= 2"
-
-    monkeypatch.setenv("REPRO_SQL_OPT", "0")
-    counter = CountingAnswerer()
-    db = Database(runtime=LLMRuntime(answerer=counter, policy="original"))
-    db.register("t", table)
-    gated = db.sql(sql)
-    gated_calls = counter.n
-    monkeypatch.delenv("REPRO_SQL_OPT")
-
-    ref, ref_calls = run_one(sql, table, opt=False)
-    assert tables_equal(gated, ref)
-    assert gated_calls == ref_calls
