@@ -2,8 +2,8 @@
 
 Tracing is an opt-in observer: with ``EngineConfig.trace="off"`` the
 engine holds ``tracer = None`` and every hook site is one attribute
-test; with tracing on, the recorder's canonical clock and span
-bookkeeping ride along the replay. The guard here is the recorded
+test; with tracing on, the recorder's span bookkeeping rides along the
+replay. The guard here is the recorded
 ``tracing_overhead_ratio`` — best-of-N replay time with tracing OFF over
 best-of-N with tracing ON, interleaved to cancel machine drift. 1.0
 means tracing is free; the ``>= 0.9`` bar allows at most ~11% overhead

@@ -42,6 +42,13 @@ def estimate_tokens(chars: float, chars_per_token: float = CHARS_PER_TOKEN) -> i
     return max(1, int(round(chars / chars_per_token)))
 
 
+def run_kv_tokens(context_sum: int, batch_size: int, steps: int) -> int:
+    """KV tokens read by ``steps`` decode steps of a fixed batch whose
+    context lengths sum to ``context_sum`` at the first step: every
+    sequence grows by one token per step, an arithmetic series."""
+    return steps * context_sum + batch_size * (steps * (steps - 1) // 2)
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Timing oracle for one (model, cluster) pair.
@@ -76,6 +83,13 @@ class CostModel:
                 f"{self.model.name} ({self.model.weight_bytes/1e9:.1f} GB) does not fit "
                 f"on {self.cluster.n_gpus}x{self.cluster.gpu.name}"
             )
+        # decode_time prices every engine clock read: fix its rates once.
+        bw = self.cluster.effective_bandwidth * self.bw_util
+        object.__setattr__(self, "_decode_bw", bw)
+        object.__setattr__(
+            self, "_decode_step_s", self.model.weight_bytes / bw + self.step_overhead_s
+        )
+        object.__setattr__(self, "_kv_bytes", self.model.kv_bytes_per_token)
 
     # ------------------------------------------------------------------ KV
     @property
@@ -136,6 +150,19 @@ class CostModel:
         return context / t if t > 0 else float("inf")
 
     # --------------------------------------------------------------- decode
+    def decode_time(self, steps: int, kv_tokens: int) -> float:
+        """Seconds for ``steps`` decode steps that read ``kv_tokens`` KV
+        tokens in total (each step reads every running sequence's whole
+        context). Decode cost is affine in those two integers, so this is
+        the one place decode time is priced: the engine keeps both as
+        running counters and converts them here, which makes its clock
+        independent of how the steps were grouped.
+        """
+        return (
+            steps * self._decode_step_s
+            + self._kv_bytes * float(kv_tokens) / self._decode_bw
+        )
+
     def decode_step_time(self, context_lengths: Sequence[int]) -> float:
         """Seconds for one decode step producing one token per sequence.
 
@@ -144,28 +171,15 @@ class CostModel:
         """
         if not context_lengths:
             return 0.0
-        bw = self.cluster.effective_bandwidth * self.bw_util
-        weight_read = self.model.weight_bytes / bw
-        kv_read = self.model.kv_bytes_per_token * float(sum(context_lengths)) / bw
-        return weight_read + kv_read + self.step_overhead_s
+        return self.decode_time(1, sum(context_lengths))
 
     def decode_run_time(self, context_sum: int, batch_size: int, steps: int) -> float:
-        """Seconds for ``steps`` consecutive decode steps of a *fixed* batch.
-
-        ``context_sum`` is the sum of the batch's context lengths at the
-        first step; every sequence grows by one token per step, so the KV
-        traffic over the run is an arithmetic series and the whole run is
-        priced in O(1) — the closed form behind the event-driven engine.
-        Equals the sum of :meth:`decode_step_time` over the run up to float
-        rounding.
-        """
+        """Seconds for ``steps`` consecutive decode steps of a *fixed* batch
+        whose context lengths sum to ``context_sum`` at the first step,
+        priced in O(1) through :func:`run_kv_tokens`."""
         if steps <= 0 or batch_size <= 0:
             return 0.0
-        bw = self.cluster.effective_bandwidth * self.bw_util
-        weight_read = self.model.weight_bytes / bw
-        kv_tokens = steps * context_sum + batch_size * (steps * (steps - 1) // 2)
-        kv_read = self.model.kv_bytes_per_token * float(kv_tokens) / bw
-        return steps * (weight_read + self.step_overhead_s) + kv_read
+        return self.decode_time(steps, run_kv_tokens(context_sum, batch_size, steps))
 
     # ----------------------------------------------------------------- swap
     def swap_time(self, n_tokens: int) -> float:

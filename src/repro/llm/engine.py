@@ -13,17 +13,22 @@ server uses:
 * every decode step produces one token per running sequence and costs
   bandwidth-bound time (weights amortized over the batch).
 
-Two replay modes produce the same integer metrics (and clocks equal to
-float rounding):
+Two replay modes produce the same metrics, clocks included, under ``==``.
+The engine clock is one float base plus two integers: every discrete
+charge (prefill wave, per-request overhead, swap traffic, chunk wave) is
+added to the base in order, and decode adds only to the integer counts of
+decode steps and KV tokens read. One :meth:`CostModel.decode_time` call
+turns the counts into seconds, so the clock does not depend on whether
+decode advanced one step or one whole run at a time.
 
 ``mode="vector"`` (the default)
     Event-driven: between admission and completion events the batch
     composition is fixed, so the clock advances over whole runs of decode
-    steps with the closed-form arithmetic-series sum
-    (:meth:`CostModel.decode_run_time`) — O(batch) work per event instead
-    of O(steps x batch) Python work per token. Runs are cut at every step
-    boundary where the stepwise loop could act differently, so both modes
-    probe admission at identical clocks. Per-request state is vectorized:
+    steps, the run's KV tokens summed as an arithmetic series
+    (:func:`~repro.llm.costmodel.run_kv_tokens`) — O(batch) work per event
+    instead of O(steps x batch) Python work per token. Runs are cut at every
+    step boundary where the stepwise loop could act differently, so both
+    modes probe admission at identical clocks. Per-request state is vectorized:
     request metrics live in numpy arrays keyed by a dense request index
     (``RequestMetrics`` objects are materialized once, in bulk, at the end
     of the run), admission waves stamp clocks with one fancy-indexed
@@ -110,7 +115,7 @@ import numpy as _np
 
 from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import BlockAllocation, BlockManager, check_size
-from repro.llm.costmodel import CostModel
+from repro.llm.costmodel import CostModel, run_kv_tokens
 from repro.llm.hardware import CLUSTER_1XL4, Cluster
 from repro.llm.models import LLAMA3_8B, ModelSpec
 from repro.llm.radix import RadixPrefixCache
@@ -527,7 +532,9 @@ class SimulatedLLMEngine:
         #: when tracing is off — every hook site gates on that one
         #: attribute test, so the disabled path costs nothing.
         self.tracer: Optional[TraceRecorder] = (
-            TraceRecorder(self.cost) if self.config.trace == "on" else None
+            TraceRecorder(lambda: self._clock)
+            if self.config.trace == "on"
+            else None
         )
         self.scheduler.bind_tracer(self.tracer)
         self._peak_waiting = 0
@@ -556,6 +563,13 @@ class SimulatedLLMEngine:
         self._preempt_detach = None
         self._future: List[Tuple[float, int, Request]] = []
         self._arrival_seq = 0
+        #: The engine clock: discrete charges summed into ``_clock_base``,
+        #: plus decode steps and KV tokens read since the base was last
+        #: set, priced by one CostModel.decode_time call; ``_clock`` caches
+        #: the sum (see _clock_at).
+        self._clock_base = 0.0
+        self._clock_steps = 0
+        self._clock_kv = 0
         self._clock = 0.0
         self._private_tokens = 0
         #: Decode blocks promised at admission but not yet drawn from the
@@ -690,11 +704,7 @@ class SimulatedLLMEngine:
                 if len(self.scheduler):
                     raise ServingError("admission stalled with empty batch")
                 if self._future:
-                    # Idle engine: jump the clock to the next arrival.
-                    arrival = self._future[0][0]
-                    self._clock = max(self._clock, arrival)
-                    if self.tracer is not None:
-                        self.tracer.idle(arrival)
+                    self._idle_jump()
                     continue
                 break
             max_batch_seen = max(max_batch_seen, len(running))
@@ -711,15 +721,7 @@ class SimulatedLLMEngine:
             if not running:
                 continue
 
-            if self.tracer is not None:
-                # One canonical-clock advance per step; the recorder
-                # merges consecutive steps back into whole runs so its
-                # clock matches the event loop bit for bit.
-                self.tracer.decode(
-                    sum(r.context_len for r in running), len(running), 1
-                )
-            dt = self.cost.decode_step_time([r.context_len for r in running])
-            self._clock += dt
+            self._advance_decode(1, sum(r.context_len for r in running))
             decode_steps += 1
             still = []
             for r in running:
@@ -749,7 +751,7 @@ class SimulatedLLMEngine:
         incrementally — no per-event scans of the running set. Runs are
         cut at every step boundary where the stepwise loop could act
         differently, so both loops probe admission (and the radix cache)
-        with identical call sequences at clocks equal to float rounding.
+        with identical call sequences at identical clocks.
 
         Per-request state is vectorized: metric stamps land in
         :class:`_VectorState` rows (whole admission waves per assignment),
@@ -805,11 +807,7 @@ class SimulatedLLMEngine:
                     if len(self.scheduler):
                         raise ServingError("admission stalled with empty batch")
                     if self._future:
-                        # Idle engine: jump the clock to the next arrival.
-                        arrival = self._future[0][0]
-                        self._clock = max(self._clock, arrival)
-                        if self.tracer is not None:
-                            self.tracer.idle(arrival)
+                        self._idle_jump()
                         continue
                     break
                 max_batch_seen = max(max_batch_seen, batch + len(wave))
@@ -902,25 +900,19 @@ class SimulatedLLMEngine:
                     steps = self._cap_steps_at_arrival(
                         context_sum, batch, steps, self._future[0][0]
                     )
-                if self.tracer is not None:
-                    self.tracer.decode(context_sum, batch, steps)
-                first_dt = self.cost.decode_run_time(context_sum, batch, 1)
-                total_dt = (
-                    first_dt
-                    if steps == 1
-                    else self.cost.decode_run_time(context_sum, batch, steps)
+                if fresh:
+                    first = self._clock_at(1, context_sum)
+                    if len(fresh) == 1:  # steady state: one admission/event
+                        vect.first[fresh[0]] = first
+                    else:
+                        vect.first[fresh] = first
+                    fresh.clear()
+                self._advance_decode(
+                    steps, run_kv_tokens(context_sum, batch, steps)
                 )
-                start = self._clock
-                self._clock = start + total_dt
                 decode_steps += steps
                 step += steps
                 context_sum += batch * steps
-                if fresh:
-                    if len(fresh) == 1:  # steady state: one admission/event
-                        vect.first[fresh[0]] = start + first_dt
-                    else:
-                        vect.first[fresh] = start + first_dt
-                    fresh.clear()
                 while completions and (
                     completions[0][2].admit_gen != completions[0][3]
                     or completions[0][0] <= step
@@ -997,23 +989,50 @@ class SimulatedLLMEngine:
             peak_waiting=self._peak_waiting,
         )
 
+    def _clock_at(self, steps: int, kv_tokens: int) -> float:
+        """The engine clock after ``steps`` more decode steps that read
+        ``kv_tokens`` more KV tokens. Both replay modes price every clock
+        through here from the same integers, so their clocks are the same
+        float however the steps were grouped."""
+        return self._clock_base + self.cost.decode_time(
+            self._clock_steps + steps, self._clock_kv + kv_tokens
+        )
+
+    def _advance_decode(self, steps: int, kv_tokens: int) -> None:
+        """Run ``steps`` decode steps that read ``kv_tokens`` KV tokens."""
+        self._clock = self._clock_at(steps, kv_tokens)
+        self._clock_steps += steps
+        self._clock_kv += kv_tokens
+
+    def _charge(self, dt: float) -> None:
+        """Add a discrete charge (prefill or chunk wave, per-request
+        overhead, swap traffic) to the clock base."""
+        self._clock_base += dt
+        self._clock = self._clock_at(0, 0)
+
+    def _idle_jump(self) -> None:
+        """Idle engine: jump the clock to the next arrival, which resets
+        the base and the decode counts."""
+        arrival = self._future[0][0]
+        if arrival > self._clock:
+            self._clock_base = self._clock = arrival
+            self._clock_steps = self._clock_kv = 0
+
     def _cap_steps_at_arrival(
         self, context_sum: int, batch: int, steps: int, arrival_s: float
     ) -> int:
-        """Smallest run length (in decode steps, at least 1) whose
-        closed-form clock advance reaches ``arrival_s``, capped at
-        ``steps`` when the run's completion event comes first.
-        ``decode_run_time`` is strictly increasing in the step count, so a
-        binary search finds the boundary in O(log steps) closed-form
+        """Smallest run length (in decode steps, at least 1) whose clock
+        reaches ``arrival_s``, capped at ``steps`` when the run's
+        completion event comes first. The clock is nondecreasing in the
+        step count, so a binary search finds the boundary in O(log steps)
         evaluations."""
-        start = self._clock
-        cost = self.cost
-        if start + cost.decode_run_time(context_sum, batch, steps) < arrival_s:
+        clock_at = self._clock_at
+        if clock_at(steps, run_kv_tokens(context_sum, batch, steps)) < arrival_s:
             return steps
         lo, hi = 1, steps
         while lo < hi:
             mid = (lo + hi) // 2
-            if start + cost.decode_run_time(context_sum, batch, mid) >= arrival_s:
+            if clock_at(mid, run_kv_tokens(context_sum, batch, mid)) >= arrival_s:
                 hi = mid
             else:
                 lo = mid + 1
@@ -1332,8 +1351,8 @@ class SimulatedLLMEngine:
                     # blocks were just drawn by insert(); only the decode
                     # tail stays reserved.
                     if vect is not None:
-                        # One bundle, one vectorized refcount pass, instead
-                        # of a fork per radix node.
+                        # One bundle, one refcount walk over the path,
+                        # instead of a fork per radix node.
                         bundle = cache.fork_path_bundle(req.prompt_tokens)
                         forks = [bundle] if bundle is not None else None
                     else:
@@ -1384,14 +1403,10 @@ class SimulatedLLMEngine:
             # weight read amortizes across requests (continuous batching).
             # Per-request serving overhead is charged here too, and swap-in
             # traffic for re-admitted members rides the same wave.
-            wave_dt = self.cost.prefill_wave_time(wave)
-            self._clock += wave_dt
-            overhead_dt = self.cost.per_request_overhead_s * n_admitted
-            self._clock += overhead_dt
-            swap_dt = 0.0
+            self._charge(self.cost.prefill_wave_time(wave))
+            self._charge(self.cost.per_request_overhead_s * n_admitted)
             if swap_in_tokens:
-                swap_dt = self.cost.swap_time(swap_in_tokens)
-                self._clock += swap_dt
+                self._charge(self.cost.swap_time(swap_in_tokens))
             vect = self._vstate
             if stamped:
                 if vect is not None:
@@ -1403,16 +1418,9 @@ class SimulatedLLMEngine:
                     for member in stamped:
                         member.metrics.admitted_at_s = self._clock
             if self.tracer is not None:
-                # The same charge deltas the engine just added, applied to
-                # the canonical clock — each is computed from
-                # mode-invariant integer wave entries, so they are bitwise
-                # equal across replay modes.
-                tracer = self.tracer
-                tracer.advance(wave_dt)
-                tracer.advance(overhead_dt)
-                if swap_dt:
-                    tracer.advance(swap_dt)
-                tracer.wave_end(self._gauge_sample(base + len(wave_members)))
+                self.tracer.wave_end(
+                    self._gauge_sample(base + len(wave_members))
+                )
 
     def _protected_paths(
         self, running: List[_Running], req: Request, hit: int
@@ -1452,10 +1460,10 @@ class SimulatedLLMEngine:
             if traced is not None:
                 traced.append((m.request.request_id, not m.chunks_left))
         self._prefilling = still
-        chunk_dt = self.cost.prefill_wave_time(wave)
-        self._clock += chunk_dt
+        start = self._clock
+        self._charge(self.cost.prefill_wave_time(wave))
         if traced is not None:
-            self.tracer.chunk_wave(chunk_dt, traced)
+            self.tracer.chunk_wave(start, traced)
         bm = self.blocks
         cache_on = self.config.enable_prefix_cache
         vect = self._vstate
@@ -1750,16 +1758,13 @@ class SimulatedLLMEngine:
         if m.quota_charge and bm is not None:
             bm.uncharge_tenant(req.tenant, m.quota_charge)
             m.quota_charge = 0
-        swap_dt = 0.0
+        start = self._clock
         if swap:
             # Swap-out traffic is charged immediately, before any further
             # admission work at this clock.
-            swap_dt = self.cost.swap_time(target)
-            self._clock += swap_dt
+            self._charge(self.cost.swap_time(target))
         if self.tracer is not None:
-            self.tracer.preempt(
-                req.request_id, self.preemption, target, swap_dt
-            )
+            self.tracer.preempt(req.request_id, self.preemption, target, start)
         self._parked[req.request_id] = m
         self.scheduler.submit(req)
 

@@ -7,37 +7,10 @@ decode stint(s) → preempted(recompute/swap) → readmitted → finished —
 plus instant events for radix evictions, deadline sheds, and tenant
 quota rejections, and gauge timelines (batch size, waiting depth, KV
 block charge, radix footprint, per-tenant quota charge) sampled at every
-admission wave. Everything is stamped on the *simulated* clock.
-
-The canonical clock
--------------------
-The two replay modes do not share a bit-identical engine clock: the
-stepwise oracle accumulates :meth:`CostModel.decode_step_time` per token
-while the event loop jumps whole decode runs with the closed-form
-:meth:`CostModel.decode_run_time` — equal only up to float rounding.
-Spans, however, must compare ``==`` across modes (span equality is an
-equivalence axis alongside the metric checks), so the recorder keeps its
-*own* canonical clock rebuilt from mode-invariant inputs:
-
-* every discrete charge (prefill wave, per-request overhead, swap
-  traffic) is reported as the exact float ``dt`` the engine added to its
-  clock — those deltas are computed from mode-invariant integer wave
-  entries through the same cost-model calls, so they are bitwise equal
-  across modes;
-* decode time is reported as ``(context_sum, batch, steps)`` advances
-  (one per step in stepwise, one per closed-form run in the event
-  loop).  Consecutive compatible advances — same batch, context sum
-  continuing the arithmetic series — are *merged*, and the merged run is
-  priced with a single ``decode_run_time`` call whenever any stamp,
-  instant, gauge, or non-decode charge needs the clock.  Merge
-  boundaries are exactly the points where the batch composition changes
-  or an event is recorded, and those are mode-invariant, so every mode
-  prices the identical sequence of merged runs and the canonical clocks
-  agree bit for bit.
-
-The canonical clock therefore equals each engine clock only up to float
-rounding (as the two engine clocks equal each other), but is
-*identical* across modes — which is the property span equality needs.
+admission wave. Everything is stamped on the engine's *simulated* clock,
+which both replay modes compute identically (see :mod:`repro.llm.engine`),
+so span sets compare ``==`` across modes and every span stamp equals the
+matching ``RequestMetrics`` stamp.
 
 Exports: Chrome trace-event JSON (``chrome://tracing`` / Perfetto; one
 process row per track — policy, replica — and one thread per engine
@@ -60,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -74,15 +47,13 @@ WAITING_SLOT = -1
 
 
 class TraceSpan(NamedTuple):
-    """One closed lifecycle interval on the canonical simulated clock.
+    """One closed lifecycle interval on the simulated engine clock.
 
-    ``end_s`` may undershoot ``start_s`` by float rounding for queued
-    spans (the arrival stamp is an engine-clock float, the close stamp a
-    canonical-clock one); exporters clamp the duration at zero. ``args``
-    is a sorted tuple of ``(key, value)`` pairs so spans stay hashable
-    and compare ``==`` across replay modes. A NamedTuple rather than a
-    frozen dataclass: span construction sits on the traced replay's hot
-    path, and the tuple build keeps the tracing-overhead guard honest."""
+    ``args`` is a sorted tuple of ``(key, value)`` pairs so spans stay
+    hashable and compare ``==`` across replay modes. A NamedTuple rather
+    than a frozen dataclass: span construction sits on the traced
+    replay's hot path, and the tuple build keeps the tracing-overhead
+    guard honest."""
 
     name: str
     request_id: int
@@ -128,31 +99,21 @@ def _pairs(d: Dict[str, object]) -> Tuple[Tuple[str, object], ...]:
 # Recorder
 # --------------------------------------------------------------------------
 class TraceRecorder:
-    """Canonical-clock trace recorder driven by engine hook calls.
+    """Trace recorder driven by engine hook calls.
 
     The engine owns exactly one recorder for its lifetime (``None`` when
-    tracing is off) and calls the hooks below at its clock-mutation and
-    lifecycle points; see the module docstring for why the recorder's
-    clock is rebuilt from deltas instead of copied from the engine.
+    tracing is off) and calls the hooks below at its lifecycle points;
+    ``now`` returns the engine clock, which stamps every event.
 
-    Hook contract (all stamps land on the canonical clock *after* any
-    pending merged decode run is priced): ``queued`` at submit;
-    ``popped`` when the policy commits an admission; ``advance`` for
-    every discrete clock charge; ``decode`` for every decode advance;
-    ``idle`` for idle-engine jumps; ``wave_end`` closes an admission
-    wave (finalizes pops, samples a gauge); ``chunk_wave`` closes one
+    Hook contract: ``queued`` at submit; ``popped`` when the policy
+    commits an admission; ``wave_end`` closes an admission wave
+    (finalizes pops, samples a gauge); ``chunk_wave`` closes one
     chunked-prefill wave; ``preempt`` / ``finished`` close decode
     stints; ``instant`` records point events.
     """
 
-    def __init__(self, cost):
-        self._cost = cost
-        self.clock = 0.0
-        # Pending merged decode run (see module docstring).
-        self._run_c0 = 0
-        self._run_batch = 0
-        self._run_steps = 0
-        self._run_next_c = 0
+    def __init__(self, now: Callable[[], float]):
+        self._now = now
         # Recorded events, append-only across runs; collect() slices.
         self.spans: List[TraceSpan] = []
         self.instants: List[TraceInstant] = []
@@ -174,48 +135,6 @@ class TraceRecorder:
         self._pending_pops: List[
             Tuple[int, str, float, Tuple[Tuple[str, object], ...]]
         ] = []
-
-    # ------------------------------------------------------- canonical clock
-    def _flush(self) -> None:
-        """Price the pending merged decode run into the canonical clock."""
-        if self._run_steps:
-            self.clock += self._cost.decode_run_time(
-                self._run_c0, self._run_batch, self._run_steps
-            )
-            self._run_steps = 0
-
-    def decode(self, context_sum: int, batch: int, steps: int) -> None:
-        """One decode advance: ``steps`` steps over a fixed batch whose
-        context lengths sum to ``context_sum`` at the start. Consecutive
-        compatible advances merge into one run."""
-        if (
-            self._run_steps
-            and batch == self._run_batch
-            and context_sum == self._run_next_c
-        ):
-            self._run_steps += steps
-        else:
-            if self._run_steps:
-                self._flush()
-            self._run_c0 = context_sum
-            self._run_batch = batch
-            self._run_steps = steps
-        self._run_next_c = context_sum + batch * steps
-
-    def advance(self, dt: float) -> None:
-        """A discrete clock charge (prefill wave, overhead, swap traffic)
-        — the exact float delta the engine added to its own clock."""
-        if dt:
-            if self._run_steps:
-                self._flush()
-            self.clock += dt
-
-    def idle(self, arrival_s: float) -> None:
-        """Idle-engine jump to the next arrival."""
-        if self._run_steps:
-            self._flush()
-        if arrival_s > self.clock:
-            self.clock = arrival_s
 
     # ----------------------------------------------------------- lifecycle
     def queued(self, request) -> None:
@@ -239,9 +158,7 @@ class TraceRecorder:
         assigns a batch slot; the prefill span itself is finalized by
         :meth:`wave_end`, when the wave's merged prefill charge has
         landed."""
-        if self._run_steps:
-            self._flush()
-        now = self.clock
+        now = self._now()
         parked = self._parked.pop(request_id, None)
         if parked is not None:
             self.spans.append(
@@ -282,9 +199,7 @@ class TraceRecorder:
         pending pop into its prefill span, open decode stints for
         non-chunked entrants, and sample a gauge (``gauge`` is already
         the key-sorted pairs tuple :class:`TraceGauge` stores)."""
-        if self._run_steps:
-            self._flush()
-        now = self.clock
+        now = self._now()
         for request_id, kind, pop_t, args in self._pending_pops:
             tenant = self._tenant.get(request_id, "")
             slot = self._slot_of[request_id]
@@ -313,17 +228,13 @@ class TraceRecorder:
         if gauge is not None:
             self.gauges.append(TraceGauge(now, gauge))
 
-    def chunk_wave(self, dt: float, members: Sequence[Tuple[int, bool]]) -> None:
-        """One chunked-prefill wave advanced every mid-prefill member by
-        a chunk, charging ``dt`` in one merged pass. ``members`` is
-        ``(request_id, prefill_complete)`` in wave order; completed
-        members open their decode stint at the post-wave clock (their
-        post-prefill admission stamp)."""
-        if self._run_steps:
-            self._flush()
-        start = self.clock
-        self.clock = start + dt
-        now = self.clock
+    def chunk_wave(self, start: float, members: Sequence[Tuple[int, bool]]) -> None:
+        """One chunked-prefill wave, begun at clock ``start``, prefilled
+        the next chunk of every mid-prefill member in one merged pass.
+        ``members`` is ``(request_id, prefill_complete)`` in wave order;
+        completed members open their decode stint at the post-wave clock
+        (their post-prefill admission stamp)."""
+        now = self._now()
         for request_id, done in members:
             idx = self._chunk_idx.get(request_id, 0)
             self._chunk_idx[request_id] = idx + 1
@@ -343,26 +254,25 @@ class TraceRecorder:
                 self._chunk_idx.pop(request_id, None)
 
     def preempt(
-        self, request_id: int, mode: str, kv_tokens: int, swap_dt: float
+        self, request_id: int, mode: str, kv_tokens: int, start: float
     ) -> None:
-        """A decoding member was evicted from the batch: close its decode
-        stint, record the preemption instant, charge the swap-out span
+        """A decoding member was evicted from the batch at clock
+        ``start``: close its decode stint there, record the preemption
+        instant, record the swap-out span up to the current clock
         (``swap`` mode), and open the parked interval the re-admission
         will close."""
-        if self._run_steps:
-            self._flush()
-        now = self.clock
+        now = self._now()
         tenant = self._tenant.get(request_id, "")
         slot = self._slot_of.pop(request_id, WAITING_SLOT)
-        start = self._stints.pop(request_id, None)
-        if start is not None:
+        stint = self._stints.pop(request_id, None)
+        if stint is not None:
             self.spans.append(
-                TraceSpan("decode", request_id, tenant, slot, start, now)
+                TraceSpan("decode", request_id, tenant, slot, stint, start)
             )
         self.instants.append(
             TraceInstant(
                 "preempt",
-                now,
+                start,
                 (
                     ("kv_tokens", kv_tokens),
                     ("mode", mode),
@@ -370,25 +280,20 @@ class TraceRecorder:
                 ),
             )
         )
-        if swap_dt:
-            self.clock = now + swap_dt
+        if now != start:
             self.spans.append(
-                TraceSpan(
-                    "swap-out", request_id, tenant, slot, now, self.clock
-                )
+                TraceSpan("swap-out", request_id, tenant, slot, start, now)
             )
         if slot != WAITING_SLOT:
             heappush(self._free_slots, slot)
         self._parked[request_id] = (
             "preempted:swap" if mode == "swap" else "preempted:recompute",
-            self.clock,
+            now,
         )
 
     def finished(self, request_id: int) -> None:
         """A member completed: close its decode stint and free its slot."""
-        if self._run_steps:
-            self._flush()
-        now = self.clock
+        now = self._now()
         slot = self._slot_of.pop(request_id, WAITING_SLOT)
         start = self._stints.pop(request_id, None)
         if start is not None:
@@ -415,10 +320,8 @@ class TraceRecorder:
 
     def instant(self, name: str, **args) -> None:
         """A point event (``evict``, ``quota-reject``, ``shed``) at the
-        canonical clock."""
-        if self._run_steps:
-            self._flush()
-        self.instants.append(TraceInstant(name, self.clock, _pairs(args)))
+        engine clock."""
+        self.instants.append(TraceInstant(name, self._now(), _pairs(args)))
 
     # ------------------------------------------------------------- slicing
     def mark(self) -> Tuple[int, int, int]:
@@ -643,11 +546,8 @@ def _load_spans(path: str) -> List[Tuple[str, str, str, float]]:
     """Parse a trace file (Chrome JSON or JSONL) into
     ``(track, span name, tenant, duration_s)`` rows; raises
     :class:`ReproError` on malformed or truncated input."""
-    try:
-        with open(path, "r") as fh:
-            text = fh.read()
-    except OSError:
-        raise  # the CLI convention already maps OSError to exit 2
+    with open(path, "r") as fh:
+        text = fh.read()
     rows: List[Tuple[str, str, str, float]] = []
     try:
         payload = json.loads(text)

@@ -199,9 +199,7 @@ class TestRunQuery:
         assert pag.cached_tokens == tok.cached_tokens
         assert pag.prefill_tokens == tok.prefill_tokens
         assert pag.peak_kv_tokens == tok.peak_kv_tokens
-        assert pag.engine_seconds == pytest.approx(
-            tok.engine_seconds, rel=1e-6
-        )
+        assert pag.engine_seconds == tok.engine_seconds
 
 
 class TestScaledCapacity:

@@ -4,7 +4,7 @@ paper's cited performance envelope."""
 import pytest
 
 from repro.errors import ServingError
-from repro.llm.costmodel import CostModel
+from repro.llm.costmodel import CostModel, run_kv_tokens
 from repro.llm.hardware import CLUSTER_1XL4, CLUSTER_8XL4, Cluster, GPUSpec, L4
 from repro.llm.models import LLAMA3_1B, LLAMA3_8B, LLAMA3_70B
 
@@ -80,6 +80,27 @@ class TestDecode:
         cm1 = CostModel(LLAMA3_1B, CLUSTER_1XL4)
         cm8 = CostModel(LLAMA3_8B, CLUSTER_1XL4)
         assert cm8.decode_step_time([500] * 8) > cm1.decode_step_time([500] * 8)
+
+    def test_decode_run_time_matches_stepwise_sum(self, cm8b):
+        """The arithmetic-series KV-token count of a fixed-batch run
+        equals the sum of its per-step context sums exactly, so the run
+        and its steps price through decode_time from the same integers."""
+        contexts = [17, 301, 64, 5]
+        steps = 37
+        kv_tokens = 0
+        cur = list(contexts)
+        for _ in range(steps):
+            assert cm8b.decode_step_time(cur) == cm8b.decode_time(1, sum(cur))
+            kv_tokens += sum(cur)
+            cur = [c + 1 for c in cur]
+        assert run_kv_tokens(sum(contexts), len(contexts), steps) == kv_tokens
+        assert cm8b.decode_run_time(
+            sum(contexts), len(contexts), steps
+        ) == cm8b.decode_time(steps, kv_tokens)
+
+    def test_decode_run_time_degenerate(self, cm8b):
+        assert cm8b.decode_run_time(100, 4, 0) == 0.0
+        assert cm8b.decode_run_time(0, 0, 5) == 0.0
 
 
 class TestValidation:

@@ -1,7 +1,5 @@
 """Tests for the shared tokenizer-level encode cache."""
 
-import pytest
-
 from repro.llm.client import SimulatedLLMClient
 from repro.llm.encode_cache import DEFAULT_MAX_ENTRIES, EncodeCache, encode_cache_for
 from repro.llm.radix import pack_tokens
@@ -107,4 +105,4 @@ class TestSharedAttachment:
         assert wr.prompt_tokens == fr.prompt_tokens
         assert wr.cached_tokens == fr.cached_tokens
         assert wr.decode_tokens == fr.decode_tokens
-        assert wr.total_seconds == pytest.approx(fr.total_seconds, rel=1e-9)
+        assert wr.total_seconds == fr.total_seconds

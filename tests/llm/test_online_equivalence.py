@@ -3,7 +3,7 @@
 The contract: with every arrival at t=0 and the ``fcfs`` policy, the
 online path (arrival heap -> policy pool -> policy-driven admission) must
 reproduce the offline engine's schedules, integer metrics and cache
-counters *exactly*, and its clocks to float rounding (1e-6 relative) — in
+counters *exactly*, clocks included (``==``) — in
 both replay modes (the event loop, ``mode="vector"``, and stepwise).
 """
 
@@ -73,7 +73,7 @@ def run_engine(requests, mode, scheduler, waves=1, **cfg_kwargs):
     return eng, results
 
 
-def assert_results_equal(r_off, r_on, rel=1e-6):
+def assert_results_equal(r_off, r_on):
     assert r_on.prompt_tokens == r_off.prompt_tokens
     assert r_on.cached_tokens == r_off.cached_tokens
     assert r_on.prefill_tokens == r_off.prefill_tokens
@@ -81,9 +81,7 @@ def assert_results_equal(r_off, r_on, rel=1e-6):
     assert r_on.decode_steps == r_off.decode_steps
     assert r_on.peak_kv_tokens == r_off.peak_kv_tokens
     assert r_on.max_batch_seen == r_off.max_batch_seen
-    assert r_on.total_seconds == pytest.approx(
-        r_off.total_seconds, rel=rel, abs=1e-9
-    )
+    assert r_on.total_seconds == r_off.total_seconds
     assert len(r_on.request_metrics) == len(r_off.request_metrics)
     for mo, mn in zip(r_off.request_metrics, r_on.request_metrics):
         assert mn.request_id == mo.request_id
@@ -92,9 +90,7 @@ def assert_results_equal(r_off, r_on, rel=1e-6):
         assert mn.prefill_tokens == mo.prefill_tokens
         assert mn.output_tokens == mo.output_tokens
         for attr in ("admitted_at_s", "first_token_at_s", "finished_at_s"):
-            assert getattr(mn, attr) == pytest.approx(
-                getattr(mo, attr), rel=rel, abs=1e-9
-            )
+            assert getattr(mn, attr) == getattr(mo, attr), attr
 
 
 def assert_online_matches_offline(make_requests, mode, waves=1, **cfg_kwargs):
@@ -282,7 +278,7 @@ class TestOfflineGate:
 class TestOnlineEventVsStepwise:
     """With real (timed) arrivals, the event loop's arrival-cut decode
     runs must land on the same step boundaries the stepwise loop walks:
-    identical schedules and integer metrics, clocks to float rounding.
+    identical schedules, integer metrics and clocks.
     Deterministic seeds (fixed workloads), all four policies."""
 
     @pytest.mark.parametrize("policy", ["fcfs", "sjf", "prefix-affinity", "fair-share"])

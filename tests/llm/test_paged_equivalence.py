@@ -3,7 +3,7 @@
 With ``block_tokens=1`` a block *is* a token — no rounding, no partial
 blocks, no straddles — so the paged admission path must reproduce the
 token-sum oracle's request schedules exactly (identical integer metrics
-and per-request clocks to float rounding) in *both* replay modes. With
+and per-request clocks under ``==``) in *both* replay modes. With
 realistic block sizes (16), the paged path must surface what the oracle
 cannot see: internal fragmentation and block-granular sharing.
 
@@ -23,7 +23,7 @@ from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.request import Request
 
-from tests.llm.test_engine_equivalence import random_workload
+from tests.llm.test_vector_equivalence import random_workload
 
 #: Both replay loops.
 MODES = ["vector", "stepwise"]
@@ -80,9 +80,7 @@ def assert_paged_matches_tokens(requests, mode, waves=1, **cfg):
         assert rp.decode_steps == rt.decode_steps
         assert rp.peak_kv_tokens == rt.peak_kv_tokens
         assert rp.max_batch_seen == rt.max_batch_seen
-        assert rp.total_seconds == pytest.approx(
-            rt.total_seconds, rel=1e-6, abs=1e-9
-        )
+        assert rp.total_seconds == rt.total_seconds
         # One-token blocks: block charge == token charge, zero waste.
         assert rp.peak_kv_blocks == rt.peak_kv_tokens
         assert rp.fragmentation_tokens == 0
@@ -94,15 +92,9 @@ def assert_paged_matches_tokens(requests, mode, waves=1, **cfg):
             assert mp.cached_tokens == mt.cached_tokens
             assert mp.prefill_tokens == mt.prefill_tokens
             assert mp.output_tokens == mt.output_tokens
-            assert mp.admitted_at_s == pytest.approx(
-                mt.admitted_at_s, rel=1e-6, abs=1e-9
-            )
-            assert mp.first_token_at_s == pytest.approx(
-                mt.first_token_at_s, rel=1e-6, abs=1e-9
-            )
-            assert mp.finished_at_s == pytest.approx(
-                mt.finished_at_s, rel=1e-6, abs=1e-9
-            )
+            assert mp.admitted_at_s == mt.admitted_at_s
+            assert mp.first_token_at_s == mt.first_token_at_s
+            assert mp.finished_at_s == mt.finished_at_s
 
     # Identical probe/evict sequences against the radix cache.
     assert e_pag.cache.hits == e_tok.cache.hits
@@ -171,9 +163,7 @@ def assert_modes_agree(requests, block_tokens, **cfg):
         assert re.peak_kv_blocks == rs.peak_kv_blocks
         assert re.fragmentation_tokens == rs.fragmentation_tokens
         assert re.max_batch_seen == rs.max_batch_seen
-        assert re.total_seconds == pytest.approx(
-            rs.total_seconds, rel=1e-6, abs=1e-9
-        )
+        assert re.total_seconds == rs.total_seconds
     assert e_e.cache.evicted_tokens == e_s.cache.evicted_tokens
 
 

@@ -6,7 +6,7 @@ Two contracts:
   (recompute or swap), chunked prefill, and the deadline EDF scheduler
   all active, the event loop (``mode="vector"``) still agrees with the
   stepwise oracle — identical integer metrics including every
-  preemption/chunk counter, clocks to float rounding (1e-6 relative).
+  preemption/chunk counter, clocks included (``==``).
 
 * **The one-shot oracle**: ``preemption="off"`` with monolithic prefill
   (``prefill_chunk_tokens=None``) is the pre-continuous-batching engine,
@@ -124,33 +124,22 @@ INT_METRIC_FIELDS = (
 CLOCK_FIELDS = ("admitted_at_s", "first_token_at_s", "finished_at_s")
 
 
-def assert_results_match(r_a, r_b, exact_clocks):
-    """Integer metrics identical; clocks exact (two runs of one mode) or
-    to 1e-6 relative (stepwise vs the event loop)."""
+def assert_results_match(r_a, r_b):
+    """Integer metrics and clocks identical."""
     for f in INT_RESULT_FIELDS:
         assert getattr(r_b, f) == getattr(r_a, f), f
-    if exact_clocks:
-        assert r_b.total_seconds == r_a.total_seconds
-    else:
-        assert r_b.total_seconds == pytest.approx(
-            r_a.total_seconds, rel=1e-6, abs=1e-9
-        )
+    assert r_b.total_seconds == r_a.total_seconds
     assert len(r_b.request_metrics) == len(r_a.request_metrics)
     for ma, mb in zip(r_a.request_metrics, r_b.request_metrics):
         assert mb.request_id == ma.request_id
         for f in INT_METRIC_FIELDS:
             assert getattr(mb, f) == getattr(ma, f), (ma.request_id, f)
         for f in CLOCK_FIELDS:
-            if exact_clocks:
-                assert getattr(mb, f) == getattr(ma, f), (ma.request_id, f)
-            else:
-                assert getattr(mb, f) == pytest.approx(
-                    getattr(ma, f), rel=1e-6, abs=1e-9
-                ), (ma.request_id, f)
+            assert getattr(mb, f) == getattr(ma, f), (ma.request_id, f)
 
 
 class TestModeEquivalenceWithPreemption:
-    """stepwise ~ event loop with preemption + chunking + EDF on."""
+    """stepwise == event loop with preemption + chunking + EDF on."""
 
     @pytest.mark.parametrize("preemption", ["recompute", "swap"])
     @pytest.mark.parametrize("chunk", [None, 64])
@@ -166,7 +155,7 @@ class TestModeEquivalenceWithPreemption:
         )
         _, r_step = run_engine(clone(reqs), "stepwise", **cfg)
         _, r_vect = run_engine(clone(reqs), "vector", **cfg)
-        assert_results_match(r_step, r_vect, exact_clocks=False)
+        assert_results_match(r_step, r_vect)
         # Rollups are exactly the per-request sums.
         for res in (r_step, r_vect):
             assert res.n_preemptions == sum(
@@ -197,7 +186,7 @@ class TestModeEquivalenceWithPreemption:
         cfg.update(cfg_axis)
         _, r_step = run_engine(clone(reqs), "stepwise", **cfg)
         _, r_vect = run_engine(clone(reqs), "vector", **cfg)
-        assert_results_match(r_step, r_vect, exact_clocks=False)
+        assert_results_match(r_step, r_vect)
 
     def test_preemption_actually_fires(self):
         """Guard against a silently inert preemption path: under slot
@@ -281,7 +270,7 @@ class TestOneShotOracle:
             prefill_chunk_tokens=None,
             **PRESSURE_CFG,
         )
-        assert_results_match(r_plain, r_off, exact_clocks=True)
+        assert_results_match(r_plain, r_off)
 
 
 class TestTenantQuota:
@@ -316,7 +305,7 @@ class TestTenantQuota:
         )
         _, r_step = run_engine(clone(reqs), "stepwise", **cfg)
         _, r_vect = run_engine(clone(reqs), "vector", **cfg)
-        assert_results_match(r_step, r_vect, exact_clocks=False)
+        assert_results_match(r_step, r_vect)
 
     def test_oversized_request_names_tenant_and_quota(self):
         from repro.errors import CapacityError

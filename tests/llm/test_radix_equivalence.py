@@ -6,9 +6,9 @@ the default) must make exactly the same caching
 decisions as its node-object reference (``backend="node"``): match
 lengths, eviction victims and order, hit/miss/eviction counters, block
 allocations, and therefore every engine clock — compared with plain
-``==``, not approx, because both runs use the *same* engine mode and the
-cache is the only thing that differs. The node run substitutes its cache
-into a vector-mode engine before ``run``.
+``==``. Both runs use the *same* engine mode and the cache is the only
+thing that differs: the node run substitutes its cache into a
+vector-mode engine before ``run``.
 
 Scope: paged x preemption x chunked-prefill shapes, eviction pressure,
 multi-wave warm caches, timed arrivals, every scheduler policy.

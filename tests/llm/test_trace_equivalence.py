@@ -1,6 +1,6 @@
 """Randomized equivalence for the lifecycle-tracing layer.
 
-Two contracts (the ISSUE's acceptance axes):
+Three contracts:
 
 * **Observer invariance**: tracing ON leaves every ``EngineResult``
   metric — integer counters AND float clocks — **bit-identical** to the
@@ -11,13 +11,14 @@ Two contracts (the ISSUE's acceptance axes):
 * **Mode invariance**: the stepwise oracle and the event loop
   (``mode="vector"``) emit **identical span sets** — the same spans,
   instants, and gauge samples with the same simulated-clock stamps
-  under ``==`` — even though the engine
-  clocks themselves agree only to float rounding (the recorder's
-  canonical clock rebuilds time from mode-invariant deltas; see
-  ``repro/llm/tracing.py``). The one excluded value is the
-  ``radix_store_bytes`` gauge: the stepwise oracle pins the scan/node
-  radix backend, whose byte accounting legitimately differs from the
-  flat backend's arena.
+  under ``==``. The one excluded value is the ``radix_store_bytes``
+  gauge: the stepwise oracle pins the node radix backend, whose byte
+  accounting legitimately differs from the flat backend's arena.
+
+* **Stamp agreement**: spans are stamped from the engine clock itself,
+  so a request's last prefill span ends exactly at its
+  ``admitted_at_s``, its decode span at its ``finished_at_s``, and no
+  queued span ends before it starts.
 """
 
 import dataclasses
@@ -309,6 +310,38 @@ class TestModeInvariantSpans:
             peaks.add(result.peak_waiting)
         assert len(peaks) == 1
         assert peaks.pop() > 0
+
+
+class TestStampsMatchMetrics:
+    """Span stamps equal the RequestMetrics stamps under ``==``."""
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_span_ends_equal_metric_stamps(self, config, mode, seed):
+        rng = random.Random(1000 * sorted(CONFIGS).index(config) + seed)
+        _, result = run_traced(
+            clone(trace_workload(rng)), mode, "on", **CONFIGS[config]
+        )
+        spans = {}
+        for s in result.trace.spans:
+            spans.setdefault(s.request_id, []).append(s)
+        checked = 0
+        for m in result.request_metrics:
+            if m.n_preemptions:
+                continue  # stamps of a preempted request span its stints
+            own = spans[m.request_id]
+            prefills = [
+                s for s in own if s.name in ("prefill", "prefill-chunk")
+            ]
+            (decode,) = [s for s in own if s.name == "decode"]
+            assert prefills[-1].end_s == m.admitted_at_s
+            assert decode.end_s == m.finished_at_s
+            for s in own:
+                if s.name == "queued":
+                    assert s.end_s >= s.start_s
+            checked += 1
+        assert checked
 
 
 class TestTraceMachineryFires:

@@ -1,23 +1,27 @@
-"""Randomized equivalence: the vectorized event loop vs the stepwise oracle.
+"""Randomized equivalence: the event loop vs the stepwise oracle.
 
-The event loop (``mode="vector"``: numpy request-state arrays, vectorized
-block pool, arithmetic tail settling, closed-form decode runs) must make
-exactly the same scheduling decisions as the per-token stepwise loop:
-identical integer metrics (per request and per run, paged-block peaks and
-fragmentation included) and cache counters, and clocks to float rounding
-(1e-6 relative) — the closed-form run sum replaces a per-step
-accumulation, so bit-identical floats are not expected.
+The event loop (``mode="vector"``: numpy request-state arrays, arithmetic
+tail settling, closed-form decode runs, flat radix backend) must make
+exactly the same scheduling decisions as the per-token stepwise loop
+(node-tree radix reference): identical integer metrics (per request and
+per run, paged-block peaks and fragmentation included), cache counters,
+and clocks, all under ``==`` — both loops price decode time from the same
+integer step and KV-token counts. Radix invariants are checked after
+every run.
 
-Scope: all scheduler policies, online (timed) arrivals, paged block
-accounting, eviction pressure, multi-wave replay, zero-output requests.
-Each scenario draws its workloads from ``random.Random(base + seed)``;
-seeds 8000 and up add a second, disjoint block of workloads per scenario.
+Scope: all scheduler policies, online (timed) arrivals — including
+arrivals landing exactly on a decode-step boundary — paged block
+accounting, eviction pressure, multi-wave replay, zero-output requests,
+the capacity error, and replay-mode selection. Each scenario draws its
+workloads from ``random.Random(base + seed)``; seeds 8000 and up add a
+second, disjoint block of workloads per scenario.
 """
 
 import random
 
 import pytest
 
+from repro.errors import CapacityError
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
@@ -86,8 +90,8 @@ def run_engine(requests, mode, waves=1, **cfg_kwargs):
     return eng, results
 
 
-def assert_close(rs, rv, rel=1e-6):
-    """Stepwise vs vector: integers exact, clocks to float rounding."""
+def assert_same(rs, rv):
+    """Stepwise vs vector: every metric identical, clocks included."""
     assert rv.prompt_tokens == rs.prompt_tokens
     assert rv.cached_tokens == rs.cached_tokens
     assert rv.prefill_tokens == rs.prefill_tokens
@@ -97,7 +101,7 @@ def assert_close(rs, rv, rel=1e-6):
     assert rv.max_batch_seen == rs.max_batch_seen
     assert rv.peak_kv_blocks == rs.peak_kv_blocks
     assert rv.fragmentation_tokens == rs.fragmentation_tokens
-    assert rv.total_seconds == pytest.approx(rs.total_seconds, rel=rel, abs=1e-9)
+    assert rv.total_seconds == rs.total_seconds
     assert len(rv.request_metrics) == len(rs.request_metrics)
     for ms, mv in zip(rs.request_metrics, rv.request_metrics):
         assert mv.request_id == ms.request_id
@@ -108,9 +112,7 @@ def assert_close(rs, rv, rel=1e-6):
         assert mv.arrival_s == ms.arrival_s
         assert mv.tenant == ms.tenant
         for f in ("admitted_at_s", "first_token_at_s", "finished_at_s"):
-            assert getattr(mv, f) == pytest.approx(
-                getattr(ms, f), rel=rel, abs=1e-9
-            ), (ms.request_id, f)
+            assert getattr(mv, f) == getattr(ms, f), (ms.request_id, f)
 
 
 def assert_vector_matches_stepwise(requests, waves=1, **cfg_kwargs):
@@ -120,8 +122,9 @@ def assert_vector_matches_stepwise(requests, waves=1, **cfg_kwargs):
     )
     e_vec, r_vec = run_engine(clone(requests), "vector", waves=waves, **cfg_kwargs)
     assert e_step.mode == "stepwise" and e_vec.mode == "vector"
+    assert e_step.cache.backend == "node" and e_vec.cache.backend == "flat"
     for rs, rv in zip(r_step, r_vec):
-        assert_close(rs, rv)
+        assert_same(rs, rv)
     assert e_vec.cache.hits == e_step.cache.hits
     assert e_vec.cache.misses == e_step.cache.misses
     assert e_vec.cache.evicted_tokens == e_step.cache.evicted_tokens
@@ -202,6 +205,13 @@ class TestVectorVsStepwise:
             random_workload(rng, n_requests=20), max_batch_size=2
         )
 
+    def test_uniform_outputs_single_completion_event(self):
+        """All requests finish on the same step: one big closed-form jump."""
+        shared = tuple(range(50))
+        assert_vector_matches_stepwise(
+            [Request(i, shared, 32) for i in range(10)]
+        )
+
     def test_zero_output_only(self):
         reqs = [
             Request(i, tuple(range(10 * i, 10 * i + 5)), 0, tenant=f"t{i % 2}")
@@ -219,3 +229,55 @@ class TestVectorVsStepwise:
             kv_capacity_tokens=3 * need,
             max_batch_size=16,
         )
+
+
+def solo_clock_after(prompt_len, steps):
+    """The event loop's clock after ``steps`` decode steps of one request
+    with a ``prompt_len``-token prompt: that request's finish stamp."""
+    eng = SimulatedLLMEngine(
+        LLAMA3_8B, CLUSTER_1XL4, EngineConfig(mode="vector")
+    )
+    eng.submit(Request(0, tuple(range(prompt_len)), steps))
+    return eng.run().request_metrics[0].finished_at_s
+
+
+class TestArrivalOnStepBoundary:
+    """A request arriving exactly when the event loop's clock reaches a
+    decode-step boundary must be admitted at that boundary by both loops.
+    A per-step float sum that lands one ulp below the arrival would admit
+    it one decode step later in the stepwise loop."""
+
+    @pytest.mark.parametrize("prompt_len", [16, 64, 117, 1024])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 199])
+    def test_boundary_arrival(self, prompt_len, k):
+        arrival = solo_clock_after(prompt_len, k)
+        reqs = [
+            Request(0, tuple(range(prompt_len)), 400),
+            Request(1, tuple(range(1000, 1040)), 8, arrival_s=arrival),
+        ]
+        assert_vector_matches_stepwise(reqs)
+
+
+class TestModeSelectionAndErrors:
+    def test_default_mode_is_vector(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
+        eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
+        assert eng.mode == "vector"
+        assert eng.cache.backend == "flat"
+
+    def test_env_flag_selects_oracle(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVING_FASTPATH", "0")
+        eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
+        assert eng.mode == "stepwise"
+        assert eng.cache.backend == "node"
+
+    @pytest.mark.parametrize("mode", ["vector", "stepwise"])
+    def test_capacity_error(self, mode):
+        eng = SimulatedLLMEngine(
+            LLAMA3_8B,
+            CLUSTER_1XL4,
+            EngineConfig(mode=mode, kv_capacity_tokens=500),
+        )
+        eng.submit(Request(0, tuple(range(2000)), 10))
+        with pytest.raises(CapacityError):
+            eng.run()
