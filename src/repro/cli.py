@@ -438,19 +438,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"unknown experiment(s): {unknown}; try 'repro list'", file=sys.stderr)
         return 2
 
-    reports = []
-    for name in names:
-        start = time.perf_counter()
-        output = EXPERIMENTS[name](scale=args.scale, seed=args.seed)
-        elapsed = time.perf_counter() - start
-        text = output.render() + f"\n\n(wall time: {elapsed:.1f}s)"
-        print(text)
-        print()
-        reports.append(text)
+    from repro.errors import ReproError
 
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n\n".join(reports) + "\n")
+    reports = []
+    try:
+        for name in names:
+            start = time.perf_counter()
+            output = EXPERIMENTS[name](scale=args.scale, seed=args.seed)
+            elapsed = time.perf_counter() - start
+            text = output.render() + f"\n\n(wall time: {elapsed:.1f}s)"
+            print(text)
+            print()
+            reports.append(text)
+
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write("\n\n".join(reports) + "\n")
+    except (ReproError, OSError) as exc:
+        # Same contract as the subcommands: one line on stderr, exit 2.
+        print(f"{args.experiment} failed: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -71,7 +71,7 @@ class CompiledTable:
     """
 
     __slots__ = (
-        "table",
+        "fields",
         "n_rows",
         "n_fields",
         "codes",
@@ -89,7 +89,10 @@ class CompiledTable:
         if not HAVE_NUMPY:
             raise SolverError("CompiledTable requires numpy")
         n, m = table.n_rows, table.n_fields
-        self.table = table
+        # Only the field names, not the table: the table caches this
+        # object, and a back-reference would make the pair a cycle that
+        # outlives the table until a full gc pass.
+        self.fields = table.fields
         self.n_rows = n
         self.n_fields = m
         # Column-major so per-column slices used by the solvers are
@@ -134,7 +137,7 @@ class CompiledTable:
         """One shared :class:`Cell` per distinct value of column ``col``."""
         pool = self._cell_pool[col]
         if pool is None:
-            name = self.table.fields[col]
+            name = self.fields[col]
             pool = [Cell(name, v) for v in self.values[col]]
             self._cell_pool[col] = pool
         return pool
@@ -293,7 +296,6 @@ def schedule_from_layout(
 
     import numpy as np
 
-    table = ct.table
     validate_layout(ct.n_rows, ct.n_fields, layout)
     pools = [ct.cell_pool(c) for c in range(ct.n_fields)]
     rows: List[OrderedRow] = []
@@ -318,4 +320,4 @@ def schedule_from_layout(
             for rid, crow in zip(rids, block_codes)
         )
         i = j
-    return RequestSchedule(rows=rows, source_fields=table.fields)
+    return RequestSchedule(rows=rows, source_fields=ct.fields)

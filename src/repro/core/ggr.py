@@ -282,7 +282,10 @@ def _solve_python(
         layout = [(rid, prefix + order) for rid, order in b_layout] + a_layout
         return score + a_score + b_score, layout
 
-    return solve(list(range(n)), list(range(m)), 0, 0)
+    try:
+        return solve(list(range(n)), list(range(m)), 0, 0)
+    finally:
+        del solve  # the recursive closure refers to itself: break the cycle
 
 
 # --------------------------------------------------------------------------
@@ -303,7 +306,7 @@ def _solve_compiled(
     sq_lengths = ct.sq_lengths
     code_sq = ct.code_sq
     values = ct.values
-    fields = ct.table.fields
+    fields = ct.fields
     n, m = ct.n_rows, ct.n_fields
     n_codes = [len(v) for v in values]
     fd_weight = lengths if not cfg.square_fd_lengths else sq_lengths
@@ -438,4 +441,7 @@ def _solve_compiled(
         return score + a_score + b_score, layout
 
     rows0 = np.arange(n, dtype=np.int64)
-    return solve(rows0, list(range(m)), 0, 0)
+    try:
+        return solve(rows0, list(range(m)), 0, 0)
+    finally:
+        del solve  # the recursive closure refers to itself: break the cycle

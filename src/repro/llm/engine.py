@@ -28,18 +28,20 @@ decode advanced one step or one whole run at a time.
     (:func:`~repro.llm.costmodel.run_kv_tokens`) — O(batch) work per event
     instead of O(steps x batch) Python work per token. Runs are cut at every
     step boundary where the stepwise loop could act differently, so both
-    modes probe admission at identical clocks. Per-request state is vectorized:
-    request metrics live in numpy arrays keyed by a dense request index
-    (``RequestMetrics`` objects are materialized once, in bulk, at the end
-    of the run), admission waves stamp clocks with one fancy-indexed
-    assignment, and a request's prompt-path block references are forked
-    and released as a single bundle
-    (:meth:`RadixPrefixCache.fork_path_bundle`).
+    modes probe admission at identical clocks.
 
 ``mode="stepwise"``
     The original per-token loop, kept as the equivalence oracle
     (``REPRO_SERVING_FASTPATH=0`` selects it everywhere). It runs on the
-    radix cache's node-tree reference (``backend="node"``).
+    radix cache's node-tree reference (``backend="node"``), protects
+    running prompts from eviction explicitly instead of by pin counts, and
+    grows each decode tail one token at a time.
+
+The two loops differ only in how decode advances. Admission, chunking,
+preemption and completion are shared: each request's
+:class:`RequestMetrics` is built at admission and stamped in place, and
+its prompt-path block references are forked and released as one bundle
+(:meth:`RadixPrefixCache.fork_path_bundle`).
 
 Two *KV accounting* models gate admission (orthogonal to the replay mode):
 
@@ -85,7 +87,7 @@ selected candidate lacks batch slots or KV memory; the victim's decode
 tail is evicted for later re-prefill (``"recompute"``) or parked in host
 memory at PCIe-priced cost (``"swap"``, :meth:`CostModel.swap_time`), and
 the victim re-enters the waiting queue with its decode progress and
-metrics row intact. ``prefill_chunk_tokens`` splits long prefills into
+metrics intact. ``prefill_chunk_tokens`` splits long prefills into
 chunks that advance one per admission point, interleaved with decode
 steps, so a long prompt no longer stalls the batch; radix inserts, pins,
 and paged block reservations settle chunk by chunk. Per-tenant KV block
@@ -110,8 +112,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from numbers import Real
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as _np
 
 from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import BlockAllocation, BlockManager, check_size
@@ -142,7 +142,7 @@ class EngineConfig:
     ``kv_capacity_tokens`` overrides the cost model's derived capacity
     (useful for the memory-pressure ablation); ``mode`` selects the replay
     engine: ``"vector"`` (the event loop: closed-form multi-step advance
-    over numpy request state), ``"stepwise"`` (per-token reference
+    between batch events), ``"stepwise"`` (per-token reference
     loop), or ``"auto"`` (vector unless ``REPRO_SERVING_FASTPATH=0``
     forces stepwise); ``kv_accounting`` selects the admission model:
     ``"paged"`` (block-granular, vLLM-style; the default) or ``"tokens"``
@@ -238,18 +238,19 @@ class EngineConfig:
 @dataclass
 class _Running:
     request: Request
-    #: None in vector mode, where the per-request metric fields live in the
-    #: run's :class:`_VectorState` arrays at row ``idx`` instead.
-    metrics: Optional[RequestMetrics]
+    #: Built at admission, stamped in place as the request progresses, and
+    #: reported as is when it finishes.
+    metrics: RequestMetrics
+    #: Private KV tokens charged while in the batch: the tail's size once
+    #: fully decoded (output tokens, plus the prompt with the cache off).
     reserved_tokens: int
-    idx: int = -1
     decoded: int = 0
     pin: Optional[object] = None
-    #: Paged accounting only: forked references to the shared blocks of the
-    #: prompt's radix path (released at completion), and the private tail
-    #: allocation decode tokens grow into (plus the whole prompt when the
-    #: prefix cache is off).
-    forks: Optional[List[BlockAllocation]] = None
+    #: Paged accounting only: one forked reference bundle over the shared
+    #: blocks of the prompt's radix path, and the private tail allocation
+    #: decode tokens grow into (plus the whole prompt when the prefix cache
+    #: is off). Both are released when the member leaves the batch.
+    fork: Optional[BlockAllocation] = None
     tail: Optional[BlockAllocation] = None
     #: Continuous-batching lifecycle state. ``in_decode`` marks membership
     #: in the engine's preemption-victim list; ``admit_step`` is the global
@@ -357,122 +358,6 @@ def _resolve_mode(mode: str) -> str:
     return mode
 
 
-class _VectorState:
-    """Per-run SoA request state for ``mode="vector"``: one dense row per
-    admitted request, numpy columns for every :class:`RequestMetrics`
-    field. The replay loop stamps clocks into rows by index (whole
-    admission waves in one fancy-indexed assignment); :meth:`settle` sorts
-    by request id and materializes the ``RequestMetrics`` list — plus the
-    run's aggregate token sums — in bulk at the end of the run."""
-
-    __slots__ = (
-        "n", "_cap", "req_id", "prompt", "cached", "prefill",
-        "out", "arrival", "admitted", "first", "finished", "tenants",
-        "npre", "tok_rec", "tok_swap", "chunks",
-    )
-
-    def __init__(self, capacity_hint: int):
-        self._cap = max(16, capacity_hint)
-        self.n = 0
-        # Admission-time constants are append-only: plain list appends beat
-        # numpy scalar stores, and one bulk conversion at settle() suffices.
-        self.req_id: List[int] = []
-        self.prompt: List[int] = []
-        self.cached: List[int] = []
-        self.prefill: List[int] = []
-        self.arrival: List[float] = []
-        self.tenants: List[str] = []
-        # Replay-time stamps land at random row indices as events fire, so
-        # these are numpy from the start. Zero-initialized: a zero-output
-        # request's first-token stamp keeps the RequestMetrics default of
-        # 0.0, like the stepwise loop.
-        self.out = _np.zeros(self._cap, dtype=_np.int64)
-        self.admitted = _np.zeros(self._cap, dtype=_np.float64)
-        self.first = _np.zeros(self._cap, dtype=_np.float64)
-        self.finished = _np.zeros(self._cap, dtype=_np.float64)
-        # Preemption/chunking counters land at existing rows when a
-        # request leaves and re-enters the running set, so they are numpy
-        # from the start like the other replay-time stamps.
-        self.npre = _np.zeros(self._cap, dtype=_np.int64)
-        self.tok_rec = _np.zeros(self._cap, dtype=_np.int64)
-        self.tok_swap = _np.zeros(self._cap, dtype=_np.int64)
-        self.chunks = _np.zeros(self._cap, dtype=_np.int64)
-
-    def add(self, req: Request, cached: int, prefill: int) -> int:
-        i = self.n
-        if i == self._cap:
-            self._cap *= 2
-            for name in (
-                "out", "admitted", "first", "finished",
-                "npre", "tok_rec", "tok_swap", "chunks",
-            ):
-                arr = getattr(self, name)
-                grown = _np.zeros(self._cap, dtype=arr.dtype)
-                grown[:i] = arr
-                setattr(self, name, grown)
-        self.req_id.append(req.request_id)
-        self.prompt.append(req.prompt_len)
-        self.cached.append(cached)
-        self.prefill.append(prefill)
-        self.arrival.append(req.arrival_s)
-        self.tenants.append(req.tenant)
-        self.n = i + 1
-        return i
-
-    def settle(self) -> Tuple[List[RequestMetrics], int, int, int, int]:
-        """(metrics sorted by request id, prompt/cached/prefill/decode
-        token sums)."""
-        n = self.n
-        req_id = _np.asarray(self.req_id, dtype=_np.int64)
-        order = _np.argsort(req_id, kind="stable")
-        tenants = self.tenants
-        prompt = _np.asarray(self.prompt, dtype=_np.int64)
-        cached = _np.asarray(self.cached, dtype=_np.int64)
-        prefill = _np.asarray(self.prefill, dtype=_np.int64)
-        arrival = _np.asarray(self.arrival, dtype=_np.float64)
-        metrics = [
-            RequestMetrics(
-                request_id=rid,
-                prompt_tokens=pt,
-                cached_tokens=ct,
-                prefill_tokens=ft,
-                output_tokens=ot,
-                admitted_at_s=ad,
-                first_token_at_s=fi,
-                finished_at_s=fin,
-                arrival_s=ar,
-                tenant=tenants[i],
-                n_preemptions=pr,
-                preempted_tokens_recomputed=tr,
-                preempted_tokens_swapped=ts,
-                n_prefill_chunks=ch,
-            )
-            for rid, pt, ct, ft, ot, ad, fi, fin, ar, pr, tr, ts, ch, i in zip(
-                req_id[order].tolist(),
-                prompt[order].tolist(),
-                cached[order].tolist(),
-                prefill[order].tolist(),
-                self.out[:n][order].tolist(),
-                self.admitted[:n][order].tolist(),
-                self.first[:n][order].tolist(),
-                self.finished[:n][order].tolist(),
-                arrival[order].tolist(),
-                self.npre[:n][order].tolist(),
-                self.tok_rec[:n][order].tolist(),
-                self.tok_swap[:n][order].tolist(),
-                self.chunks[:n][order].tolist(),
-                order.tolist(),
-            )
-        ]
-        return (
-            metrics,
-            int(prompt.sum()),
-            int(cached.sum()),
-            int(prefill.sum()),
-            int(self.out[:n].sum()),
-        )
-
-
 class SimulatedLLMEngine:
     """Discrete-event engine; see module docstring."""
 
@@ -512,9 +397,6 @@ class SimulatedLLMEngine:
             block_manager=self.blocks,
         )
         self._use_pins = self.mode != "stepwise"
-        #: Live only inside a vector-mode run(); _admit/_finish stamp into
-        #: it instead of per-request RequestMetrics objects when set.
-        self._vstate: Optional[_VectorState] = None
         #: Arrived-but-unadmitted requests live in the scheduling policy;
         #: not-yet-arrived requests wait in a (arrival_s, seq) heap and are
         #: released into the policy as the clock passes their stamp.
@@ -615,9 +497,14 @@ class SimulatedLLMEngine:
         unblock admission; returns how many were dropped. Used to clean up
         after a failed run (e.g. a :class:`CapacityError` on an infeasible
         request) so the engine — and its warm cache — stay usable for the
-        next job."""
+        next job. Preempted members are among the dropped: their parked
+        state goes too, swapped-out KV included."""
         drained = self.scheduler.drain()
         n = len(drained) + len(self._future)
+        if self.preemption == "swap" and self.blocks is not None:
+            for m in self._parked.values():
+                self.blocks.parked_tokens -= self._tail_tokens(m)
+        self._parked.clear()
         if self.tracer is not None:
             for req in drained:
                 self.tracer.dropped(req.request_id)
@@ -751,207 +638,164 @@ class SimulatedLLMEngine:
         incrementally — no per-event scans of the running set. Runs are
         cut at every step boundary where the stepwise loop could act
         differently, so both loops probe admission (and the radix cache)
-        with identical call sequences at identical clocks.
+        with identical call sequences at identical clocks. A member's
+        decode tail is not grown between events: the admission-time block
+        reservation covers it, and :meth:`_release_member` settles the
+        difference when the member leaves the batch."""
+        done: List[RequestMetrics] = []
+        peak = 0
+        decode_steps = 0
+        max_batch_seen = 0
 
-        Per-request state is vectorized: metric stamps land in
-        :class:`_VectorState` rows (whole admission waves per assignment),
-        prompt-path block references fork/release as one bundle per
-        request, and ``RequestMetrics`` objects plus the aggregate token
-        sums materialize in bulk at the end of the run."""
-        vect = _VectorState(len(self.scheduler) + len(self._future))
-        self._vstate = vect
-        try:
-            done: List[RequestMetrics] = []  # unused rows; settle() reports
-            peak = 0
-            decode_steps = 0
-            max_batch_seen = 0
+        # (completion_step, admission_order, member, admit_gen): a request
+        # (re-)admitted at global step S with n tokens left completes at
+        # step S + n. Preemption bumps the member's admit_gen, so an entry
+        # whose gen no longer matches is dead and is purged lazily.
+        completions: List[Tuple[int, int, _Running, int]] = []
+        order = 0
+        batch = 0  # running sequences
+        context_sum = 0  # sum of their current context lengths
+        step = 0  # global decode-step counter
+        fresh: List[RequestMetrics] = []  # members awaiting their first token
 
-            # (completion_step, admission_order, member, admit_gen): a
-            # request (re-)admitted at global step S with n tokens left
-            # completes at step S + n. Preemption bumps the member's
-            # admit_gen, so an entry whose gen no longer matches is dead
-            # and is purged lazily.
-            completions: List[Tuple[int, int, _Running, int]] = []
-            order = 0
-            batch = 0  # running sequences
-            context_sum = 0  # sum of their current context lengths
-            step = 0  # global decode-step counter
-            fresh: List[int] = []  # vector-state rows awaiting first token
+        def _detach(m: _Running) -> None:
+            # Settle a preemption victim out of the incremental batch
+            # state: its decode progress is the steps elapsed since it
+            # (re-)joined the batch.
+            nonlocal batch, context_sum
+            m.decoded = step - m.admit_step
+            batch -= 1
+            context_sum -= m.context_len
 
-            def _detach(m: _Running) -> None:
-                # Settle a preemption victim out of the incremental batch
-                # state: its decode progress is the steps elapsed since it
-                # (re-)joined the batch.
-                nonlocal batch, context_sum
-                m.decoded = step - m.admit_step
+        self._preempt_detach = _detach
+        preempt_on = self.preemption != "off"
+        chunking = self.chunk_tokens is not None
+
+        while len(self.scheduler) or self._future or batch or self._prefilling:
+            wave: List[_Running] = []
+            self._admit(wave, n_active=batch)
+            if batch == 0 and not wave:
+                if self._prefilling:
+                    # Chunked prefills advance (and move the clock) inside
+                    # _admit; keep probing until one is ready.
+                    continue
+                if len(self.scheduler):
+                    raise ServingError("admission stalled with empty batch")
+                if self._future:
+                    self._idle_jump()
+                    continue
+                break
+            max_batch_seen = max(max_batch_seen, batch + len(wave))
+            peak = max(peak, self._sample_usage())
+
+            retired = False
+            for m in wave:
+                if m.request.output_tokens == 0:
+                    # Retired without a decode step, at the post-prefill
+                    # clock.
+                    self._finish(m, done)
+                    retired = True
+                else:
+                    batch += 1
+                    context_sum += m.context_len
+                    m.admit_step = step - m.decoded
+                    heappush(
+                        completions,
+                        (
+                            m.admit_step + m.request.output_tokens,
+                            order,
+                            m,
+                            m.admit_gen,
+                        ),
+                    )
+                    order += 1
+                    if m.decoded == 0:
+                        fresh.append(m.metrics)
+            if batch == 0:
+                continue
+
+            # Next event: the earliest live completion. Each check below
+            # cuts the run shorter, at the first step boundary where the
+            # stepwise loop could act differently.
+            if preempt_on:
+                while (
+                    completions
+                    and completions[0][2].admit_gen != completions[0][3]
+                ):
+                    heappop(completions)  # preempted before completing
+            steps = completions[0][0] - step
+            if chunking and steps > 1 and self._prefilling:
+                # Chunked prefills advance once per step boundary in the
+                # stepwise loop; mirror that cadence exactly.
+                steps = 1
+            if preempt_on and steps > 1 and not self._admission_blocked:
+                if self._pending_decode and len(self.scheduler):
+                    # The last wave's members join the preemption-victim
+                    # list at the next admission probe, where a waiting
+                    # candidate may evict one of them; the stepwise loop
+                    # probes at the very next step boundary, so cut the run
+                    # there.
+                    steps = 1
+                elif len(self.scheduler):
+                    # A time-driven priority shift (a waiting deadline
+                    # expiring) can change which candidate is head-of-line
+                    # and thereby enable a preemption mid-run; cut at the
+                    # step boundary where the stepwise loop would see it.
+                    shift = self.scheduler.next_priority_shift(self._clock)
+                    if shift is not None:
+                        steps = self._cap_steps_at_arrival(
+                            context_sum, batch, steps, shift
+                        )
+            if (
+                retired
+                and len(self.scheduler)
+                and batch < self.config.max_batch_size
+                and steps > 1
+            ):
+                # A zero-output retirement just freed capacity, and the
+                # stepwise loop re-attempts admission after exactly one
+                # decode step — mirror that cadence so both loops issue
+                # identical cache probes.
+                steps = 1
+            if (
+                self._future
+                and steps > 1
+                and (batch < self.config.max_batch_size or preempt_on)
+            ):
+                # Arrival event: cut the decode run at the first step
+                # boundary whose clock reaches the next arrival — the
+                # boundary where the stepwise loop would see it and attempt
+                # admission. With a full batch the arrival cannot be
+                # admitted anyway — unless preemption is on, in which case
+                # the arriving candidate may evict a victim right there.
+                steps = self._cap_steps_at_arrival(
+                    context_sum, batch, steps, self._future[0][0]
+                )
+            if fresh:
+                first = self._clock_at(1, context_sum)
+                for metrics in fresh:
+                    metrics.first_token_at_s = first
+                fresh.clear()
+            self._advance_decode(
+                steps, run_kv_tokens(context_sum, batch, steps)
+            )
+            decode_steps += steps
+            step += steps
+            context_sum += batch * steps
+            while completions and (
+                completions[0][2].admit_gen != completions[0][3]
+                or completions[0][0] <= step
+            ):
+                _, _, m, gen = heappop(completions)
+                if m.admit_gen != gen:
+                    continue  # stale entry of a preempted member
+                m.decoded = m.request.output_tokens
                 batch -= 1
                 context_sum -= m.context_len
+                self._finish(m, done)
 
-            self._preempt_detach = _detach
-            preempt_on = self.preemption != "off"
-            chunking = self.chunk_tokens is not None
-
-            while (
-                len(self.scheduler)
-                or self._future
-                or batch
-                or self._prefilling
-            ):
-                wave: List[_Running] = []
-                self._admit(wave, n_active=batch)
-                if batch == 0 and not wave:
-                    if self._prefilling:
-                        # Chunked prefills advance (and move the clock)
-                        # inside _admit; keep probing until one is ready.
-                        continue
-                    if len(self.scheduler):
-                        raise ServingError("admission stalled with empty batch")
-                    if self._future:
-                        self._idle_jump()
-                        continue
-                    break
-                max_batch_seen = max(max_batch_seen, batch + len(wave))
-                peak = max(peak, self._sample_usage())
-
-                retired = False
-                for m in wave:
-                    if m.request.output_tokens == 0:
-                        # Retired without a decode step, at the
-                        # post-prefill clock.
-                        self._finish(m, done)
-                        retired = True
-                    else:
-                        batch += 1
-                        context_sum += m.context_len
-                        m.admit_step = step - m.decoded
-                        heappush(
-                            completions,
-                            (
-                                m.admit_step + m.request.output_tokens,
-                                order,
-                                m,
-                                m.admit_gen,
-                            ),
-                        )
-                        order += 1
-                        if m.decoded == 0:
-                            fresh.append(m.idx)
-                if batch == 0:
-                    continue
-
-                # Next event: the earliest live completion. Each check
-                # below cuts the run shorter, at the first step boundary
-                # where the stepwise loop could act differently.
-                if preempt_on:
-                    while (
-                        completions
-                        and completions[0][2].admit_gen != completions[0][3]
-                    ):
-                        heappop(completions)  # preempted before completing
-                steps = completions[0][0] - step
-                if chunking and steps > 1 and self._prefilling:
-                    # Chunked prefills advance once per step boundary in
-                    # the stepwise loop; mirror that cadence exactly.
-                    steps = 1
-                if preempt_on and steps > 1 and not self._admission_blocked:
-                    if self._pending_decode and len(self.scheduler):
-                        # The last wave's members join the preemption-victim
-                        # list at the next admission probe, where a waiting
-                        # candidate may evict one of them; the stepwise loop
-                        # probes at the very next step boundary, so cut the
-                        # run there.
-                        steps = 1
-                    elif len(self.scheduler):
-                        # A time-driven priority shift (a waiting deadline
-                        # expiring) can change which candidate is
-                        # head-of-line and thereby enable a preemption
-                        # mid-run; cut at the step boundary where the
-                        # stepwise loop would see it.
-                        shift = self.scheduler.next_priority_shift(
-                            self._clock
-                        )
-                        if shift is not None:
-                            steps = self._cap_steps_at_arrival(
-                                context_sum, batch, steps, shift
-                            )
-                if (
-                    retired
-                    and len(self.scheduler)
-                    and batch < self.config.max_batch_size
-                    and steps > 1
-                ):
-                    # A zero-output retirement just freed capacity, and the
-                    # stepwise loop re-attempts admission after exactly one
-                    # decode step — mirror that cadence so both loops issue
-                    # identical cache probes.
-                    steps = 1
-                if (
-                    self._future
-                    and steps > 1
-                    and (batch < self.config.max_batch_size or preempt_on)
-                ):
-                    # Arrival event: cut the decode run at the first step
-                    # boundary whose clock reaches the next arrival — the
-                    # boundary where the stepwise loop would see it and
-                    # attempt admission. With a full batch the arrival
-                    # cannot be admitted anyway — unless preemption is on,
-                    # in which case the arriving candidate may evict a
-                    # victim right there.
-                    steps = self._cap_steps_at_arrival(
-                        context_sum, batch, steps, self._future[0][0]
-                    )
-                if fresh:
-                    first = self._clock_at(1, context_sum)
-                    if len(fresh) == 1:  # steady state: one admission/event
-                        vect.first[fresh[0]] = first
-                    else:
-                        vect.first[fresh] = first
-                    fresh.clear()
-                self._advance_decode(
-                    steps, run_kv_tokens(context_sum, batch, steps)
-                )
-                decode_steps += steps
-                step += steps
-                context_sum += batch * steps
-                while completions and (
-                    completions[0][2].admit_gen != completions[0][3]
-                    or completions[0][0] <= step
-                ):
-                    _, _, m, gen = heappop(completions)
-                    if m.admit_gen != gen:
-                        continue  # stale entry of a preempted member
-                    m.decoded = m.request.output_tokens
-                    batch -= 1
-                    context_sum -= m.context_len
-                    self._finish(m, done)
-
-            metrics, prompt, cached, prefill, decode = vect.settle()
-            n = vect.n
-            return EngineResult(
-                total_seconds=self._clock,
-                request_metrics=metrics,
-                prompt_tokens=prompt,
-                cached_tokens=cached,
-                prefill_tokens=prefill,
-                decode_tokens=decode,
-                decode_steps=decode_steps,
-                peak_kv_tokens=peak,
-                max_batch_seen=max_batch_seen,
-                kv_accounting=self.kv_accounting,
-                block_tokens=self.block_tokens if self.blocks is not None else 0,
-                peak_kv_blocks=self._peak_blocks,
-                fragmentation_tokens=self._frag_at_peak,
-                scheduler=self.scheduler_name,
-                preemption=self.preemption,
-                n_preemptions=int(vect.npre[:n].sum()),
-                preempted_tokens_recomputed=int(vect.tok_rec[:n].sum()),
-                preempted_tokens_swapped=int(vect.tok_swap[:n].sum()),
-                n_prefill_chunks=int(vect.chunks[:n].sum()),
-                peak_waiting=self._peak_waiting,
-            )
-        finally:
-            self._vstate = None
-            self._preempt_detach = None
+        self._preempt_detach = None
+        return self._result(done, decode_steps, peak, max_batch_seen)
 
     # ------------------------------------------------------------ internals
     def _result(
@@ -1341,22 +1185,16 @@ class SimulatedLLMEngine:
                 cache.insert(req.prompt_tokens, req.prompt_bytes)
                 if self._use_pins:
                     pin = cache.pin(req.prompt_tokens)
-            vect = self._vstate
-            forks = tail = None
+            fork = tail = None
             if bm is not None:
                 if cache_on:
                     # The request holds its own block refs along the whole
                     # prompt path (matched prefix + fresh suffix), like a
-                    # vLLM sequence forked from a cached prefix. The suffix
+                    # vLLM sequence forked from a cached prefix — one
+                    # bundle, one refcount walk over the path. The suffix
                     # blocks were just drawn by insert(); only the decode
                     # tail stays reserved.
-                    if vect is not None:
-                        # One bundle, one refcount walk over the path,
-                        # instead of a fork per radix node.
-                        bundle = cache.fork_path_bundle(req.prompt_tokens)
-                        forks = [bundle] if bundle is not None else None
-                    else:
-                        forks = cache.fork_path(req.prompt_tokens)
+                    fork = cache.fork_path_bundle(req.prompt_tokens)
                     tail = bm.allocate(0)
                     self._reserved_blocks += bm.blocks_needed(req.output_tokens)
                 else:
@@ -1364,26 +1202,19 @@ class SimulatedLLMEngine:
                     self._reserved_blocks += need - len(tail.block_ids)
             self._private_tokens += private_growth
 
-            if vect is not None:
-                metrics = None
-                idx = vect.add(req, hit, new_prompt)
-            else:
-                idx = -1
-                metrics = RequestMetrics(
+            member = _Running(
+                request=req,
+                metrics=RequestMetrics(
                     request_id=req.request_id,
                     prompt_tokens=prompt_len,
                     cached_tokens=hit,
                     prefill_tokens=new_prompt,
                     arrival_s=req.arrival_s,
                     tenant=req.tenant,
-                )
-            member = _Running(
-                request=req,
-                metrics=metrics,
+                ),
                 reserved_tokens=private_growth,
-                idx=idx,
                 pin=pin,
-                forks=forks,
+                fork=fork,
                 tail=tail,
                 hit=hit,
                 quota_charge=quota_need,
@@ -1407,16 +1238,8 @@ class SimulatedLLMEngine:
             self._charge(self.cost.per_request_overhead_s * n_admitted)
             if swap_in_tokens:
                 self._charge(self.cost.swap_time(swap_in_tokens))
-            vect = self._vstate
-            if stamped:
-                if vect is not None:
-                    if len(stamped) == 1:
-                        vect.admitted[stamped[0].idx] = self._clock
-                    else:
-                        vect.admitted[[m.idx for m in stamped]] = self._clock
-                else:
-                    for member in stamped:
-                        member.metrics.admitted_at_s = self._clock
+            for member in stamped:
+                member.metrics.admitted_at_s = self._clock
             if self.tracer is not None:
                 self.tracer.wave_end(
                     self._gauge_sample(base + len(wave_members))
@@ -1466,9 +1289,7 @@ class SimulatedLLMEngine:
             self.tracer.chunk_wave(start, traced)
         bm = self.blocks
         cache_on = self.config.enable_prefix_cache
-        vect = self._vstate
         for m in ready:
-            req = m.request
             if bm is not None:
                 if m.prefill_reserved:
                     # Per-chunk block rounding (or content another request
@@ -1476,18 +1297,13 @@ class SimulatedLLMEngine:
                     self._reserved_blocks -= m.prefill_reserved
                     m.prefill_reserved = 0
                 if cache_on:
-                    if vect is not None:
-                        bundle = self.cache.fork_path_bundle(req.prompt_tokens)
-                        m.forks = [bundle] if bundle is not None else None
-                    else:
-                        m.forks = self.cache.fork_path(req.prompt_tokens)
+                    m.fork = self.cache.fork_path_bundle(
+                        m.request.prompt_tokens
+                    )
             m.chunks_left = None
             # The post-prefill admission stamp, at the clock of the wave
             # that settled the last chunk.
-            if vect is not None:
-                vect.admitted[m.idx] = self._clock
-            else:
-                m.metrics.admitted_at_s = self._clock
+            m.metrics.admitted_at_s = self._clock
         return ready
 
     def _chunk_step(self, m: _Running) -> Tuple[int, int]:
@@ -1548,7 +1364,6 @@ class SimulatedLLMEngine:
         evicting them would only churn the chunk reservation)."""
         bm = self.blocks
         cache_on = self.config.enable_prefix_cache
-        vect = self._vstate
         tail = None
         if bm is not None:
             tail = bm.allocate(0)
@@ -1561,13 +1376,9 @@ class SimulatedLLMEngine:
                     req.prompt_len + req.output_tokens
                 )
         self._private_tokens += private_growth
-        if vect is not None:
-            metrics = None
-            idx = vect.add(req, hit, new_prompt)
-            vect.chunks[idx] = len(chunks)
-        else:
-            idx = -1
-            metrics = RequestMetrics(
+        member = _Running(
+            request=req,
+            metrics=RequestMetrics(
                 request_id=req.request_id,
                 prompt_tokens=req.prompt_len,
                 cached_tokens=hit,
@@ -1575,12 +1386,8 @@ class SimulatedLLMEngine:
                 arrival_s=req.arrival_s,
                 tenant=req.tenant,
                 n_prefill_chunks=len(chunks),
-            )
-        member = _Running(
-            request=req,
-            metrics=metrics,
+            ),
             reserved_tokens=private_growth,
-            idx=idx,
             tail=tail,
             hit=hit,
             chunks_left=list(chunks),
@@ -1619,21 +1426,16 @@ class SimulatedLLMEngine:
         m.pin = pin
         # Tail KV restored on-device: the decoded tokens, plus the whole
         # prompt when the cache is off (it was parked/dropped privately).
-        tail_tokens = d + (0 if cache_on else prompt_len)
+        tail_tokens = self._tail_tokens(m)
+        private_growth = req.output_tokens + (0 if cache_on else prompt_len)
         if bm is not None:
             if cache_on:
-                if m.metrics is None:
-                    bundle = self.cache.fork_path_bundle(req.prompt_tokens)
-                    m.forks = [bundle] if bundle is not None else None
-                else:
-                    m.forks = self.cache.fork_path(req.prompt_tokens)
+                m.fork = self.cache.fork_path_bundle(req.prompt_tokens)
             tail = bm.unpark(tail_tokens) if swap else bm.allocate(tail_tokens)
-            final = req.output_tokens + (0 if cache_on else prompt_len)
             self._reserved_blocks += (
-                bm.blocks_needed(final) - len(tail.block_ids)
+                bm.blocks_needed(private_growth) - len(tail.block_ids)
             )
             m.tail = tail
-        private_growth = req.output_tokens + (0 if cache_on else prompt_len)
         self._private_tokens += private_growth
         m.reserved_tokens = private_growth
         # Re-prefill work and the wave entry: recompute redoes the suffix
@@ -1646,13 +1448,8 @@ class SimulatedLLMEngine:
         else:
             entry = (new_prompt + d, hit) if cache_on else (prompt_len + d, 0)
             swapped_in = 0
-        vect = self._vstate
-        if vect is not None:
-            vect.cached[m.idx] += hit
-            vect.prefill[m.idx] += entry[0]
-        else:
-            m.metrics.cached_tokens += hit
-            m.metrics.prefill_tokens += entry[0]
+        m.metrics.cached_tokens += hit
+        m.metrics.prefill_tokens += entry[0]
         wave.append(entry)
         return swapped_in
 
@@ -1677,7 +1474,7 @@ class SimulatedLLMEngine:
     def _preempt_member(self, m: _Running) -> None:
         """Evict a decoding member from the batch. Its decode-tail KV is
         either dropped for re-prefill (``recompute``) or parked in host
-        memory (``swap``); either way the member keeps its metrics row and
+        memory (``swap``); either way the member keeps its metrics and
         decode progress, re-enters the waiting queue, and is re-admitted
         like any other candidate (head-of-line, same need accounting)."""
         req = m.request
@@ -1690,74 +1487,20 @@ class SimulatedLLMEngine:
             raise ServingError("preempted a member that is not decoding")
         m.in_decode = False
         m.admit_gen += 1  # completion-heap entries for this stint are dead
-        cache_on = self.config.enable_prefix_cache
-        swap = self.preemption == "swap"
-        d = m.decoded
         # KV actually evicted: the decode tail, plus the whole prompt when
         # the prefix cache is off (it is private then) — a cached prompt
         # path stays in the radix tree and is merely unpinned.
-        target = d + (0 if cache_on else req.prompt_len)
-        vect = self._vstate
-        if vect is not None:
-            vect.npre[m.idx] += 1
-            if swap:
-                vect.tok_swap[m.idx] += target
-            else:
-                vect.tok_rec[m.idx] += target
+        target = self._release_member(m)
+        swap = self.preemption == "swap"
+        m.metrics.n_preemptions += 1
+        if swap:
+            m.metrics.preempted_tokens_swapped += target
+            if self.blocks is not None:
+                # The tail's device blocks are back in the pool; its KV
+                # now sits on the host ledger until re-admission.
+                self.blocks.parked_tokens += target
         else:
-            m.metrics.n_preemptions += 1
-            if swap:
-                m.metrics.preempted_tokens_swapped += target
-            else:
-                m.metrics.preempted_tokens_recomputed += target
-        self._private_tokens -= m.reserved_tokens
-        m.reserved_tokens = 0
-        if self._private_tokens < 0:
-            raise ServingError("private KV accounting went negative")
-        if m.pin is not None:
-            self.cache.unpin(m.pin)
-            m.pin = None
-        bm = self.blocks
-        if m.tail is not None:
-            tail = m.tail
-            final = req.output_tokens + (0 if cache_on else req.prompt_len)
-            full_blocks = bm.blocks_needed(tail.start_offset + final)
-            if m.metrics is None:
-                # Vector mode: settle the deferred block-by-block growth
-                # through the reservation counter (see _finish) instead of
-                # drawing and releasing in the same breath.
-                settled = bm.blocks_needed(tail.start_offset + target)
-                draw = settled - len(tail.block_ids)
-                if draw > 0:
-                    self._reserved_blocks -= draw
-                self._reserved_blocks -= full_blocks - settled
-                if self._reserved_blocks < 0:
-                    raise ServingError(
-                        "decode block reservation went negative"
-                    )
-                bm.release(tail)
-                if swap:
-                    bm.parked_tokens += target
-            else:
-                if tail.n_tokens < target:
-                    self._grow_tail(m, target - tail.n_tokens)
-                self._reserved_blocks -= full_blocks - len(tail.block_ids)
-                if self._reserved_blocks < 0:
-                    raise ServingError(
-                        "decode block reservation went negative"
-                    )
-                if swap:
-                    bm.park(tail)
-                else:
-                    bm.release(tail)
-            m.tail = None
-        if m.forks:
-            for fork in m.forks:
-                bm.release(fork)
-            m.forks = None
-        if m.quota_charge and bm is not None:
-            bm.uncharge_tenant(req.tenant, m.quota_charge)
-            m.quota_charge = 0
+            m.metrics.preempted_tokens_recomputed += target
         start = self._clock
         if swap:
             # Swap-out traffic is charged immediately, before any further
@@ -1782,59 +1525,54 @@ class SimulatedLLMEngine:
                 if x is r:
                     del self._pending_decode[i]
                     break
-        if r.quota_charge and self.blocks is not None:
-            self.blocks.uncharge_tenant(r.request.tenant, r.quota_charge)
-            r.quota_charge = 0
-        self._private_tokens -= r.reserved_tokens
-        if self._private_tokens < 0:
-            raise ServingError("private KV accounting went negative")
-        if r.pin is not None:
-            self.cache.unpin(r.pin)
-            r.pin = None
-        if r.tail is not None:
-            # Settle the tail before releasing it: the event loop defers
-            # block-by-block growth to the completion event (between events
-            # the charge is covered by the reservation, and the closed-form
-            # jump never observes intermediate states); the stepwise loop
-            # already grew it token-by-token, making this a no-op.
-            target = r.decoded + (
-                0 if self.config.enable_prefix_cache else r.request.prompt_len
-            )
-            if r.metrics is None:
-                # Vector mode: growing the tail here would draw blocks and
-                # free them in the same breath — nothing between the grow
-                # and the release ever observes the pool, so the round trip
-                # is visible only through the reservation counter. Settle
-                # that counter directly and release the pre-drawn blocks.
-                tail = r.tail
-                draw = (
-                    self.blocks.blocks_needed(tail.start_offset + target)
-                    - len(tail.block_ids)
-                )
-                if draw > 0:
-                    self._reserved_blocks -= draw
-                    if self._reserved_blocks < 0:
-                        raise ServingError(
-                            "decode block reservation went negative"
-                        )
-                self.blocks.release(tail)
-            else:
-                if r.tail.n_tokens < target:
-                    self._grow_tail(r, target - r.tail.n_tokens)
-                self.blocks.release(r.tail)
-            r.tail = None
-        if r.forks:
-            for fork in r.forks:
-                self.blocks.release(fork)
-            r.forks = None
-        if r.metrics is not None:
-            r.metrics.output_tokens = r.decoded
-            r.metrics.finished_at_s = self._clock
-            done.append(r.metrics)
-        else:
-            vect = self._vstate
-            vect.out[r.idx] = r.decoded
-            vect.finished[r.idx] = self._clock
+        self._release_member(r)
+        r.metrics.output_tokens = r.decoded
+        r.metrics.finished_at_s = self._clock
+        done.append(r.metrics)
         if self.tracer is not None:
             self.tracer.finished(r.request.request_id)
         self._admission_blocked = False
+
+    def _release_member(self, m: _Running) -> int:
+        """Give back everything a member leaving the batch holds: its
+        private-token charge, pin, tail blocks with their undrawn decode
+        reservation, prompt-path fork and tenant quota charge. Returns the
+        tail's KV tokens (:meth:`_tail_tokens`)."""
+        req = m.request
+        final = m.reserved_tokens  # the tail's size once fully decoded
+        self._private_tokens -= final
+        m.reserved_tokens = 0
+        if self._private_tokens < 0:
+            raise ServingError("private KV accounting went negative")
+        if m.pin is not None:
+            self.cache.unpin(m.pin)
+            m.pin = None
+        bm = self.blocks
+        if m.tail is not None:
+            # The stepwise loop grows a tail token by token; the event loop
+            # never grows it between events and lets the reservation cover
+            # the difference. Either way the blocks the tail would need at
+            # its final size, less those it holds, are still reserved:
+            # settle that through the reservation counter, then release.
+            tail = m.tail
+            self._reserved_blocks -= bm.blocks_needed(
+                tail.start_offset + final
+            ) - len(tail.block_ids)
+            if self._reserved_blocks < 0:
+                raise ServingError("decode block reservation went negative")
+            bm.release(tail)
+            m.tail = None
+        if m.fork is not None:
+            bm.release(m.fork)
+            m.fork = None
+        if m.quota_charge:
+            bm.uncharge_tenant(req.tenant, m.quota_charge)
+            m.quota_charge = 0
+        return self._tail_tokens(m)
+
+    def _tail_tokens(self, m: _Running) -> int:
+        """KV tokens in ``m``'s private tail: those decoded, plus the
+        prompt when the prefix cache is off (the prompt is private then)."""
+        if self.config.enable_prefix_cache:
+            return m.decoded
+        return m.decoded + m.request.prompt_len

@@ -353,7 +353,8 @@ class RadixPrefixCache:
     def _resolve_end(self, tokens: Tuple[int, ...]) -> Optional[_Node]:
         """Deepest cached node for ``tokens``, via the one-slot insert memo
         when it matches (identity compare — the engine replays the same
-        tuple object through insert/pin/fork_path), else a path walk."""
+        tuple object through insert/pin/fork_path_bundle), else a path
+        walk."""
         memo = self._last_end
         if memo is not None and memo[0] is tokens and not memo[1].dead:
             return memo[1]
@@ -397,11 +398,10 @@ class RadixPrefixCache:
     # ---------------------------------------------------- block ownership
     def fork_path(self, tokens: Sequence[int]) -> List[BlockAllocation]:
         """Fork (ref-count-bump) the block allocation of every node on the
-        cached path of ``tokens`` — the paged-KV counterpart of :meth:`pin`:
-        the admitted request holds its own reference to each shared block,
-        exactly like a vLLM sequence forked from a cached prefix. Returns
-        the forked allocations; the engine releases them at completion.
-        No-op (empty list) without a block manager."""
+        cached path of ``tokens``, one allocation per node. The engine
+        forks through :meth:`fork_path_bundle`; this per-node form is the
+        reference the bundle is tested against. No-op (empty list) without
+        a block manager."""
         if self._bm is None:
             return []
         if not isinstance(tokens, tuple):
@@ -418,15 +418,18 @@ class RadixPrefixCache:
         return forks
 
     def fork_path_bundle(self, tokens: Sequence[int]) -> Optional[BlockAllocation]:
-        """Single-allocation variant of :meth:`fork_path` for the event
-        loop: the block ids of every node on the cached path are
-        concatenated and forked by one :meth:`BlockManager.fork_ids` call,
-        so admitting a request builds one allocation instead of one per
-        radix node. The ids form a multiset — a block straddling an edge
-        split belongs to two adjacent nodes and is referenced once per
-        node, exactly as the per-node forks would. Returns None without a
-        block manager or when nothing of ``tokens`` is cached; the engine
-        releases the bundle at completion."""
+        """The engine's one fork per admission — the paged-KV counterpart
+        of :meth:`pin`: the admitted request holds its own reference to
+        each shared block on the cached path of ``tokens``, exactly like a
+        vLLM sequence forked from a cached prefix. The block ids of every
+        node on the path are concatenated and forked by one
+        :meth:`BlockManager.fork_ids` call, so admitting a request builds
+        one allocation instead of one per radix node. The ids form a
+        multiset — a block straddling an edge split belongs to two adjacent
+        nodes and is referenced once per node, exactly as the per-node
+        :meth:`fork_path` reference would. Returns None without a block
+        manager or when nothing of ``tokens`` is cached; the engine
+        releases the bundle when the request leaves the batch."""
         if self._bm is None:
             return None
         if not isinstance(tokens, tuple):

@@ -26,6 +26,20 @@ class TestCLI:
         assert "Table 1" in path.read_text()
         capsys.readouterr()
 
+    def test_experiment_error_is_one_line(self, capsys):
+        assert main(["table2", "--scale", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "table2 failed: scale must be positive, got 0.0"
+        )
+        assert "Traceback" not in captured.err
+
+    def test_unwritable_out_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "report.txt"
+        assert main(["fig1", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fig1 failed:") and err.count("\n") == 1
+
     def test_explain_default_demo(self, capsys):
         assert main(["explain", "--scale", "0.004"]) == 0
         out = capsys.readouterr().out

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import CapacityError, ServingError
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
@@ -91,8 +91,13 @@ def run_engine(requests, mode, **cfg_kwargs):
     eng.submit_all(requests)
     result = eng.run()
     eng.cache.check_invariants()
+    # The pool drained: every reservation, swapped-out tail and private
+    # charge was settled by a completion.
+    assert eng._private_tokens == 0
+    assert eng._reserved_blocks == 0
     if eng.blocks is not None:
         eng.blocks.check_invariants()
+        assert eng.blocks.parked_tokens == 0
     return eng, result
 
 
@@ -308,8 +313,6 @@ class TestTenantQuota:
         assert_results_match(r_step, r_vect)
 
     def test_oversized_request_names_tenant_and_quota(self):
-        from repro.errors import CapacityError
-
         eng = SimulatedLLMEngine(
             LLAMA3_8B,
             CLUSTER_1XL4,
@@ -323,6 +326,49 @@ class TestTenantQuota:
         )
         with pytest.raises(CapacityError, match="'small' is capped at 2"):
             eng.run()
+
+
+class TestFlushAfterCapacityError:
+    """``flush_waiting()`` after a failed run leaves no preempted member
+    behind, so the engine serves the next job as if fresh."""
+
+    @pytest.mark.parametrize("preemption", ["recompute", "swap"])
+    @pytest.mark.parametrize("mode", ["stepwise", "vector"])
+    def test_flush_drops_preempted_members(self, mode, preemption):
+        eng = SimulatedLLMEngine(
+            LLAMA3_8B,
+            CLUSTER_1XL4,
+            EngineConfig(
+                mode=mode,
+                max_batch_size=1,
+                kv_capacity_tokens=256,
+                scheduler="deadline",
+                preemption=preemption,
+            ),
+        )
+        # Request 1 preempts request 0 (earlier deadline, full batch);
+        # request 2 preempts request 1 in turn and can never fit the pool.
+        late = dict(arrival_s=0.5, deadline_s=0.5)
+        infeasible = dict(arrival_s=0.6, deadline_s=0.2)
+        eng.submit_all(
+            [
+                Request(0, tuple(range(10)), 200),
+                Request(1, tuple(range(20, 30)), 5, **late),
+                Request(2, tuple(range(100, 400)), 5, **infeasible),
+            ]
+        )
+        with pytest.raises(CapacityError, match="request 2"):
+            eng.run()
+        assert eng.flush_waiting() == 3
+        assert eng._parked == {}
+        assert eng.blocks.parked_tokens == 0
+        # A later job reusing a preempted request's id runs as itself.
+        eng.submit(Request(0, (1, 2, 3), 2, arrival_s=eng.clock))
+        (m,) = eng.run().request_metrics
+        assert (m.prompt_tokens, m.output_tokens, m.n_preemptions) == (3, 2, 0)
+        assert eng._reserved_blocks == 0
+        assert eng._private_tokens == 0
+        assert eng.blocks.parked_tokens == 0
 
 
 class TestConfigValidation:

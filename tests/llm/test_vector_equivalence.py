@@ -1,7 +1,7 @@
 """Randomized equivalence: the event loop vs the stepwise oracle.
 
-The event loop (``mode="vector"``: numpy request-state arrays, arithmetic
-tail settling, closed-form decode runs, flat radix backend) must make
+The event loop (``mode="vector"``: closed-form decode runs, decode tails
+settled through the block reservation, flat radix backend) must make
 exactly the same scheduling decisions as the per-token stepwise loop
 (node-tree radix reference): identical integer metrics (per request and
 per run, paged-block peaks and fragmentation included), cache counters,
