@@ -64,12 +64,11 @@ def _contention_trace(
     return WorkloadTrace(reqs, name="cluster-contention")
 
 
-def _run(trace, routing, n_replicas=4, backend="inline"):
+def _run(trace, routing, n_replicas=4):
     engine = ClusterEngine(
         ClusterConfig(
             n_replicas=n_replicas,
             routing=routing,
-            backend=backend,
             engine=EngineConfig(**_REPLICA_CFG),
         )
     )
@@ -162,16 +161,3 @@ def bench_cluster_replica_scaling(benchmark):
         > results[2].total_seconds
         > results[4].total_seconds
     )
-
-
-def bench_cluster_spawn_backend(benchmark):
-    """The spawn backend on the same sweep point: merged metrics must be
-    bit-identical to inline (worker transport recorded; falls back to
-    in-process where the sandbox forbids pools)."""
-    trace = _contention_trace()
-    inline = _run(trace, "prefix-aware")
-    res = run_once(benchmark, lambda: _run(trace, "prefix-aware", backend="spawn"))
-    _record(benchmark, res)
-    benchmark.extra_info["worker_transport"] = res.worker_transport
-    assert res.request_metrics == inline.request_metrics
-    assert res.total_seconds == inline.total_seconds

@@ -102,23 +102,9 @@ def bench_partitioned_sequential(benchmark, repro_scale, repro_seed):
     ds = dataset("movies", repro_scale * LARGE_SCALE_FACTOR, repro_seed)
     rt = ds.table.to_reorder_table()
     res = benchmark(
-        lambda: partitioned_reorder(rt, n_partitions=8, fds=ds.fds, parallel=False)
-    )
-    assert res.exact_phc > 0 and res.n_workers == 1
-
-
-def bench_partitioned_parallel(benchmark, repro_scale, repro_seed):
-    """8-way partitioned solve over a process pool (one worker per
-    available CPU; on a single-CPU host this honestly degrades to the
-    sequential path rather than paying pool overhead for nothing)."""
-    ds = dataset("movies", repro_scale * LARGE_SCALE_FACTOR, repro_seed)
-    rt = ds.table.to_reorder_table()
-    res = benchmark(
-        lambda: partitioned_reorder(rt, n_partitions=8, fds=ds.fds, parallel=True)
+        lambda: partitioned_reorder(rt, n_partitions=8, fds=ds.fds)
     )
     assert res.exact_phc > 0
-    benchmark.extra_info["n_workers"] = res.n_workers
-    benchmark.extra_info["critical_path_seconds"] = res.critical_path_seconds
 
 
 def bench_radix_insert_match(benchmark):

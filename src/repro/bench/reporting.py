@@ -140,6 +140,8 @@ def default_scale(fallback: float = 0.05) -> float:
     value = float(raw)
     if value <= 0:
         raise ValueError(f"REPRO_SCALE must be positive, got {raw!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"REPRO_SCALE must be finite, got {raw!r}")
     return value
 
 

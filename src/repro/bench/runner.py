@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -158,6 +159,8 @@ def scaled_kv_capacity(
 
     if scale <= 0:
         raise ReproError(f"scale must be positive, got {scale}")
+    if not math.isfinite(scale):
+        raise ReproError(f"scale must be finite, got {scale}")
     if prompt_tokens_estimate < 0:
         raise ReproError(
             f"prompt_tokens_estimate must be >= 0, got {prompt_tokens_estimate}"

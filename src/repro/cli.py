@@ -19,9 +19,8 @@ hit/miss telemetry.
 
 ``repro serve-cluster`` replays the same workload across a replica fleet
 (``--replicas``, default 4) under every routing policy (``--routing``
-narrows the set; ``--backend spawn`` runs replicas in real processes),
-printing aggregate PHR, goodput, load skew and makespan per policy plus
-the winning policy's per-replica table.
+narrows the set), printing aggregate PHR, goodput, load skew and
+makespan per policy plus the winning policy's per-replica table.
 
 Both serving demos accept the continuous-batching knobs: ``--preemption
 {off,recompute,swap}`` lets the scheduler evict decoding victims for
@@ -101,9 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--routing", type=str, default=None,
                         help="comma-separated routing policies for "
                              "'repro serve-cluster' (default: all)")
-    parser.add_argument("--backend", type=str, default="inline",
-                        help="cluster execution backend for 'repro "
-                             "serve-cluster': inline or spawn")
     parser.add_argument("--preemption", type=str, default="off",
                         choices=["off", "recompute", "swap"],
                         help="decode preemption mode for the serving "
@@ -303,8 +299,7 @@ def run_serve_cluster(args) -> str:
     lines = [
         _trace_header(trace),
         "",
-        "routing            replicas  phr     goodput   skew    makespan"
-        "  backend",
+        "routing            replicas  phr     goodput   skew    makespan",
     ]
     tokenizer = HashTokenizer()
     last = None
@@ -315,7 +310,6 @@ def run_serve_cluster(args) -> str:
             config=ClusterConfig(
                 n_replicas=args.replicas,
                 routing=routing,
-                backend=args.backend,
                 engine=EngineConfig(
                     max_batch_size=16,
                     preemption=args.preemption,
@@ -334,8 +328,7 @@ def run_serve_cluster(args) -> str:
             f"{res.routing:<18} {res.n_replicas:>8}  "
             f"{100 * res.prefix_hit_rate:5.1f}%  "
             f"{100 * res.goodput_attainment:6.1f}%  {res.load_skew:5.3f}  "
-            f"{res.total_seconds:8.2f}s  {res.backend}"
-            f"[{res.worker_transport}]"
+            f"{res.total_seconds:8.2f}s"
         )
         last = res
         last_engine = engine

@@ -174,85 +174,6 @@ def compile_table(table: ReorderTable) -> CompiledTable:
     return ct
 
 
-# --------------------------------------------------------- shared memory
-#: Handle to a table exported into a ``multiprocessing.shared_memory``
-#: segment: ``(shm name, n_rows, n_fields, codes byte length, metadata byte
-#: length)``. The segment layout is ``[codes int32 C-order | pickled
-#: (fields, per-column distinct values)]``. A handle is a few dozen bytes —
-#: the only thing that crosses a process boundary per worker under spawn.
-SharedTableHandle = Tuple[str, int, int, int, int]
-
-
-def export_shared_table(table: ReorderTable):
-    """Export ``table``'s dictionary encoding into one shared-memory
-    segment; returns ``(handle, shm)``.
-
-    The int32 code matrix goes in raw (C-order), followed by a pickle of
-    the per-column sorted distinct values and the field names — everything
-    :func:`attach_shared_table` needs to rebuild an equal table. The caller
-    owns the segment: keep ``shm`` alive while workers attach, then
-    ``shm.close(); shm.unlink()``.
-    """
-    import pickle
-    from multiprocessing import shared_memory
-
-    if not HAVE_NUMPY:
-        raise SolverError("shared-memory table export requires numpy")
-    ct = compile_table(table)
-    meta = pickle.dumps(
-        (table.fields, ct.values), protocol=pickle.HIGHEST_PROTOCOL
-    )
-    codes = np.ascontiguousarray(ct.codes, dtype=np.int32)
-    size = max(1, codes.nbytes + len(meta))
-    shm = shared_memory.SharedMemory(create=True, size=size)
-    if codes.nbytes:
-        np.ndarray(codes.shape, dtype=np.int32, buffer=shm.buf)[:] = codes
-    shm.buf[codes.nbytes : codes.nbytes + len(meta)] = meta
-    handle: SharedTableHandle = (
-        shm.name,
-        ct.n_rows,
-        ct.n_fields,
-        codes.nbytes,
-        len(meta),
-    )
-    return handle, shm
-
-
-def attach_shared_table(handle: SharedTableHandle) -> ReorderTable:
-    """Rebuild the :class:`ReorderTable` behind ``handle`` in this process.
-
-    Decoding interns one python string per distinct ``(column, value)``
-    pair (rows share the dictionary's string objects), and the segment is
-    closed before returning — the rebuilt table owns no shared state. Cell
-    values round-trip exactly, so a solver running on the attached copy
-    emits schedules identical to one running on the original.
-    """
-    import pickle
-    from multiprocessing import shared_memory
-
-    if not HAVE_NUMPY:
-        raise SolverError("shared-memory table attach requires numpy")
-    name, n, m, codes_bytes, meta_len = handle
-    # On Python < 3.13 attaching re-registers the segment with the resource
-    # tracker. Pool workers share the parent's tracker process, so the
-    # duplicate registration is a set-add no-op and the exporter's
-    # ``unlink()`` remains the single cleanup; unregistering here would
-    # instead corrupt the shared tracker's bookkeeping.
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        codes = np.ndarray((n, m), dtype=np.int32, buffer=shm.buf)
-        fields, values = pickle.loads(
-            bytes(shm.buf[codes_bytes : codes_bytes + meta_len])
-        )
-        code_rows = codes.tolist()
-        rows = [
-            tuple(values[j][crow[j]] for j in range(m)) for crow in code_rows
-        ]
-    finally:
-        shm.close()
-    return ReorderTable(fields, rows)
-
-
 def validate_layout(
     n: int, m: int, layout: Sequence[Tuple[int, Tuple[int, ...]]]
 ) -> None:

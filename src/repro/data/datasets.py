@@ -14,6 +14,7 @@ full sizes; tests use much smaller scales). All randomness is derived from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +49,8 @@ class Dataset:
 def _n_rows(paper_rows: int, scale: float) -> int:
     if scale <= 0:
         raise DataGenError(f"scale must be positive, got {scale}")
+    if not math.isfinite(scale):
+        raise DataGenError(f"scale must be finite, got {scale}")
     return max(30, int(paper_rows * scale))
 
 

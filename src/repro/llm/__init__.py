@@ -49,9 +49,9 @@ discrete-event simulator (see DESIGN.md "Substitutions"):
 ``cluster``
     Multi-replica serving: N per-replica engines behind pluggable routing
     (round-robin / least-queue / prefix-aware sketches / tenant-sharded
-    consistent hashing), replayed inline or over a spawn process pool with
-    bit-identical merged metrics. ``ClusterConfig(n_replicas=1)`` is the
-    single-engine reference.
+    consistent hashing), replayed one replica after another and merged
+    into one result. ``ClusterConfig(n_replicas=1)`` is the single-engine
+    reference.
 ``pricing``
     OpenAI / Anthropic prompt-caching billing models (Table 3 / Table 4).
 ``prompts``

@@ -45,26 +45,11 @@ Routing policies (:data:`ROUTING_POLICIES`):
     sharding baseline: perfect cache locality per tenant, no load
     adaptation.
 
-Execution backends (``ClusterConfig.backend``):
-
-``"inline"``
-    Replicas replay sequentially in-process — the default, deterministic
-    reference.
-
-``"spawn"``
-    Replicas fan out over a ``spawn`` process pool for real wall-clock
-    parallelism, reusing the shared-memory transport idiom of
-    :func:`repro.core.compiled.export_shared_table`: the parent tokenizes
-    every prompt once, packs all token ids into a single shared-memory
-    segment (ids, offsets, decode lengths, arrival stamps, assignments),
-    and each worker attaches by name and rebuilds only its replica's
-    requests — nothing is pickled per request. Replay is deterministic
-    arithmetic on the same integers, so spawn merges **bit-identically**
-    with inline (enforced by the equivalence suite). Without numpy or a
-    usable process pool the backend degrades to inline.
+Replicas replay one after another in this process
+(``ClusterConfig.backend="inline"``, the only backend).
 
 **One global event clock.** Routing happens in arrival order against
-router-side state only, so the assignment is independent of the backend;
+router-side state only, so the assignment is independent of replay;
 each replica then replays its sub-stream on its own engine with *absolute*
 arrival stamps (an idle replica jumps its clock to the next arrival), so
 every per-request clock — admission, first token, completion — is exact
@@ -76,14 +61,13 @@ reproduces it exactly — schedules, clocks, and cache counters
 
 Each :meth:`ClusterEngine.run_trace` call is a self-contained replay:
 fresh replica engines and router state per call, so a cluster result is a
-pure function of ``(trace, config)`` on any backend. Long-lived
-cross-job cache persistence remains the single-engine client's job.
+pure function of ``(trace, config)``. Long-lived cross-job cache
+persistence remains the single-engine client's job.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -104,16 +88,11 @@ from repro.llm.tokenizer import HashTokenizer
 from repro.llm.tracing import EngineTrace
 from repro.llm.workload import WorkloadTrace
 
-try:  # numpy backs the spawn backend's shared-memory token transport.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
-
 #: Routing-policy registry for :class:`ClusterConfig` / :func:`make_router`.
 ROUTING_POLICIES = ("round-robin", "least-queue", "prefix-aware", "tenant-sharded")
 
 #: Execution backends for :class:`ClusterConfig`.
-CLUSTER_BACKENDS = ("inline", "spawn")
+CLUSTER_BACKENDS = ("inline",)
 
 
 @dataclass
@@ -126,8 +105,7 @@ class ClusterConfig:
     bound the prefix-aware router's per-replica shadow radix trees
     (budget = ``digest_block * sketch_entries`` tokens);
     ``vnodes``/``pins`` shape the tenant-sharded hash ring;
-    ``max_workers`` caps the spawn pool (``None``: one worker per
-    replica, bounded by available CPUs). Sizes must be integers >= 1.
+    ``backend`` accepts only ``"inline"``. Sizes must be integers >= 1.
     """
 
     n_replicas: int = 1
@@ -138,13 +116,10 @@ class ClusterConfig:
     sketch_entries: int = 4096
     vnodes: int = 64
     pins: Dict[str, int] = field(default_factory=dict)
-    max_workers: Optional[int] = None
 
     def __post_init__(self):
         for name in ("n_replicas", "digest_block", "sketch_entries", "vnodes"):
             check_size(name, getattr(self, name))
-        if self.max_workers is not None:
-            check_size("max_workers", self.max_workers)
         if self.routing not in ROUTING_POLICIES:
             raise ServingError(
                 f"unknown routing policy {self.routing!r}; "
@@ -181,8 +156,7 @@ class _OutstandingTracker:
     service time from the cost model; at every arrival the tracker retires
     estimates whose completion has passed. This is router-side bookkeeping
     only — the replicas' real clocks never feed back in, which keeps the
-    assignment a pure function of the trace (and therefore identical
-    across the inline and spawn backends)."""
+    assignment a pure function of the trace."""
 
     def __init__(self, n_replicas: int, cost: CostModel):
         self.cost = cost
@@ -312,7 +286,7 @@ class PrefixAwareRouter(RoutingPolicy):
     at ``digest_block`` granularity; true match lengths are exact per
     token and track edge splits the sketch could not see. Shadow state
     lives entirely on the router side, so routing stays a pure function
-    of the trace — identical across the inline and spawn backends.
+    of the trace.
     """
 
     name = "prefix-aware"
@@ -499,9 +473,7 @@ class ClusterResult:
 
     n_replicas: int
     routing: str
-    backend: str
     scheduler: str
-    worker_transport: str
     total_seconds: float
     request_metrics: List[RequestMetrics]
     prompt_tokens: int
@@ -579,8 +551,7 @@ class ClusterResult:
             )
         lines.append(
             f"cluster: {self.n_replicas} replicas, routing={self.routing}, "
-            f"backend={self.backend}, aggregate PHR "
-            f"{100 * self.prefix_hit_rate:.1f}%, load skew "
+            f"aggregate PHR {100 * self.prefix_hit_rate:.1f}%, load skew "
             f"{self.load_skew:.3f}, makespan {self.total_seconds:.2f}s"
         )
         if self.preemption != "off":
@@ -615,7 +586,7 @@ def _load_skew(per_replica_tokens: Sequence[int]) -> float:
 
 
 # --------------------------------------------------------------------------
-# Replica replay (shared by both backends)
+# Replica replay
 # --------------------------------------------------------------------------
 def _replay_replica(
     model: ModelSpec,
@@ -639,130 +610,6 @@ def _replay_replica(
     return result, counters
 
 
-# ---------------------------------------------------- spawn worker plumbing
-#: Handle to a trace exported into shared memory:
-#: ``(shm name, n_requests, total_tokens, meta byte length)``. Layout:
-#: ``[token ids int64 | offsets int64 (n+1) | output lens int64 |
-#: arrivals float64 | assignments int64 | pickled (tenants, deadlines)]``.
-SharedTraceHandle = Tuple[str, int, int, int]
-
-_WORKER_STATE = None
-
-
-def _export_shared_trace(requests: Sequence[Request], assignment: Sequence[int]):
-    """Pack every request's token ids and replay metadata into one
-    shared-memory segment (the cluster analogue of
-    :func:`repro.core.compiled.export_shared_table`); returns
-    ``(handle, shm)``. The caller keeps ``shm`` alive while workers
-    attach, then ``shm.close(); shm.unlink()``."""
-    import pickle
-    from multiprocessing import shared_memory
-
-    n = len(requests)
-    offsets = _np.zeros(n + 1, dtype=_np.int64)
-    for i, req in enumerate(requests):
-        offsets[i + 1] = offsets[i] + req.prompt_len
-    total_tokens = int(offsets[-1])
-    tokens = _np.empty(total_tokens, dtype=_np.int64)
-    for i, req in enumerate(requests):
-        tokens[offsets[i] : offsets[i + 1]] = req.prompt_tokens
-    outs = _np.asarray([r.output_tokens for r in requests], dtype=_np.int64)
-    arrivals = _np.asarray([r.arrival_s for r in requests], dtype=_np.float64)
-    assign = _np.asarray(assignment, dtype=_np.int64)
-    meta = pickle.dumps(
-        ([r.tenant for r in requests], [r.deadline_s for r in requests]),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    arrays = (tokens, offsets, outs, arrivals, assign)
-    size = max(1, sum(a.nbytes for a in arrays) + len(meta))
-    shm = shared_memory.SharedMemory(create=True, size=size)
-    pos = 0
-    for a in arrays:
-        if a.nbytes:
-            _np.ndarray(a.shape, dtype=a.dtype, buffer=shm.buf, offset=pos)[:] = a
-        pos += a.nbytes
-    shm.buf[pos : pos + len(meta)] = meta
-    handle: SharedTraceHandle = (shm.name, n, total_tokens, len(meta))
-    return handle, shm
-
-
-def _attach_shared_trace(handle: SharedTraceHandle):
-    """Rebuild ``(tokens, offsets, outs, arrivals, assign, tenants,
-    deadlines)`` from a shared segment. Arrays are copied out and the
-    segment closed before returning — workers own no shared state
-    afterwards."""
-    import pickle
-    from multiprocessing import shared_memory
-
-    name, n, total_tokens, meta_len = handle
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        pos = 0
-
-        def take(count, dtype):
-            nonlocal pos
-            arr = _np.ndarray(
-                (count,), dtype=dtype, buffer=shm.buf, offset=pos
-            ).copy()
-            pos += arr.nbytes
-            return arr
-
-        tokens = take(total_tokens, _np.int64)
-        offsets = take(n + 1, _np.int64)
-        outs = take(n, _np.int64)
-        arrivals = take(n, _np.float64)
-        assign = take(n, _np.int64)
-        tenants, deadlines = pickle.loads(bytes(shm.buf[pos : pos + meta_len]))
-    finally:
-        shm.close()
-    return tokens, offsets, outs, arrivals, assign, tenants, deadlines
-
-
-def _init_cluster_worker(
-    handle: SharedTraceHandle,
-    model: ModelSpec,
-    cluster_hw: Cluster,
-    engine_cfg: EngineConfig,
-) -> None:
-    """Spawn-pool initializer: attach the shared trace once per worker."""
-    global _WORKER_STATE
-    _WORKER_STATE = (_attach_shared_trace(handle), model, cluster_hw, engine_cfg)
-
-
-def _replica_requests_from_arrays(
-    arrays, replica: int
-) -> List[Request]:
-    """Materialize one replica's requests from the packed arrays. Token
-    tuples and packed probe bytes are rebuilt from the same int64 buffer
-    the parent filled, so they equal the parent's inline requests exactly."""
-    tokens, offsets, outs, arrivals, assign, tenants, deadlines = arrays
-    requests: List[Request] = []
-    for i in _np.flatnonzero(assign == replica).tolist():
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        span = tokens[lo:hi]
-        requests.append(
-            Request(
-                request_id=i,
-                prompt_tokens=tuple(span.tolist()),
-                output_tokens=int(outs[i]),
-                prompt_bytes=span.tobytes(),
-                arrival_s=float(arrivals[i]),
-                tenant=tenants[i],
-                deadline_s=deadlines[i],
-            )
-        )
-    return requests
-
-
-def _cluster_worker_job(replica: int):
-    """Worker body: replay one replica from the attached shared trace."""
-    assert _WORKER_STATE is not None, "cluster pool initializer did not run"
-    arrays, model, cluster_hw, engine_cfg = _WORKER_STATE
-    requests = _replica_requests_from_arrays(arrays, replica)
-    result, counters = _replay_replica(model, cluster_hw, engine_cfg, requests)
-    return replica, result, counters
-
-
 # --------------------------------------------------------------------------
 # The cluster engine
 # --------------------------------------------------------------------------
@@ -784,7 +631,6 @@ class ClusterEngine:
         self.cost = CostModel(model=model, cluster=cluster)
         self.n_replicas = self.config.n_replicas
         self.routing = self.config.routing
-        self.backend = self.config.backend
 
     # ----------------------------------------------------------- telemetry
     def encode_cache_stats(self) -> Dict[str, int]:
@@ -839,57 +685,11 @@ class ClusterEngine:
         for req, replica in zip(requests, assignment):
             per_replica[replica].append(req)
 
-        transport = "in-process"
-        replays: Optional[List[Tuple[EngineResult, Dict[str, int]]]] = None
-        if self.backend == "spawn" and self.n_replicas > 1 and _np is not None:
-            replays, transport = self._run_spawn(requests, assignment)
-        if replays is None:
-            replays = [
-                _replay_replica(self.model, self.cluster, self.config.engine, reqs)
-                for reqs in per_replica
-            ]
-            transport = "in-process"
-
-        return self._merge(
-            replays, per_replica, router, transport, deadline_s
-        )
-
-    def _run_spawn(self, requests, assignment):
-        """Fan replicas out over a spawn pool via the shared-memory trace
-        export; returns ``(replays, transport)`` or ``(None, _)`` to fall
-        back to the inline path (pool or shared memory unavailable)."""
-        import concurrent.futures
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("spawn")
-            handle, shm = _export_shared_trace(requests, assignment)
-        except (OSError, ValueError):
-            return None, "in-process"
-        max_workers = self.config.max_workers or min(
-            self.n_replicas, os.cpu_count() or 1
-        )
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=max_workers,
-                mp_context=ctx,
-                initializer=_init_cluster_worker,
-                initargs=(handle, self.model, self.cluster, self.config.engine),
-            ) as pool:
-                by_replica = dict()
-                for replica, result, counters in pool.map(
-                    _cluster_worker_job, range(self.n_replicas)
-                ):
-                    by_replica[replica] = (result, counters)
-        except (OSError, concurrent.futures.process.BrokenProcessPool):
-            # Restricted sandboxes may forbid process pools or kill
-            # workers; the inline path produces identical results, just
-            # without parallelism.
-            return None, "in-process"
-        finally:
-            shm.close()
-            shm.unlink()
-        return [by_replica[r] for r in range(self.n_replicas)], "shared-memory"
+        replays = [
+            _replay_replica(self.model, self.cluster, self.config.engine, reqs)
+            for reqs in per_replica
+        ]
+        return self._merge(replays, per_replica, router, deadline_s)
 
     # --------------------------------------------------------------- merge
     def _merge(
@@ -897,7 +697,6 @@ class ClusterEngine:
         replays: List[Tuple[EngineResult, Dict[str, int]]],
         per_replica: List[List[Request]],
         router: RoutingPolicy,
-        transport: str,
         deadline_s: Optional[float],
     ) -> ClusterResult:
         tracker = router.tracker
@@ -944,9 +743,7 @@ class ClusterEngine:
         return ClusterResult(
             n_replicas=self.n_replicas,
             routing=self.routing,
-            backend=self.backend,
             scheduler=replays[0][0].scheduler if replays else "fcfs",
-            worker_transport=transport,
             total_seconds=max(
                 (r.total_seconds for r, _ in replays), default=0.0
             ),

@@ -82,8 +82,7 @@ class TraceGauge(NamedTuple):
 @dataclass
 class EngineTrace:
     """One run's trace: spans, instants, gauge samples, and run metadata
-    (scheduler / preemption / replay mode). Plain picklable dataclasses —
-    cluster workers ship these back through the spawn pipe."""
+    (scheduler / preemption / replay mode), as plain dataclasses."""
 
     spans: List[TraceSpan] = field(default_factory=list)
     instants: List[TraceInstant] = field(default_factory=list)

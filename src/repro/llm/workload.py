@@ -67,6 +67,24 @@ class TraceRequest:
     def __post_init__(self):
         if not self.arrival_s >= 0.0 or self.arrival_s == float("inf"):
             raise ServingError("arrival_s must be a finite time >= 0")
+        if not (
+            isinstance(self.prompt, str)
+            and isinstance(self.tenant, str)
+            and isinstance(self.job, str)
+            and isinstance(self.output_text, str)
+        ):
+            # A hand-edited trace JSON can carry any JSON type here; a
+            # non-string would otherwise surface as a TypeError deep in
+            # the tokenizer or the tenant bookkeeping. One and-chain keeps
+            # the per-request cost low; the field is named only on failure.
+            name = next(
+                n
+                for n in ("prompt", "tenant", "job", "output_text")
+                if not isinstance(getattr(self, n), str)
+            )
+            raise ServingError(
+                f"{name} must be a string, got {getattr(self, name)!r}"
+            )
         if not self.prompt:
             raise ServingError("trace request has an empty prompt")
         if self.output_len is not None and (
@@ -77,8 +95,12 @@ class TraceRequest:
             # Validated here (not deep in the engine) so a hand-edited
             # trace JSON fails with a clean ServingError at load time.
             raise ServingError("output_len must be an integer >= 0")
-        if self.deadline_s is not None and not self.deadline_s > 0.0:
-            raise ServingError("deadline_s must be positive when set")
+        if self.deadline_s is not None and (
+            not isinstance(self.deadline_s, (int, float))
+            or isinstance(self.deadline_s, bool)
+            or not self.deadline_s > 0.0
+        ):
+            raise ServingError("deadline_s must be a positive number when set")
 
     def to_dict(self) -> Dict:
         d: Dict = {

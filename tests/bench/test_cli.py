@@ -34,6 +34,15 @@ class TestCLI:
         )
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_is_one_line(self, capsys, scale):
+        assert main(["table2", "--scale", scale]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            f"table2 failed: scale must be finite, got {scale}"
+        )
+        assert "Traceback" not in captured.err
+
     def test_unwritable_out_is_one_line(self, tmp_path, capsys):
         path = tmp_path / "missing-dir" / "report.txt"
         assert main(["fig1", "--out", str(path)]) == 2

@@ -70,6 +70,12 @@ class TestEnvDefaults:
         with pytest.raises(ValueError):
             default_scale()
 
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_default_scale_non_finite(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        with pytest.raises(ValueError, match="REPRO_SCALE must be finite"):
+            default_scale()
+
     def test_default_seed(self, monkeypatch):
         monkeypatch.setenv("REPRO_SEED", "9")
         assert default_seed() == 9

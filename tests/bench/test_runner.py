@@ -239,3 +239,10 @@ class TestScaledCapacity:
             scaled_kv_capacity(LLAMA3_8B, CLUSTER_1XL4, 0.5, 300, max_batch_size=0)
         with pytest.raises(ReproError):
             scaled_kv_capacity(LLAMA3_8B, CLUSTER_1XL4, 0.5, 300, block_tokens=0)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_raises_repro_error(self, scale):
+        """NaN fails every comparison, so a ``<= 0`` check alone let it
+        through as a full-size capacity."""
+        with pytest.raises(ReproError, match="scale must be finite"):
+            scaled_kv_capacity(LLAMA3_8B, CLUSTER_1XL4, scale, 300)

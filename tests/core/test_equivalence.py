@@ -17,7 +17,6 @@ from repro.core.compiled import HAVE_NUMPY
 from repro.core.fd import FunctionalDependencies, mine_fds
 from repro.core.ggr import GGRConfig, ggr
 from repro.core.ophr import ophr
-from repro.core.partitioned import PARTITION_MODES, partitioned_reorder
 from repro.core.phc import per_row_hits, phc, phr, prefix_hit_tokens
 from repro.core.stats import TableStats
 from repro.core.table import ReorderTable
@@ -195,22 +194,3 @@ class TestOphrEquivalence:
         score_ref, sched_ref = ophr(t)
         assert score_fast == score_ref
         assert_same_schedule(sched_fast, sched_ref)
-
-
-class TestPartitionedEquivalence:
-    @pytest.mark.parametrize("mode", PARTITION_MODES)
-    def test_parallel_matches_sequential(self, mode):
-        rows = [
-            (f"id{i:02d}", f"grp{i % 3}", f"desc-{i % 3}" * 2) for i in range(24)
-        ]
-        t = ReorderTable(("uid", "grp", "desc"), rows)
-        seq = partitioned_reorder(t, 4, mode=mode, parallel=False)
-        par = partitioned_reorder(t, 4, mode=mode, parallel=True, max_workers=2)
-        assert par.n_workers == 2
-        assert seq.exact_phc == par.exact_phc
-        assert_same_schedule(seq.schedule, par.schedule)
-
-    def test_parallel_single_partition_degrades(self):
-        t = ReorderTable(("a",), [("x",), ("y",)])
-        res = partitioned_reorder(t, 1, parallel=True, max_workers=4)
-        assert res.n_workers == 1

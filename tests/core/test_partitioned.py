@@ -105,38 +105,3 @@ def test_property_partitioned_always_valid(table, k, mode):
     res = partitioned_reorder(table, k, mode=mode)
     res.schedule.validate_against(table)
     assert res.exact_phc >= 0
-
-
-class TestAvailableCpus:
-    """Worker-count detection must not rely on os.sched_getaffinity
-    existing (macOS/Windows do not define it)."""
-
-    def test_falls_back_to_cpu_count(self, monkeypatch):
-        import os
-
-        from repro.core.partitioned import _available_cpus
-
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 7)
-        assert _available_cpus() == 7
-
-    def test_cpu_count_none_degrades_to_one(self, monkeypatch):
-        import os
-
-        from repro.core.partitioned import _available_cpus
-
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _available_cpus() == 1
-
-    def test_parallel_solve_without_affinity_attr(self, monkeypatch):
-        """End to end: parallel=True still solves (degrading to whatever
-        cpu_count reports) when the attribute is missing entirely."""
-        import os
-
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        table = ReorderTable(
-            ["f0", "f1"], [(str(i % 3), str(i % 2)) for i in range(12)]
-        )
-        res = partitioned_reorder(table, 3, mode="round_robin", parallel=True)
-        res.schedule.validate_against(table)

@@ -87,9 +87,7 @@ class TestClusterConfig:
             dict(vnodes=2.5),
             dict(digest_block=True),
             dict(sketch_entries=None),
-            dict(max_workers=-1),
-            dict(max_workers=0),
-            dict(max_workers=1.5),
+            dict(backend="spawn"),
             dict(n_replicas=2, pins={"a": "0"}),
             dict(n_replicas=2, pins={"a": True}),
             dict(n_replicas=2, pins=[("a", 0)]),

@@ -1,19 +1,10 @@
-"""Randomized equivalence: the cluster layer vs its oracles.
+"""Randomized equivalence: the cluster layer vs its oracle.
 
-Two contracts, mirroring the repo's oracle convention:
-
-1. **1-replica cluster == single engine, exactly.** A
-   :class:`ClusterEngine` with one replica (any routing policy, either
-   backend) must reproduce
-   :meth:`SimulatedLLMClient.generate_trace` on a fresh client —
-   schedules, per-request clocks (``==``, same code path), aggregate
-   counters, and radix-cache counters.
-
-2. **spawn == inline, bit-identically.** Routing happens in the parent
-   before any replica replays, so the spawn pool's merged metrics,
-   makespan, and per-replica cache counters must equal the inline
-   backend's exactly — enforced across multiple routing policies on
-   randomized multi-tenant traces.
+**1-replica cluster == single engine, exactly.** A :class:`ClusterEngine`
+with one replica (any routing policy) must reproduce
+:meth:`SimulatedLLMClient.generate_trace` on a fresh client — schedules,
+per-request clocks (``==``, same code path), aggregate counters, and
+radix-cache counters.
 """
 
 import random
@@ -113,88 +104,13 @@ class TestSingleReplicaOracle:
     )
     def test_any_routing_degenerates_at_one_replica(self, routing):
         """With one replica every policy routes everything to replica 0
-        and the spawn backend replays inline, so the oracle holds
-        regardless of the configured policy and backend."""
+        so the oracle holds regardless of the configured policy."""
         rng = random.Random(55)
         trace = random_trace(rng, n_requests=25)
         ecfg = EngineConfig(max_batch_size=4)
         cres = ClusterEngine(
-            ClusterConfig(
-                n_replicas=1, routing=routing, backend="spawn", engine=ecfg
-            )
+            ClusterConfig(n_replicas=1, routing=routing, engine=ecfg)
         ).run_trace(trace)
         client = SimulatedLLMClient(engine_config=ecfg)
         sres = client.generate_trace(trace)
         assert_cluster_matches_single(cres, sres, client.engine)
-
-
-def assert_backends_identical(a, b):
-    assert a.request_metrics == b.request_metrics
-    assert a.total_seconds == b.total_seconds
-    assert a.prompt_tokens == b.prompt_tokens
-    assert a.cached_tokens == b.cached_tokens
-    assert a.prefill_tokens == b.prefill_tokens
-    assert a.decode_tokens == b.decode_tokens
-    assert a.load_skew == b.load_skew
-    assert len(a.replicas) == len(b.replicas)
-    for sa, sb in zip(a.replicas, b.replicas):
-        assert sa.n_requests == sb.n_requests
-        assert sa.prompt_tokens == sb.prompt_tokens
-        assert sa.cached_tokens == sb.cached_tokens
-        assert sa.total_seconds == sb.total_seconds
-        assert sa.peak_kv_tokens == sb.peak_kv_tokens
-        assert sa.peak_queue_depth == sb.peak_queue_depth
-        assert sa.cache_hits == sb.cache_hits
-        assert sa.cache_misses == sb.cache_misses
-        assert sa.cache_evicted_tokens == sb.cache_evicted_tokens
-        assert sa.cache_total_tokens == sb.cache_total_tokens
-    assert a.slo.attainment == b.slo.attainment
-
-
-class TestSpawnVsInline:
-    """backend='spawn' merges bit-identically with backend='inline'.
-
-    If the environment forbids process pools the spawn run degrades to
-    the in-process transport — the assertions still hold (that fallback
-    is the point), but the run only *proves* cross-process identity when
-    ``worker_transport == "shared-memory"``.
-    """
-
-    @pytest.mark.parametrize(
-        "routing,seed",
-        [
-            ("round-robin", 0),
-            ("prefix-aware", 1),
-            ("least-queue", 2),
-            ("tenant-sharded", 3),
-        ],
-    )
-    def test_bit_identical(self, routing, seed):
-        rng = random.Random(2000 + seed)
-        trace = random_trace(rng, n_requests=36, n_tenants=5)
-        ecfg = EngineConfig(max_batch_size=2, kv_capacity_tokens=950)
-
-        inline = ClusterEngine(
-            ClusterConfig(
-                n_replicas=3, routing=routing, backend="inline", engine=ecfg
-            )
-        ).run_trace(trace, deadline_s=2.0)
-        spawn = ClusterEngine(
-            ClusterConfig(
-                n_replicas=3, routing=routing, backend="spawn", engine=ecfg
-            )
-        ).run_trace(trace, deadline_s=2.0)
-
-        assert inline.worker_transport == "in-process"
-        assert spawn.backend == "spawn"
-        assert_backends_identical(inline, spawn)
-
-    def test_spawn_single_replica_stays_inline(self):
-        """A 1-replica spawn config has nothing to parallelize: the
-        replay stays in-process (and therefore equals the oracle)."""
-        rng = random.Random(9)
-        trace = random_trace(rng, n_requests=20)
-        res = ClusterEngine(
-            ClusterConfig(n_replicas=1, backend="spawn")
-        ).run_trace(trace)
-        assert res.worker_transport == "in-process"

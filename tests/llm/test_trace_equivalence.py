@@ -205,13 +205,13 @@ class TestTracingIsPureObserver:
             assert getattr(e_on.cache, attr) == getattr(e_off.cache, attr)
 
     @pytest.mark.parametrize(
-        "path", ["client", "server", "cluster-inline", "cluster-spawn"]
+        "path", ["client", "server", "cluster-inline"]
     )
     def test_on_off_bit_identical_above_engine(self, path):
         """The layers above the engine pass the trace switch through
         without perturbing anything: the client's and the server's trace
         replays, and a 2-replica cluster's merged metrics and per-replica
-        stats on each backend, are equal under ``==`` with tracing on."""
+        stats, are equal under ``==`` with tracing on."""
         reqs = trace_workload(random.Random(4242))
         trace = WorkloadTrace(
             [
@@ -248,7 +248,6 @@ class TestTracingIsPureObserver:
                     ClusterConfig(
                         n_replicas=2,
                         routing="prefix-aware",
-                        backend=path.split("-")[1],
                         engine=engine_config,
                     )
                 )

@@ -250,6 +250,43 @@ class TestTraceRequestOutputLenTypes:
             WorkloadTrace.load(str(path))
 
 
+class TestTraceRequestFieldTypes:
+    """A hand-edited trace JSON with a wrongly typed field fails at load
+    time with a ServingError naming the field."""
+
+    @staticmethod
+    def load(**fields):
+        import json
+
+        req = {"arrival_s": 0, "prompt": "p", **fields}
+        return WorkloadTrace.from_json(json.dumps({"requests": [req]}))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("prompt", 5),
+            ("prompt", ["p"]),
+            ("tenant", 7),
+            ("tenant", None),
+            ("job", 3),
+            ("output_text", {"a": 1}),
+        ],
+    )
+    def test_non_string_field_rejected(self, field, value):
+        with pytest.raises(ServingError, match=f"{field} must be a string"):
+            self.load(**{field: value})
+
+    @pytest.mark.parametrize("value", ["soon", True, [1.0]])
+    def test_bad_deadline_rejected(self, value):
+        with pytest.raises(
+            ServingError, match="deadline_s must be a positive number"
+        ):
+            self.load(deadline_s=value)
+
+    def test_integer_deadline_accepted(self):
+        assert self.load(deadline_s=2).requests[0].deadline_s == 2
+
+
 class TestTraceJSONVersioning:
     """Satellite: versioned trace JSON with clean ReproError failures."""
 
