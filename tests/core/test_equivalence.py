@@ -17,6 +17,7 @@ from repro.core.compiled import HAVE_NUMPY
 from repro.core.fd import FunctionalDependencies, mine_fds
 from repro.core.ggr import GGRConfig, ggr
 from repro.core.ophr import ophr
+from repro.core.partitioned import PARTITION_MODES, partitioned_reorder
 from repro.core.phc import per_row_hits, phc, phr, prefix_hit_tokens
 from repro.core.stats import TableStats
 from repro.core.table import ReorderTable
@@ -194,3 +195,22 @@ class TestOphrEquivalence:
         score_ref, sched_ref = ophr(t)
         assert score_fast == score_ref
         assert_same_schedule(sched_fast, sched_ref)
+
+
+class TestPartitionedEquivalence:
+    """Stitching partitions through the compiled cell pool gives the same
+    schedule as the pure-Python reference path."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("mode", PARTITION_MODES)
+    def test_fastpath_matches_reference(self, monkeypatch, mode, seed):
+        rng = random.Random(300 + seed)
+        t = random_table(rng)
+        k = rng.randint(1, 5)
+        fast = partitioned_reorder(t, k, mode=mode)
+        monkeypatch.setenv("REPRO_CORE_FASTPATH", "0")
+        ref = partitioned_reorder(t, k, mode=mode)
+        assert fast.exact_phc == ref.exact_phc
+        assert fast.exact_phr == ref.exact_phr
+        assert fast.partition_sizes == ref.partition_sizes
+        assert_same_schedule(fast.schedule, ref.schedule)

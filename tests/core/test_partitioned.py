@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from repro.core.fd import FunctionalDependencies
 from repro.core.ordering import RequestSchedule
-from repro.core.partitioned import PARTITION_MODES, partitioned_reorder
+from repro.core.ggr import ggr
+from repro.core.partitioned import (
+    PARTITION_MODES,
+    _assign_partitions,
+    partitioned_reorder,
+)
 from repro.core.phc import phc
 from repro.core.reorder import reorder
 from repro.core.table import ReorderTable
@@ -105,3 +110,29 @@ def test_property_partitioned_always_valid(table, k, mode):
     res = partitioned_reorder(table, k, mode=mode)
     res.schedule.validate_against(table)
     assert res.exact_phc >= 0
+
+
+class TestStitching:
+    """Each partition's rows appear in the stitched schedule exactly as
+    GGR orders that partition alone: stitching only concatenates."""
+
+    @pytest.mark.parametrize("mode", PARTITION_MODES)
+    def test_partition_layout_matches_subtable_solve(self, mode):
+        t = grouped_table(n_groups=5, per_group=7)
+        res = partitioned_reorder(t, 3, mode=mode, order_partitions=False)
+        parts = [p for p in _assign_partitions(t, 3, mode) if p]
+        assert res.partition_sizes == [len(p) for p in parts]
+        assert len(res.per_partition_seconds) == len(parts)
+        assert res.critical_path_seconds == max(res.per_partition_seconds)
+
+        start = 0
+        for rows in parts:
+            sub = ReorderTable(t.fields, [t.rows[i] for i in rows])
+            _, sched, _ = ggr(sub)
+            chunk = res.schedule.rows[start:start + len(rows)]
+            assert [r.row_id for r in chunk] == [
+                rows[r.row_id] for r in sched.rows
+            ]
+            assert [r.cells for r in chunk] == [r.cells for r in sched.rows]
+            start += len(rows)
+        assert start == len(res.schedule)

@@ -7,6 +7,7 @@ per-request clocks (``==``, same code path), aggregate counters, and
 radix-cache counters.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -114,3 +115,60 @@ class TestSingleReplicaOracle:
         client = SimulatedLLMClient(engine_config=ecfg)
         sres = client.generate_trace(trace)
         assert_cluster_matches_single(cres, sres, client.engine)
+
+
+class TestPerReplicaOracle:
+    """Each replica of an N-replica cluster replays the sub-trace routed
+    to it exactly like a fresh single-engine client replaying that
+    sub-trace alone: routing is the only cluster-specific step."""
+
+    @pytest.mark.parametrize(
+        "routing,seed",
+        [
+            ("round-robin", 0),
+            ("prefix-aware", 1),
+            ("least-queue", 2),
+            ("tenant-sharded", 3),
+        ],
+    )
+    def test_each_replica_matches_single_engine(self, routing, seed):
+        rng = random.Random(2000 + seed)
+        trace = random_trace(rng, n_requests=36, n_tenants=5)
+        ecfg = EngineConfig(max_batch_size=2, kv_capacity_tokens=950)
+        cluster = ClusterEngine(
+            ClusterConfig(n_replicas=3, routing=routing, engine=ecfg)
+        )
+        cres = cluster.run_trace(trace, deadline_s=2.0)
+        assignment = cluster.route_trace(trace)
+        assert len(set(assignment)) > 1
+
+        merged = []
+        for replica in range(3):
+            ids = [i for i, r in enumerate(assignment) if r == replica]
+            stats = cres.replicas[replica]
+            assert stats.n_requests == len(ids)
+            if not ids:
+                continue
+            sub = WorkloadTrace([trace.requests[i] for i in ids])
+            client = SimulatedLLMClient(engine_config=ecfg)
+            er = client.generate_trace(sub).engine_result
+            renumbered = [
+                dataclasses.replace(m, request_id=ids[m.request_id])
+                for m in er.request_metrics
+            ]
+            assert cres.engine_results[replica].request_metrics == renumbered
+            merged.extend(renumbered)
+            assert stats.total_seconds == er.total_seconds
+            assert stats.prompt_tokens == er.prompt_tokens
+            assert stats.cached_tokens == er.cached_tokens
+            assert stats.peak_kv_tokens == er.peak_kv_tokens
+            assert stats.cache_hits == client.engine.cache.hits
+            assert stats.cache_misses == client.engine.cache.misses
+            assert stats.cache_evicted_tokens == (
+                client.engine.cache.evicted_tokens
+            )
+        merged.sort(key=lambda m: m.request_id)
+        assert cres.request_metrics == merged
+        assert cres.total_seconds == max(
+            s.total_seconds for s in cres.replicas
+        )
