@@ -17,11 +17,14 @@ import time
 from conftest import perf_record, run_once
 
 from repro.llm.client import SimulatedLLMClient
+from repro.llm.encode_cache import EncodeCache
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.radix import RadixPrefixCache, pack_tokens
 from repro.llm.request import Request
+from repro.llm.tokenizer import HashTokenizer
+from repro.llm.workload import TenantSpec, tenant_prompts
 
 
 def _replay_requests(
@@ -367,3 +370,60 @@ def bench_client_repeat_prompt_tokenization(benchmark):
 
     total = run_once(benchmark, work)
     assert total > 0
+
+
+def bench_client_segment_encode_speedup(benchmark, repro_scale):
+    """Cold encode of GGR-ordered prompt streams (the filter query of each
+    table dataset and both RAG queries, one batch each) through the client
+    path — the encode cache with one segment memo per batch — against the
+    in-repo oracle, per-prompt ``HashTokenizer.encode`` + ``pack_tokens``.
+    Ids, packed bytes and vocabulary must be identical, and the segment
+    path >=1.5x faster (``encode_segment_speedup`` in
+    ``BENCH_serving.json``).
+
+    Each side gets a fresh tokenizer per round; the minimum of 3
+    interleaved rounds is used, as in the replay benchmark above."""
+    streams = [
+        tenant_prompts(TenantSpec(q, q, "ggr"), scale=repro_scale)[0]
+        for q in (
+            "movies-T1", "products-T1", "bird-T1", "pdmx-T1", "beer-T1",
+            "fever-T5", "squad-T5",
+        )
+    ]
+
+    def segment_path():
+        tok = HashTokenizer()
+        cache = EncodeCache()
+        out = []
+        for prompts in streams:
+            segments = {}
+            out += [cache.encode(tok, p, segments) for p in prompts]
+        return out, tok._id_to_piece
+
+    def whole_prompt_oracle():
+        tok = HashTokenizer()
+        out = []
+        for prompts in streams:
+            for p in prompts:
+                ids = tuple(tok.encode(p))
+                out.append((ids, pack_tokens(ids)))
+        return out, tok._id_to_piece
+
+    def work():
+        best = {}
+        results = {}
+        for _ in range(3):
+            for name, fn in (("segment", segment_path), ("whole", whole_prompt_oracle)):
+                t0 = time.perf_counter()
+                results[name] = fn()
+                dt = time.perf_counter() - t0
+                best[name] = min(dt, best.get(name, dt))
+        return best, results
+
+    best, results = run_once(benchmark, work)
+    assert results["segment"] == results["whole"]
+    ratio = best["whole"] / best["segment"]
+    benchmark.extra_info["prompts"] = sum(map(len, streams))
+    benchmark.extra_info["speedup_segment_over_whole"] = round(ratio, 3)
+    assert ratio >= 1.5
+    perf_record("serving", "encode_segment_speedup", ratio, ">= 1.5")

@@ -91,6 +91,7 @@ def requests_from_trace(
     ``(requests, output_texts)`` aligned with ``trace.requests``.
     """
     cache = encode_cache if encode_cache is not None else encode_cache_for(tokenizer)
+    segments: Dict[str, List[int]] = {}  # this batch's segment memo
     requests: List[Request] = []
     out_texts: List[str] = []
     rid = start_id
@@ -102,7 +103,7 @@ def requests_from_trace(
         else:
             n_out = default_output_len
         out_texts.append(tr.output_text)
-        ids, packed = cache.encode(tokenizer, tr.prompt)
+        ids, packed = cache.encode(tokenizer, tr.prompt, segments)
         requests.append(
             Request(
                 request_id=rid,
@@ -128,6 +129,8 @@ class SimulatedLLMClient:
     batch-inference server, other clients the bench runner spins up —
     encodes each distinct prompt once. The cache survives
     :meth:`reset_cache`, which replaces the engine but keeps the tokenizer.
+    A prompt that misses is tokenized by segment, and each distinct segment
+    once per :meth:`generate` or :meth:`generate_trace` batch.
     """
 
     def __init__(
@@ -144,9 +147,6 @@ class SimulatedLLMClient:
         self.engine = SimulatedLLMEngine(model=model, cluster=cluster, config=self.engine_config)
         self._next_id = 0
         self._encode_cache = encode_cache_for(self.tokenizer)
-
-    def _encode_cached(self, text: str) -> Tuple[Tuple[int, ...], Optional[bytes]]:
-        return self._encode_cache.encode(self.tokenizer, text)
 
     def count_tokens(self, text: str) -> int:
         """Cached token count of ``text`` — the public counting API used
@@ -189,21 +189,37 @@ class SimulatedLLMClient:
         # clock keeps queueing/TTFT/E2E latencies batch-relative when a
         # long-lived engine serves successive jobs.
         base = self.engine.clock
+        cache, tokenizer = self._encode_cache, self.tokenizer
+        segments: Dict[str, List[int]] = {}  # this batch's segment memo
         for i, prompt in enumerate(prompts):
+            # Checked here, not deep in the tokenizer or the engine, so bad
+            # input fails with a one-line ServingError before anything runs.
+            if not isinstance(prompt, str):
+                raise ServingError(
+                    f"prompts[{i}] must be a str, got {type(prompt).__name__}"
+                )
             if outputs is not None:
                 text = outputs[i]
+                if not isinstance(text, str):
+                    raise ServingError(
+                        f"outputs[{i}] must be a str, got {type(text).__name__}"
+                    )
                 n_out = max(1, self._count_cached(text))
             elif output_lens is not None:
                 text = ""
                 n_out = output_lens[i]
+                if not isinstance(n_out, int) or isinstance(n_out, bool) or n_out < 0:
+                    raise ServingError(
+                        f"output_lens[{i}] must be an int >= 0, got {n_out!r}"
+                    )
             else:
                 text = ""
                 n_out = default_output_len
             out_texts.append(text)
-            ids, packed = self._encode_cached(prompt)
+            ids, packed = cache.encode(tokenizer, prompt, segments)
             requests.append(
                 Request(
-                    request_id=self._next_id,
+                    request_id=self._next_id + i,
                     prompt_tokens=ids,
                     output_tokens=n_out,
                     output_text=text,
@@ -211,7 +227,8 @@ class SimulatedLLMClient:
                     arrival_s=base,
                 )
             )
-            self._next_id += 1
+        del segments  # free the memo before the replay, where memory peaks
+        self._next_id += len(requests)
 
         self.engine.submit_all(requests)
         result = self.engine.run()

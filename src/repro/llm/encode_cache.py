@@ -5,31 +5,56 @@ invocations of a multi-stage query, across scheduling policies, across
 repeated jobs — and re-tokenizing (and re-packing) them dominated replay
 setup time. Each :class:`~repro.llm.tokenizer.HashTokenizer` carries at
 most one :class:`EncodeCache`; every consumer holding the same tokenizer
-(clients, the batch-inference server's client, the bench runner's
-per-policy clients) shares it, so a prompt is encoded once per *tokenizer*
-rather than once per consumer. The cache survives
-``SimulatedLLMClient.reset_cache`` — that replaces the engine, not the
-tokenizer.
+(clients, cluster engines, the bench runner's per-policy clients) shares
+it, so a prompt is encoded once per *tokenizer* rather than once per
+consumer. The cache survives ``SimulatedLLMClient.reset_cache`` — that
+replaces the engine, not the tokenizer.
 
 Caching is exact: the tokenizer's incremental vocabulary gives a fixed
 string the same ids on every call, and returning the *same* tuple object
 for a repeated prompt lets the radix cache reuse its packed probe across
 the match/insert/pin calls of identical prompts.
 
-Eviction is LRU (the old per-client memos were unbounded-ish FIFO dicts),
-and hit/miss/eviction counts are kept for telemetry.
+A prompt that misses is not tokenized whole. Rows that reordering puts
+next to each other repeat most of their cells, so :meth:`EncodeCache.encode`
+cuts the prompt into segments — before the ``{"`` that opens the JSON row
+and before the ``,`` of every ``, "`` — and tokenizes only the segments
+missing from a per-batch segment memo (see :func:`prompt_segments` for why
+joining the segment ids is exact).
+
+Eviction is LRU, and hit/miss/eviction counts are kept for telemetry.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ServingError
 from repro.llm.radix import pack_tokens
 
 #: Default entry bound per map — generous for any realistic benchmark
 #: replay while keeping worst-case memory in check.
 DEFAULT_MAX_ENTRIES = 1 << 16
+
+
+def prompt_segments(text: str) -> List[str]:
+    """``text`` cut into the segments that :meth:`EncodeCache.encode`
+    memoizes: the header before the first ``{"`` (the JSON row's opening
+    brace in a :func:`~repro.llm.prompts.build_prompt` prompt), then one
+    segment per ``, "``-led field. Text without ``{"`` is all row.
+
+    Joining the segments' encodings gives the whole text's encoding, for
+    any string: every cut falls right before ``{`` or ``,``, which the
+    tokenizer always emits as a one-character token that no other token
+    can span, and its only context, a one-character ``(?<!\\s)``
+    lookbehind, matters only for a token that starts with a space.
+    """
+    i = max(text.find('{"'), 0)
+    first, *rest = text[i:].split(', "')
+    segments = [text[:i], first] if i else [first]
+    segments += [', "' + s for s in rest]
+    return segments
 
 
 class EncodeCache:
@@ -44,8 +69,10 @@ class EncodeCache:
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
+        if type(max_entries) is not int or max_entries < 1:
+            raise ServingError(
+                f"max_entries must be an int >= 1, got {max_entries!r}"
+            )
         self.max_entries = max_entries
         self._encode: "OrderedDict[str, Tuple[Tuple[int, ...], bytes]]" = (
             OrderedDict()
@@ -58,11 +85,22 @@ class EncodeCache:
     def __len__(self) -> int:
         return len(self._encode) + len(self._count)
 
-    def encode(self, tokenizer, text: str) -> Tuple[Tuple[int, ...], bytes]:
+    def encode(
+        self,
+        tokenizer,
+        text: str,
+        segments: Optional[Dict[str, List[int]]] = None,
+    ) -> Tuple[Tuple[int, ...], bytes]:
         """(token ids, packed bytes) for ``text`` via ``tokenizer``,
         cached. The packed form feeds the radix cache's allocation-free
         long-edge compares; computing it here means each distinct prompt
-        is packed once, no matter how many times it is replayed."""
+        is packed once, no matter how many times it is replayed.
+
+        On a miss, only the :func:`prompt_segments` of ``text`` missing
+        from ``segments`` (segment -> ids; the caller keeps one per batch)
+        are tokenized. Segments are looked up and tokenized left to right,
+        so unseen pieces are interned in the order a whole-text encode
+        would intern them: ids and vocabulary are the same."""
         memo = self._encode
         entry = memo.get(text)
         if entry is not None:
@@ -70,7 +108,15 @@ class EncodeCache:
             memo.move_to_end(text)
             return entry
         self.misses += 1
-        ids = tuple(tokenizer.encode(text))
+        if segments is None:
+            segments = {}
+        parts: List[int] = []
+        for segment in prompt_segments(text):
+            seg_ids = segments.get(segment)
+            if seg_ids is None:
+                seg_ids = segments[segment] = tokenizer.encode(segment)
+            parts += seg_ids
+        ids = tuple(parts)
         entry = (ids, pack_tokens(ids))
         if len(memo) >= self.max_entries:
             memo.popitem(last=False)
@@ -123,6 +169,8 @@ def encode_cache_for(
     """
     cache = getattr(tokenizer, "_encode_cache", None)
     if cache is None:
-        cache = EncodeCache(max_entries or DEFAULT_MAX_ENTRIES)
+        cache = EncodeCache(
+            DEFAULT_MAX_ENTRIES if max_entries is None else max_entries
+        )
         tokenizer._encode_cache = cache
     return cache

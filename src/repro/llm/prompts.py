@@ -5,6 +5,14 @@ The operator serializes each scheduled row as JSON after a fixed header
 request schedule — that is how the reordering algorithms control prefix
 sharing. The header is identical for every row of a query, so it is the
 first (and for unordered data often the only) shared prefix.
+
+The client tokenizes a prompt in segments (``encode_cache.prompt_segments``):
+the header up to the row's opening ``{"``, then one segment per ``, "``-led
+field. Exactness does not depend on this format, since any cut right before
+``{`` or ``,`` is exact. Reuse does: :func:`escape_json_string` escapes
+every ``"`` in field names and values, so ``{"`` and ``, "`` occur in the
+row only where :func:`render_cells` puts them, and a repeated cell yields a
+repeated segment.
 """
 
 from __future__ import annotations
@@ -44,9 +52,3 @@ def render_cells(cells: Iterable[Cell]) -> str:
 def build_prompt(query: str, cells: Sequence[Cell]) -> str:
     """Full prompt for one row: header + JSON-encoded row data."""
     return SYSTEM_TEMPLATE.format(query=query) + render_cells(cells)
-
-
-def build_rag_prompt(query: str, cells: Sequence[Cell]) -> str:
-    """RAG prompts use the same shape; contexts arrive as ordinary cells
-    (``evidence1``..``evidenceK``) so reordering applies to them too."""
-    return build_prompt(query, cells)

@@ -7,7 +7,15 @@ properties the experiments depend on:
   two strings sharing a prefix that ends on a piece boundary share the
   corresponding token-id prefix. Prompt construction aligns cell boundaries
   with piece boundaries, so prefix reuse measured over these tokens matches
-  what a real radix cache would see.
+  what a real radix cache would see. The same rule makes a cut right
+  before a punctuation character (anything but an ASCII word character or
+  whitespace) exact: that character is always a one-character token that
+  no other token spans, and the only context the rule reads is the
+  one-character ``(?<!\s)`` lookbehind, which matters only for a token
+  that starts with a space. So ``encode(a + b)`` equals
+  ``encode(a) + encode(b)`` whenever ``b`` starts with punctuation, with
+  the same vocabulary when ``a`` is encoded first; the encode cache
+  tokenizes prompts segment by segment on that basis.
 * **Realistic token counts** — words longer than ``max_piece_len`` are
   chunked, giving roughly one token per ~4 characters of English-like text,
   the same scale the paper's Table 1 reports.

@@ -68,6 +68,29 @@ class TestClient:
         with pytest.raises(ServingError):
             client.generate(["a"], output_lens=[1, 2])
 
+    @pytest.mark.parametrize("bad", [2.5, -3, True, "2", None])
+    def test_bad_output_len_rejected(self, bad):
+        client = SimulatedLLMClient()
+        with pytest.raises(ServingError, match=r"output_lens\[1\] must be an int >= 0"):
+            client.generate(["a b", "c d"], output_lens=[1, bad])
+
+    @pytest.mark.parametrize("bad", [5, None, b"bytes", ["a"]])
+    def test_non_str_prompt_rejected(self, bad):
+        client = SimulatedLLMClient()
+        with pytest.raises(ServingError, match=r"prompts\[0\] must be a str"):
+            client.generate([bad], output_lens=[1])
+        with pytest.raises(ServingError, match=r"outputs\[0\] must be a str"):
+            client.generate(["a b"], outputs=[bad])
+
+    def test_rejected_batch_leaves_client_usable(self):
+        client = SimulatedLLMClient()
+        with pytest.raises(ServingError) as err:
+            client.generate(["a b", 7], output_lens=[1, 1])
+        assert "\n" not in str(err.value)
+        res = client.generate(["a b"], output_lens=[0])
+        assert res.engine_result.decode_tokens == 0
+        assert [m.request_id for m in res.engine_result.request_metrics] == [0]
+
     def test_output_lens_drive_decode_time(self):
         short = SimulatedLLMClient().generate(["p " * 50] * 4, output_lens=[2] * 4)
         long = SimulatedLLMClient().generate(["p " * 50] * 4, output_lens=[60] * 4)

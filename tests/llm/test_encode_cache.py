@@ -1,7 +1,19 @@
 """Tests for the shared tokenizer-level encode cache."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.table import Cell
+from repro.errors import ServingError
 from repro.llm.client import SimulatedLLMClient
-from repro.llm.encode_cache import DEFAULT_MAX_ENTRIES, EncodeCache, encode_cache_for
+from repro.llm.encode_cache import (
+    DEFAULT_MAX_ENTRIES,
+    EncodeCache,
+    encode_cache_for,
+    prompt_segments,
+)
+from repro.llm.prompts import SYSTEM_TEMPLATE, build_prompt
 from repro.llm.radix import pack_tokens
 from repro.llm.tokenizer import HashTokenizer
 
@@ -106,3 +118,123 @@ class TestSharedAttachment:
         assert wr.cached_tokens == fr.cached_tokens
         assert wr.decode_tokens == fr.decode_tokens
         assert wr.total_seconds == fr.total_seconds
+
+
+class TestBoundValidation:
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, False, "3", None])
+    def test_rejects_non_positive_int(self, bad):
+        with pytest.raises(ServingError, match="max_entries must be an int >= 1"):
+            EncodeCache(max_entries=bad)
+
+    def test_attach_rejects_zero(self):
+        # 0 is an explicit (invalid) bound, not a request for the default.
+        with pytest.raises(ServingError, match="max_entries"):
+            encode_cache_for(HashTokenizer(), max_entries=0)
+
+    def test_attach_bound_and_default(self):
+        assert encode_cache_for(HashTokenizer(), max_entries=3).max_entries == 3
+        assert encode_cache_for(HashTokenizer()).max_entries == DEFAULT_MAX_ENTRIES
+
+
+class TestPromptSegments:
+    def test_header_then_one_segment_per_field(self):
+        q = "Is it good?"
+        p = build_prompt(q, [Cell("a", "1"), Cell("b", "x, y"), Cell("c", "")])
+        assert prompt_segments(p) == [
+            SYSTEM_TEMPLATE.format(query=q),
+            '{"a": "1"',
+            ', "b": "x, y"',
+            ', "c": ""}',
+        ]
+
+    def test_query_with_cut_patterns(self):
+        # The header ends at the first '{"', here inside the query; any cut
+        # before '{' or ',' is exact, so this only costs memo reuse.
+        p = build_prompt('use {"k": 1}, "x"', [Cell("a", "1")])
+        segments = prompt_segments(p)
+        assert segments[0] == p[: p.index('{"')]
+        assert "".join(segments) == p
+
+    @pytest.mark.parametrize("text", ["", "plain text", '{"', ', "', 'a, "b, "c'])
+    def test_segments_join_to_text(self, text):
+        segments = prompt_segments(text)
+        assert "".join(segments) == text
+        assert all(s[:1] in ("{", ",") for s in segments[1:])
+
+    def test_one_memo_entry_per_distinct_segment(self):
+        tok = HashTokenizer()
+        rows = [[Cell("a", "1"), Cell("b", str(i % 2))] for i in range(6)]
+        prompts = [build_prompt("q", r) for r in rows]
+        segments = {}
+        cache = EncodeCache()
+        for p in prompts:
+            cache.encode(tok, p, segments)
+        # header, '{"a": "1"', ', "b": "0"}', ', "b": "1"}'
+        assert len(segments) == 4
+
+
+#: Characters that stress the tokenizer's word/space/punctuation classes
+#: and the cut points: edge whitespace, JSON syntax, escapes, unicode
+#: letters and a unicode space.
+_CHARS = ' \t\n"\\{},:aZ0_\u00e9\u4e2d\u00a0'
+#: Multi-character fragments that form (or nearly form) the cut patterns.
+_FRAGMENTS = [', "', '{"', '", "', '": "', "  ", " word", "longerword12", ", "]
+_text = st.lists(
+    st.sampled_from(list(_CHARS)) | st.sampled_from(_FRAGMENTS), max_size=12
+).map("".join)
+_cells = st.lists(st.builds(Cell, _text, _text), max_size=5)
+_prompt = st.one_of(
+    st.builds(build_prompt, _text, _cells),
+    _text,  # raw, non-JSON prompts
+)
+
+
+class TestSegmentEncodeExactness:
+    """One batch encoded through the cache with one segment memo must equal
+    a fresh whole-prompt encode of each prompt: same ids, same vocabulary
+    (interning order), and packed bytes equal to ``pack_tokens(ids)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        distinct=st.lists(_prompt, min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+        max_piece_len=st.integers(1, 7),
+        warm=st.one_of(st.just(""), _text, _prompt),
+    )
+    def test_batch_matches_whole_prompt_encode(
+        self, distinct, picks, max_piece_len, warm
+    ):
+        batch = [distinct[i % len(distinct)] for i in picks]  # with repeats
+        seg_tok = HashTokenizer(max_piece_len)
+        whole_tok = HashTokenizer(max_piece_len)
+        # A pre-warmed vocabulary: ids of pieces seen before the batch.
+        seg_tok.encode(warm)
+        whole_tok.encode(warm)
+        cache = EncodeCache()
+        segments = {}
+        for prompt in batch:
+            ids, packed = cache.encode(seg_tok, prompt, segments)
+            want = tuple(whole_tok.encode(prompt))
+            assert ids == want
+            assert packed == pack_tokens(want)
+        assert seg_tok._id_to_piece == whole_tok._id_to_piece
+        assert seg_tok._piece_to_id == whole_tok._piece_to_id
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(_cells, min_size=1, max_size=8),
+        query=_text,
+        max_piece_len=st.integers(1, 7),
+    )
+    def test_client_batch_matches_fresh_tokenizer(self, rows, query, max_piece_len):
+        prompts = [build_prompt(query, cells) for cells in rows]
+        client = SimulatedLLMClient(tokenizer=HashTokenizer(max_piece_len))
+        client.generate(prompts, output_lens=[1] * len(prompts))
+        whole_tok = HashTokenizer(max_piece_len)
+        for prompt in prompts:
+            whole_tok.encode(prompt)
+        assert client.tokenizer._id_to_piece == whole_tok._id_to_piece
+        for prompt in prompts:
+            assert encode_cache_for(client.tokenizer).encode(
+                client.tokenizer, prompt
+            )[0] == tuple(whole_tok.encode(prompt))
