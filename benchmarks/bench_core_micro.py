@@ -7,11 +7,9 @@ import os
 import random
 import time
 
-import pytest
 from conftest import perf_record, run_once
 
 from repro.bench.experiments.base import dataset
-from repro.core.compiled import HAVE_NUMPY
 from repro.core.ggr import GGRConfig, ggr
 from repro.core.partitioned import partitioned_reorder
 from repro.core.phc import phc
@@ -53,8 +51,6 @@ def bench_ggr_fastpath_vs_python_speedup(benchmark, repro_seed):
     so the recorded ratio is comparable across runs; interleaved min-of-5
     timing plus the fast/oracle ratio cancels machine speed (same
     methodology as bench_engine_replay_event_speedup)."""
-    if not HAVE_NUMPY:
-        pytest.skip("compiled fast path unavailable (numpy missing)")
     ds = dataset("movies", 0.1, repro_seed)
     rt = ds.table.to_reorder_table()
     saved = os.environ.get("REPRO_CORE_FASTPATH")

@@ -317,47 +317,3 @@ def run_policies(
     for policy in policies or DEFAULT_POLICIES:
         out[policy.name] = run_query(query, dataset, policy, **kwargs)
     return out
-
-
-def emit_perf_records(
-    results: Dict[str, RunResult],
-    area: str = "bench",
-    system: str = "Cache (GGR)",
-    baseline: str = "No Cache",
-    min_speedup: float = 1.0,
-    directory: Optional[str] = None,
-) -> Dict[str, dict]:
-    """Emit perf-trajectory records for one ``run_policies`` sweep.
-
-    Writes two records per (query, dataset) into ``BENCH_<area>.json``
-    (see :mod:`repro.bench.perf`): the system policy's simulated JCT
-    speedup over the baseline policy, and the system's prefix hit rate.
-    Both are ratios of *simulated* quantities — fully deterministic, so
-    the regression tolerance guards modeling changes, not machine noise.
-    """
-    from repro.bench import perf
-
-    sys_res = results[system]
-    base_res = results[baseline]
-    prefix = f"{sys_res.query_id}_{sys_res.dataset}".lower()
-    speedup = (
-        base_res.end_to_end_seconds / sys_res.end_to_end_seconds
-        if sys_res.end_to_end_seconds
-        else 0.0
-    )
-    return {
-        "speedup": perf.record(
-            area,
-            f"{prefix}_jct_speedup",
-            speedup,
-            f">= {min_speedup}",
-            directory=directory,
-        ),
-        "phr": perf.record(
-            area,
-            f"{prefix}_phr",
-            sys_res.phr,
-            ">= 0.0",
-            directory=directory,
-        ),
-    }

@@ -25,10 +25,10 @@ can run on:
 
 Compilation is cached on the ``ReorderTable`` instance (tables are frozen,
 so the encoding can never go stale); repeated solves of the same table pay
-the encoding cost once. Everything degrades gracefully: if numpy is absent
-or ``REPRO_CORE_FASTPATH=0`` is set, :func:`fastpath_enabled` turns the
-fast paths off and every consumer falls back to the pure-Python reference
-implementation, which stays available as the equivalence-test oracle.
+the encoding cost once. ``REPRO_CORE_FASTPATH=0`` makes
+:func:`fastpath_enabled` turn the fast paths off, and every consumer falls
+back to the pure-Python reference implementation, which stays available as
+the equivalence-test oracle.
 """
 
 from __future__ import annotations
@@ -39,13 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.table import Cell, OrderedRow, ReorderTable
 from repro.errors import SolverError
 
-try:  # pragma: no cover - exercised implicitly by every fast-path test
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - environment without numpy
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 #: Attribute name used to cache the compiled form on a ReorderTable.
 _CACHE_ATTR = "_compiled_table_cache"
@@ -54,12 +48,10 @@ _CACHE_ATTR = "_compiled_table_cache"
 def fastpath_enabled() -> bool:
     """True when the compiled fast paths should be used.
 
-    Requires numpy and honours the ``REPRO_CORE_FASTPATH`` environment
-    variable (set to ``0``/``false``/``no`` to force every solver onto the
-    pure-Python reference path — the equivalence oracle).
+    Honours the ``REPRO_CORE_FASTPATH`` environment variable (set to
+    ``0``/``false``/``no`` to force every solver onto the pure-Python
+    reference path — the equivalence oracle).
     """
-    if not HAVE_NUMPY:
-        return False
     flag = os.environ.get("REPRO_CORE_FASTPATH", "1").strip().lower()
     return flag not in ("0", "false", "no", "off")
 
@@ -86,8 +78,6 @@ class CompiledTable:
     )
 
     def __init__(self, table: ReorderTable):
-        if not HAVE_NUMPY:
-            raise SolverError("CompiledTable requires numpy")
         n, m = table.n_rows, table.n_fields
         # Only the field names, not the table: the table caches this
         # object, and a back-reference would make the pair a cycle that

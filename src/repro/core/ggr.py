@@ -33,7 +33,7 @@ Two interchangeable engines implement the identical algorithm:
     equivalence suite asserts this on randomized tables.
 ``"python"``
     The original string-path reference, kept as the oracle and as the
-    fallback when numpy is missing or ``REPRO_CORE_FASTPATH=0``.
+    path ``REPRO_CORE_FASTPATH=0`` selects.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ def ggr(
     engine = cfg.engine
     if engine == "auto":
         engine = "compiled" if fastpath_enabled() else "python"
-    elif engine == "compiled" and not _compiled.HAVE_NUMPY:
-        raise SolverError("engine='compiled' requires numpy")
 
     if engine == "compiled":
         ct = compile_table(table)

@@ -38,16 +38,6 @@ class RequestSchedule:
     def __iter__(self):
         return iter(self.rows)
 
-    def __getstate__(self):
-        # Drop the lazily-built metric encoding (see repro.core.phc): it
-        # is a pure cache and may hold large numpy matrices.
-        state = self.__dict__.copy()
-        state.pop("_phc_encoding_cache", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
     def row_ids(self) -> List[int]:
         return [r.row_id for r in self.rows]
 

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.compiled import HAVE_NUMPY, fastpath_enabled
+import numpy as np
+
+from repro.core.compiled import fastpath_enabled
 from repro.core.ordering import RequestSchedule
 from repro.core.table import Cell
-
-if HAVE_NUMPY:
-    import numpy as np
 
 MatchMode = str
 CellRow = Sequence[Cell]

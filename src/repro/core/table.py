@@ -82,16 +82,6 @@ class ReorderTable:
         """Return the first ``n`` rows (used by the D.1 OPHR-vs-GGR study)."""
         return ReorderTable(self.fields, self.rows[:n])
 
-    def __getstate__(self):
-        # Drop the cached compiled encoding (see repro.core.compiled):
-        # pickled tables — e.g. partition-pool jobs — should carry only
-        # the data; the receiver rebuilds its own encoding on demand.
-        return {"fields": self.fields, "rows": self.rows}
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "fields", state["fields"])
-        object.__setattr__(self, "rows", state["rows"])
-
     def __len__(self) -> int:  # pragma: no cover - trivial
         return self.n_rows
 

@@ -37,16 +37,6 @@ class BatchResult:
     def prefix_hit_rate(self) -> float:
         return self.engine_result.prefix_hit_rate
 
-    @property
-    def peak_kv_blocks(self) -> int:
-        """Peak physical KV blocks charged (0 under token-sum accounting)."""
-        return self.engine_result.peak_kv_blocks
-
-    @property
-    def fragmentation(self) -> float:
-        """Fraction of peak block memory lost to internal fragmentation."""
-        return self.engine_result.fragmentation
-
 
 @dataclass
 class TraceResult:
@@ -125,10 +115,10 @@ class SimulatedLLMClient:
 
     ``encode`` and ``count_tokens`` results are cached per prompt string in
     the tokenizer's shared :class:`~repro.llm.encode_cache.EncodeCache`
-    (bounded, LRU): every consumer of the same tokenizer — this client, the
-    batch-inference server, other clients the bench runner spins up —
-    encodes each distinct prompt once. The cache survives
-    :meth:`reset_cache`, which replaces the engine but keeps the tokenizer.
+    (bounded, LRU): every consumer of the same tokenizer — this client,
+    other clients the bench runner spins up, a cluster's replicas —
+    encodes each distinct prompt once. A fresh engine that keeps the
+    cache is ``SimulatedLLMClient(tokenizer=old.tokenizer)``.
     A prompt that misses is tokenized by segment, and each distinct segment
     once per :meth:`generate` or :meth:`generate_trace` batch.
     """
@@ -269,15 +259,4 @@ class SimulatedLLMClient:
             outputs=out_texts,
             engine_result=result,
             slo=result.slo(deadline_s),
-        )
-
-    def cancel_pending(self) -> int:
-        """Withdraw queued requests after a failed ``generate`` so the
-        engine (and its warm prefix cache) can serve the next call."""
-        return self.engine.flush_waiting()
-
-    def reset_cache(self) -> None:
-        """Fresh server state (new engine, same tokenizer)."""
-        self.engine = SimulatedLLMEngine(
-            model=self.model, cluster=self.cluster, config=self.engine_config
         )

@@ -99,14 +99,6 @@ class CostModel:
         free = self.cluster.total_mem_bytes - self.model.weight_bytes - reserve
         return max(0, int(free / self.model.kv_bytes_per_token))
 
-    def kv_capacity_blocks(self, block_tokens: int = 16) -> int:
-        """Whole ``block_tokens``-token pages that fit in the KV budget —
-        what a paged allocator actually has to hand out (the sub-block
-        remainder of :attr:`kv_capacity_tokens` is unusable)."""
-        if block_tokens <= 0:
-            raise ServingError("block_tokens must be positive")
-        return self.kv_capacity_tokens // block_tokens
-
     # -------------------------------------------------------------- prefill
     def prefill_flops(self, new_tokens: int, context_start: int) -> float:
         """FLOPs to prefill ``new_tokens`` starting at absolute position

@@ -7,8 +7,9 @@ setup time. Each :class:`~repro.llm.tokenizer.HashTokenizer` carries at
 most one :class:`EncodeCache`; every consumer holding the same tokenizer
 (clients, cluster engines, the bench runner's per-policy clients) shares
 it, so a prompt is encoded once per *tokenizer* rather than once per
-consumer. The cache survives ``SimulatedLLMClient.reset_cache`` — that
-replaces the engine, not the tokenizer.
+consumer. A fresh client built on an old client's tokenizer
+(``SimulatedLLMClient(tokenizer=old.tokenizer)``) gets a new engine and
+keeps the cache.
 
 Caching is exact: the tokenizer's incremental vocabulary gives a fixed
 string the same ids on every call, and returning the *same* tuple object

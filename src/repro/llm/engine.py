@@ -492,28 +492,6 @@ class SimulatedLLMEngine:
         for r in requests:
             self.submit(r)
 
-    def flush_waiting(self) -> int:
-        """Drop every queued-but-unadmitted request (arrived or future) and
-        unblock admission; returns how many were dropped. Used to clean up
-        after a failed run (e.g. a :class:`CapacityError` on an infeasible
-        request) so the engine — and its warm cache — stay usable for the
-        next job. Preempted members are among the dropped: their parked
-        state goes too, swapped-out KV included."""
-        drained = self.scheduler.drain()
-        n = len(drained) + len(self._future)
-        if self.preemption == "swap" and self.blocks is not None:
-            for m in self._parked.values():
-                self.blocks.parked_tokens -= self._tail_tokens(m)
-        self._parked.clear()
-        if self.tracer is not None:
-            for req in drained:
-                self.tracer.dropped(req.request_id)
-            for _, _, req in self._future:
-                self.tracer.dropped(req.request_id)
-        self._future.clear()
-        self._admission_blocked = False
-        return n
-
     def _release_arrivals(self) -> int:
         """Move requests whose arrival time has passed into the policy."""
         fut = self._future
@@ -533,7 +511,9 @@ class SimulatedLLMEngine:
 
         The engine may be reused across calls — the radix cache persists,
         modelling a long-lived server (multi-invocation queries rely on
-        this).
+        this). A run that raises :class:`CapacityError` leaves the
+        infeasible request queued, so every later run on this engine
+        raises again; serve the next batch on a fresh engine.
         """
         self._admission_blocked = False
         # Peaks are per-run (like the token peak), even though the cache —

@@ -79,12 +79,6 @@ class RequestMetrics:
     preempted_tokens_swapped: int = 0
     n_prefill_chunks: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        if self.prompt_tokens == 0:
-            return 0.0
-        return self.cached_tokens / self.prompt_tokens
-
     # ------------------------------------------------------- SLO latencies
     @property
     def queueing_delay_s(self) -> float:

@@ -152,10 +152,6 @@ class SchedulerPolicy:
         sees them naturally by probing every step."""
         return None
 
-    def drain(self) -> List[Request]:
-        """Remove and return every waiting request (failed-job cleanup)."""
-        raise NotImplementedError
-
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -178,11 +174,6 @@ class FCFSPolicy(SchedulerPolicy):
         if not self._queue or self._queue[0] is not request:
             raise ServingError("pop out of order: not the selected request")
         self._queue.popleft()
-
-    def drain(self) -> List[Request]:
-        out = list(self._queue)
-        self._queue.clear()
-        return out
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -208,11 +199,6 @@ class SJFPolicy(SchedulerPolicy):
         if not self._heap or self._heap[0][2] is not request:
             raise ServingError("pop out of order: not the selected request")
         heappop(self._heap)
-
-    def drain(self) -> List[Request]:
-        out = [r for _, _, r in sorted(self._heap)]
-        self._heap.clear()
-        return out
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -258,11 +244,6 @@ class PrefixAffinityPolicy(SchedulerPolicy):
                 del self._pool[i]
                 return
         raise ServingError("pop of a request not in the pool")
-
-    def drain(self) -> List[Request]:
-        out = [r for _, r in sorted(self._pool)]
-        self._pool.clear()
-        return out
 
     def __len__(self) -> int:
         return len(self._pool)
@@ -343,17 +324,6 @@ class FairSharePolicy(SchedulerPolicy):
             self._deficit[tenant] = 0
             self._cursor = self._cursor % len(self._order) if self._order else 0
 
-    def drain(self) -> List[Request]:
-        out: List[Request] = []
-        for tenant in list(self._order):
-            out.extend(self._queues[tenant])
-            self._queues[tenant].clear()
-        self._order.clear()
-        self._deficit = {t: 0 for t in self._deficit}
-        self._cursor = 0
-        self._n = 0
-        return out
-
     def __len__(self) -> int:
         return self._n
 
@@ -389,7 +359,7 @@ class DeadlinePolicy(SchedulerPolicy):
     name = "deadline"
 
     def __init__(self, deadline_s: float = 10.0):
-        if deadline_s <= 0:
+        if not deadline_s > 0:  # also rejects NaN
             raise ServingError(f"deadline_s must be positive, got {deadline_s}")
         self.deadline_s = deadline_s
         self._pool: List[Tuple[int, Request]] = []  # (submit seq, request)
@@ -508,11 +478,6 @@ class DeadlinePolicy(SchedulerPolicy):
             if deadline >= now and (best is None or deadline < best):
                 best = deadline
         return best
-
-    def drain(self) -> List[Request]:
-        out = [r for _, r in sorted(self._pool, key=lambda e: e[0])]
-        self._pool.clear()
-        return out
 
     def __len__(self) -> int:
         return len(self._pool)
@@ -652,7 +617,7 @@ def compute_slo(
     by_tenant: bool = True,
 ) -> SLOReport:
     """Roll per-request stamps into an :class:`SLOReport` (empty-safe)."""
-    if deadline_s is not None and deadline_s <= 0:
+    if deadline_s is not None and not deadline_s > 0:  # also rejects NaN
         raise ServingError(f"deadline_s must be positive, got {deadline_s}")
     if not metrics:
         empty = LatencySummary.of(())

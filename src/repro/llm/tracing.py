@@ -22,8 +22,8 @@ Tracing is **off by default**: the engine keeps ``tracer = None`` and
 every hook site is gated with one attribute test, so the replay loops
 pay nothing.  ``EngineConfig.trace="on"`` enables it; tracing ON leaves
 every ``EngineResult`` metric bit-identical (the recorder only observes;
-``tests/llm/test_tracing.py`` checks the engine, client, server and
-cluster paths) and replay speed within the perf-recorded
+``tests/llm/test_tracing.py`` checks the engine, client and cluster
+paths) and replay speed within the perf-recorded
 ``tracing_overhead_ratio >= 0.9`` guard (``benchmarks/
 bench_tracing_micro.py``).
 """
@@ -308,13 +308,6 @@ class TraceRecorder:
             )
         if slot != WAITING_SLOT:
             heappush(self._free_slots, slot)
-        self._tenant.pop(request_id, None)
-
-    def dropped(self, request_id: int) -> None:
-        """A queued-but-unadmitted request was withdrawn (failed-job
-        cleanup): discard its open state without emitting a span."""
-        self._queued.pop(request_id, None)
-        self._parked.pop(request_id, None)
         self._tenant.pop(request_id, None)
 
     def instant(self, name: str, **args) -> None:

@@ -245,7 +245,7 @@ def poisson_arrivals(
     """``n`` Poisson-process arrival times at ``rate_rps`` from ``start_s``."""
     if n < 0:
         raise ServingError("n must be >= 0")
-    if rate_rps <= 0:
+    if not rate_rps > 0:  # also rejects NaN
         raise ServingError("rate_rps must be positive")
     rng = random.Random(seed)
     t = start_s
@@ -272,9 +272,9 @@ def bursty_arrivals(
     gaps)."""
     if n < 0:
         raise ServingError("n must be >= 0")
-    if on_rate_rps <= 0 or off_rate_rps < 0:
+    if not (on_rate_rps > 0 and off_rate_rps >= 0):
         raise ServingError("on_rate_rps must be positive, off_rate_rps >= 0")
-    if on_mean_s <= 0 or off_mean_s <= 0:
+    if not (on_mean_s > 0 and off_mean_s > 0):
         raise ServingError("state holding means must be positive")
     rng = random.Random(seed)
     out: List[float] = []
@@ -311,11 +311,11 @@ def diurnal_arrivals(
     compressed day/night envelope of analytics traffic."""
     if n < 0:
         raise ServingError("n must be >= 0")
-    if base_rate_rps <= 0:
+    if not base_rate_rps > 0:
         raise ServingError("base_rate_rps must be positive")
     if not 0 <= amplitude < 1:
         raise ServingError("amplitude must be in [0, 1)")
-    if period_s <= 0:
+    if not period_s > 0:
         raise ServingError("period_s must be positive")
     rng = random.Random(seed)
     peak = base_rate_rps * (1 + amplitude)

@@ -23,7 +23,6 @@ from repro.relational.optimizer import (
     OptimizerConfig,
     OptimizedPlan,
     explain_plan,
-    explain_sql,
     optimize_plan,
 )
 from repro.relational.table import Table
@@ -46,5 +45,4 @@ __all__ = [
     "OptimizedPlan",
     "optimize_plan",
     "explain_plan",
-    "explain_sql",
 ]

@@ -14,7 +14,7 @@ one entry point:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.fd import FunctionalDependencies
 from repro.core.stats import TableStats
@@ -71,9 +71,6 @@ class Catalog:
 
     def get_stats(self, name: str) -> TableStats:
         return self._entry(name).stats
-
-    def tables(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._entries))
 
 
 class Database:

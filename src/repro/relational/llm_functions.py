@@ -97,9 +97,6 @@ class AnswerMemoStore:
             self.evictions += 1
         self._store[key] = value
 
-    def clear(self) -> None:
-        self._store.clear()
-
     def __len__(self) -> int:
         return len(self._store)
 

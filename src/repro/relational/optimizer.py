@@ -390,17 +390,6 @@ def explain_plan(
     return "\n".join(lines)
 
 
-def explain_sql(
-    sql: str,
-    catalog: Optional[Any] = None,
-    config: OptimizerConfig = DEFAULT_OPTIMIZER_CONFIG,
-) -> str:
-    """Parse, plan, optimize, and render one SELECT statement."""
-    from repro.relational.sql import plan_sql
-
-    return explain_plan(plan_sql(sql), catalog=catalog, config=config)
-
-
 def _fmt_rows(rows: Optional[float]) -> str:
     return "?" if rows is None else f"{rows:.0f}"
 

@@ -127,6 +127,19 @@ class TestServeTrace:
         assert main(["serve-trace", "--trace", "/nonexistent/t.json"]) == 2
         assert "serve-trace failed:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "-1"])
+    def test_bad_deadline_fails_cleanly(self, bad, capsys):
+        assert main(
+            ["serve-trace", "--scale", "0.004", "--requests", "5",
+             "--policy", "fcfs", "--deadline", bad]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "serve-trace failed: deadline_s must be positive"
+        )
+        assert captured.err.count("\n") == 1
+
 
 class TestServeCluster:
     def test_routing_sweep(self, capsys):

@@ -13,7 +13,6 @@ from repro.bench.perf import (
     record,
     satisfies,
 )
-from repro.bench.runner import RunResult, emit_perf_records
 from repro.errors import ReproError
 
 
@@ -171,27 +170,3 @@ class TestShow:
         monkeypatch.chdir(tmp_path)
         assert main(["show"]) == 0
         assert "area: area" in capsys.readouterr().out
-
-
-class TestEmitPerfRecords:
-    def _result(self, policy, engine_seconds, phr=0.5):
-        return RunResult(
-            query_id="Q1", dataset="Movies", policy=policy, model="m",
-            engine_seconds=engine_seconds, solver_seconds=0.0,
-            phr=phr, schedule_phr=phr, exact_phc=10,
-            prompt_tokens=100, cached_tokens=50, prefill_tokens=50,
-            decode_tokens=20, n_rows=10, n_llm_calls=1,
-        )
-
-    def test_emits_speedup_and_phr(self, tmp_path):
-        results = {
-            "No Cache": self._result("No Cache", 10.0, phr=0.0),
-            "Cache (GGR)": self._result("Cache (GGR)", 4.0, phr=0.62),
-        }
-        recs = emit_perf_records(
-            results, area="bench", directory=str(tmp_path)
-        )
-        assert recs["speedup"]["value"] == 2.5
-        assert recs["phr"]["value"] == 0.62
-        got = load(str(tmp_path / "BENCH_bench.json"))
-        assert set(got) == {"q1_movies_jct_speedup", "q1_movies_phr"}

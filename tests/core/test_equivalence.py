@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro.core.compiled import HAVE_NUMPY
 from repro.core.fd import FunctionalDependencies, mine_fds
 from repro.core.ggr import GGRConfig, ggr
 from repro.core.ophr import ophr
@@ -21,8 +20,6 @@ from repro.core.partitioned import PARTITION_MODES, partitioned_reorder
 from repro.core.phc import per_row_hits, phc, phr, prefix_hit_tokens
 from repro.core.stats import TableStats
 from repro.core.table import ReorderTable
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 VALUE_POOLS = (
     ["a", "bb", "ccc", "dddd"],

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.table import Cell
-from repro.errors import ServingError
+from repro.errors import CapacityError, ServingError
 from repro.llm.client import SimulatedLLMClient
 from repro.llm.engine import EngineConfig
 from repro.llm.prompts import SYSTEM_TEMPLATE, build_prompt, escape_json_string, render_cells
@@ -54,13 +54,6 @@ class TestClient:
         assert first.prefix_hit_rate == 0.0
         assert second.prefix_hit_rate > 0.9
 
-    def test_reset_cache(self):
-        client = SimulatedLLMClient()
-        client.generate(["abc def " * 30], output_lens=[1])
-        client.reset_cache()
-        res = client.generate(["abc def " * 30], output_lens=[1])
-        assert res.prefix_hit_rate == 0.0
-
     def test_misaligned_outputs_rejected(self):
         client = SimulatedLLMClient()
         with pytest.raises(ServingError):
@@ -100,3 +93,42 @@ class TestClient:
         client = SimulatedLLMClient(engine_config=EngineConfig(enable_prefix_cache=False))
         res = client.generate(["same prompt " * 30] * 3, output_lens=[1] * 3)
         assert res.prefix_hit_rate == 0.0
+
+
+class TestAfterCapacityError:
+    """A failed ``generate`` leaves its infeasible request queued; the way
+    on is a fresh client over the same tokenizer."""
+
+    HUGE = " ".join(f"tok{i}" for i in range(500))
+
+    def failed_client(self):
+        client = SimulatedLLMClient(
+            engine_config=EngineConfig(kv_capacity_tokens=64, block_tokens=16)
+        )
+        client.generate(["warm prompt words"], output_lens=[1])
+        with pytest.raises(CapacityError):
+            client.generate([self.HUGE], output_lens=[1])
+        return client
+
+    def test_next_generate_raises_again(self):
+        client = self.failed_client()
+        assert len(client.engine.scheduler) == 1
+        with pytest.raises(CapacityError, match="request 1 "):
+            client.generate(["small prompt"], output_lens=[1])
+        assert len(client.engine.scheduler) == 2
+
+    def test_fresh_client_on_same_tokenizer_serves_next_batch(self):
+        old = self.failed_client()
+        before = old.encode_cache_stats()
+        fresh = SimulatedLLMClient(
+            engine_config=old.engine_config, tokenizer=old.tokenizer
+        )
+        res = fresh.generate(["warm prompt words", "small prompt"], output_lens=[1, 1])
+        assert len(res.outputs) == 2
+        assert len(res.engine_result.request_metrics) == 2
+        # A new engine: the radix cache starts cold ...
+        assert res.prefix_hit_rate == 0.0
+        # ... but the shared encode cache still knows the old prompt.
+        after = fresh.encode_cache_stats()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"] + 1

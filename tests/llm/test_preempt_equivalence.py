@@ -328,49 +328,6 @@ class TestTenantQuota:
             eng.run()
 
 
-class TestFlushAfterCapacityError:
-    """``flush_waiting()`` after a failed run leaves no preempted member
-    behind, so the engine serves the next job as if fresh."""
-
-    @pytest.mark.parametrize("preemption", ["recompute", "swap"])
-    @pytest.mark.parametrize("mode", ["stepwise", "vector"])
-    def test_flush_drops_preempted_members(self, mode, preemption):
-        eng = SimulatedLLMEngine(
-            LLAMA3_8B,
-            CLUSTER_1XL4,
-            EngineConfig(
-                mode=mode,
-                max_batch_size=1,
-                kv_capacity_tokens=256,
-                scheduler="deadline",
-                preemption=preemption,
-            ),
-        )
-        # Request 1 preempts request 0 (earlier deadline, full batch);
-        # request 2 preempts request 1 in turn and can never fit the pool.
-        late = dict(arrival_s=0.5, deadline_s=0.5)
-        infeasible = dict(arrival_s=0.6, deadline_s=0.2)
-        eng.submit_all(
-            [
-                Request(0, tuple(range(10)), 200),
-                Request(1, tuple(range(20, 30)), 5, **late),
-                Request(2, tuple(range(100, 400)), 5, **infeasible),
-            ]
-        )
-        with pytest.raises(CapacityError, match="request 2"):
-            eng.run()
-        assert eng.flush_waiting() == 3
-        assert eng._parked == {}
-        assert eng.blocks.parked_tokens == 0
-        # A later job reusing a preempted request's id runs as itself.
-        eng.submit(Request(0, (1, 2, 3), 2, arrival_s=eng.clock))
-        (m,) = eng.run().request_metrics
-        assert (m.prompt_tokens, m.output_tokens, m.n_preemptions) == (3, 2, 0)
-        assert eng._reserved_blocks == 0
-        assert eng._private_tokens == 0
-        assert eng.blocks.parked_tokens == 0
-
-
 class TestConfigValidation:
     def test_unknown_preemption_mode_rejected(self):
         with pytest.raises(ServingError, match="unknown preemption mode"):

@@ -21,7 +21,6 @@ Three contracts:
   queued span ends before it starts.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -33,7 +32,6 @@ from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
-from repro.llm.server import BatchInferenceServer
 from repro.llm.workload import TraceRequest, WorkloadTrace
 
 MODES = ("stepwise", "vector")
@@ -205,11 +203,11 @@ class TestTracingIsPureObserver:
             assert getattr(e_on.cache, attr) == getattr(e_off.cache, attr)
 
     @pytest.mark.parametrize(
-        "path", ["client", "server", "cluster-inline"]
+        "path", ["client", "client-batch", "cluster-inline"]
     )
     def test_on_off_bit_identical_above_engine(self, path):
         """The layers above the engine pass the trace switch through
-        without perturbing anything: the client's and the server's trace
+        without perturbing anything: the client's trace and batch
         replays, and a 2-replica cluster's merged metrics and per-replica
         stats, are equal under ``==`` with tracing on."""
         reqs = trace_workload(random.Random(4242))
@@ -239,10 +237,12 @@ class TestTracingIsPureObserver:
             if path == "client":
                 client = SimulatedLLMClient(engine_config=engine_config)
                 runs[mode] = client.generate_trace(trace, deadline_s=2.0)
-            elif path == "server":
-                server = BatchInferenceServer(engine_config=engine_config)
-                server.submit_trace("job", trace, deadline_s=2.0)
-                runs[mode] = server.job("job")
+            elif path == "client-batch":
+                client = SimulatedLLMClient(engine_config=engine_config)
+                runs[mode] = client.generate(
+                    [r.prompt for r in trace.requests],
+                    output_lens=[r.output_len for r in trace.requests],
+                )
             else:
                 cluster = ClusterEngine(
                     ClusterConfig(
@@ -253,14 +253,12 @@ class TestTracingIsPureObserver:
                 )
                 runs[mode] = cluster.run_trace(trace, deadline_s=2.0)
         off, on = runs["off"], runs["on"]
-        if path == "client":
+        if path.startswith("client"):
             assert off.engine_result.trace is None
             assert on.engine_result.trace is not None
             assert_bit_identical(off.engine_result, on.engine_result)
-            assert on.slo == off.slo
-        elif path == "server":
-            assert not off.trace_tracks and on.trace_tracks
-            assert dataclasses.replace(on, trace_tracks=[]) == off
+            assert on.outputs == off.outputs
+            assert on.engine_result.slo(2.0) == off.engine_result.slo(2.0)
         else:
             assert len(on.trace_tracks()) == 2
             assert on.request_metrics == off.request_metrics

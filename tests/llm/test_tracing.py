@@ -1,7 +1,7 @@
 """Tests for the lifecycle-tracing module: the trace switch, span structure,
 Chrome/JSONL export, ``trace-report``, edge cases (empty / single-request
 / all-shed traces), and the CLI surfacing (``--emit-trace``,
-``repro trace-report``, server/cluster plumbing)."""
+``repro trace-report``, client/cluster plumbing)."""
 
 import json
 import random
@@ -392,30 +392,28 @@ class TestCLITraceReport:
         assert procs == {"round-robin/replica0", "round-robin/replica1"}
 
 
-class TestServerTracePlumbing:
+class TestTraceExportAboveEngine:
     def trace(self, n=6):
         return WorkloadTrace(
             [
                 TraceRequest(
                     i * 0.02,
-                    f"server trace prompt {i % 3}",
+                    f"client trace prompt {i % 3}",
                     tenant=f"t{i % 2}",
                     output_len=2,
                 )
                 for i in range(n)
             ],
-            name="srv",
+            name="cli",
         )
 
-    def test_export_trace_roundtrip(self, tmp_path):
-        from repro.llm.server import BatchInferenceServer
+    def test_client_trace_export_roundtrip(self, tmp_path):
+        from repro.llm.client import SimulatedLLMClient
 
-        server = BatchInferenceServer(
-            engine_config=EngineConfig(trace="on")
-        )
-        server.submit_trace("job-a", self.trace())
+        client = SimulatedLLMClient(engine_config=EngineConfig(trace="on"))
+        er = client.generate_trace(self.trace()).engine_result
         path = tmp_path / "job.json"
-        server.export_trace("job-a", str(path))
+        write_trace([("job-a", er.trace)], str(path))
         payload = json.loads(path.read_text())
         procs = {
             ev["args"]["name"]
@@ -424,32 +422,18 @@ class TestServerTracePlumbing:
         }
         assert procs == {"job-a"}
 
-    def test_export_without_tracing_raises(self, tmp_path):
-        from repro.llm.server import BatchInferenceServer
+    def test_cluster_tracks_named_per_replica(self, tmp_path):
+        from repro.llm.cluster import ClusterConfig, ClusterEngine
 
-        server = BatchInferenceServer()
-        server.submit_trace("job-b", self.trace())
-        with pytest.raises(ServingError):
-            server.export_trace("job-b", str(tmp_path / "no.json"))
-
-    def test_cluster_job_tracks_named_per_replica(self, tmp_path):
-        from repro.llm.cluster import ClusterConfig
-        from repro.llm.server import BatchInferenceServer
-
-        server = BatchInferenceServer()
-        server.submit_cluster_trace(
-            "fleet",
-            self.trace(8),
-            cluster_config=ClusterConfig(
-                n_replicas=2, engine=EngineConfig(trace="on")
-            ),
+        cluster = ClusterEngine(
+            ClusterConfig(n_replicas=2, engine=EngineConfig(trace="on"))
         )
-        job = server.job("fleet")
-        labels = [label for label, _ in job.trace_tracks]
-        assert labels == ["fleet/replica0", "fleet/replica1"]
-        path = tmp_path / "fleet.json"
-        server.export_trace("fleet", str(path))
-        json.loads(path.read_text())
+        tracks = cluster.run_trace(self.trace(8)).trace_tracks()
+        assert [label for label, _ in tracks] == ["replica0", "replica1"]
+        path = tmp_path / "fleet.jsonl"
+        write_trace(tracks, str(path))
+        recs = [json.loads(line) for line in path.read_text().splitlines()]
+        assert {r["track"] for r in recs} == {"replica0", "replica1"}
 
 
 class TestClusterPeakWaiting:

@@ -166,6 +166,26 @@ class TestArrivalProcesses:
         with pytest.raises(ServingError):
             diurnal_arrivals(5, 10.0, amplitude=1.5)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: poisson_arrivals(3, v),
+            lambda v: bursty_arrivals(3, v),
+            lambda v: bursty_arrivals(3, 10.0, off_rate_rps=v),
+            lambda v: bursty_arrivals(3, 10.0, on_mean_s=v),
+            lambda v: bursty_arrivals(3, 10.0, off_mean_s=v),
+            lambda v: diurnal_arrivals(3, v),
+            lambda v: diurnal_arrivals(3, 10.0, period_s=v),
+        ],
+        ids=["poisson-rate", "bursty-on-rate", "bursty-off-rate",
+             "bursty-on-mean", "bursty-off-mean", "diurnal-rate",
+             "diurnal-period"],
+    )
+    def test_nan_rate_or_period_rejected(self, call):
+        """``x <= 0`` is False for NaN; the checks must read ``not x > 0``."""
+        with pytest.raises(ServingError):
+            call(float("nan"))
+
     def test_dispatch(self):
         for name in ARRIVAL_PROCESSES:
             assert len(make_arrivals(name, 10, 20.0, seed=0)) == 10

@@ -16,7 +16,6 @@ from repro.llm.client import SimulatedLLMClient
 from repro.llm.engine import EngineConfig
 from repro.llm.pricing import APICacheSimulator, cost_of, openai_gpt4o_mini
 from repro.llm.prompts import build_prompt
-from repro.llm.server import BatchInferenceServer
 from repro.llm.tokenizer import HashTokenizer
 from repro.rag import Retriever
 from repro.relational import Database, LLMRuntime
@@ -113,16 +112,14 @@ class TestJudgesThroughRuntime:
         assert acc["ggr"] > acc["original"]  # the FEVER/8B effect
 
 
-class TestPartitionedThroughServer:
-    def test_partitioned_schedule_served_by_server(self):
+class TestPartitionedThroughClient:
+    def test_partitioned_schedule_served_by_client(self):
         ds = build_dataset("movies", scale=0.004, seed=0)
         part = partitioned_reorder(ds.table.to_reorder_table(), 4, fds=ds.fds)
-        server = BatchInferenceServer(
-            engine_config=EngineConfig(max_batch_size=16)
-        )
+        client = SimulatedLLMClient(engine_config=EngineConfig(max_batch_size=16))
         prompts = [build_prompt("classify", r.cells) for r in part.schedule.rows]
-        server.submit_job("etl", prompts, output_lens=[2] * len(prompts))
-        assert server.job("etl").hit_rate > 0.3
+        res = client.generate(prompts, output_lens=[2] * len(prompts))
+        assert res.prefix_hit_rate > 0.3
 
     def test_refine_then_serve_not_slower(self):
         ds = build_dataset("beer", scale=0.002, seed=0)
