@@ -270,3 +270,19 @@ class TestClusterEngine:
         assert res.slo.attainment == 1.0
         tight = res.slo_report(1e-9)
         assert tight.attainment < 1.0
+
+    def test_run_leaves_client_engine_alone(self):
+        from repro.llm.client import SimulatedLLMClient
+
+        client = SimulatedLLMClient()
+        trace = _trace(seed=7)
+        client.generate_trace(trace)
+        hits, clock = client.engine.cache.hits, client.engine.clock
+        eng = ClusterEngine(ClusterConfig(n_replicas=2), tokenizer=client.tokenizer)
+        before = eng.encode_cache_stats()
+        eng.run_trace(trace)
+        assert (client.engine.cache.hits, client.engine.clock) == (hits, clock)
+        # The shared tokenizer's encode cache already holds every prompt.
+        after = eng.encode_cache_stats()
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + trace.n_requests
