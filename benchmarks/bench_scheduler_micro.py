@@ -11,12 +11,22 @@ paper's prefix-sharing win under contention. The acceptance bar is
 asserted in ``bench_trace_prefix_affinity``: >= 1.2x the FCFS prefix hit
 rate (measured, not assumed). Every policy records its p95 TTFT in the
 benchmark's extra info.
+
+``bench_deadline_select_scaling`` guards the deadline policy's cost per
+pick: the mean ``select`` + ``pop`` time at 2000 waiters over that at
+125. Heaps keep it near 1-2x; a scan of the pool reads ~16x.
 """
+
+import gc
+import random
+import time
 
 from conftest import perf_record, run_once
 
 from repro.llm.client import SimulatedLLMClient
 from repro.llm.engine import EngineConfig
+from repro.llm.request import Request
+from repro.llm.scheduler import DeadlinePolicy
 from repro.llm.workload import TraceRequest, WorkloadTrace
 
 #: Tight-but-feasible serving point for the contention trace below: the
@@ -180,4 +190,59 @@ def bench_trace_bursty_fair_share(benchmark):
         "scheduler_fair_share_steady_p95_ttft_ratio",
         ratio,
         ">= 1.2",
+    )
+
+
+def _deadline_pick_seconds(n_waiting, n_ops=10000, seed=0):
+    """Mean seconds per ``select`` + ``pop`` of a deadline policy held at
+    ``n_waiting`` waiters: each pick is replaced by a fresh arrival. The
+    clock turns the pool over once per simulated second at any size, so
+    the same share of explicit deadlines (0.5 s of 0.5/2/8 s) expires into
+    the late heap whatever ``n_waiting`` is. Deadline-less requests mix
+    in. The garbage collector is paused while timing."""
+    rng = random.Random(seed)
+    reqs = [
+        Request(
+            request_id=i,
+            prompt_tokens=(i,),
+            output_tokens=1,
+            arrival_s=i / n_waiting,
+            deadline_s=rng.choice([None, 0.5, 2.0, 8.0]),
+        )
+        for i in range(n_waiting + n_ops)
+    ]
+    policy = DeadlinePolicy(deadline_s=4.0)
+    for r in reqs[:n_waiting]:
+        policy.submit(r)
+    spent = 0.0
+    clock = time.perf_counter
+    gc.disable()
+    try:
+        for i in range(n_ops):
+            now = (n_waiting + i) / n_waiting
+            t0 = clock()
+            head = policy.select(now=now)
+            policy.pop(head)
+            spent += clock() - t0
+            policy.submit(reqs[n_waiting + i])
+    finally:
+        gc.enable()
+    return spent / n_ops
+
+
+def bench_deadline_select_scaling(benchmark):
+    """Cost per deadline pick barely grows with the pool: the ratio of
+    the mean select + pop time at 2000 waiters over 125 stays <= 3 (best
+    of three runs each, to damp host noise)."""
+
+    def ratio():
+        big = min(_deadline_pick_seconds(2000, seed=s) for s in range(3))
+        small = min(_deadline_pick_seconds(125, seed=s) for s in range(3))
+        return big / small
+
+    value = run_once(benchmark, ratio)
+    benchmark.extra_info["deadline_select_scaling"] = round(value, 3)
+    assert value <= 3.0, f"deadline select+pop scales {value:.1f}x over 16x the pool"
+    perf_record(
+        "scheduler", "deadline_select_scaling", value, "<= 3", tolerance=1.5
     )

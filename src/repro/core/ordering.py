@@ -35,14 +35,8 @@ class RequestSchedule:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.rows)
-
     def row_ids(self) -> List[int]:
         return [r.row_id for r in self.rows]
-
-    def cell_rows(self) -> List[Tuple[Cell, ...]]:
-        return [r.cells for r in self.rows]
 
     def inverse_permutation(self) -> List[int]:
         """``inv[original_row_id] = position in schedule`` for scatter-back."""

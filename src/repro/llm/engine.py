@@ -997,8 +997,9 @@ class SimulatedLLMEngine:
                     break
                 self._preempt_member(victim)
                 base -= 1
-                # Re-select below: select is deterministic and
-                # mutation-free, so the same candidate comes back.
+                # Re-select below: select is deterministic for an
+                # unchanged pool and clock, so the same candidate comes
+                # back.
                 continue
             req = sched.select(cache if cache_on else None, now=self._clock)
             if req is None:
@@ -1082,7 +1083,7 @@ class SimulatedLLMEngine:
                 if cache_on:
                     freed = cache.evict(
                         need - free,
-                        protected=self._protected_paths(running, req, hit),
+                        protected=self._protected_paths(running, req),
                         unit=unit,
                     )
                     free += freed
@@ -1226,22 +1227,25 @@ class SimulatedLLMEngine:
                 )
 
     def _protected_paths(
-        self, running: List[_Running], req: Request, hit: int
+        self, running: List[_Running], req: Request
     ) -> List[Sequence[int]]:
         """Eviction-protection list for an admission-time evict. Pin modes
         protect persistently via pin counts, so only the candidate's
         matched prefix needs transient cover; the stepwise oracle mode
         protects running prompts (and mid-chunk partial paths) explicitly.
-        Rebuilt before every evict call — a preemption may have shrunk the
-        running set since the last probe."""
+        The candidate is protected by its whole prompt: the cached path of
+        a prompt *is* the path of its matched prefix, and the very tuple
+        :meth:`_admit` just matched resolves from the radix cursor without
+        a walk. Rebuilt before every evict call — a preemption may have
+        shrunk the running set since the last probe."""
         if self._use_pins:
-            return [req.prompt_tokens[:hit]]
+            return [req.prompt_tokens]
         protected: List[Sequence[int]] = [
             r.request.prompt_tokens for r in running
         ]
         for p in self._prefilling:
             protected.append(p.request.prompt_tokens[: p.hit + p.done_prefill])
-        protected.append(req.prompt_tokens[:hit])
+        protected.append(req.prompt_tokens)
         return protected
 
     def _advance_chunks(self) -> List[_Running]:
@@ -1277,8 +1281,10 @@ class SimulatedLLMEngine:
                     self._reserved_blocks -= m.prefill_reserved
                     m.prefill_reserved = 0
                 if cache_on:
+                    # The last chunk's pin ends the prompt's path, so the
+                    # fork starts there instead of re-walking the prompt.
                     m.fork = self.cache.fork_path_bundle(
-                        m.request.prompt_tokens
+                        m.request.prompt_tokens, anchor=m.pin
                     )
             m.chunks_left = None
             # The post-prefill admission stamp, at the clock of the wave
@@ -1298,14 +1304,18 @@ class SimulatedLLMEngine:
         start = m.hit + m.done_prefill if cache_on else m.done_prefill
         if cache_on:
             k = m.hit + m.done_prefill + c
+            # One slice serves insert and pin: pin hits insert's end-node
+            # memo. The previous chunk's pin anchors the insert, so the
+            # walk covers only this chunk, not the whole prefix again.
+            prefix = req.prompt_tokens[:k]
             packed = (
                 req.prompt_bytes[: 8 * k]
                 if req.prompt_bytes is not None
                 else None
             )
+            before = bm.free_blocks if bm is not None else 0
+            self.cache.insert(prefix, packed, anchor=m.pin)
             if bm is not None:
-                before = bm.free_blocks
-                self.cache.insert(req.prompt_tokens[:k], packed)
                 drawn = before - bm.free_blocks
                 m.prefill_reserved -= drawn
                 self._reserved_blocks -= drawn
@@ -1313,10 +1323,8 @@ class SimulatedLLMEngine:
                     raise ServingError(
                         "chunked prefill drew past its block reservation"
                     )
-            else:
-                self.cache.insert(req.prompt_tokens[:k], packed)
             if self._use_pins:
-                pin = self.cache.pin(req.prompt_tokens[:k])
+                pin = self.cache.pin(prefix)
                 if m.pin is not None:
                     self.cache.unpin(m.pin)
                 m.pin = pin

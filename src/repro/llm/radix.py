@@ -18,7 +18,11 @@ live in slot-indexed parallel arrays over one contiguous numpy token store,
 child dispatch is a single ``(node, first_token) -> child`` hash map,
 longest-common-prefix compares are vectorized slices, and LRU eviction
 walks an intrusive doubly-linked list kept strictly sorted by
-``(last_access, node_id)``. ``backend="node"`` is its one reference: a
+``(last_access, node_id)``. It also walks each cached token once per
+admission: :meth:`~RadixPrefixCache.match` leaves a cursor that an
+``insert`` (and evict protection) of the same tuple resumes from, and an
+``anchor=`` pin ticket starts a chunk's insert at the pinned prefix.
+``backend="node"`` is its one reference: a
 per-node Python-object tree with tuple-slice edge compares and a full-tree
 scan for each eviction victim. The stepwise engine oracle runs it, and the
 suites in ``tests/llm/test_radix_flat.py``, ``test_radix_equivalence.py``
@@ -269,9 +273,26 @@ class RadixPrefixCache:
         }
 
     # -------------------------------------------------------------- insert
-    def insert(self, tokens: Sequence[int], packed: Optional[bytes] = None) -> int:
+    def insert(
+        self,
+        tokens: Sequence[int],
+        packed: Optional[bytes] = None,
+        anchor=None,
+    ) -> int:
         """Cache ``tokens``; returns the number of *newly* cached tokens.
-        ``packed`` as in :meth:`match`."""
+        ``packed`` as in :meth:`match`.
+
+        ``anchor`` is an optional live :meth:`pin` ticket whose path
+        spells a prefix of ``tokens`` (the engine passes a mid-prefill
+        request's pin as it caches the next chunk); a stale or unpinned
+        ticket raises :class:`ServingError`. The flat backend starts its
+        walk at the anchor's node, and — when ``tokens`` is the very tuple
+        the last :meth:`match` probed — at the node that match reached,
+        so each cached token is walked once. Either way every node on the
+        path is stamped at this call's tick, exactly like a walk from the
+        root. This reference validates the anchor and always walks from
+        the root."""
+        self._check_anchor(anchor, len(tokens))
         now = self._tick()
         node = self.root
         node.last_access = now
@@ -325,6 +346,23 @@ class RadixPrefixCache:
         return 0
 
     # ------------------------------------------------------------- pinning
+    def _check_anchor(self, anchor: Optional[_Node], n: int) -> None:
+        """Reject an anchor that is not a live pin ticket, or whose path
+        is longer than the ``n``-token probe it should be a prefix of."""
+        if anchor is None:
+            return
+        if anchor.dead or anchor.pin_count <= 0:
+            raise ServingError("radix anchor is not a live pin ticket")
+        depth = 0
+        cur = anchor
+        while cur is not self.root:
+            depth += len(cur.edge)
+            cur = cur.parent
+        if depth > n:
+            raise ServingError(
+                f"radix anchor spans {depth} tokens, past the {n}-token probe"
+            )
+
     def _path_end(self, tokens: Tuple[int, ...]) -> Optional[_Node]:
         """Deepest node on the cached path of ``tokens`` (tolerant walk,
         like :meth:`path_node_ids`: a partially-matched child counts)."""
@@ -417,7 +455,9 @@ class RadixPrefixCache:
             cur = cur.parent
         return forks
 
-    def fork_path_bundle(self, tokens: Sequence[int]) -> Optional[BlockAllocation]:
+    def fork_path_bundle(
+        self, tokens: Sequence[int], anchor=None
+    ) -> Optional[BlockAllocation]:
         """The engine's one fork per admission — the paged-KV counterpart
         of :meth:`pin`: the admitted request holds its own reference to
         each shared block on the cached path of ``tokens``, exactly like a
@@ -429,9 +469,13 @@ class RadixPrefixCache:
         nodes and is referenced once per node, exactly as the per-node
         :meth:`fork_path` reference would. Returns None without a block
         manager or when nothing of ``tokens`` is cached; the engine
-        releases the bundle when the request leaves the batch."""
+        releases the bundle when the request leaves the batch.
+        ``anchor`` is an optional live :meth:`pin` ticket on the path of
+        ``tokens``, as for :meth:`insert`: the flat backend walks on from
+        its node; this reference validates it and walks from the root."""
         if self._bm is None:
             return None
+        self._check_anchor(anchor, len(tokens))
         if not isinstance(tokens, tuple):
             tokens = tuple(tokens)
         cur: Optional[_Node] = self._resolve_end(tokens)
@@ -749,6 +793,17 @@ class _FlatRadixCache(RadixPrefixCache):
         #: One-slot identity memo, as in the node backend: insert -> pin /
         #: fork of the same tuple object skips the path walk.
         self._last_end: Optional[Tuple[Tuple[int, ...], int]] = None
+        #: One-slot admission cursor left by :meth:`match`: ``(tokens,
+        #: node, node_id, pos, end, end_id)`` — the deepest fully matched
+        #: node and the probe position at its end, plus the deepest node
+        #: touched (a partially matched edge counts; None on a miss).
+        #: :meth:`insert` of the same tuple object resumes at ``node``
+        #: and evict protection / :meth:`pin` resolve ``end`` from it,
+        #: each only while the slot still holds that id. Only insert
+        #: splits edges, so every insert clears it; eviction removes
+        #: leaves only, so a live cursor node still spells
+        #: ``tokens[:pos]`` from the root.
+        self._cursor: Optional[tuple] = None
         self._probe_memo: Dict[int, Tuple[Tuple[int, ...], object]] = {}
 
     # ------------------------------------------------------------- storage
@@ -945,10 +1000,18 @@ class _FlatRadixCache(RadixPrefixCache):
             m = k if k <= rem else rem
             lcp = self._edge_lcp(c, tokens, pa, pb, pos, m)
             touched.append(c)
-            pos += lcp
             if lcp != k:
                 break
+            pos += lcp
             node = c
+        nid = self._nid
+        end = touched[-1] if touched else None
+        self._cursor = (
+            tokens, node, nid[node], pos,
+            end, None if end is None else nid[end],
+        )
+        if end is not None and end != node:
+            pos += lcp  # the partially matched last edge
         self._touch(touched, now)
         if pos > 0:
             self.hits += 1
@@ -980,16 +1043,36 @@ class _FlatRadixCache(RadixPrefixCache):
         return pos
 
     # -------------------------------------------------------------- insert
-    def insert(self, tokens: Sequence[int], packed: Optional[bytes] = None) -> int:
+    def insert(
+        self,
+        tokens: Sequence[int],
+        packed: Optional[bytes] = None,
+        anchor=None,
+    ) -> int:
         now = self._tick()
         if not isinstance(tokens, tuple):
             tokens = tuple(tokens)
         n = len(tokens)
         pa, pb = self._probe_arr(tokens, packed) if n else (None, None)
         self._stamp[0] = now
-        node = 0
-        pos = 0
-        touched: List[int] = []
+        cursor = self._cursor
+        self._cursor = None  # this insert may split the cursor's path
+        if anchor is not None:
+            node, pos = self._anchor_start(anchor, n)
+            touched = self._ancestry(node)
+        elif (
+            cursor is not None
+            and cursor[0] is tokens
+            and not self._dead[cursor[1]]
+            and self._nid[cursor[1]] == cursor[2]
+        ):
+            node = cursor[1]
+            pos = cursor[3]
+            touched = self._ancestry(node)
+        else:
+            node = 0
+            pos = 0
+            touched = []
         children = self._children
         while pos < n:
             c = children.get((node, tokens[pos]))
@@ -1017,8 +1100,9 @@ class _FlatRadixCache(RadixPrefixCache):
                 self.total_tokens += added
                 # The leaf's id is the newest in the tree, so appending it
                 # after the ancestor batch keeps the strict (stamp, id)
-                # LRU order even though both share this tick's stamp.
-                self._touch([leaf], now)
+                # LRU order even though both share this tick's stamp
+                # (_new_slot stamped it).
+                self._lru_append(leaf)
                 self._last_end = (tokens, leaf)
                 return added
             k = self._elen[c]
@@ -1058,15 +1142,46 @@ class _FlatRadixCache(RadixPrefixCache):
             self._last_end = (tokens, node)
         return 0
 
+    def _anchor_start(self, ticket, n: int) -> Tuple[int, int]:
+        """``(node, depth)`` of a live pin ticket anchoring a walk of an
+        ``n``-token probe: its node and the tokens spelled from the root
+        to the end of that node's edge."""
+        s, tid = ticket
+        if self._dead[s] or self._nid[s] != tid or self._pins[s] <= 0:
+            raise ServingError("radix anchor is not a live pin ticket")
+        depth = 0
+        cur = s
+        while cur != 0:
+            depth += self._elen[cur]
+            cur = self._parent[cur]
+        if depth > n:
+            raise ServingError(
+                f"radix anchor spans {depth} tokens, past the {n}-token probe"
+            )
+        return s, depth
+
+    def _ancestry(self, s: int) -> List[int]:
+        """Slots on the path from ``s`` up to (not including) the root —
+        the nodes a root walk to ``s`` would touch."""
+        out: List[int] = []
+        parent = self._parent
+        while s != 0:
+            out.append(s)
+            s = parent[s]
+        return out
+
     # ------------------------------------------------------------- pinning
-    def _path_end(self, tokens: Tuple[int, ...]) -> Optional[int]:
+    def _path_end(
+        self, tokens: Tuple[int, ...], node: int = 0, pos: int = 0
+    ) -> Optional[int]:
+        """Deepest node on the cached path of ``tokens``, walking on from
+        ``node``, whose path spells ``tokens[:pos]`` (the root by
+        default)."""
         n = len(tokens)
-        if n == 0:
-            return None
+        last: Optional[int] = node or None
+        if pos == n:
+            return last
         pa, pb = self._probe_arr(tokens, None)
-        node = 0
-        pos = 0
-        last: Optional[int] = None
         children = self._children
         elen = self._elen
         while pos < n:
@@ -1084,10 +1199,20 @@ class _FlatRadixCache(RadixPrefixCache):
             node = c
         return last
 
-    def _resolve_end(self, tokens: Tuple[int, ...]) -> Optional[int]:
+    def _resolve_end(self, tokens: Tuple[int, ...], anchor=None) -> Optional[int]:
+        start = None if anchor is None else self._anchor_start(anchor, len(tokens))
         memo = self._last_end
         if memo is not None and memo[0] is tokens:
             return memo[1]
+        cursor = self._cursor
+        if cursor is not None and cursor[0] is tokens:
+            end = cursor[4]
+            if end is None:
+                return None
+            if not self._dead[end] and self._nid[end] == cursor[5]:
+                return end
+        if start is not None:
+            return self._path_end(tokens, *start)
         return self._path_end(tokens)
 
     def pin(self, tokens: Sequence[int]):
@@ -1145,12 +1270,14 @@ class _FlatRadixCache(RadixPrefixCache):
             cur = parent[cur]
         return forks
 
-    def fork_path_bundle(self, tokens: Sequence[int]) -> Optional[BlockAllocation]:
+    def fork_path_bundle(
+        self, tokens: Sequence[int], anchor=None
+    ) -> Optional[BlockAllocation]:
         if self._bm is None:
             return None
         if not isinstance(tokens, tuple):
             tokens = tuple(tokens)
-        cur = self._resolve_end(tokens)
+        cur = self._resolve_end(tokens, anchor)
         if cur is None:
             return None
         ids: List[int] = []

@@ -90,8 +90,9 @@ class SchedulerPolicy:
     """Waiting pool + selection rule for arrived requests.
 
     The engine calls :meth:`select` to peek at the next admission candidate
-    (repeatedly — the call must be deterministic and mutation-free given an
-    unchanged pool and clock) and :meth:`pop` to commit the admission.
+    (repeatedly — given an unchanged pool and clock the call must return
+    the same request; it may update internal bookkeeping, never the
+    choice) and :meth:`pop` to commit the admission.
     ``cache`` is the engine's radix cache (None when prefix caching is
     off); policies may probe it with the side-effect-free ``match_len`` /
     ``match_many`` only. ``now`` is the engine clock at the admission point — the clock
@@ -350,10 +351,19 @@ class DeadlinePolicy(SchedulerPolicy):
     re-shedding let that happen; see
     ``test_scheduler.py::TestDeadlineStarvation``).
 
-    Selection is an O(pool) mutation-free scan (same shape as
-    :class:`PrefixAffinityPolicy`); the late/on-time split depends only on
-    ``now``, which the engine passes from its event clock, so repeated
-    selects at one admission point agree across replay modes.
+    Waiters live in three min-heaps: explicit-deadline requests by
+    ``(deadline, seq)``, deadline-less requests by ``(deadline, seq)``,
+    and shed (late) requests by ``seq``. A deadline-less key never
+    changes, and an explicit one changes exactly once — when the clock
+    passes it — so :meth:`select` drains the expired prefix of the
+    explicit heap into the late heap, then returns the smaller of the two
+    on-time tops, else the late top: O(log n) amortized per pick instead
+    of a scan of the pool. :meth:`pop` deletes lazily (a heap entry is
+    live while its ``seq`` is its request's current one), and the drain
+    only runs forward in time, so ``now`` must never decrease across
+    :meth:`select` / :meth:`next_priority_shift` calls. The same drain
+    emits the tracer's shed instants. ``tests/llm/test_scheduler_machine.py``
+    holds the picks equal to a full scan of the pool.
     """
 
     name = "deadline"
@@ -362,86 +372,96 @@ class DeadlinePolicy(SchedulerPolicy):
         if not deadline_s > 0:  # also rejects NaN
             raise ServingError(f"deadline_s must be positive, got {deadline_s}")
         self.deadline_s = deadline_s
-        self._pool: List[Tuple[int, Request]] = []  # (submit seq, request)
         self._seq = 0
+        #: id(request) -> seq of its current submission; a heap entry
+        #: whose seq differs is dead (popped, or superseded by a resubmit).
+        self._live: Dict[int, int] = {}
+        self._explicit: List[Tuple[float, int, Request]] = []
+        self._implicit: List[Tuple[float, int, Request]] = []
+        self._late: List[Tuple[int, Request]] = []
+        #: The latest ``now`` seen; the drain cannot run backwards.
+        self._now = float("-inf")
         #: Requests already reported as shed to the trace recorder — one
         #: instant per request lifetime, however many selects see it late.
         self._shed_ids: set = set()
-        #: Shed detection off the selection scan: explicit-deadline
-        #: waiters land on this (deadline, seq, request) min-heap at
-        #: submit (only while a tracer is bound) and :meth:`select`
-        #: drains the expired prefix — O(sheds log n) total instead of a
-        #: per-member branch on every scan, keeping the traced scan the
-        #: same shape as the untraced one.
-        self._shed_heap: List[Tuple[float, int, Request]] = []
-        self._pooled: set = set()  # request ids currently waiting
 
     def deadline_of(self, request: Request) -> float:
         """Absolute deadline of ``request`` (arrival + relative SLO)."""
         rel = getattr(request, "deadline_s", None)
         return request.arrival_s + (rel if rel is not None else self.deadline_s)
 
-    def _key(self, seq: int, req: Request, now: float) -> Tuple[int, float, int]:
-        deadline = self.deadline_of(req)
-        if getattr(req, "deadline_s", None) is None:
-            # Deadline-less: a time-invariant EDF key — never shed to the
-            # late bucket, so queue age monotonically improves its rank.
-            return (0, deadline, seq)
-        late = 1 if deadline < now else 0
-        # Late requests fall back to FCFS order behind every on-time one.
-        return (late, seq, seq) if late else (late, deadline, seq)
-
     def submit(self, request: Request) -> None:
-        self._pool.append((self._seq, request))
-        if self._tracer is not None:
-            self._pooled.add(request.request_id)
-            if getattr(request, "deadline_s", None) is not None:
-                heappush(
-                    self._shed_heap,
-                    (self.deadline_of(request), self._seq, request),
-                )
+        seq = self._seq
         self._seq += 1
+        self._live[id(request)] = seq
+        heap = (
+            self._implicit
+            if getattr(request, "deadline_s", None) is None
+            else self._explicit
+        )
+        heappush(heap, (self.deadline_of(request), seq, request))
 
-    def _drain_sheds(self, now: float) -> None:
-        """Report every explicit deadline that expired while its request
-        was still waiting: the shed decision itself, recorded at the
-        first select that sees it late. Selection order is untouched (the
-        instant only records it), and the seen-set keeps resubmitted
-        (preempted) requests from re-reporting."""
-        heap = self._shed_heap
+    def _advance(self, now: float) -> None:
+        """Move every explicit deadline that expired before ``now`` to the
+        late heap, reporting each one still waiting to the tracer: the
+        shed decision itself, at the first call that sees it late.
+        Entries are visited in ``(deadline, seq)`` order; a resubmitted
+        (preempted) request is reported at its first entry, and the
+        seen-set keeps it from reporting twice."""
+        if not now >= self._now:  # also rejects NaN
+            raise ServingError(
+                f"deadline scheduler clock went backwards: now={now} "
+                f"after {self._now}"
+            )
+        self._now = now
+        live = self._live
+        if not live:
+            return
+        heap = self._explicit
+        tracer = self._tracer
         while heap and heap[0][0] < now:
-            deadline, _, req = heappop(heap)
-            rid = req.request_id
-            if rid in self._pooled and rid not in self._shed_ids:
-                self._shed_ids.add(rid)
-                self._tracer.instant(
+            deadline, seq, req = heappop(heap)
+            current = live.get(id(req))
+            if current == seq:
+                heappush(self._late, (seq, req))
+            if (
+                tracer is not None
+                and current is not None
+                and req.request_id not in self._shed_ids
+            ):
+                self._shed_ids.add(req.request_id)
+                tracer.instant(
                     "shed",
-                    request_id=rid,
+                    request_id=req.request_id,
                     tenant=req.tenant,
                     deadline_s=deadline,
                 )
 
+    def _top(self, heap: list) -> Optional[tuple]:
+        """The live top entry of ``heap`` (dead tops are discarded)."""
+        live = self._live
+        while heap:
+            top = heap[0]
+            if live.get(id(top[-1])) == top[-2]:
+                return top
+            heappop(heap)
+        return None
+
     def select(self, cache=None, now: float = 0.0) -> Optional[Request]:
-        if not self._pool:
+        self._advance(now)
+        if not self._live:
             return None
-        heap = self._shed_heap
-        if heap and heap[0][0] < now and self._tracer is not None:
-            self._drain_sheds(now)
-        best = None
-        best_key: Optional[Tuple[int, float, int]] = None
-        for seq, req in self._pool:
-            key = self._key(seq, req, now)
-            if best is None or key < best_key:
-                best, best_key = req, key
-        return best
+        explicit = self._top(self._explicit)
+        implicit = self._top(self._implicit)
+        if explicit is not None and (implicit is None or explicit < implicit):
+            return explicit[2]
+        if implicit is not None:
+            return implicit[2]
+        return self._top(self._late)[1]
 
     def pop(self, request: Request) -> None:
-        for i, (_, req) in enumerate(self._pool):
-            if req is request:
-                del self._pool[i]
-                self._pooled.discard(request.request_id)
-                return
-        raise ServingError("pop of a request not in the pool")
+        if self._live.pop(id(request), None) is None:
+            raise ServingError("pop of a request not in the pool")
 
     def preempt_victim(
         self,
@@ -470,17 +490,12 @@ class DeadlinePolicy(SchedulerPolicy):
         with different preemption leverage — emerges. Deadline-less
         requests have time-invariant keys, so their expiry shifts
         nothing."""
-        best = None
-        for _, req in self._pool:
-            if getattr(req, "deadline_s", None) is None:
-                continue
-            deadline = self.deadline_of(req)
-            if deadline >= now and (best is None or deadline < best):
-                best = deadline
-        return best
+        self._advance(now)
+        top = self._top(self._explicit)
+        return None if top is None else top[0]
 
     def __len__(self) -> int:
-        return len(self._pool)
+        return len(self._live)
 
 
 SCHEDULER_POLICIES = ("fcfs", "sjf", "prefix-affinity", "fair-share", "deadline")

@@ -4,6 +4,11 @@ Hypothesis drives the flat backend and its node-tree reference in
 lockstep, each over its own ``BlockManager``: inserts (including pool
 exhaustion), side-effecting and side-effect-free probes, pins, eviction
 in both units with protected paths, and block-bundle forks and releases.
+Compound rules replay the engine's admission and chunk sequences on one
+tuple object, so the flat backend's match cursor and pin-ticket insert
+anchors run against the reference's plain root walks: match → evict
+(prefix protected) → insert, insert with an anchor → pin roll-forward,
+and match → unprotected evict → insert (a cursor whose node is gone).
 After every rule the two must have returned the same values and agree
 on every ``stats()`` counter and on the pool's free blocks, and both
 must pass ``check_invariants()``. A divergence shrinks to a short
@@ -12,6 +17,7 @@ operation sequence that replays it.
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -22,7 +28,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.errors import CapacityError
+from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import BlockManager
 from repro.llm.radix import RadixPrefixCache, pack_tokens
 
@@ -140,6 +146,82 @@ class RadixContract(RuleBasedStateMachine):
         for pool, bundle in zip(self.pools, bundles):
             pool.release(bundle)
 
+    @rule(
+        toks=TOKENS,
+        n=st.integers(1, 40),
+        unit=st.sampled_from(["tokens", "blocks"]),
+    )
+    def admit(self, toks, n, unit):
+        """The engine's admission: match, evict with the candidate's
+        prompt protected, insert the same tuple (the flat backend resumes
+        at the match cursor). The matched prefix must survive the evict."""
+
+        def op(cache):
+            hit = cache.match(toks)
+            freed = cache.evict(n, protected=[toks], unit=unit)
+            assert cache.match_len(toks) == hit
+            try:
+                return hit, freed, cache.insert(toks)
+            except CapacityError:
+                return hit, freed, "capacity"
+
+        self.both(op)
+
+    @rule(toks=TOKENS, n=st.integers(1, 40), m=st.integers(1, 40))
+    def admit_after_unprotected_evict(self, toks, n, m):
+        """A cursor whose nodes an evict removed falls back to a root
+        walk, both for evict protection and for insert."""
+
+        def op(cache):
+            cache.match(toks)
+            freed = cache.evict(n)
+            hit = cache.match_len(toks)
+            freed_protected = cache.evict(m, protected=[toks])
+            assert cache.match_len(toks) == hit
+            try:
+                return freed, freed_protected, cache.insert(toks)
+            except CapacityError:
+                return freed, freed_protected, "capacity"
+
+        self.both(op)
+
+    @rule(toks=TOKENS, a=st.integers(1, 12), b=st.integers(0, 12))
+    def chunk_roll_forward(self, toks, a, b):
+        """The engine's chunked prefill: cache and pin a prefix, then
+        cache a longer prefix anchored at that pin, pin it and release
+        the old pin. One slice object serves each insert and its pin.
+        The new pin then anchors the block fork of an equal (but not
+        identical) tuple, as when the last chunk settles."""
+        first = toks[:a]
+        second = toks[: a + b]
+        if not first:
+            return
+        results, tickets, bundles = [], [], []
+        for cache in self.caches:
+            try:
+                cache.insert(first)
+            except CapacityError:
+                results.append("capacity")
+                continue
+            ticket = cache.pin(first)
+            try:
+                added = cache.insert(second, anchor=ticket)
+            except CapacityError:
+                cache.unpin(ticket)
+                results.append("capacity")
+                continue
+            new = cache.pin(second)
+            cache.unpin(ticket)
+            tickets.append(new)
+            bundles.append(cache.fork_path_bundle(tuple(list(second)), anchor=new))
+            results.append(added)
+        assert results[0] == results[1]
+        if len(tickets) == 2:
+            self.pins.append(tickets)
+            shapes = [(sorted(b.block_ids), b.n_tokens) for b in bundles]
+            assert shapes[0] == shapes[1]
+            self.bundles.append(bundles)
+
     @invariant()
     def backends_agree(self):
         flat, node = (c.stats() for c in self.caches)
@@ -154,3 +236,55 @@ RadixContract.TestCase.settings = settings(
     max_examples=150, stateful_step_count=40, deadline=None
 )
 TestRadixContract = RadixContract.TestCase
+
+
+@pytest.mark.parametrize("backend", ["flat", "node"])
+class TestInsertAnchor:
+    def test_unpinned_anchor_rejected(self, backend):
+        cache = RadixPrefixCache(backend=backend)
+        cache.insert((1, 2, 3))
+        ticket = cache.pin((1, 2, 3))
+        cache.unpin(ticket)
+        with pytest.raises(ServingError, match="not a live pin ticket"):
+            cache.insert((1, 2, 3, 4), anchor=ticket)
+
+    def test_stale_anchor_rejected(self, backend):
+        cache = RadixPrefixCache(backend=backend)
+        cache.insert((1, 2, 3))
+        ticket = cache.pin((1, 2, 3))
+        cache.unpin(ticket)
+        assert cache.evict(3) == 3
+        cache.insert((5, 6))  # the flat backend reuses the freed slot
+        with pytest.raises(ServingError, match="not a live pin ticket"):
+            cache.insert((1, 2, 3, 4), anchor=ticket)
+
+    def test_anchor_past_probe_rejected(self, backend):
+        cache = RadixPrefixCache(
+            backend=backend, block_manager=BlockManager(16, 2)
+        )
+        cache.insert((1, 2, 3))
+        ticket = cache.pin((1, 2, 3))
+        with pytest.raises(ServingError, match="past the 2-token probe"):
+            cache.insert((1, 2), anchor=ticket)
+        with pytest.raises(ServingError, match="past the 2-token probe"):
+            cache.fork_path_bundle((1, 2), anchor=ticket)
+
+    def test_stale_fork_anchor_rejected(self, backend):
+        cache = RadixPrefixCache(
+            backend=backend, block_manager=BlockManager(16, 2)
+        )
+        cache.insert((1, 2, 3))
+        ticket = cache.pin((1, 2, 3))
+        cache.unpin(ticket)
+        with pytest.raises(ServingError, match="not a live pin ticket"):
+            cache.fork_path_bundle((1, 2, 3), anchor=ticket)
+
+    def test_anchored_insert_extends_pinned_path(self, backend):
+        cache = RadixPrefixCache(backend=backend)
+        first = (1, 2, 3)
+        cache.insert(first)
+        ticket = cache.pin(first)
+        assert cache.insert((1, 2, 3, 4, 5), anchor=ticket) == 2
+        assert cache.match_len((1, 2, 3, 4, 5, 6)) == 5
+        cache.unpin(ticket)
+        cache.check_invariants()

@@ -156,6 +156,31 @@ class TestDeadlinePolicy:
         assert p.next_priority_shift(0.0) == 2.0
 
 
+    @pytest.mark.parametrize("call", ["select", "next_priority_shift"])
+    def test_clock_going_backwards_rejected(self, call):
+        p = DeadlinePolicy(deadline_s=1.0)
+        p.submit(dreq(0, 0.0, deadline_s=2.0))
+        p.submit(dreq(1, 0.0))
+        p.select(now=3.0)  # sheds request 0
+        probe = (
+            (lambda now: p.select(now=now))
+            if call == "select"
+            else p.next_priority_shift
+        )
+        with pytest.raises(ServingError, match="clock went backwards"):
+            probe(1.0)
+        with pytest.raises(ServingError, match="clock went backwards"):
+            probe(float("nan"))
+        # Equal times are fine: repeated probes at one admission point.
+        assert p.select(now=3.0) is p.select(now=3.0)
+
+    def test_pop_of_unknown_request_rejected(self):
+        p = DeadlinePolicy()
+        p.submit(dreq(0, 0.0))
+        with pytest.raises(ServingError, match="not in the pool"):
+            p.pop(dreq(1, 0.0))
+
+
 class TestDeadlineStarvation:
     """Regression: pure EDF with late re-shedding starved deadline-less
     requests — once past its synthetic deadline the request fell behind
