@@ -405,8 +405,10 @@ class DeadlinePolicy(SchedulerPolicy):
         """Move every explicit deadline that expired before ``now`` to the
         late heap, reporting each one still waiting to the tracer: the
         shed decision itself, at the first call that sees it late.
-        Entries are visited in ``(deadline, seq)`` order; a resubmitted
-        (preempted) request is reported at its first entry, and the
+        Entries are visited in ``(deadline, seq)`` order and only a live
+        entry counts: a resubmitted (preempted) request is reported at
+        the entry of its current submission, never at a stale one that
+        :meth:`_top` may or may not have discarded already, and the
         seen-set keeps it from reporting twice."""
         if not now >= self._now:  # also rejects NaN
             raise ServingError(
@@ -421,14 +423,10 @@ class DeadlinePolicy(SchedulerPolicy):
         tracer = self._tracer
         while heap and heap[0][0] < now:
             deadline, seq, req = heappop(heap)
-            current = live.get(id(req))
-            if current == seq:
-                heappush(self._late, (seq, req))
-            if (
-                tracer is not None
-                and current is not None
-                and req.request_id not in self._shed_ids
-            ):
+            if live.get(id(req)) != seq:
+                continue
+            heappush(self._late, (seq, req))
+            if tracer is not None and req.request_id not in self._shed_ids:
                 self._shed_ids.add(req.request_id)
                 tracer.instant(
                     "shed",

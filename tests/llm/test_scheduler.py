@@ -174,6 +174,32 @@ class TestDeadlinePolicy:
         # Equal times are fine: repeated probes at one admission point.
         assert p.select(now=3.0) is p.select(now=3.0)
 
+    @pytest.mark.parametrize("probe_between", [False, True])
+    def test_resubmitted_request_shed_at_its_current_entry(self, probe_between):
+        """A preempted request's stale heap entry never reports: shed
+        order is ``(deadline, seq)`` of current submissions, whether or
+        not a probe discarded the stale entry first."""
+
+        class Recorder:
+            def __init__(self):
+                self.ids = []
+
+            def instant(self, name, **fields):
+                self.ids.append(fields["request_id"])
+
+        rec = Recorder()
+        p = DeadlinePolicy(deadline_s=0.5)
+        p.bind_tracer(rec)
+        a, b = dreq(0, 0.0, deadline_s=1.5), dreq(1, 0.0, deadline_s=1.5)
+        p.submit(a)
+        p.pop(p.select(now=1.0))  # a admitted, then preempted below
+        p.submit(b)
+        if probe_between:
+            p.next_priority_shift(1.0)
+        p.submit(a)  # resubmitted behind b
+        assert p.select(now=2.0) is b
+        assert rec.ids == [1, 0]
+
     def test_pop_of_unknown_request_rejected(self):
         p = DeadlinePolicy()
         p.submit(dreq(0, 0.0))

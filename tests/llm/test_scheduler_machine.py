@@ -9,8 +9,9 @@ popped requests (the engine's preemption path) and
 ``next_priority_shift``. Every pick must be the *same object*, every
 shift the same time. The traced machine also binds a recording tracer to
 both and requires the same shed instants in the same order: one per
-request lifetime, in ``(deadline, seq)`` order. A divergence shrinks to
-a short operation sequence that replays it.
+request, at the entry of its current submission, in ``(deadline, seq)``
+order. A divergence shrinks to a short operation sequence that replays
+it.
 """
 
 from heapq import heappop, heappush
@@ -36,7 +37,9 @@ class ScanDeadlineModel:
     an explicit deadline has passed, deadline-less keys never late — and
     takes the minimum. Shed instants come from a ``(deadline, seq)`` heap
     of explicit submissions, drained at each call on a non-empty pool and
-    reported once per request id while that request is waiting."""
+    reported once per request id, at the entry of the request's current
+    submission (a stale entry of an earlier, popped submission never
+    reports)."""
 
     def __init__(self, deadline_s: float, tracer=None):
         self.deadline_s = deadline_s
@@ -67,10 +70,10 @@ class ScanDeadlineModel:
     def drain(self, now: float) -> None:
         if not self.pool or self.tracer is None:
             return
-        waiting = {id(r) for _, r in self.pool}
+        waiting = {(seq, id(r)) for seq, r in self.pool}
         while self.shed_heap and self.shed_heap[0][0] < now:
-            deadline, _, req = heappop(self.shed_heap)
-            if id(req) in waiting and req.request_id not in self.shed_ids:
+            deadline, seq, req = heappop(self.shed_heap)
+            if (seq, id(req)) in waiting and req.request_id not in self.shed_ids:
                 self.shed_ids.add(req.request_id)
                 self.tracer.instant(
                     "shed",
