@@ -3,7 +3,6 @@ tokenizer) — these are the pieces whose performance the library's users
 actually feel, so regressions here matter independent of the experiment
 reports."""
 
-import os
 import random
 import time
 
@@ -53,32 +52,26 @@ def bench_ggr_fastpath_vs_python_speedup(benchmark, repro_seed):
     methodology as bench_engine_replay_event_speedup)."""
     ds = dataset("movies", 0.1, repro_seed)
     rt = ds.table.to_reorder_table()
-    saved = os.environ.get("REPRO_CORE_FASTPATH")
 
-    def solve(flag):
-        os.environ["REPRO_CORE_FASTPATH"] = flag
+    def solve(engine):
+        cfg = GGRConfig(engine=engine)
         t0 = time.perf_counter()
-        est, sched, _ = ggr(rt, fds=ds.fds)
+        est, sched, _ = ggr(rt, fds=ds.fds, config=cfg)
         return time.perf_counter() - t0, est, phc(sched)
 
     def work():
         best = {}
-        try:
-            for _ in range(5):
-                for flag in ("1", "0"):
-                    got = solve(flag)
-                    if flag not in best or got[0] < best[flag][0]:
-                        best[flag] = got
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_CORE_FASTPATH", None)
-            else:
-                os.environ["REPRO_CORE_FASTPATH"] = saved
+        for _ in range(5):
+            for engine in ("compiled", "python"):
+                got = solve(engine)
+                if engine not in best or got[0] < best[engine][0]:
+                    best[engine] = got
         return best
 
     best = run_once(benchmark, work)
-    assert best["1"][1:] == best["0"][1:]  # identical estimate and exact PHC
-    ratio = best["0"][0] / best["1"][0]
+    # identical estimate and exact PHC
+    assert best["compiled"][1:] == best["python"][1:]
+    ratio = best["python"][0] / best["compiled"][0]
     benchmark.extra_info["speedup_compiled_over_python"] = round(ratio, 3)
     assert ratio >= 2.5
     perf_record("core", "ggr_fastpath_speedup", ratio, ">= 2.5")

@@ -16,7 +16,7 @@ from repro.bench.policies import (
     NO_CACHE,
     Policy,
 )
-from repro.bench.queries import ALL_QUERIES, BenchmarkQuery, queries_by_type
+from repro.bench.queries import ALL_QUERIES, BenchmarkQuery
 from repro.bench.runner import RunResult, run_query
 from repro.bench.reporting import ExperimentOutput, ResultTable, fmt_speedup
 
@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_POLICIES",
     "BenchmarkQuery",
     "ALL_QUERIES",
-    "queries_by_type",
     "RunResult",
     "run_query",
     "ResultTable",

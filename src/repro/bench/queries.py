@@ -217,10 +217,6 @@ ALL_QUERIES: Tuple[BenchmarkQuery, ...] = tuple(_build_queries())
 assert len(ALL_QUERIES) == 16, "the paper's suite has exactly 16 queries"
 
 
-def queries_by_type(qtype: str) -> List[BenchmarkQuery]:
-    return [q for q in ALL_QUERIES if q.qtype == qtype]
-
-
 def get_query(query_id: str) -> BenchmarkQuery:
     for q in ALL_QUERIES:
         if q.query_id == query_id:

@@ -143,8 +143,3 @@ def default_scale(fallback: float = 0.05) -> float:
     if not math.isfinite(value):
         raise ValueError(f"REPRO_SCALE must be finite, got {raw!r}")
     return value
-
-
-def default_seed(fallback: int = 0) -> int:
-    raw = os.environ.get("REPRO_SEED", "")
-    return int(raw) if raw else fallback

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.bench.policies import Policy
 from repro.bench.queries import BenchmarkQuery
@@ -110,12 +110,6 @@ class RunResult:
     queueing_p95_s: float = 0.0
     ttft_p95_s: float = 0.0
     e2e_p95_s: float = 0.0
-
-    @property
-    def dedup_savings(self) -> float:
-        """Fraction of the would-be prompt volume removed by input dedup."""
-        total = self.prompt_tokens + self.dedup_saved_prompt_tokens
-        return self.dedup_saved_prompt_tokens / total if total else 0.0
 
     @property
     def end_to_end_seconds(self) -> float:
@@ -297,23 +291,3 @@ def run_query(
         ttft_p95_s=slo.ttft.p95,
         e2e_p95_s=slo.e2e.p95,
     )
-
-
-def run_policies(
-    query: BenchmarkQuery,
-    dataset: Dataset,
-    policies: Optional[Sequence[Policy]] = None,
-    **kwargs,
-) -> Dict[str, RunResult]:
-    """Run one query under several policies (fresh engine each).
-
-    All policies share one tokenizer (unless the caller passes their own),
-    so each distinct prompt in the sweep is encoded and packed once — the
-    per-policy engines stay fresh, only the encode cache is warm."""
-    from repro.bench.policies import DEFAULT_POLICIES
-
-    kwargs.setdefault("tokenizer", HashTokenizer())
-    out: Dict[str, RunResult] = {}
-    for policy in policies or DEFAULT_POLICIES:
-        out[policy.name] = run_query(query, dataset, policy, **kwargs)
-    return out

@@ -8,9 +8,8 @@ Modules
 ``compiled``
     Dictionary-encoded columnar form of a table (int32 value codes,
     precomputed length/squared-length arrays, shared cell pool), built
-    once per table and cached. All solver hot paths run on it when numpy
-    is available; ``REPRO_CORE_FASTPATH=0`` forces the pure-Python
-    reference paths, which stay the equivalence oracle.
+    once per table and cached. All solver hot paths run on it; the
+    pure-Python reference paths stay beside them as equivalence oracles.
 ``phc``
     The prefix hit count objective (paper Eq. 1-2) and derived metrics.
 ``ordering``
@@ -30,7 +29,7 @@ Modules
     One-call facade selecting a policy and validating its output.
 """
 
-from repro.core.compiled import CompiledTable, compile_table, fastpath_enabled
+from repro.core.compiled import CompiledTable, compile_table
 from repro.core.fd import FunctionalDependencies, mine_fds
 from repro.core.ggr import GGRConfig, ggr
 from repro.core.ophr import brute_force_optimal, ophr
@@ -46,7 +45,6 @@ __all__ = [
     "ReorderTable",
     "CompiledTable",
     "compile_table",
-    "fastpath_enabled",
     "RequestSchedule",
     "FunctionalDependencies",
     "mine_fds",

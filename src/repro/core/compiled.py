@@ -25,15 +25,13 @@ can run on:
 
 Compilation is cached on the ``ReorderTable`` instance (tables are frozen,
 so the encoding can never go stale); repeated solves of the same table pay
-the encoding cost once. ``REPRO_CORE_FASTPATH=0`` makes
-:func:`fastpath_enabled` turn the fast paths off, and every consumer falls
-back to the pure-Python reference implementation, which stays available as
-the equivalence-test oracle.
+the encoding cost once. The pure-Python reference implementations stay
+beside each fast path, reached by name (``GGRConfig(engine="python")``,
+``TableStats._compute_python``, ...), as the equivalence-test oracles.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.table import Cell, OrderedRow, ReorderTable
@@ -43,17 +41,6 @@ import numpy as np
 
 #: Attribute name used to cache the compiled form on a ReorderTable.
 _CACHE_ATTR = "_compiled_table_cache"
-
-
-def fastpath_enabled() -> bool:
-    """True when the compiled fast paths should be used.
-
-    Honours the ``REPRO_CORE_FASTPATH`` environment variable (set to
-    ``0``/``false``/``no`` to force every solver onto the pure-Python
-    reference path — the equivalence oracle).
-    """
-    flag = os.environ.get("REPRO_CORE_FASTPATH", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
 
 
 class CompiledTable:
@@ -74,7 +61,6 @@ class CompiledTable:
         "lengths",
         "sq_lengths",
         "_cell_pool",
-        "_codes_rows",
     )
 
     def __init__(self, table: ReorderTable):
@@ -95,7 +81,6 @@ class CompiledTable:
         self.lengths = np.empty((n, m), dtype=np.int64, order="F")
         self.sq_lengths = np.empty((n, m), dtype=np.int64, order="F")
         self._cell_pool: List[Optional[List[Cell]]] = [None] * m
-        self._codes_rows: Optional[List[List[int]]] = None
 
         rows = table.rows
         for j in range(m):
@@ -131,22 +116,6 @@ class CompiledTable:
             pool = [Cell(name, v) for v in self.values[col]]
             self._cell_pool[col] = pool
         return pool
-
-    def codes_rows(self) -> List[List[int]]:
-        """Row-major plain-Python code lists (cached).
-
-        Schedule construction touches every cell once; indexing nested
-        Python lists is several times faster than per-element numpy scalar
-        access, so the one-time ``tolist`` pays for itself immediately.
-        """
-        if self._codes_rows is None:
-            self._codes_rows = self.codes.tolist()
-        return self._codes_rows
-
-    def row_cells(self, row_id: int, col_order: Sequence[int]) -> Tuple[Cell, ...]:
-        """The cells of ``row_id`` in ``col_order``, drawn from the pool."""
-        crow = self.codes_rows()[row_id]
-        return tuple(self.cell_pool(c)[crow[c]] for c in col_order)
 
 
 def compile_table(table: ReorderTable) -> CompiledTable:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from repro.core.compiled import compile_table, fastpath_enabled
+from repro.core.compiled import compile_table
 from repro.core.table import ReorderTable
 
 
@@ -143,10 +143,7 @@ def mine_fds(
         rows = sorted(rng.sample(range(n), sample_rows))
     else:
         rows = list(range(n))
-
-    if fastpath_enabled():
-        return _mine_fds_compiled(table, rows, tolerance, max_cardinality_ratio)
-    return _mine_fds_python(table, rows, tolerance, max_cardinality_ratio)
+    return _mine_fds_compiled(table, rows, tolerance, max_cardinality_ratio)
 
 
 def _mine_fds_python(

@@ -23,34 +23,36 @@ lengths. ``GGRConfig.square_fd_lengths=False`` restores the printed
 Two interchangeable engines implement the identical algorithm:
 
 ``"compiled"``
-    The default when numpy is available. Runs on the dictionary-encoded
-    columnar form from :mod:`repro.core.compiled`: grouping is
-    ``np.bincount`` over int32 value codes, HITCOUNT scoring is vectorized
-    over whole columns, and the fallback's lexicographic sort is a stable
-    ``np.lexsort`` over codes. Tie-breaking replicates the reference
+    The default. Runs on the dictionary-encoded columnar form from
+    :mod:`repro.core.compiled`: grouping is ``np.bincount`` over int32
+    value codes, HITCOUNT scoring is vectorized over whole columns, and
+    the fallback's lexicographic sort is a stable ``np.lexsort`` over
+    codes. Tie-breaking replicates the reference
     bit-for-bit (first column in scan order, then first-appearing value),
     so both engines return **identical schedules and scores** — the
     equivalence suite asserts this on randomized tables.
 ``"python"``
-    The original string-path reference, kept as the oracle and as the
-    path ``REPRO_CORE_FASTPATH=0`` selects.
+    The original string-path reference, kept as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import compiled as _compiled
-from repro.core.compiled import compile_table, fastpath_enabled, schedule_from_layout
+from repro.core.compiled import compile_table, schedule_from_layout
 from repro.core.fd import FunctionalDependencies
 from repro.core.ordering import RequestSchedule
+from repro.core.stats import SCORE_MODES
 from repro.core.table import ReorderTable
 from repro.errors import SolverError
 
 Layout = List[Tuple[int, Tuple[int, ...]]]
 
-ENGINES = ("auto", "compiled", "python")
+ENGINES = ("compiled", "python")
 
 
 @dataclass
@@ -61,8 +63,8 @@ class GGRConfig:
     recursion depth 4, column recursion depth 2. ``hitcount_threshold`` is
     the alternative early-stop trigger (the paper quotes 0.1M for its full
     datasets); 0 disables it. ``engine`` selects the implementation:
-    ``"auto"`` uses the compiled columnar fast path when numpy is
-    available, ``"python"`` forces the string-path reference oracle.
+    ``"compiled"`` runs the columnar fast path, ``"python"`` the
+    string-path reference oracle.
     """
 
     max_row_depth: int = 4
@@ -71,13 +73,35 @@ class GGRConfig:
     use_fds: bool = True
     square_fd_lengths: bool = True
     stats_score_mode: str = "expected"
-    engine: str = "auto"
+    engine: str = "compiled"
 
     def validate(self) -> None:
-        if self.max_row_depth < 0 or self.max_col_depth < 0:
-            raise SolverError("recursion depth limits must be non-negative")
-        if self.hitcount_threshold < 0:
-            raise SolverError("hitcount_threshold must be non-negative")
+        for name in ("max_row_depth", "max_col_depth"):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, Integral)
+                or isinstance(value, bool)
+                or value < 0
+            ):
+                raise SolverError(
+                    f"{name} must be an integer >= 0, got {value!r}"
+                )
+        threshold = self.hitcount_threshold
+        if (
+            not isinstance(threshold, Real)
+            or isinstance(threshold, bool)
+            or not math.isfinite(threshold)
+            or threshold < 0
+        ):
+            raise SolverError(
+                f"hitcount_threshold must be a finite number >= 0, got "
+                f"{threshold!r}"
+            )
+        if self.stats_score_mode not in SCORE_MODES:
+            raise SolverError(
+                f"stats_score_mode must be one of {SCORE_MODES}, got "
+                f"{self.stats_score_mode!r}"
+            )
         if self.engine not in ENGINES:
             raise SolverError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
@@ -128,11 +152,7 @@ def ggr(
     if table.n_rows == 0:
         return 0.0, RequestSchedule(rows=[], source_fields=table.fields), report
 
-    engine = cfg.engine
-    if engine == "auto":
-        engine = "compiled" if fastpath_enabled() else "python"
-
-    if engine == "compiled":
+    if cfg.engine == "compiled":
         ct = compile_table(table)
         total, layout = _solve_compiled(ct, _fd_closure(table, fds), cfg, report)
         report.estimated_phc = total

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.compiled import compile_table, fastpath_enabled
+from repro.core.compiled import compile_table
 from repro.core.ordering import RequestSchedule
 from repro.core.phc import phc
 from repro.core.table import ReorderTable
@@ -59,25 +59,12 @@ def ophr(
 
     rows0 = tuple(range(table.n_rows))
     cols0 = tuple(range(table.n_fields))
-    # Reuse the dictionary encoding when available: grouping and value
-    # ordering run on small ints instead of full strings. Codes are
-    # assigned in sorted value order, so ``sorted(groups)`` and value
-    # weights are unchanged and the emitted schedule is identical.
-    if fastpath_enabled():
-        ct = compile_table(table)
-        data: Sequence[Sequence[int]] = [
-            tuple(int(c) for c in ct.codes[i]) for i in range(table.n_rows)
-        ]
-        sq = [tuple(int(w) for w in col_sq) for col_sq in ct.code_sq]
-
-        def weight(c: int, v) -> int:
-            return sq[c][v]
-
-    else:
-        data = table.rows
-
-        def weight(c: int, v) -> int:
-            return len(v) ** 2
+    # Run on the dictionary encoding: grouping and value ordering compare
+    # small ints instead of full strings. Codes are assigned in sorted
+    # value order, so ``sorted(groups)`` orders groups by value.
+    ct = compile_table(table)
+    data = ct.codes.tolist()
+    sq = [col_sq.tolist() for col_sq in ct.code_sq]
 
     memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[int, Layout]] = {}
 
@@ -102,7 +89,7 @@ def ophr(
             for r in rows:
                 groups.setdefault(data[r][c], []).append(r)
             score = sum(
-                weight(c, v) * (len(rs) - 1) for v, rs in groups.items()
+                sq[c][v] * (len(rs) - 1) for v, rs in groups.items()
             )
             layout: Layout = [
                 (r, (c,))
@@ -121,7 +108,7 @@ def ophr(
                 groups.setdefault(data[r][c], []).append(r)
             rest_cols = tuple(x for x in cols if x != c)
             for v, group_rows in groups.items():
-                contribution = weight(c, v) * (len(group_rows) - 1)
+                contribution = sq[c][v] * (len(group_rows) - 1)
                 other_rows = tuple(r for r in rows if data[r][c] != v)
                 score_a, layout_a = solve(other_rows, cols)
                 score_b, layout_b = solve(tuple(group_rows), rest_cols)

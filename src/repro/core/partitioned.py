@@ -27,12 +27,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.compiled import compile_table, schedule_from_layout
 from repro.core.fd import FunctionalDependencies
 from repro.core.ggr import GGRConfig, ggr
 from repro.core.ordering import RequestSchedule
 from repro.core.phc import phc, phr
 from repro.core.stats import TableStats
-from repro.core.table import Cell, OrderedRow, ReorderTable
+from repro.core.table import ReorderTable
 from repro.errors import SolverError
 
 PARTITION_MODES = ("round_robin", "range", "clustered")
@@ -153,8 +154,10 @@ def partitioned_reorder(
     if order_partitions:
         solved.sort(key=lambda kv: kv[0])
 
-    schedule = _schedule_from_global_layout(
-        table, [entry for _, part in solved for entry in part]
+    # Cells are drawn from the table by (row, column) index, so the
+    # index-level permutation checks of schedule_from_layout suffice.
+    schedule = schedule_from_layout(
+        compile_table(table), [entry for _, part in solved for entry in part]
     )
     elapsed = time.perf_counter() - start
     return PartitionedResult(
@@ -166,36 +169,3 @@ def partitioned_reorder(
         solver_seconds=elapsed,
         per_partition_seconds=per_partition,
     )
-
-
-def _schedule_from_global_layout(
-    table: ReorderTable, layout: List[Tuple[int, Tuple[int, ...]]]
-) -> RequestSchedule:
-    """Materialize and validate a stitched whole-table layout.
-
-    Cells are drawn from the table by (row, column) index, so index-level
-    permutation checks are sufficient for schedule validity — no per-cell
-    string sorting. Uses the compiled cell pool when available.
-    """
-    from repro.core.compiled import (
-        compile_table,
-        fastpath_enabled,
-        schedule_from_layout,
-        validate_layout,
-    )
-
-    if fastpath_enabled():
-        return schedule_from_layout(compile_table(table), layout)
-
-    validate_layout(table.n_rows, table.n_fields, layout)
-    fields = table.fields
-    rows_out: List[OrderedRow] = []
-    for rid, forder in layout:
-        src = table.rows[rid]
-        rows_out.append(
-            OrderedRow(
-                row_id=rid,
-                cells=tuple(Cell(fields[c], src[c]) for c in forder),
-            )
-        )
-    return RequestSchedule(rows=rows_out, source_fields=fields)

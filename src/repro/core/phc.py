@@ -24,11 +24,10 @@ of input characters/tokens covered by prefix hits.
 Evaluating a whole :class:`RequestSchedule` has a compiled fast path: the
 schedule's cells are dictionary-encoded once into integer id / weight
 matrices (cached on the schedule object — schedules are treated as
-immutable once built), after which PHC, per-row hits, and the token-level
-PHR reduce to vectorized prefix-run computations. The cell-by-cell string
-path remains for plain cell-row sequences, for custom ``token_len``
-callables, and as the reference oracle when the fast path is disabled
-(``REPRO_CORE_FASTPATH=0``).
+immutable once built), after which PHC and the token-level PHR reduce to
+vectorized prefix-run computations. The cell-by-cell string path serves
+plain cell-row sequences and custom ``token_len`` callables, and is the
+reference oracle: pass ``[r.cells for r in schedule.rows]`` to reach it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.compiled import fastpath_enabled
 from repro.core.ordering import RequestSchedule
 from repro.core.table import Cell
 
@@ -84,7 +82,7 @@ def _as_cell_rows(schedule: Union[RequestSchedule, Sequence[CellRow]]) -> List[C
 
 # --------------------------------------------------------------------------
 # Compiled fast path: dictionary-encode a schedule's cells once, then
-# evaluate PHC / per-row hits / token PHR as vectorized prefix runs.
+# evaluate PHC / token PHR as vectorized prefix runs.
 # --------------------------------------------------------------------------
 
 
@@ -97,7 +95,7 @@ class _ScheduleEncoding:
     ``tok`` the default token-length unit of the cell.
     """
 
-    __slots__ = ("ids", "sq", "tok", "row_lens")
+    __slots__ = ("ids", "sq", "tok")
 
     def __init__(self, rows: List[CellRow], mode: MatchMode):
         n = len(rows)
@@ -122,7 +120,6 @@ class _ScheduleEncoding:
         self.ids = ids
         self.sq = sq
         self.tok = tok
-        self.row_lens = np.fromiter((len(r) for r in rows), dtype=np.int64, count=n)
 
     def prefix_run(self) -> "np.ndarray":
         """Boolean (n-1, width) matrix: position still inside the matched
@@ -133,12 +130,8 @@ class _ScheduleEncoding:
         return np.logical_and.accumulate(eq, axis=1)
 
 
-def _encoding_for(
-    schedule: RequestSchedule, mode: MatchMode
-) -> Optional[_ScheduleEncoding]:
-    """Cached encoding of a schedule, or None when the fast path is off."""
-    if not fastpath_enabled():
-        return None
+def _encoding_for(schedule: RequestSchedule, mode: MatchMode) -> _ScheduleEncoding:
+    """Cached encoding of a schedule."""
     cache = getattr(schedule, _ENC_ATTR, None)
     if cache is None:
         cache = {}
@@ -158,34 +151,13 @@ def phc(schedule: Union[RequestSchedule, Sequence[CellRow]], mode: MatchMode = "
     _check_mode(mode)
     if isinstance(schedule, RequestSchedule):
         enc = _encoding_for(schedule, mode)
-        if enc is not None:
-            run = enc.prefix_run()
-            return int(enc.sq[1:][run].sum()) if run.size else 0
+        run = enc.prefix_run()
+        return int(enc.sq[1:][run].sum()) if run.size else 0
     rows = _as_cell_rows(schedule)
     total = 0
     for r in range(1, len(rows)):
         total += hit(rows[r - 1], rows[r], mode)
     return total
-
-
-def per_row_hits(
-    schedule: Union[RequestSchedule, Sequence[CellRow]], mode: MatchMode = "cell"
-) -> List[int]:
-    """Squared hit count per row (index 0 is always 0)."""
-    _check_mode(mode)
-    if isinstance(schedule, RequestSchedule):
-        enc = _encoding_for(schedule, mode)
-        if enc is not None:
-            n = len(schedule.rows)
-            run = enc.prefix_run()
-            if not run.size:
-                return [0] * n
-            return [0] + (enc.sq[1:] * run).sum(axis=1).tolist()
-    rows = _as_cell_rows(schedule)
-    out = [0] * len(rows)
-    for r in range(1, len(rows)):
-        out[r] = hit(rows[r - 1], rows[r], mode)
-    return out
 
 
 def prefix_hit_tokens(
@@ -206,11 +178,10 @@ def prefix_hit_tokens(
     _check_mode(mode)
     if token_len is None and isinstance(schedule, RequestSchedule):
         enc = _encoding_for(schedule, mode)
-        if enc is not None:
-            total_units = int(enc.tok.sum())
-            run = enc.prefix_run()
-            hit_units = int(enc.tok[1:][run].sum()) if run.size else 0
-            return hit_units, total_units
+        total_units = int(enc.tok.sum())
+        run = enc.prefix_run()
+        hit_units = int(enc.tok[1:][run].sum()) if run.size else 0
+        return hit_units, total_units
 
     if token_len is None:
         def token_len(cell: Cell) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.compiled import compile_table, fastpath_enabled
+from repro.core.compiled import compile_table
 from repro.core.table import ReorderTable
 
 SCORE_MODES = ("expected", "paper")
@@ -68,17 +68,11 @@ class TableStats:
     def compute(table: ReorderTable) -> "TableStats":
         """Statistics for ``table``.
 
-        Uses the dictionary-encoded columnar form when available (one
-        ``bincount`` per column instead of a Python dict pass); falls back
-        to the reference string path otherwise. Both produce identical
-        results, including the first-appearance tie-break on ``top_value``.
+        Runs on the dictionary-encoded columnar form (one ``bincount`` per
+        column instead of a Python dict pass). :meth:`_compute_python` is
+        the string-path reference; both produce identical results,
+        including the first-appearance tie-break on ``top_value``.
         """
-        if fastpath_enabled():
-            return TableStats._compute_compiled(table)
-        return TableStats._compute_python(table)
-
-    @staticmethod
-    def _compute_compiled(table: ReorderTable) -> "TableStats":
         import numpy as np
 
         ct = compile_table(table)

@@ -13,7 +13,7 @@ discrete-event simulator (see DESIGN.md "Substitutions"):
     (contiguous numpy token store, vectorized prefix compares,
     intrusive-list LRU); ``backend="node"``, a node-object tree with
     full-scan eviction, is its one reference and runs under the stepwise
-    engine oracle (``REPRO_SERVING_FASTPATH=0``).
+    engine oracle (``EngineConfig(mode="stepwise")``).
 ``blocks``
     Paged KV block manager with ref-counted blocks (vLLM-style). The
     engine admits on it by default: radix nodes own the blocks backing
@@ -32,8 +32,7 @@ discrete-event simulator (see DESIGN.md "Substitutions"):
     prefill with radix lookups, batched decode steps. Replay is
     event-driven by default — the clock jumps over whole runs of decode
     steps with a closed-form cost — with the original per-token loop kept
-    as the equivalence oracle (``EngineConfig.mode`` /
-    ``REPRO_SERVING_FASTPATH``).
+    as the equivalence oracle (``EngineConfig(mode="stepwise")``).
 ``workload``
     Arrival-timed workload traces: tenant/job-tagged requests, Poisson /
     bursty (MMPP on-off) / diurnal arrival processes, tenant-mix synthesis
@@ -72,7 +71,6 @@ from repro.llm.engine import (
     EngineConfig,
     EngineResult,
     SimulatedLLMEngine,
-    serving_fastpath_enabled,
 )
 from repro.llm.hardware import CLUSTER_1XL4, CLUSTER_8XL4, Cluster, GPUSpec
 from repro.llm.models import LLAMA3_1B, LLAMA3_8B, LLAMA3_70B, ModelSpec
@@ -111,7 +109,6 @@ __all__ = [
     "BlockManager",
     "RadixPrefixCache",
     "pack_tokens",
-    "serving_fastpath_enabled",
     "Request",
     "RequestMetrics",
     "GPUSpec",

@@ -521,10 +521,6 @@ class ClusterResult:
         """Fraction of requests meeting the deadline (1.0 without one)."""
         return self.slo.attainment
 
-    def slo_report(self, deadline_s: Optional[float]) -> SLOReport:
-        """SLO rollup of the merged metrics under a different deadline."""
-        return compute_slo(self.request_metrics, deadline_s=deadline_s)
-
     def trace_tracks(self) -> List[Tuple[str, "EngineTrace"]]:
         """Named per-replica engine traces, for Chrome/JSONL export.
 

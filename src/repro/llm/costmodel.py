@@ -136,11 +136,6 @@ class CostModel:
         )
         return max(compute, weight_read) + self.step_overhead_s
 
-    def prefill_tokens_per_second(self, context: int = 512) -> float:
-        """Headline prefill throughput at a representative context length."""
-        t = self.prefill_time(context, 0)
-        return context / t if t > 0 else float("inf")
-
     # --------------------------------------------------------------- decode
     def decode_time(self, steps: int, kv_tokens: int) -> float:
         """Seconds for ``steps`` decode steps that read ``kv_tokens`` KV
@@ -184,7 +179,3 @@ class CostModel:
             return 0.0
         bw = self.cluster.effective_bandwidth * self.bw_util * self.swap_bw_frac
         return self.model.kv_bytes_per_token * float(n_tokens) / bw
-
-    def decode_tokens_per_second(self, batch_size: int, context: int = 512) -> float:
-        t = self.decode_step_time([context] * batch_size)
-        return batch_size / t if t > 0 else float("inf")

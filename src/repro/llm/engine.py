@@ -31,11 +31,11 @@ decode advanced one step or one whole run at a time.
     modes probe admission at identical clocks.
 
 ``mode="stepwise"``
-    The original per-token loop, kept as the equivalence oracle
-    (``REPRO_SERVING_FASTPATH=0`` selects it everywhere). It runs on the
-    radix cache's node-tree reference (``backend="node"``), protects
-    running prompts from eviction explicitly instead of by pin counts, and
-    grows each decode tail one token at a time.
+    The original per-token loop, kept as the equivalence oracle and
+    reached only by naming it. It runs on the radix cache's node-tree
+    reference (``backend="node"``), protects running prompts from
+    eviction explicitly instead of by pin counts, and grows each decode
+    tail one token at a time.
 
 The two loops differ only in how decode advances. Admission, chunking,
 preemption and completion are shared: each request's
@@ -107,7 +107,6 @@ admit-and-forget engine these features are tested against
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from numbers import Real
@@ -141,10 +140,9 @@ class EngineConfig:
     ``max_batch_size`` caps concurrent sequences (vLLM ``max_num_seqs``);
     ``kv_capacity_tokens`` overrides the cost model's derived capacity
     (useful for the memory-pressure ablation); ``mode`` selects the replay
-    engine: ``"vector"`` (the event loop: closed-form multi-step advance
-    between batch events), ``"stepwise"`` (per-token reference
-    loop), or ``"auto"`` (vector unless ``REPRO_SERVING_FASTPATH=0``
-    forces stepwise); ``kv_accounting`` selects the admission model:
+    engine: ``"vector"`` (the default; the event loop: closed-form
+    multi-step advance between batch events) or ``"stepwise"`` (per-token
+    reference loop); ``kv_accounting`` selects the admission model:
     ``"paged"`` (block-granular, vLLM-style; the default) or ``"tokens"``
     (the token-sum oracle); ``block_tokens`` is the paged block size
     (16 in vLLM by default; 1 makes paged numerically identical to the
@@ -156,7 +154,7 @@ class EngineConfig:
     enable_prefix_cache: bool = True
     max_batch_size: int = 64
     kv_capacity_tokens: Optional[int] = None
-    mode: str = "auto"
+    mode: str = "vector"
     kv_accounting: str = "paged"
     block_tokens: int = 16
     scheduler: str = "fcfs"
@@ -189,9 +187,8 @@ class EngineConfig:
 
     def __post_init__(self):
         # Name, size and type validity fail here, at config construction,
-        # with one-line errors; only mode="auto" is resolved later, in the
-        # engine (it reads REPRO_SERVING_FASTPATH).
-        if self.mode not in ("auto", "vector", "stepwise"):
+        # with one-line errors.
+        if self.mode not in ("vector", "stepwise"):
             raise ServingError(f"unknown engine mode {self.mode!r}")
         for name, optional in (
             ("max_batch_size", False),
@@ -341,23 +338,6 @@ class EngineResult:
         return self.fragmentation_tokens / denom
 
 
-def serving_fastpath_enabled() -> bool:
-    """Whether ``mode="auto"`` picks the vector replay loop (the default).
-    ``REPRO_SERVING_FASTPATH=0`` picks the stepwise oracle instead, which
-    also runs the node-tree radix reference — mirroring
-    ``REPRO_CORE_FASTPATH`` for the solver layer."""
-    flag = os.environ.get("REPRO_SERVING_FASTPATH", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-def _resolve_mode(mode: str) -> str:
-    if mode == "auto":
-        return "vector" if serving_fastpath_enabled() else "stepwise"
-    if mode not in ("vector", "stepwise"):
-        raise ServingError(f"unknown engine mode {mode!r}")
-    return mode
-
-
 class SimulatedLLMEngine:
     """Discrete-event engine; see module docstring."""
 
@@ -370,7 +350,7 @@ class SimulatedLLMEngine:
         self.model = model
         self.cluster = cluster
         self.config = config or EngineConfig()
-        self.mode = _resolve_mode(self.config.mode)
+        self.mode = self.config.mode
         self.cost = CostModel(model=model, cluster=cluster)
         self.capacity_tokens = (
             self.config.kv_capacity_tokens
@@ -390,8 +370,8 @@ class SimulatedLLMEngine:
             else None
         )
         # The stepwise oracle runs the node-tree radix reference, so
-        # REPRO_SERVING_FASTPATH=0 reproduces the original implementation
-        # end to end; the vector loop runs the flat backend.
+        # mode="stepwise" reproduces the original implementation end to
+        # end; the vector loop runs the flat backend.
         self.cache = RadixPrefixCache(
             backend="node" if self.mode == "stepwise" else "flat",
             block_manager=self.blocks,

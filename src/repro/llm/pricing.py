@@ -43,11 +43,6 @@ class PricingModel:
         if min(self.input_per_mtok, self.cached_read_per_mtok, self.output_per_mtok) < 0:
             raise PricingError("negative price")
 
-    @property
-    def cached_ratio(self) -> float:
-        """Cached-read price as a fraction of the input price."""
-        return self.cached_read_per_mtok / self.input_per_mtok
-
 
 def openai_gpt4o_mini() -> PricingModel:
     return PricingModel(

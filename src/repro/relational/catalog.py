@@ -83,7 +83,7 @@ class Database:
     owns one bounded :class:`AnswerMemoStore` (``answer_memo``), adopted
     by / from the runtime, so every query in the session — and any other
     runtime the caller attaches to this store — shares cached answers and
-    one telemetry rollup (:attr:`memo_stats`).
+    one set of hit/miss/eviction counters.
     """
 
     def __init__(
@@ -103,12 +103,6 @@ class Database:
             # who pre-built a runtime keeps any answers it already cached.
             self.answer_memo = self.runtime.memo_store
         self.optimizer_config = optimizer_config
-
-    @property
-    def memo_stats(self) -> Dict[str, int]:
-        """Session-level answer-memo telemetry (entries, hits, misses,
-        evictions)."""
-        return self.answer_memo.stats
 
     def register(
         self,

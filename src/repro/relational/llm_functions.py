@@ -100,16 +100,6 @@ class AnswerMemoStore:
     def __len__(self) -> int:
         return len(self._store)
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        return {
-            "entries": len(self._store),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
 
 @dataclass
 class LLMCallStats:
@@ -318,23 +308,3 @@ class LLMRuntime:
     @property
     def total_memo_hits(self) -> int:
         return sum(c.memo_hits for c in self.calls)
-
-    @property
-    def overall_phr(self) -> float:
-        """Prompt-token-weighted PHR across all calls.
-
-        Calls that ran through the serving engine contribute their measured
-        token-level figures; calls without an engine (solver-only runs)
-        fall back to the schedule-level PHR weighted by their scheduled
-        prompt-token volume, so the rollup is meaningful either way instead
-        of silently dropping engine-less calls.
-        """
-        num = den = 0.0
-        for c in self.calls:
-            if c.engine_result is not None:
-                num += c.engine_result.cached_tokens
-                den += c.engine_result.prompt_tokens
-            else:
-                num += c.schedule_phr * c.scheduled_prompt_tokens
-                den += c.scheduled_prompt_tokens
-        return num / den if den else 0.0

@@ -7,8 +7,11 @@ from repro.bench.queries import (
     FILTER_PROMPTS,
     SENTIMENT_PROMPT,
     get_query,
-    queries_by_type,
 )
+
+
+def queries_by_type(qtype):
+    return [q for q in ALL_QUERIES if q.qtype == qtype]
 
 
 class TestSuiteShape:

@@ -6,7 +6,6 @@ from repro.bench.reporting import (
     ExperimentOutput,
     ResultTable,
     default_scale,
-    default_seed,
     fmt_pct,
     fmt_seconds,
     fmt_speedup,
@@ -75,12 +74,6 @@ class TestEnvDefaults:
         monkeypatch.setenv("REPRO_SCALE", raw)
         with pytest.raises(ValueError, match="REPRO_SCALE must be finite"):
             default_scale()
-
-    def test_default_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEED", "9")
-        assert default_seed() == 9
-        monkeypatch.delenv("REPRO_SEED")
-        assert default_seed(3) == 3
 
 
 class TestPercentile:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.compiled import (
     CompiledTable,
     compile_table,
-    fastpath_enabled,
     schedule_from_layout,
 )
 from repro.core.table import ReorderTable
@@ -60,8 +59,16 @@ class TestCompiledTable:
         t = make_table()
         ct = compile_table(t)
         pool = ct.cell_pool(0)
-        assert ct.row_cells(0, (0,))[0] is ct.row_cells(2, (0,))[0]
         assert all(c.field == "a" for c in pool)
+        # Rows 0 and 2 share a="zz", rows 0 and 3 share b="one": the
+        # schedule reuses one pooled Cell per distinct value.
+        sched = schedule_from_layout(
+            ct, [(0, (0, 1)), (2, (0, 1)), (1, (1, 0)), (3, (1, 0))]
+        )
+        zz = pool[ct.values[0].index("zz")]
+        one = ct.cell_pool(1)[ct.values[1].index("one")]
+        assert sched.rows[0].cells[0] is zz and sched.rows[1].cells[0] is zz
+        assert sched.rows[0].cells[1] is one and sched.rows[3].cells[0] is one
 
     def test_empty_table(self):
         ct = compile_table(ReorderTable(("a",), []))
@@ -96,15 +103,3 @@ class TestScheduleFromLayout:
         ct = compile_table(make_table())
         with pytest.raises(SolverError):
             schedule_from_layout(ct, [(0, (0, 1))])
-
-
-class TestFastpathFlag:
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE_FASTPATH", "0")
-        assert not fastpath_enabled()
-        monkeypatch.setenv("REPRO_CORE_FASTPATH", "1")
-        assert fastpath_enabled()
-
-    def test_default_enabled_with_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CORE_FASTPATH", raising=False)
-        assert fastpath_enabled()

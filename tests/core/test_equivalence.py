@@ -13,11 +13,11 @@ import random
 
 import pytest
 
-from repro.core.fd import FunctionalDependencies, mine_fds
+from repro.core.fd import FunctionalDependencies, _mine_fds_python, mine_fds
 from repro.core.ggr import GGRConfig, ggr
-from repro.core.ophr import ophr
+from repro.core.ordering import RequestSchedule
 from repro.core.partitioned import PARTITION_MODES, partitioned_reorder
-from repro.core.phc import per_row_hits, phc, phr, prefix_hit_tokens
+from repro.core.phc import phc, phr, prefix_hit_tokens
 from repro.core.stats import TableStats
 from repro.core.table import ReorderTable
 
@@ -72,6 +72,21 @@ def assert_same_schedule(s1, s2):
         assert a.cells == b.cells
 
 
+def assert_engines_agree(table, fds, base):
+    cfg_py = GGRConfig(**{**base.__dict__, "engine": "python"})
+    cfg_c = GGRConfig(**{**base.__dict__, "engine": "compiled"})
+    est_py, sched_py, rep_py = ggr(table, fds=fds, config=cfg_py)
+    est_c, sched_c, rep_c = ggr(table, fds=fds, config=cfg_c)
+    assert est_py == est_c
+    assert_same_schedule(sched_py, sched_c)
+    assert rep_py.groups_chosen == rep_c.groups_chosen
+    assert rep_py.fallback_blocks == rep_c.fallback_blocks
+    assert rep_py.fallback_rows == rep_c.fallback_rows
+    assert rep_py.recursion_steps == rep_c.recursion_steps
+    # Identical exact PHC is the acceptance bar.
+    assert phc(sched_py) == phc(sched_c)
+
+
 class TestGGREquivalence:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_tables_all_configs(self, seed):
@@ -79,35 +94,29 @@ class TestGGREquivalence:
         table = random_table(rng)
         fds = random_fds(rng, table)
         for base in CONFIGS:
-            cfg_py = GGRConfig(**{**base.__dict__, "engine": "python"})
-            cfg_c = GGRConfig(**{**base.__dict__, "engine": "compiled"})
-            est_py, sched_py, rep_py = ggr(table, fds=fds, config=cfg_py)
-            est_c, sched_c, rep_c = ggr(table, fds=fds, config=cfg_c)
-            assert est_py == est_c
-            assert_same_schedule(sched_py, sched_c)
-            assert rep_py.groups_chosen == rep_c.groups_chosen
-            assert rep_py.fallback_blocks == rep_c.fallback_blocks
-            assert rep_py.fallback_rows == rep_c.fallback_rows
-            assert rep_py.recursion_steps == rep_c.recursion_steps
-            # Identical exact PHC is the acceptance bar.
-            assert phc(sched_py) == phc(sched_c)
+            assert_engines_agree(table, fds, base)
 
-    def test_auto_engine_matches_python(self):
-        rng = random.Random(99)
-        table = random_table(rng)
-        est_a, sched_a, _ = ggr(table, config=GGRConfig(engine="auto"))
-        est_p, sched_p, _ = ggr(table, config=GGRConfig(engine="python"))
-        assert est_a == est_p
-        assert_same_schedule(sched_a, sched_p)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tied_groups_all_configs(self, seed):
+        """Equal-length values make many groups tie on HITCOUNT, so the
+        tie-break (first-appearing value, not smallest value) decides."""
+        rng = random.Random(seed)
+        m = rng.randint(2, 4)
+        rows = [
+            tuple(rng.choice("srqp") for _ in range(m))
+            for _ in range(rng.randint(4, 24))
+        ]
+        table = ReorderTable([f"f{j}" for j in range(m)], rows)
+        for base in CONFIGS:
+            assert_engines_agree(table, None, base)
 
-    def test_fastpath_env_disables_compiled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE_FASTPATH", "0")
-        table = random_table(random.Random(3))
-        est, sched, _ = ggr(table)  # runs the reference path
-        monkeypatch.setenv("REPRO_CORE_FASTPATH", "1")
-        est2, sched2, _ = ggr(table)
-        assert est == est2
-        assert_same_schedule(sched, sched2)
+    @pytest.mark.parametrize("engine", ["python", "compiled"])
+    def test_tie_keeps_first_appearing_value(self, engine):
+        t = ReorderTable(
+            ("a", "b"), [("s", "x1"), ("p", "x2"), ("s", "x3"), ("p", "x4")]
+        )
+        _, _, report = ggr(t, config=GGRConfig(engine=engine))
+        assert report.groups_chosen[0] == ("a", "s", 2)
 
 
 class TestMetricEquivalence:
@@ -120,7 +129,6 @@ class TestMetricEquivalence:
         # Reference path: plain cell-row sequences never take the fast path.
         ref_rows = [r.cells for r in sched.rows]
         assert phc(sched, mode=mode) == phc(ref_rows, mode=mode)
-        assert per_row_hits(sched, mode=mode) == per_row_hits(ref_rows, mode=mode)
         assert prefix_hit_tokens(sched, mode=mode) == prefix_hit_tokens(
             ref_rows, mode=mode
         )
@@ -146,68 +154,56 @@ class TestStatsEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     def test_compute_paths_identical(self, seed):
         table = random_table(random.Random(seed))
-        fast = TableStats._compute_compiled(table)
+        fast = TableStats.compute(table)
         ref = TableStats._compute_python(table)
         assert fast == ref
 
     def test_empty_table(self):
         t = ReorderTable(("a", "b"), [])
-        assert TableStats._compute_compiled(t) == TableStats._compute_python(t)
+        assert TableStats.compute(t) == TableStats._compute_python(t)
 
 
 class TestMineFdsEquivalence:
+    """``mine_fds`` (the compiled miner) against the string-path reference
+    ``_mine_fds_python`` on the same sampled rows."""
+
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("tolerance", [0.0, 0.2])
-    def test_mined_edges_identical(self, seed, tolerance, monkeypatch):
+    def test_mined_edges_identical(self, seed, tolerance):
         table = random_table(random.Random(seed))
-        monkeypatch.setenv("REPRO_CORE_FASTPATH", "1")
         fast = mine_fds(table, tolerance=tolerance, seed=seed)
-        monkeypatch.setenv("REPRO_CORE_FASTPATH", "0")
-        ref = mine_fds(table, tolerance=tolerance, seed=seed)
+        ref = _mine_fds_python(table, list(range(table.n_rows)), tolerance, 0.98)
         assert fast.edges() == ref.edges()
 
-    def test_sampled_rows_identical(self, monkeypatch):
+    def test_sampled_rows_identical(self):
         table = random_table(random.Random(42))
-        monkeypatch.setenv("REPRO_CORE_FASTPATH", "1")
-        fast = mine_fds(table, sample_rows=max(2, table.n_rows // 2), seed=7)
-        monkeypatch.setenv("REPRO_CORE_FASTPATH", "0")
-        ref = mine_fds(table, sample_rows=max(2, table.n_rows // 2), seed=7)
+        k = max(2, table.n_rows // 2)
+        fast = mine_fds(table, sample_rows=k, seed=7)
+        rows = sorted(random.Random(7).sample(range(table.n_rows), k))
+        ref = _mine_fds_python(table, rows, 0.0, 0.98)
         assert fast.edges() == ref.edges()
-
-
-class TestOphrEquivalence:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_ophr_paths_identical(self, seed, monkeypatch):
-        rng = random.Random(seed)
-        t = ReorderTable(
-            ("a", "b"),
-            [
-                (rng.choice(["x", "yy"]), rng.choice(["p", "qq"]))
-                for _ in range(rng.randint(2, 6))
-            ],
-        )
-        monkeypatch.setenv("REPRO_CORE_FASTPATH", "1")
-        score_fast, sched_fast = ophr(t)
-        monkeypatch.setenv("REPRO_CORE_FASTPATH", "0")
-        score_ref, sched_ref = ophr(t)
-        assert score_fast == score_ref
-        assert_same_schedule(sched_fast, sched_ref)
 
 
 class TestPartitionedEquivalence:
     """Stitching partitions through the compiled cell pool gives the same
-    schedule as the pure-Python reference path."""
+    cells as the string-path materializer of the stitched layout."""
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("mode", PARTITION_MODES)
-    def test_fastpath_matches_reference(self, monkeypatch, mode, seed):
+    def test_fastpath_matches_reference(self, mode, seed):
         rng = random.Random(300 + seed)
         t = random_table(rng)
         k = rng.randint(1, 5)
         fast = partitioned_reorder(t, k, mode=mode)
-        monkeypatch.setenv("REPRO_CORE_FASTPATH", "0")
-        ref = partitioned_reorder(t, k, mode=mode)
-        assert fast.exact_phc == ref.exact_phc
-        assert fast.exact_phr == ref.exact_phr
-        assert fast.partition_sizes == ref.partition_sizes
-        assert_same_schedule(fast.schedule, ref.schedule)
+        field_idx = {f: i for i, f in enumerate(t.fields)}
+        ref = RequestSchedule.from_orders(
+            t,
+            row_order=[r.row_id for r in fast.schedule.rows],
+            field_orders=[
+                [field_idx[c.field] for c in r.cells] for r in fast.schedule.rows
+            ],
+        )
+        assert_same_schedule(fast.schedule, ref)
+        ref_rows = [r.cells for r in ref.rows]
+        assert fast.exact_phc == phc(ref_rows)
+        assert fast.exact_phr == phr(ref_rows)

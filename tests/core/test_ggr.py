@@ -58,11 +58,29 @@ class TestGGRBasics:
         _, sched, _ = ggr(t)
         sched.validate_against(t)
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(SolverError):
-            ggr(fig1a_table(), config=GGRConfig(max_row_depth=-1))
-        with pytest.raises(SolverError):
-            ggr(fig1a_table(), config=GGRConfig(hitcount_threshold=-5))
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_row_depth": -1},
+            {"max_row_depth": 2.5},
+            {"max_row_depth": "4"},
+            {"max_row_depth": True},
+            {"max_col_depth": None},
+            {"hitcount_threshold": -5},
+            {"hitcount_threshold": float("nan")},
+            {"hitcount_threshold": float("inf")},
+            {"hitcount_threshold": "0.1"},
+            {"stats_score_mode": "bogus"},
+            {"engine": "auto"},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()),
+    )
+    def test_invalid_config_rejected(self, bad):
+        with pytest.raises(SolverError) as excinfo:
+            ggr(fig1a_table(), config=GGRConfig(**bad))
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert next(iter(bad)) in message
 
 
 class TestGGRQuality:

@@ -7,7 +7,6 @@ from repro.core.ordering import RequestSchedule
 from repro.core.phc import (
     hit,
     matched_prefix_length,
-    per_row_hits,
     phc,
     phr,
     prefix_hit_tokens,
@@ -79,11 +78,6 @@ class TestPHC:
         t = ReorderTable(("f", "g"), [("x", "y"), ("x", "y")])
         sched = RequestSchedule.identity(t)
         assert phc(sched) == 1 + 1
-
-    def test_per_row_hits(self):
-        row = cells(("f", "ab"),)
-        other = cells(("f", "cd"),)
-        assert per_row_hits([row, row, other]) == [0, 4, 0]
 
     def test_empty_schedule(self):
         assert phc([]) == 0

@@ -11,7 +11,7 @@ from repro.core.fd import mine_fds
 from repro.core.ggr import GGRConfig, ggr
 from repro.core.ophr import brute_force_optimal, ophr
 from repro.core.ordering import RequestSchedule
-from repro.core.phc import per_row_hits, phc, phr
+from repro.core.phc import phc, phr
 from repro.core.table import ReorderTable
 
 # Values drawn from a tiny alphabet of short strings => heavy duplication.
@@ -73,9 +73,9 @@ def test_ophr_matches_brute_force(table):
 
 @settings(max_examples=60, deadline=None)
 @given(tables())
-def test_phc_equals_sum_of_per_row_hits(table):
+def test_phc_fast_path_equals_cell_row_reference(table):
     sched = RequestSchedule.identity(table)
-    assert phc(sched) == sum(per_row_hits(sched))
+    assert phc(sched) == phc([r.cells for r in sched.rows])
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,14 +21,12 @@ class TestModels:
         pm = openai_gpt4o_mini()
         assert pm.input_per_mtok == 0.15
         assert pm.cached_read_per_mtok == 0.075
-        assert pm.cached_ratio == 0.5
 
     def test_anthropic_rates_match_paper_footnote(self):
         pm = anthropic_claude35_sonnet()
         assert pm.input_per_mtok == 3.00
         assert pm.cache_write_per_mtok == 3.75
         assert pm.cached_read_per_mtok == 0.30
-        assert pm.cached_ratio == pytest.approx(0.1)
 
     def test_invalid_provider(self):
         with pytest.raises(PricingError):

@@ -48,9 +48,7 @@ def assert_counters_agree(caches):
 
 
 class TestBackendResolution:
-    def test_default_is_flat(self, monkeypatch):
-        # The engine-mode switch does not reach the cache constructor.
-        monkeypatch.setenv("REPRO_SERVING_FASTPATH", "0")
+    def test_default_is_flat(self):
         assert isinstance(RadixPrefixCache(), _FlatRadixCache)
         assert RadixPrefixCache().backend == "flat"
 

@@ -259,15 +259,15 @@ class TestArrivalOnStepBoundary:
 
 
 class TestModeSelectionAndErrors:
-    def test_default_mode_is_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
+    def test_default_mode_is_vector(self):
         eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
         assert eng.mode == "vector"
         assert eng.cache.backend == "flat"
 
-    def test_env_flag_selects_oracle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_FASTPATH", "0")
-        eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
+    def test_stepwise_mode_runs_node_radix(self):
+        eng = SimulatedLLMEngine(
+            LLAMA3_8B, CLUSTER_1XL4, EngineConfig(mode="stepwise")
+        )
         assert eng.mode == "stepwise"
         assert eng.cache.backend == "node"
 

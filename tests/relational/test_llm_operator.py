@@ -64,7 +64,7 @@ class TestReorderingImprovesServing:
             )
             rt.execute(table, LLMExpr("Classify this product", ("*",)))
             times[policy] = rt.total_engine_seconds
-            phrs[policy] = rt.overall_phr
+            phrs[policy] = rt.calls[0].measured_phr
         assert phrs["ggr"] > phrs["original"]
         assert times["ggr"] < times["original"]
 
@@ -82,7 +82,7 @@ class TestReorderingImprovesServing:
         rt_nc.execute(table, expr)
         rt_ggr.execute(table, expr)
         assert rt_ggr.total_engine_seconds < rt_nc.total_engine_seconds
-        assert rt_nc.overall_phr == 0.0
+        assert rt_nc.calls[0].measured_phr == 0.0
 
     def test_fds_help_phc(self):
         table = duplicated_table(n_groups=6, per_group=5)
@@ -104,7 +104,7 @@ class TestStats:
         assert rt.calls[0].query == "q1"
         assert rt.total_solver_seconds > 0
         assert rt.total_engine_seconds > 0
-        assert 0.0 <= rt.overall_phr <= 1.0
+        assert all(0.0 <= c.measured_phr <= 1.0 for c in rt.calls)
 
     def test_empty_table(self):
         rt = LLMRuntime(answerer=order_echo_answerer)

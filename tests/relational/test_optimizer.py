@@ -7,7 +7,6 @@ from repro.errors import SchemaError
 from repro.llm.costmodel import estimate_tokens
 from repro.relational import Database, LLMRuntime, OptimizerConfig, Table
 from repro.relational.expressions import And, Cmp, Col, Lit, LLMExpr
-from repro.relational.llm_functions import LLMCallStats
 from repro.relational.operators import Aggregate, Filter, Limit, Project, TableSource
 from repro.relational.optimizer import (
     contains_llm,
@@ -308,48 +307,6 @@ class TestRuntimeDedup:
         assert rt.calls[0].n_rows == 0 and rt.calls[0].n_distinct == 0
 
 
-class TestOverallPHRFallback:
-    def test_solver_only_runs_report_schedule_phr(self):
-        rt = LLMRuntime(policy="ggr", dedup=False, memo=False)
-        table = Table(
-            {
-                "grp": ["a"] * 6 + ["b"] * 6,
-                "text": [f"unique text {i}" for i in range(12)],
-            }
-        )
-        rt.execute(table, LLMExpr("q", ("*",)))
-        assert rt.calls[0].engine_result is None
-        assert rt.calls[0].schedule_phr > 0
-        assert rt.overall_phr == pytest.approx(rt.calls[0].schedule_phr)
-
-    def test_weighted_mix_of_engine_and_solver_calls(self):
-        from repro.llm.client import SimulatedLLMClient
-
-        table = Table({"grp": ["a", "a", "b"], "text": ["t1", "t2", "t3"]})
-        rt = LLMRuntime(
-            client=SimulatedLLMClient(), policy="ggr", dedup=False, memo=False
-        )
-        rt.execute(table, LLMExpr("q", ("*",)))
-        engine_phr = rt.overall_phr
-        # Append a synthetic engine-less call with a perfect schedule PHR:
-        # the rollup must move toward it, weighted by scheduled tokens.
-        rt.calls.append(
-            LLMCallStats(
-                query="x",
-                n_rows=3,
-                policy="ggr",
-                solver_seconds=0.0,
-                exact_phc=0,
-                schedule_phr=1.0,
-                scheduled_prompt_tokens=10_000,
-            )
-        )
-        assert engine_phr < rt.overall_phr < 1.0
-
-    def test_no_calls_is_zero(self):
-        assert LLMRuntime().overall_phr == 0.0
-
-
 class TestAggregateAliasCollision:
     def test_group_by_alias_collision_rejected_at_plan_time(self):
         with pytest.raises(SchemaError):
@@ -406,7 +363,7 @@ class TestAnswerMemoStore:
         # FIFO: the two oldest are gone.
         assert store.get(("q", ("f",), ("0",))) is None
         assert store.get(("q", ("f",), ("4",))) == "a4"
-        assert store.stats["hits"] == 1 and store.stats["misses"] == 1
+        assert store.hits == 1 and store.misses == 1
 
     def test_overwrite_does_not_evict(self):
         from repro.relational import AnswerMemoStore
@@ -463,8 +420,8 @@ class TestAnswerMemoStore:
         first = len(seen)
         db.sql("SELECT LLM('ask', a) AS x FROM t")
         assert len(seen) == first
-        assert db.memo_stats["hits"] >= 2
-        assert db.memo_stats["entries"] == 2
+        assert db.answer_memo.hits >= 2
+        assert len(db.answer_memo) == 2
 
     def test_database_injected_store_wins(self):
         from repro.relational import AnswerMemoStore
