@@ -153,7 +153,7 @@ def bench_engine_replay_token_oracle_accounting(benchmark):
 def bench_engine_paged_eviction_pressure(benchmark):
     """Eviction under paged admission: block-denominated eviction keeps
     freeing victims until physical blocks (not just tokens) are available,
-    exercising fork/release churn and straddle-shared split blocks."""
+    exercising allocate/release churn and straddle-shared split blocks."""
     requests = _replay_requests(
         n_requests=800, n_groups=40, suffix_len=60, out_lo=8, out_hi=24
     )

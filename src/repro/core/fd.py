@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.compiled import compile_table
 from repro.core.table import ReorderTable
+from repro.errors import SolverError
 
 
 @dataclass
@@ -132,9 +134,27 @@ def mine_fds(
     (``cardinality/n > max_cardinality_ratio``): such FDs are trivially true
     and useless to GGR because the "groups" they describe have one row.
 
-    ``tolerance > 0`` accepts soft FDs that hold on all but that fraction of
-    sampled rows (cf. CORDS-style soft dependencies referenced in §2).
+    ``sample_rows`` caps the rows checked (0 checks every row);
+    ``tolerance`` in ``[0, 1]`` above 0 accepts soft FDs that hold on all
+    but that fraction of sampled rows (cf. CORDS-style soft dependencies
+    referenced in §2). Either out of range raises :class:`SolverError`.
     """
+    if (
+        not isinstance(sample_rows, Integral)
+        or isinstance(sample_rows, bool)
+        or sample_rows < 0
+    ):
+        raise SolverError(
+            f"sample_rows must be an integer >= 0, got {sample_rows!r}"
+        )
+    if (
+        not isinstance(tolerance, Real)
+        or isinstance(tolerance, bool)
+        or not 0 <= tolerance <= 1  # also rejects NaN
+    ):
+        raise SolverError(
+            f"tolerance must be a number in [0, 1], got {tolerance!r}"
+        )
     n = table.n_rows
     if n == 0 or table.n_fields < 2:
         return FunctionalDependencies()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.compiled import compile_table
@@ -48,14 +49,24 @@ def ophr(
 
     Raises :class:`SolverError` if the table exceeds the safety limits or if
     ``time_limit_s`` elapses — OPHR on even mid-sized tables can run for
-    hours (paper Table 6), so limits are mandatory.
+    hours (paper Table 6), so limits are mandatory. ``time_limit_s`` is a
+    positive number of seconds, or None for no limit.
     """
+    if time_limit_s is not None and (
+        not isinstance(time_limit_s, Real)
+        or isinstance(time_limit_s, bool)
+        or not time_limit_s > 0  # also rejects NaN
+    ):
+        raise SolverError(
+            f"time_limit_s must be a positive number or None, got "
+            f"{time_limit_s!r}"
+        )
     if table.n_rows > max_rows or table.n_fields > max_fields:
         raise SolverError(
             f"OPHR refused: table is {table.n_rows}x{table.n_fields}, limits are "
             f"{max_rows}x{max_fields} (exponential algorithm; raise limits explicitly)"
         )
-    deadline = time.monotonic() + time_limit_s if time_limit_s else None
+    deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
 
     rows0 = tuple(range(table.n_rows))
     cols0 = tuple(range(table.n_fields))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compiled import compile_table, schedule_from_layout
@@ -127,8 +128,14 @@ def partitioned_reorder(
     """
     if mode not in PARTITION_MODES:
         raise SolverError(f"mode must be one of {PARTITION_MODES}, got {mode!r}")
-    if n_partitions < 1:
-        raise SolverError("n_partitions must be >= 1")
+    if (
+        not isinstance(n_partitions, Integral)
+        or isinstance(n_partitions, bool)
+        or n_partitions < 1
+    ):
+        raise SolverError(
+            f"n_partitions must be an integer >= 1, got {n_partitions!r}"
+        )
     n_partitions = min(n_partitions, max(1, table.n_rows))
 
     assignments = [p for p in _assign_partitions(table, n_partitions, mode) if p]

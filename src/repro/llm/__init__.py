@@ -17,8 +17,8 @@ discrete-event simulator (see DESIGN.md "Substitutions"):
 ``blocks``
     Paged KV block manager with ref-counted blocks (vLLM-style). The
     engine admits on it by default: radix nodes own the blocks backing
-    their edges, matched prefixes are fork-shared, decode tails grow
-    block-by-block, and eviction returns blocks to the pool. The
+    their edges (the tree is the only holder of prompt KV), decode tails
+    grow block-by-block, and eviction returns blocks to the pool. The
     token-sum admission heuristic stays selectable as the oracle
     (``EngineConfig.kv_accounting="tokens"``).
 ``hardware`` / ``models``

@@ -1,29 +1,32 @@
 """Paged KV-cache block manager (vLLM-style).
 
 KV memory is allocated in fixed-size blocks of ``block_tokens`` tokens.
-Blocks are ref-counted so a prefix shared by many sequences is stored once;
-forking a sequence bumps refs, releasing decrements and frees at zero. The
-engine uses the manager for admission control; the radix tree decides *what*
-is shared, the block manager enforces *how much* physical memory that costs
+Blocks are ref-counted so a block straddling a radix edge split is stored
+once for both halves; releasing decrements and frees at zero. The engine
+uses the manager for admission control; the radix tree decides *what* is
+shared, the block manager enforces *how much* physical memory that costs
 (including fragmentation from partially-filled last blocks).
+
+The radix tree is the only holder of prompt KV: each node owns the
+allocation backing its edge, and a running request keeps its prompt path
+resident by pinning it (or, in the stepwise oracle, by protecting it
+from eviction) — it takes no block references of its own. A request owns
+only its private tail: decode KV, plus the prompt when the prefix cache
+is off. So a refcount above 1 comes from a split's straddle block alone.
 
 The engine's token-sum admission (``EngineConfig(kv_accounting="tokens")``)
 is the oracle this accounting is tested against: with ``block_tokens=1``
 paged admission reproduces it exactly.
 
 The pool is a Python list used as a LIFO free stack plus a dict of
-refcounts; every operation is a short per-block loop. Both replay modes
-share it: the stepwise loop forks each radix node on a request's prompt
-path separately (:meth:`BlockManager.fork`), the event loop forks the
-whole path as one multiset of ids (:meth:`BlockManager.fork_ids`) — the
-same references either way.
+refcounts; every operation is a short per-block loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import CapacityError, ServingError
 
@@ -45,12 +48,6 @@ class BlockAllocation:
     the straddling block. Tokens occupy positions ``[start_offset,
     start_offset + n_tokens)`` laid out consecutively across the blocks —
     the invariant every block computation below relies on.
-
-    ``block_ids`` may be a *multiset*: :meth:`BlockManager.fork_ids`
-    builds one allocation from a request's references to every node
-    allocation along its prompt path, and a block straddling a radix edge
-    split appears once per node that holds it. Fork and release act per
-    occurrence, so the duplicates need no special case.
     """
 
     block_ids: List[int]
@@ -58,7 +55,7 @@ class BlockAllocation:
     released: bool = False
     start_offset: int = 0
     #: Flat radix backend only: the node *slot* this allocation is bound to
-    #: (-1 when unowned — forks and node-backend allocations).
+    #: (-1 when unowned — decode tails and node-backend allocations).
     #: Rebound on every radix edge split; the flat backend's invariant
     #: checker verifies slot and allocation agree.
     owner: int = field(default=-1, repr=False)
@@ -97,7 +94,7 @@ class BlockManager:
         # block ceilings (absent = unlimited), ``_tenant_used`` the blocks
         # currently charged. The engine charges/uncharges around its own
         # allocate/release calls — the ledger is deliberately decoupled from
-        # individual allocations because fork-shared prefix blocks have no
+        # individual allocations because radix-cached prompt blocks have no
         # single owning tenant.
         self._tenant_quota: Dict[str, int] = {}
         self._tenant_used: Dict[str, int] = {}
@@ -142,35 +139,8 @@ class BlockManager:
             self._refs[b] = 1
         return ids
 
-    def fork(self, alloc: BlockAllocation) -> BlockAllocation:
-        """Share an allocation copy-free: bump every block's refcount."""
-        if alloc.released:
-            raise ServingError("fork of a released allocation")
-        return self.fork_ids(alloc.block_ids, alloc.n_tokens, alloc.start_offset)
-
-    def fork_ids(
-        self, block_ids: Sequence[int], n_tokens: int, start_offset: int = 0
-    ) -> BlockAllocation:
-        """Take one reference per occurrence in ``block_ids`` (a multiset:
-        see :class:`BlockAllocation`) and return them as a new allocation,
-        which :meth:`release` drops per occurrence again. All or nothing:
-        a freed id raises with every refcount as it was."""
-        refs = self._refs
-        for i, b in enumerate(block_ids):
-            if refs.get(b, 0) <= 0:
-                for taken in block_ids[:i]:
-                    refs[taken] -= 1
-                raise ServingError(f"fork of freed block {b}")
-            refs[b] += 1
-        return BlockAllocation(
-            block_ids=list(block_ids),
-            n_tokens=n_tokens,
-            start_offset=start_offset,
-        )
-
     def release(self, alloc: BlockAllocation) -> None:
-        """Drop one reference per block-id occurrence; free blocks reaching
-        zero."""
+        """Drop one reference per block; free blocks reaching zero."""
         if alloc.released:
             raise ServingError("double free of allocation")
         refs = self._refs
@@ -198,8 +168,7 @@ class BlockManager:
         release it — real block-granular sharing, and the reason evicting a
         small tail may free fewer blocks than its token count suggests.
         The input allocation is consumed (marked released without touching
-        refcounts — ownership transfers to the two halves). Forked copies
-        of the input remain valid: they reference the same block ids.
+        refcounts — ownership transfers to the two halves).
         """
         if alloc.released:
             raise ServingError("split of a released allocation")

@@ -39,23 +39,22 @@ decode advanced one step or one whole run at a time.
 
 The two loops differ only in how decode advances. Admission, chunking,
 preemption and completion are shared: each request's
-:class:`RequestMetrics` is built at admission and stamped in place, and
-its prompt-path block references are forked and released as one bundle
-(:meth:`RadixPrefixCache.fork_path_bundle`).
+:class:`RequestMetrics` is built at admission and stamped in place.
 
 Two *KV accounting* models gate admission (orthogonal to the replay mode):
 
 ``kv_accounting="paged"`` (default)
     PagedAttention-style block accounting through
     :class:`~repro.llm.blocks.BlockManager`: each radix node owns the
-    fixed-size blocks backing its edge, an admitted request fork-shares
-    (ref-counts) the blocks of its matched prefix and allocates fresh
-    blocks only for the suffix, decode grows a private tail allocation
-    block-by-block (fully reserved at admission so decoding never OOMs),
-    and radix eviction returns the victim's blocks to the pool. Admission
-    charges whole blocks, so internal fragmentation — partially-filled
-    last blocks — is visible to every benchmark via ``peak_kv_blocks`` /
-    ``fragmentation_tokens``.
+    fixed-size blocks backing its edge, and the tree is the only holder of
+    prompt KV — an admitted request reuses the blocks of its matched
+    prefix through the tree (kept resident by its pin, or by the stepwise
+    loop's protection list) and draws fresh blocks only for the suffix.
+    Decode grows a private tail allocation block-by-block (fully reserved
+    at admission so decoding never OOMs), and radix eviction returns the
+    victim's blocks to the pool. Admission charges whole blocks, so
+    internal fragmentation — partially-filled last blocks — is visible to
+    every benchmark via ``peak_kv_blocks`` / ``fragmentation_tokens``.
 
 ``kv_accounting="tokens"``
     The original token-sum heuristic, kept as the oracle paged admission
@@ -243,11 +242,10 @@ class _Running:
     reserved_tokens: int
     decoded: int = 0
     pin: Optional[object] = None
-    #: Paged accounting only: one forked reference bundle over the shared
-    #: blocks of the prompt's radix path, and the private tail allocation
-    #: decode tokens grow into (plus the whole prompt when the prefix cache
-    #: is off). Both are released when the member leaves the batch.
-    fork: Optional[BlockAllocation] = None
+    #: Paged accounting only: the private tail allocation decode tokens
+    #: grow into (plus the whole prompt when the prefix cache is off),
+    #: released when the member leaves the batch. The prompt's blocks
+    #: belong to its radix path, which the pin keeps resident.
     tail: Optional[BlockAllocation] = None
     #: Continuous-batching lifecycle state. ``in_decode`` marks membership
     #: in the engine's preemption-victim list; ``admit_step`` is the global
@@ -1007,8 +1005,8 @@ class SimulatedLLMEngine:
                         chunks.append(pre_tokens % chunk_cap)
             if bm is not None:
                 # Paged admission charges whole blocks: the matched prefix
-                # is fork-shared (zero new blocks), the suffix rounds up to
-                # its own blocks — per chunk when chunked, since every
+                # is already cached (zero new blocks), the suffix rounds up
+                # to its own blocks — per chunk when chunked, since every
                 # chunk edge is its own allocation — and the private tail
                 # (decode KV, plus the prompt when the cache is off)
                 # reserves its blocks now so block-by-block growth can
@@ -1146,16 +1144,11 @@ class SimulatedLLMEngine:
                 cache.insert(req.prompt_tokens, req.prompt_bytes)
                 if self._use_pins:
                     pin = cache.pin(req.prompt_tokens)
-            fork = tail = None
+            tail = None
             if bm is not None:
                 if cache_on:
-                    # The request holds its own block refs along the whole
-                    # prompt path (matched prefix + fresh suffix), like a
-                    # vLLM sequence forked from a cached prefix — one
-                    # bundle, one refcount walk over the path. The suffix
-                    # blocks were just drawn by insert(); only the decode
-                    # tail stays reserved.
-                    fork = cache.fork_path_bundle(req.prompt_tokens)
+                    # The suffix blocks were just drawn by insert(); only
+                    # the decode tail stays reserved.
                     tail = bm.allocate(0)
                     self._reserved_blocks += bm.blocks_needed(req.output_tokens)
                 else:
@@ -1175,7 +1168,6 @@ class SimulatedLLMEngine:
                 ),
                 reserved_tokens=private_growth,
                 pin=pin,
-                fork=fork,
                 tail=tail,
                 hit=hit,
                 quota_charge=quota_need,
@@ -1251,21 +1243,12 @@ class SimulatedLLMEngine:
         self._charge(self.cost.prefill_wave_time(wave))
         if traced is not None:
             self.tracer.chunk_wave(start, traced)
-        bm = self.blocks
-        cache_on = self.config.enable_prefix_cache
         for m in ready:
-            if bm is not None:
-                if m.prefill_reserved:
-                    # Per-chunk block rounding (or content another request
-                    # shared mid-flight) over-reserved; return the rest.
-                    self._reserved_blocks -= m.prefill_reserved
-                    m.prefill_reserved = 0
-                if cache_on:
-                    # The last chunk's pin ends the prompt's path, so the
-                    # fork starts there instead of re-walking the prompt.
-                    m.fork = self.cache.fork_path_bundle(
-                        m.request.prompt_tokens, anchor=m.pin
-                    )
+            if m.prefill_reserved:
+                # Per-chunk block rounding (or content another request
+                # shared mid-flight) over-reserved; return the rest.
+                self._reserved_blocks -= m.prefill_reserved
+                m.prefill_reserved = 0
             m.chunks_left = None
             # The post-prefill admission stamp, at the clock of the wave
             # that settled the last chunk.
@@ -1397,8 +1380,6 @@ class SimulatedLLMEngine:
         tail_tokens = self._tail_tokens(m)
         private_growth = req.output_tokens + (0 if cache_on else prompt_len)
         if bm is not None:
-            if cache_on:
-                m.fork = self.cache.fork_path_bundle(req.prompt_tokens)
             tail = bm.unpark(tail_tokens) if swap else bm.allocate(tail_tokens)
             self._reserved_blocks += (
                 bm.blocks_needed(private_growth) - len(tail.block_ids)
@@ -1504,8 +1485,8 @@ class SimulatedLLMEngine:
     def _release_member(self, m: _Running) -> int:
         """Give back everything a member leaving the batch holds: its
         private-token charge, pin, tail blocks with their undrawn decode
-        reservation, prompt-path fork and tenant quota charge. Returns the
-        tail's KV tokens (:meth:`_tail_tokens`)."""
+        reservation and tenant quota charge. Returns the tail's KV tokens
+        (:meth:`_tail_tokens`)."""
         req = m.request
         final = m.reserved_tokens  # the tail's size once fully decoded
         self._private_tokens -= final
@@ -1530,9 +1511,6 @@ class SimulatedLLMEngine:
                 raise ServingError("decode block reservation went negative")
             bm.release(tail)
             m.tail = None
-        if m.fork is not None:
-            bm.release(m.fork)
-            m.fork = None
         if m.quota_charge:
             bm.uncharge_tenant(req.tenant, m.quota_charge)
             m.quota_charge = 0

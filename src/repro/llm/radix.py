@@ -391,8 +391,7 @@ class RadixPrefixCache:
     def _resolve_end(self, tokens: Tuple[int, ...]) -> Optional[_Node]:
         """Deepest cached node for ``tokens``, via the one-slot insert memo
         when it matches (identity compare — the engine replays the same
-        tuple object through insert/pin/fork_path_bundle), else a path
-        walk."""
+        tuple object through insert/pin), else a path walk."""
         memo = self._last_end
         if memo is not None and memo[0] is tokens and not memo[1].dead:
             return memo[1]
@@ -432,68 +431,6 @@ class RadixPrefixCache:
             if cur.lock_ref < 0:
                 raise ServingError("lock refcount went negative")
             cur = cur.parent
-
-    # ---------------------------------------------------- block ownership
-    def fork_path(self, tokens: Sequence[int]) -> List[BlockAllocation]:
-        """Fork (ref-count-bump) the block allocation of every node on the
-        cached path of ``tokens``, one allocation per node. The engine
-        forks through :meth:`fork_path_bundle`; this per-node form is the
-        reference the bundle is tested against. No-op (empty list) without
-        a block manager."""
-        if self._bm is None:
-            return []
-        if not isinstance(tokens, tuple):
-            tokens = tuple(tokens)
-        forks: List[BlockAllocation] = []
-        cur: Optional[_Node] = self._resolve_end(tokens)
-        while cur is not None and cur is not self.root:
-            if cur.alloc is None:
-                raise ServingError(
-                    f"node {cur.node_id} has no block allocation to fork"
-                )
-            forks.append(self._bm.fork(cur.alloc))
-            cur = cur.parent
-        return forks
-
-    def fork_path_bundle(
-        self, tokens: Sequence[int], anchor=None
-    ) -> Optional[BlockAllocation]:
-        """The engine's one fork per admission — the paged-KV counterpart
-        of :meth:`pin`: the admitted request holds its own reference to
-        each shared block on the cached path of ``tokens``, exactly like a
-        vLLM sequence forked from a cached prefix. The block ids of every
-        node on the path are concatenated and forked by one
-        :meth:`BlockManager.fork_ids` call, so admitting a request builds
-        one allocation instead of one per radix node. The ids form a
-        multiset — a block straddling an edge split belongs to two adjacent
-        nodes and is referenced once per node, exactly as the per-node
-        :meth:`fork_path` reference would. Returns None without a block
-        manager or when nothing of ``tokens`` is cached; the engine
-        releases the bundle when the request leaves the batch.
-        ``anchor`` is an optional live :meth:`pin` ticket on the path of
-        ``tokens``, as for :meth:`insert`: the flat backend walks on from
-        its node; this reference validates it and walks from the root."""
-        if self._bm is None:
-            return None
-        self._check_anchor(anchor, len(tokens))
-        if not isinstance(tokens, tuple):
-            tokens = tuple(tokens)
-        cur: Optional[_Node] = self._resolve_end(tokens)
-        if cur is None:
-            return None
-        ids: List[int] = []
-        n_tokens = 0
-        root = self.root
-        while cur is not None and cur is not root:
-            alloc = cur.alloc
-            if alloc is None:
-                raise ServingError(
-                    f"node {cur.node_id} has no block allocation to fork"
-                )
-            ids += alloc.block_ids
-            n_tokens += alloc.n_tokens
-            cur = cur.parent
-        return self._bm.fork_ids(ids, n_tokens)
 
     # ------------------------------------------------------ legacy walkers
     def path_node_ids(self, tokens: Sequence[int]) -> Set[int]:
@@ -790,8 +727,8 @@ class _FlatRadixCache(RadixPrefixCache):
         self._store_n = 0
         self._lru_head = -1
         self._lru_tail = -1
-        #: One-slot identity memo, as in the node backend: insert -> pin /
-        #: fork of the same tuple object skips the path walk.
+        #: One-slot identity memo, as in the node backend: insert -> pin
+        #: of the same tuple object skips the path walk.
         self._last_end: Optional[Tuple[Tuple[int, ...], int]] = None
         #: One-slot admission cursor left by :meth:`match`: ``(tokens,
         #: node, node_id, pos, end, end_id)`` — the deepest fully matched
@@ -1171,19 +1108,18 @@ class _FlatRadixCache(RadixPrefixCache):
         return out
 
     # ------------------------------------------------------------- pinning
-    def _path_end(
-        self, tokens: Tuple[int, ...], node: int = 0, pos: int = 0
-    ) -> Optional[int]:
-        """Deepest node on the cached path of ``tokens``, walking on from
-        ``node``, whose path spells ``tokens[:pos]`` (the root by
-        default)."""
+    def _path_end(self, tokens: Tuple[int, ...]) -> Optional[int]:
+        """Deepest node on the cached path of ``tokens`` (tolerant walk,
+        like :meth:`path_node_ids`: a partially-matched child counts)."""
         n = len(tokens)
-        last: Optional[int] = node or None
-        if pos == n:
-            return last
+        if n == 0:
+            return None
+        last: Optional[int] = None
         pa, pb = self._probe_arr(tokens, None)
         children = self._children
         elen = self._elen
+        node = 0
+        pos = 0
         while pos < n:
             c = children.get((node, tokens[pos]))
             if c is None:
@@ -1199,8 +1135,7 @@ class _FlatRadixCache(RadixPrefixCache):
             node = c
         return last
 
-    def _resolve_end(self, tokens: Tuple[int, ...], anchor=None) -> Optional[int]:
-        start = None if anchor is None else self._anchor_start(anchor, len(tokens))
+    def _resolve_end(self, tokens: Tuple[int, ...]) -> Optional[int]:
         memo = self._last_end
         if memo is not None and memo[0] is tokens:
             return memo[1]
@@ -1211,8 +1146,6 @@ class _FlatRadixCache(RadixPrefixCache):
                 return None
             if not self._dead[end] and self._nid[end] == cursor[5]:
                 return end
-        if start is not None:
-            return self._path_end(tokens, *start)
         return self._path_end(tokens)
 
     def pin(self, tokens: Sequence[int]):
@@ -1248,51 +1181,6 @@ class _FlatRadixCache(RadixPrefixCache):
             if lock[cur] < 0:
                 raise ServingError("lock refcount went negative")
             cur = parent[cur]
-
-    # ---------------------------------------------------- block ownership
-    def fork_path(self, tokens: Sequence[int]) -> List[BlockAllocation]:
-        if self._bm is None:
-            return []
-        if not isinstance(tokens, tuple):
-            tokens = tuple(tokens)
-        forks: List[BlockAllocation] = []
-        cur = self._resolve_end(tokens)
-        if cur is None:
-            return forks
-        parent = self._parent
-        while cur != 0:
-            alloc = self._allocs[cur]
-            if alloc is None:
-                raise ServingError(
-                    f"node {self._nid[cur]} has no block allocation to fork"
-                )
-            forks.append(self._bm.fork(alloc))
-            cur = parent[cur]
-        return forks
-
-    def fork_path_bundle(
-        self, tokens: Sequence[int], anchor=None
-    ) -> Optional[BlockAllocation]:
-        if self._bm is None:
-            return None
-        if not isinstance(tokens, tuple):
-            tokens = tuple(tokens)
-        cur = self._resolve_end(tokens, anchor)
-        if cur is None:
-            return None
-        ids: List[int] = []
-        n_tokens = 0
-        parent = self._parent
-        while cur != 0:
-            alloc = self._allocs[cur]
-            if alloc is None:
-                raise ServingError(
-                    f"node {self._nid[cur]} has no block allocation to fork"
-                )
-            ids += alloc.block_ids
-            n_tokens += alloc.n_tokens
-            cur = parent[cur]
-        return self._bm.fork_ids(ids, n_tokens)
 
     # ------------------------------------------------------ legacy walkers
     def path_node_ids(self, tokens: Sequence[int]) -> Set[int]:

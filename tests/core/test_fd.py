@@ -1,7 +1,10 @@
 """Tests for functional dependencies and FD mining."""
 
+import pytest
+
 from repro.core.fd import FunctionalDependencies, mine_fds
 from repro.core.table import ReorderTable
+from repro.errors import SolverError
 
 
 class TestFunctionalDependencies:
@@ -56,6 +59,30 @@ class TestMineFds:
             k = f"k{i % 5}"
             rows.append((k, f"name-of-{k}", f"unique-text-{i}"))
         return ReorderTable(("key", "name", "text"), rows)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tolerance": float("nan")},
+            {"tolerance": -0.1},
+            {"tolerance": 1.5},
+            {"tolerance": float("inf")},
+            {"tolerance": "0.1"},
+            {"tolerance": True},
+            {"sample_rows": -1},
+            {"sample_rows": 2.5},
+            {"sample_rows": "10"},
+            {"sample_rows": True},
+            {"sample_rows": None},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()),
+    )
+    def test_invalid_arguments_rejected(self, bad):
+        with pytest.raises(SolverError) as excinfo:
+            mine_fds(self.make_table(), **bad)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert next(iter(bad)) in message
 
     def test_finds_mutual_fd(self):
         fds = mine_fds(self.make_table(), sample_rows=0)

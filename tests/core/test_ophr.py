@@ -93,6 +93,21 @@ class TestLimits:
         with pytest.raises(SolverError):
             ophr(t, max_rows=64, max_fields=16, time_limit_s=0.001)
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), 0, 0.0, -1.0, "1", True], ids=repr
+    )
+    def test_invalid_time_limit_rejected(self, bad):
+        t = ReorderTable(("a",), [("x",), ("y",)])
+        with pytest.raises(SolverError) as excinfo:
+            ophr(t, time_limit_s=bad)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert "time_limit_s" in message
+
+    def test_no_time_limit(self):
+        t = ReorderTable(("a",), [("x",), ("x",)])
+        assert ophr(t, time_limit_s=None)[0] == ophr(t, time_limit_s=60)[0]
+
     def test_brute_force_guard(self):
         t = ReorderTable(
             tuple(f"f{i}" for i in range(4)),

@@ -47,6 +47,14 @@ class TestBasics:
         with pytest.raises(SolverError):
             partitioned_reorder(t, 2, mode="shuffle")
 
+    @pytest.mark.parametrize("bad", [2.5, "2", True, None, -1], ids=repr)
+    def test_non_integer_partition_count_rejected(self, bad):
+        with pytest.raises(SolverError) as excinfo:
+            partitioned_reorder(grouped_table(), n_partitions=bad)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert "n_partitions" in message
+
     def test_more_partitions_than_rows(self):
         t = grouped_table(2, 2)
         res = partitioned_reorder(t, n_partitions=50, mode="range")

@@ -88,48 +88,13 @@ class TestAllocation:
             bm.allocate(-1)
 
 
-class TestForkRelease:
-    def test_fork_shares_blocks(self):
-        bm = BlockManager(capacity_tokens=160, block_tokens=16)
-        a = bm.allocate(32)
-        b = bm.fork(a)
-        assert b.block_ids == a.block_ids
-        assert bm.used_blocks == 2  # shared, not doubled
-        bm.release(a)
-        assert bm.used_blocks == 2  # still referenced by b
-        bm.release(b)
-        assert bm.used_blocks == 0
-        bm.check_invariants()
-
+class TestRelease:
     def test_double_free_rejected(self):
         bm = BlockManager(capacity_tokens=160, block_tokens=16)
         a = bm.allocate(16)
-        b = bm.fork(a)
-        bm.release(a)
-        bm.release(b)
-        with pytest.raises(ServingError):
-            bm.release(b)
-
-    def test_fork_of_freed_rejected(self):
-        bm = BlockManager(capacity_tokens=160, block_tokens=16)
-        a = bm.allocate(16)
-        keep = bm.fork(a)
-        bm.release(a)
-        bm.release(keep)
-        with pytest.raises(ServingError):
-            bm.fork(keep)
-
-    def test_fork_after_release_rejected(self):
-        """Forking a released allocation must fail even while its blocks
-        are still live through another reference."""
-        bm = BlockManager(capacity_tokens=160, block_tokens=16)
-        a = bm.allocate(32)
-        keep = bm.fork(a)
         bm.release(a)
         with pytest.raises(ServingError):
-            bm.fork(a)  # a is released; keep still holds the blocks
-        assert bm.used_blocks == 2
-        bm.release(keep)
+            bm.release(a)
         bm.check_invariants()
 
 
@@ -243,24 +208,10 @@ class TestSplit:
         assert bm.used_blocks == 0
         bm.check_invariants()
 
-    def test_split_preserves_forked_references(self):
-        """A fork taken before the split stays valid: same block ids, own
-        refcounts."""
-        bm = BlockManager(capacity_tokens=160, block_tokens=16)
-        a = bm.allocate(40)
-        clone = bm.fork(a)
-        head, tail = bm.split(a, 18)
-        bm.release(head)
-        bm.release(tail)
-        assert bm.used_blocks == 3  # clone still holds all three
-        bm.release(clone)
-        assert bm.used_blocks == 0
-        bm.check_invariants()
-
 
 class TestRandomizedChurn:
     @pytest.mark.parametrize("seed", range(5))
-    def test_alloc_fork_grow_release_churn(self, seed):
+    def test_alloc_grow_split_release_churn(self, seed):
         """Random interleaving of every operation, invariants checked after
         each one; ends fully drained."""
         rng = random.Random(seed)
@@ -268,16 +219,14 @@ class TestRandomizedChurn:
         live = []
         for _ in range(300):
             op = rng.random()
-            if op < 0.35 or not live:
+            if op < 0.4 or not live:
                 n = rng.randrange(0, 40)
                 if bm.can_allocate(n):
                     live.append(bm.allocate(n))
                 else:
                     with pytest.raises(CapacityError):
                         bm.allocate(n)
-            elif op < 0.55:
-                live.append(bm.fork(rng.choice(live)))
-            elif op < 0.75:
+            elif op < 0.65:
                 a = rng.choice(live)
                 extra = rng.randrange(0, 24)
                 if bm.blocks_needed(a.start_offset + a.n_tokens + extra) - len(
@@ -287,7 +236,7 @@ class TestRandomizedChurn:
                 else:
                     with pytest.raises(CapacityError):
                         bm.grow(a, extra)
-            elif op < 0.9:
+            elif op < 0.85:
                 bm.release(live.pop(rng.randrange(len(live))))
             else:
                 a = live.pop(rng.randrange(len(live)))
@@ -313,20 +262,5 @@ class TestProperties:
         assert bm.used_blocks == sum(bm.blocks_needed(s) for s in sizes)
         for a in allocs:
             bm.release(a)
-        assert bm.used_blocks == 0
-        bm.check_invariants()
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8),
-           st.integers(min_value=0, max_value=7))
-    def test_fork_refcount_consistency(self, sizes, fork_idx):
-        bm = BlockManager(capacity_tokens=3200, block_tokens=16)
-        allocs = [bm.allocate(s) for s in sizes]
-        idx = fork_idx % len(allocs)
-        clone = bm.fork(allocs[idx])
-        for a in allocs:
-            bm.release(a)
-        assert bm.used_blocks == len(clone.block_ids)
-        bm.release(clone)
         assert bm.used_blocks == 0
         bm.check_invariants()

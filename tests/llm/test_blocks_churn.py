@@ -1,10 +1,10 @@
-"""Randomized churn over the BlockManager: fork/split/grow/release
+"""Randomized churn over the BlockManager: split/grow/release
 interleaved with preempt-swap park/unpark and tenant quota
 charge/uncharge, with the full invariant check after **every** op.
 
 The engine drives the allocator through exactly these interleavings once
 preemption is on — a victim's tail is parked mid-decode while radix
-eviction releases shared path blocks and a re-admission forks them back.
+eviction releases path blocks and a re-admission swaps the tail back in.
 This suite removes the engine from the loop and hammers the allocator
 directly, ending every sequence by draining to a full free pool (nothing
 leaked, nothing invented).
@@ -41,17 +41,13 @@ class Churner:
             with pytest.raises(CapacityError):
                 self.bm.allocate(n)
 
-    def op_fork(self):
-        if self.live:
-            self.live.append(self.bm.fork(self.rng.choice(self.live)))
-
     def op_split(self):
         candidates = [a for a in self.live if a.n_tokens >= 2]
         if not candidates:
             return
         alloc = self.rng.choice(candidates)
         # Remove by identity: BlockAllocation is a dataclass, so
-        # list.remove() would match any field-equal fork instead of the
+        # list.remove() would match any field-equal allocation instead of the
         # allocation split() actually consumed.
         self.live = [a for a in self.live if a is not alloc]
         cut = self.rng.randrange(1, alloc.n_tokens)
@@ -123,7 +119,6 @@ class Churner:
 
     OPS = (
         op_allocate,
-        op_fork,
         op_split,
         op_grow,
         op_release,

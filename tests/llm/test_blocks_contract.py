@@ -2,9 +2,9 @@
 
 Hypothesis drives a ``BlockManager`` and a plain model of it — a dict of
 per-block refcounts (a block is free exactly when it has none), a parked
-token count and a per-tenant charge ledger — through allocate, fork,
-``fork_ids`` over multisets of ids, split (mid-block and on a block
-edge), grow, release, park/unpark and tenant charge/uncharge, including
+token count and a per-tenant charge ledger — through allocate, split
+(mid-block and on a block edge), grow, release, park/unpark and tenant
+charge/uncharge, including
 every misuse the manager must refuse. After every rule both must agree
 on the outcome (the same result, or the same ``CapacityError`` /
 ``ServingError`` with nothing changed), on ``free_blocks``, on every
@@ -46,7 +46,6 @@ class BlocksContract(RuleBasedStateMachine):
         self.n_blocks = n_blocks
         self.refs = {}  # the model: block id -> references held
         self.live = []  # allocations we own
-        self.bundles = []  # fork_ids multisets we own
         self.dead = []  # released or consumed allocations
         self.parked = 0
         self.charged = {t: 0 for t in TENANTS}
@@ -92,55 +91,6 @@ class BlocksContract(RuleBasedStateMachine):
             assert (alloc.n_tokens, alloc.start_offset) == (n, 0)
             self.take_fresh(alloc.block_ids, self.need(n))
             self.live.append(alloc)
-
-    @precondition(lambda self: self.live)
-    @rule(i=st.integers(0, 63))
-    def fork(self, i):
-        src = self.live[i % len(self.live)]
-        copy = self.bm.fork(src)
-        assert copy.block_ids == src.block_ids
-        assert copy.block_ids is not src.block_ids
-        assert copy.n_tokens == src.n_tokens
-        assert copy.start_offset == src.start_offset
-        for b in src.block_ids:
-            self.refs[b] += 1
-        self.live.append(copy)
-
-    @rule(
-        picks=st.lists(st.integers(0, 63), max_size=4),
-        freed_at=st.one_of(st.none(), st.integers(0, 63)),
-    )
-    def fork_ids(self, picks, freed_at):
-        """Fork a concatenation of live allocations' ids, as the radix
-        path walk does — repeats when an allocation is picked twice or
-        shares a straddle block with another — optionally with a freed id
-        planted in it, which must fail with every refcount untouched."""
-        ids, n_tokens = [], 0
-        for p in picks if self.live else ():
-            alloc = self.live[p % len(self.live)]
-            ids += alloc.block_ids
-            n_tokens += alloc.n_tokens
-        freed = [b for b in range(self.n_blocks) if b not in self.refs]
-        if freed_at is not None and freed:
-            ids.insert(freed_at % (len(ids) + 1), freed[freed_at % len(freed)])
-            with pytest.raises(ServingError):
-                self.bm.fork_ids(ids, n_tokens)
-            return
-        bundle = self.bm.fork_ids(ids, n_tokens)
-        assert bundle.block_ids == ids and bundle.n_tokens == n_tokens
-        for b in ids:
-            self.refs[b] += 1
-        # A bundle's ids are a multiset, not a token layout: it is only
-        # ever released, never split or grown.
-        self.bundles.append(bundle)
-
-    @precondition(lambda self: self.bundles)
-    @rule(i=st.integers(0, 63))
-    def release_bundle(self, i):
-        bundle = self.bundles.pop(i % len(self.bundles))
-        self.bm.release(bundle)
-        self.drop(bundle.block_ids)
-        self.dead.append(bundle)
 
     @precondition(lambda self: self.live)
     @rule(i=st.integers(0, 63), where=st.integers(0, 63), on_edge=st.booleans())
@@ -203,7 +153,7 @@ class BlocksContract(RuleBasedStateMachine):
     @precondition(lambda self: self.dead)
     @rule(
         i=st.integers(0, 63),
-        op=st.sampled_from(["release", "fork", "split", "grow", "park"]),
+        op=st.sampled_from(["release", "split", "grow", "park"]),
     )
     def misuse_dead(self, i, op):
         """Every operation on a released or split-consumed allocation is

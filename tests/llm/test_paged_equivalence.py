@@ -209,7 +209,7 @@ class TestPagedBlockGranularity:
 
     def test_shared_prefix_blocks_counted_once(self):
         """N requests over one shared prompt: the shared blocks are charged
-        once (fork refs), not N times."""
+        once (one radix path), not N times."""
         shared = tuple(range(160))  # exactly 10 blocks of 16
         reqs = [Request(i, shared, 1) for i in range(6)]
         _, (res,) = run_accounting(fresh(reqs), "paged", "vector", block_tokens=16)

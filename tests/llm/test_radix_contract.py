@@ -2,9 +2,8 @@
 
 Hypothesis drives the flat backend and its node-tree reference in
 lockstep, each over its own ``BlockManager``: inserts (including pool
-exhaustion), side-effecting and side-effect-free probes, pins, eviction
-in both units with protected paths, and block-bundle forks and releases.
-Compound rules replay the engine's admission and chunk sequences on one
+exhaustion), side-effecting and side-effect-free probes, pins, and
+eviction in both units with protected paths. Compound rules replay the engine's admission and chunk sequences on one
 tuple object, so the flat backend's match cursor and pin-ticket insert
 anchors run against the reference's plain root walks: match → evict
 (prefix protected) → insert, insert with an anchor → pin roll-forward,
@@ -55,7 +54,6 @@ class RadixContract(RuleBasedStateMachine):
             for backend, pool in zip(("flat", "node"), self.pools)
         )
         self.pins = []
-        self.bundles = []
 
     def both(self, op):
         """Apply ``op`` to (flat, node); their results must be equal."""
@@ -114,38 +112,6 @@ class RadixContract(RuleBasedStateMachine):
     def evict(self, n, unit, protected):
         self.both(lambda c: c.evict(n, protected=protected, unit=unit))
 
-    @rule(toks=TOKENS)
-    def fork_path_bundle(self, toks):
-        bundles = [c.fork_path_bundle(toks) for c in self.caches]
-        shapes = [
-            None if b is None else (sorted(b.block_ids), b.n_tokens)
-            for b in bundles
-        ]
-        assert shapes[0] == shapes[1]
-        # The per-node forks are the reference: the bundle holds exactly
-        # their references, one per block occurrence.
-        for pool, cache, shape in zip(self.pools, self.caches, shapes):
-            forks = cache.fork_path(toks)
-            assert shape == (
-                None
-                if not forks
-                else (
-                    sorted(b for f in forks for b in f.block_ids),
-                    sum(f.n_tokens for f in forks),
-                )
-            )
-            for f in forks:
-                pool.release(f)
-        if bundles[0] is not None:
-            self.bundles.append(bundles)
-
-    @precondition(lambda self: self.bundles)
-    @rule(i=st.integers(0, 7))
-    def release_bundle(self, i):
-        bundles = self.bundles.pop(i % len(self.bundles))
-        for pool, bundle in zip(self.pools, bundles):
-            pool.release(bundle)
-
     @rule(
         toks=TOKENS,
         n=st.integers(1, 40),
@@ -189,14 +155,12 @@ class RadixContract(RuleBasedStateMachine):
     def chunk_roll_forward(self, toks, a, b):
         """The engine's chunked prefill: cache and pin a prefix, then
         cache a longer prefix anchored at that pin, pin it and release
-        the old pin. One slice object serves each insert and its pin.
-        The new pin then anchors the block fork of an equal (but not
-        identical) tuple, as when the last chunk settles."""
+        the old pin. One slice object serves each insert and its pin."""
         first = toks[:a]
         second = toks[: a + b]
         if not first:
             return
-        results, tickets, bundles = [], [], []
+        results, tickets = [], []
         for cache in self.caches:
             try:
                 cache.insert(first)
@@ -213,14 +177,10 @@ class RadixContract(RuleBasedStateMachine):
             new = cache.pin(second)
             cache.unpin(ticket)
             tickets.append(new)
-            bundles.append(cache.fork_path_bundle(tuple(list(second)), anchor=new))
             results.append(added)
         assert results[0] == results[1]
         if len(tickets) == 2:
             self.pins.append(tickets)
-            shapes = [(sorted(b.block_ids), b.n_tokens) for b in bundles]
-            assert shapes[0] == shapes[1]
-            self.bundles.append(bundles)
 
     @invariant()
     def backends_agree(self):
@@ -266,18 +226,6 @@ class TestInsertAnchor:
         ticket = cache.pin((1, 2, 3))
         with pytest.raises(ServingError, match="past the 2-token probe"):
             cache.insert((1, 2), anchor=ticket)
-        with pytest.raises(ServingError, match="past the 2-token probe"):
-            cache.fork_path_bundle((1, 2), anchor=ticket)
-
-    def test_stale_fork_anchor_rejected(self, backend):
-        cache = RadixPrefixCache(
-            backend=backend, block_manager=BlockManager(16, 2)
-        )
-        cache.insert((1, 2, 3))
-        ticket = cache.pin((1, 2, 3))
-        cache.unpin(ticket)
-        with pytest.raises(ServingError, match="not a live pin ticket"):
-            cache.fork_path_bundle((1, 2, 3), anchor=ticket)
 
     def test_anchored_insert_extends_pinned_path(self, backend):
         cache = RadixPrefixCache(backend=backend)

@@ -249,33 +249,6 @@ class TestRandomizedOpEquivalence:
                 c.check_invariants()
             assert_counters_agree(caches)
 
-    def test_fork_paths_agree(self):
-        rng = random.Random(31)
-        flat = RadixPrefixCache(backend="flat", block_manager=BlockManager(512, 4))
-        node = RadixPrefixCache(backend="node", block_manager=BlockManager(512, 4))
-        for _ in range(60):
-            toks = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 20)))
-            try:
-                a = flat.insert(toks)
-                b = node.insert(toks)
-                assert a == b
-            except CapacityError:
-                continue
-            ff = flat.fork_path(toks)
-            nf = node.fork_path(toks)
-            assert [f.block_ids for f in ff] == [f.block_ids for f in nf]
-            assert [f.n_tokens for f in ff] == [f.n_tokens for f in nf]
-            fb = flat.fork_path_bundle(toks)
-            nb = node.fork_path_bundle(toks)
-            assert (fb is None) == (nb is None)
-            if fb is not None:
-                assert sorted(fb.block_ids) == sorted(nb.block_ids)
-                assert fb.n_tokens == nb.n_tokens
-            for f in ff + nf + ([fb, nb] if fb is not None else []):
-                (flat._bm if f in ff or f is fb else node._bm).release(f)
-            flat.check_invariants()
-            node.check_invariants()
-
 
 class TestFlatPinning:
     def test_double_unpin_raises(self):

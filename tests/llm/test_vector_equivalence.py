@@ -154,8 +154,8 @@ class TestVectorVsStepwise:
 
     @pytest.mark.parametrize("seed", [*range(6), *range(8000, 8003)])
     def test_paged_accounting(self, seed):
-        """Block-granular admission: bundle forks, straddle-shared split
-        blocks, and block-denominated eviction."""
+        """Block-granular admission: straddle-shared split blocks and
+        block-denominated eviction."""
         rng = random.Random(2000 + seed)
         reqs = random_workload(rng, n_requests=30)
         assert_vector_matches_stepwise(
