@@ -245,7 +245,8 @@ class _Running:
     #: Paged accounting only: the private tail allocation decode tokens
     #: grow into (plus the whole prompt when the prefix cache is off),
     #: released when the member leaves the batch. The prompt's blocks
-    #: belong to its radix path, which the pin keeps resident.
+    #: belong to its radix path, which the pin (or the stepwise loop's
+    #: protection list) keeps resident.
     tail: Optional[BlockAllocation] = None
     #: Continuous-batching lifecycle state. ``in_decode`` marks membership
     #: in the engine's preemption-victim list; ``admit_step`` is the global
