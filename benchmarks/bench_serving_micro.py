@@ -16,11 +16,15 @@ import time
 
 from conftest import perf_record, run_once
 
+from repro.bench.queries import get_query
+from repro.core.reorder import reorder
+from repro.data import build_dataset
 from repro.llm.client import SimulatedLLMClient
 from repro.llm.encode_cache import EncodeCache
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
+from repro.llm.prompts import build_prompt, encode_rows
 from repro.llm.radix import RadixPrefixCache, pack_tokens
 from repro.llm.request import Request
 from repro.llm.tokenizer import HashTokenizer
@@ -372,6 +376,14 @@ def bench_client_repeat_prompt_tokenization(benchmark):
     assert total > 0
 
 
+#: The GGR-ordered query streams of the encode benchmarks: the filter query
+#: of each table dataset and both RAG queries.
+ENCODE_QUERIES = (
+    "movies-T1", "products-T1", "bird-T1", "pdmx-T1", "beer-T1",
+    "fever-T5", "squad-T5",
+)
+
+
 def bench_client_segment_encode_speedup(benchmark, repro_scale):
     """Cold encode of GGR-ordered prompt streams (the filter query of each
     table dataset and both RAG queries, one batch each) through the client
@@ -385,10 +397,7 @@ def bench_client_segment_encode_speedup(benchmark, repro_scale):
     interleaved rounds is used, as in the replay benchmark above."""
     streams = [
         tenant_prompts(TenantSpec(q, q, "ggr"), scale=repro_scale)[0]
-        for q in (
-            "movies-T1", "products-T1", "bird-T1", "pdmx-T1", "beer-T1",
-            "fever-T5", "squad-T5",
-        )
+        for q in ENCODE_QUERIES
     ]
 
     def segment_path():
@@ -427,3 +436,61 @@ def bench_client_segment_encode_speedup(benchmark, repro_scale):
     benchmark.extra_info["speedup_segment_over_whole"] = round(ratio, 3)
     assert ratio >= 1.5
     perf_record("serving", "encode_segment_speedup", ratio, ">= 1.5")
+
+
+def bench_client_prompt_ids_speedup(benchmark, repro_scale):
+    """The LLM operator's prompt assembly, ``encode_rows`` (token ids built
+    cell by cell from the schedule, no prompt text), against the
+    whole-prompt oracle, ``build_prompt`` + ``HashTokenizer.encode`` +
+    ``pack_tokens``, on the query streams of the segment benchmark above,
+    one batch per query. Ids, packed bytes and vocabulary must be
+    identical, and the id path >=1.5x faster (``prompt_ids_speedup`` in
+    ``BENCH_serving.json``).
+
+    Each side gets a fresh tokenizer per round; the minimum of 3
+    interleaved rounds is used."""
+    streams = []
+    for query_id in ENCODE_QUERIES:
+        query = get_query(query_id)
+        ds = build_dataset(query.dataset, scale=repro_scale, seed=0)
+        fields = None if "*" in query.fields else list(query.fields)
+        result = reorder(
+            ds.table.to_reorder_table(fields), policy="ggr", fds=ds.fds,
+            validate=False,
+        )
+        streams.append((query.prompt, [row.cells for row in result.schedule.rows]))
+
+    def id_path():
+        tok = HashTokenizer()
+        out = []
+        for query, rows in streams:
+            out += encode_rows(tok, query, rows)
+        return out, tok._id_to_piece
+
+    def whole_prompt_oracle():
+        tok = HashTokenizer()
+        out = []
+        for query, rows in streams:
+            for cells in rows:
+                ids = tuple(tok.encode(build_prompt(query, cells)))
+                out.append((ids, pack_tokens(ids)))
+        return out, tok._id_to_piece
+
+    def work():
+        best = {}
+        results = {}
+        for _ in range(3):
+            for name, fn in (("ids", id_path), ("whole", whole_prompt_oracle)):
+                t0 = time.perf_counter()
+                results[name] = fn()
+                dt = time.perf_counter() - t0
+                best[name] = min(dt, best.get(name, dt))
+        return best, results
+
+    best, results = run_once(benchmark, work)
+    assert results["ids"] == results["whole"]
+    ratio = best["whole"] / best["ids"]
+    benchmark.extra_info["prompts"] = sum(len(rows) for _, rows in streams)
+    benchmark.extra_info["speedup_ids_over_whole"] = round(ratio, 3)
+    assert ratio >= 1.5
+    perf_record("serving", "prompt_ids_speedup", ratio, ">= 1.5")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 from repro.bench.policies import Policy
@@ -42,8 +43,11 @@ class WorkloadAnswerer:
         self.dataset = dataset
         self.query = query
         self.seed = seed
-        self._tg = TextGenerator(seed=seed, domain=f"answers-{dataset.name}")
         self._out_tokens = dataset.output_tokens.get(query.output_type, 8)
+
+    @cached_property
+    def _tg(self) -> TextGenerator:  # T1, T4 and label T5 answers never read it
+        return TextGenerator(seed=self.seed, domain=f"answers-{self.dataset.name}")
 
     def sentiment(self, row_id: int) -> str:
         return "NEGATIVE" if _uniform("sent", self.seed, row_id) < 0.45 else "POSITIVE"

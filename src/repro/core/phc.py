@@ -100,26 +100,24 @@ class _ScheduleEncoding:
     def __init__(self, rows: List[CellRow], mode: MatchMode):
         n = len(rows)
         width = max((len(r) for r in rows), default=0)
-        ids = np.empty((n, width), dtype=np.int64)
-        sq = np.zeros((n, width), dtype=np.int64)
-        tok = np.zeros((n, width), dtype=np.int64)
+        by_cell = mode == "cell"
+        ids, sq, tok = [], [], []  # row-major, shaped into matrices below
         codebook: dict = {}
         for i, row in enumerate(rows):
-            # Per-row sentinel: padded tails of adjacent rows never match.
-            ids[i, len(row):] = -(i + 1)
-            for j, cell in enumerate(row):
-                key = (cell.field, cell.value) if mode == "cell" else cell.value
-                code = codebook.get(key)
-                if code is None:
-                    code = len(codebook)
-                    codebook[key] = code
-                ids[i, j] = code
+            for cell in row:
+                key = (cell.field, cell.value) if by_cell else cell.value
+                ids.append(codebook.setdefault(key, len(codebook)))
                 lv = len(cell.value)
-                sq[i, j] = lv * lv
-                tok[i, j] = (len(cell.field) + lv + 3) // 4 + 1
-        self.ids = ids
-        self.sq = sq
-        self.tok = tok
+                sq.append(lv * lv)
+                tok.append((len(cell.field) + lv + 3) // 4 + 1)
+            # Per-row sentinel: padded tails of adjacent rows never match.
+            pad = width - len(row)
+            ids += [-(i + 1)] * pad
+            sq += [0] * pad
+            tok += [0] * pad
+        self.ids, self.sq, self.tok = (
+            np.array(a, dtype=np.int64).reshape(n, width) for a in (ids, sq, tok)
+        )
 
     def prefix_run(self) -> "np.ndarray":
         """Boolean (n-1, width) matrix: position still inside the matched

@@ -113,14 +113,13 @@ def requests_from_trace(
 class SimulatedLLMClient:
     """Batch-generation client backed by :class:`SimulatedLLMEngine`.
 
-    ``encode`` and ``count_tokens`` results are cached per prompt string in
-    the tokenizer's shared :class:`~repro.llm.encode_cache.EncodeCache`
-    (bounded, LRU): every consumer of the same tokenizer — this client,
-    other clients the bench runner spins up, a cluster's replicas —
-    encodes each distinct prompt once. A fresh engine that keeps the
-    cache is ``SimulatedLLMClient(tokenizer=old.tokenizer)``.
-    A prompt that misses is tokenized by segment, and each distinct segment
-    once per :meth:`generate` or :meth:`generate_trace` batch.
+    Prompt strings and output texts are encoded through the tokenizer's
+    shared :class:`~repro.llm.encode_cache.EncodeCache` (bounded, LRU), so
+    every consumer of one tokenizer encodes each distinct string once; a
+    fresh engine that keeps the cache is
+    ``SimulatedLLMClient(tokenizer=old.tokenizer)``. :meth:`generate_encoded`
+    takes prompts already encoded, as the LLM operator assembles them
+    (:func:`~repro.llm.prompts.encode_rows`).
     """
 
     def __init__(
@@ -137,11 +136,6 @@ class SimulatedLLMClient:
         self.engine = SimulatedLLMEngine(model=model, cluster=cluster, config=self.engine_config)
         self._next_id = 0
         self._encode_cache = encode_cache_for(self.tokenizer)
-
-    def count_tokens(self, text: str) -> int:
-        """Cached token count of ``text`` — the public counting API used
-        by the LLM operator's dedup/telemetry accounting."""
-        return self._count_cached(text)
 
     def _count_cached(self, text: str) -> int:
         return self._encode_cache.count(self.tokenizer, text)
@@ -168,9 +162,31 @@ class SimulatedLLMClient:
         or just their lengths (``output_lens``). Decode time is charged for
         the corresponding number of tokens either way.
         """
-        if outputs is not None and len(outputs) != len(prompts):
+        segments: Dict[str, List[int]] = {}  # this batch's segment memo
+        encoded = []
+        for i, prompt in enumerate(prompts):
+            # Checked here, not deep in the tokenizer or the engine, so bad
+            # input fails with a one-line ServingError before anything runs.
+            if not isinstance(prompt, str):
+                raise ServingError(
+                    f"prompts[{i}] must be a str, got {type(prompt).__name__}"
+                )
+            encoded.append(self._encode_cache.encode(self.tokenizer, prompt, segments))
+        del segments  # free the memo before the replay, where memory peaks
+        return self.generate_encoded(encoded, outputs, output_lens, default_output_len)
+
+    def generate_encoded(
+        self,
+        encoded: Sequence[Tuple[Tuple[int, ...], Optional[bytes]]],
+        outputs: Optional[Sequence[str]] = None,
+        output_lens: Optional[Sequence[int]] = None,
+        default_output_len: int = 16,
+    ) -> BatchResult:
+        """:meth:`generate` for prompts given as ``(token ids, packed
+        bytes)`` pairs of this client's tokenizer."""
+        if outputs is not None and len(outputs) != len(encoded):
             raise ServingError("outputs must align with prompts")
-        if output_lens is not None and len(output_lens) != len(prompts):
+        if output_lens is not None and len(output_lens) != len(encoded):
             raise ServingError("output_lens must align with prompts")
 
         requests: List[Request] = []
@@ -179,15 +195,7 @@ class SimulatedLLMClient:
         # clock keeps queueing/TTFT/E2E latencies batch-relative when a
         # long-lived engine serves successive jobs.
         base = self.engine.clock
-        cache, tokenizer = self._encode_cache, self.tokenizer
-        segments: Dict[str, List[int]] = {}  # this batch's segment memo
-        for i, prompt in enumerate(prompts):
-            # Checked here, not deep in the tokenizer or the engine, so bad
-            # input fails with a one-line ServingError before anything runs.
-            if not isinstance(prompt, str):
-                raise ServingError(
-                    f"prompts[{i}] must be a str, got {type(prompt).__name__}"
-                )
+        for i, (ids, packed) in enumerate(encoded):
             if outputs is not None:
                 text = outputs[i]
                 if not isinstance(text, str):
@@ -206,7 +214,6 @@ class SimulatedLLMClient:
                 text = ""
                 n_out = default_output_len
             out_texts.append(text)
-            ids, packed = cache.encode(tokenizer, prompt, segments)
             requests.append(
                 Request(
                     request_id=self._next_id + i,
@@ -217,7 +224,6 @@ class SimulatedLLMClient:
                     arrival_s=base,
                 )
             )
-        del segments  # free the memo before the replay, where memory peaks
         self._next_id += len(requests)
 
         self.engine.submit_all(requests)

@@ -1,28 +1,23 @@
 """Shared, bounded prompt-encode cache, attached per tokenizer.
 
-Benchmark replays send the same prompt strings over and over — across
-invocations of a multi-stage query, across scheduling policies, across
-repeated jobs — and re-tokenizing (and re-packing) them dominated replay
-setup time. Each :class:`~repro.llm.tokenizer.HashTokenizer` carries at
-most one :class:`EncodeCache`; every consumer holding the same tokenizer
-(clients, cluster engines, the bench runner's per-policy clients) shares
-it, so a prompt is encoded once per *tokenizer* rather than once per
-consumer. A fresh client built on an old client's tokenizer
-(``SimulatedLLMClient(tokenizer=old.tokenizer)``) gets a new engine and
-keeps the cache.
+Trace replays send the same prompt strings over and over — across
+scheduling policies, replicas and repeated jobs — and output texts are
+counted the same way. Each :class:`~repro.llm.tokenizer.HashTokenizer`
+carries at most one :class:`EncodeCache`, shared by every consumer of
+that tokenizer (clients, cluster engines, a fresh client built with
+``SimulatedLLMClient(tokenizer=old.tokenizer)``), so a string is encoded
+once per tokenizer. The LLM operator does not go through it: it assembles
+its prompts' ids from the schedule (:func:`repro.llm.prompts.encode_rows`).
 
 Caching is exact: the tokenizer's incremental vocabulary gives a fixed
 string the same ids on every call, and returning the *same* tuple object
 for a repeated prompt lets the radix cache reuse its packed probe across
 the match/insert/pin calls of identical prompts.
 
-A prompt that misses is not tokenized whole. Rows that reordering puts
-next to each other repeat most of their cells, so :meth:`EncodeCache.encode`
-cuts the prompt into segments — before the ``{"`` that opens the JSON row
-and before the ``,`` of every ``, "`` — and tokenizes only the segments
-missing from a per-batch segment memo (see :func:`prompt_segments` for why
-joining the segment ids is exact).
-
+A prompt that misses is tokenized by segment — before the ``{"`` that
+opens the JSON row and before the ``,`` of every ``, "`` — and only the
+segments missing from a per-batch segment memo are tokenized (see
+:func:`prompt_segments` for why joining the segment ids is exact).
 Eviction is LRU, and hit/miss/eviction counts are kept for telemetry.
 """
 

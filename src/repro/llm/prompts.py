@@ -6,20 +6,21 @@ request schedule — that is how the reordering algorithms control prefix
 sharing. The header is identical for every row of a query, so it is the
 first (and for unordered data often the only) shared prefix.
 
-The client tokenizes a prompt in segments (``encode_cache.prompt_segments``):
-the header up to the row's opening ``{"``, then one segment per ``, "``-led
-field. Exactness does not depend on this format, since any cut right before
-``{`` or ``,`` is exact. Reuse does: :func:`escape_json_string` escapes
-every ``"`` in field names and values, so ``{"`` and ``, "`` occur in the
-row only where :func:`render_cells` puts them, and a repeated cell yields a
-repeated segment.
+The LLM operator never builds these strings: :func:`encode_rows` assembles
+each row's ids from the header's and one memoized encoding per distinct cell
+segment (``{"f": "v"`` for the first cell, ``, "f": "v"`` after it, then
+``}``). Every cut falls right before ``{``, ``,`` or ``}``, which is exact
+(see :mod:`repro.llm.tokenizer`). Since :func:`escape_json_string` escapes
+every ``"``, a repeated cell yields a repeated segment. :func:`build_prompt`
+renders the prompt as text: the reference the id path is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.table import Cell
+from repro.llm.radix import pack_tokens
 
 #: Appendix C system prompt, verbatim modulo whitespace normalization.
 SYSTEM_TEMPLATE = (
@@ -52,3 +53,40 @@ def render_cells(cells: Iterable[Cell]) -> str:
 def build_prompt(query: str, cells: Sequence[Cell]) -> str:
     """Full prompt for one row: header + JSON-encoded row data."""
     return SYSTEM_TEMPLATE.format(query=query) + render_cells(cells)
+
+
+def encode_rows(
+    tokenizer, query: str, rows: Sequence[Sequence[Cell]]
+) -> List[Tuple[Tuple[int, ...], bytes]]:
+    """``(ids, packed)`` of ``build_prompt(query, cells)`` for each row,
+    equal to a whole-prompt encode of each in turn (vocabulary included),
+    with the header and each distinct cell segment tokenized once."""
+    # (ids, packed) by key: None for the header, (lead, field, value) for a
+    # cell, the text itself for the closing "}" (or "{}" of an empty row).
+    # Packing is fixed-width, so a row's packed bytes are its segments'.
+    memo: Dict[object, Tuple[List[int], bytes]] = {}
+
+    def segment(key: object, text: str) -> Tuple[List[int], bytes]:
+        ids = tokenizer.encode(text)
+        seg = memo[key] = (ids, pack_tokens(ids))
+        return seg
+
+    out = []
+    for cells in rows:
+        seg = memo.get(None) or segment(None, SYSTEM_TEMPLATE.format(query=query))
+        ids, packed, lead = seg[0].copy(), [seg[1]], '{"'
+        for c in cells:
+            key = (lead, c.field, c.value)
+            seg = memo.get(key) or segment(
+                key,
+                f'{lead}{escape_json_string(c.field)}": "{escape_json_string(c.value)}"',
+            )
+            ids += seg[0]
+            packed.append(seg[1])
+            lead = ', "'
+        close = "}" if cells else "{}"
+        seg = memo.get(close) or segment(close, close)
+        ids += seg[0]
+        packed.append(seg[1])
+        out.append((tuple(ids), b"".join(packed)))
+    return out

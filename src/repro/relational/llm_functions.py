@@ -13,7 +13,8 @@ query. It:
    rows (§3's input dedup optimization);
 4. runs the configured reordering policy (GGR by default, with the source
    table's functional dependencies) over the distinct rows;
-5. serializes one JSON prompt per scheduled row (Appendix C format);
+5. encodes one JSON prompt per scheduled row (Appendix C format) as
+   token ids, without building its text (:func:`~repro.llm.prompts.encode_rows`);
 6. obtains the answer text for each row from the ``answerer`` — the
    simulated model behaviour supplied by the dataset/task (or a judge for
    accuracy studies, which sees the *scheduled* cell order, so position
@@ -46,7 +47,7 @@ from repro.core.table import Cell, ReorderTable, Row
 from repro.llm.client import SimulatedLLMClient
 from repro.llm.costmodel import estimate_tokens
 from repro.llm.engine import EngineResult
-from repro.llm.prompts import build_prompt
+from repro.llm.prompts import build_prompt, encode_rows
 from repro.relational.expressions import LLMExpr
 from repro.relational.table import Table
 
@@ -175,11 +176,6 @@ class LLMRuntime:
         default_factory=AnswerMemoStore, repr=False
     )
 
-    def _count_tokens(self, text: str) -> int:
-        if self.client is not None:
-            return self.client.count_tokens(text)
-        return estimate_tokens(len(text))
-
     def execute(
         self,
         table: Table,
@@ -248,28 +244,31 @@ class LLMRuntime:
             validate=self.validate,
         )
 
-        prompts: List[str] = []
-        answers_scheduled: List[str] = []
-        for row in result.schedule.rows:
-            prompts.append(build_prompt(expr.query, row.cells))
-            answers_scheduled.append(
-                self.answerer(expr.query, row.cells, reps[row.row_id])
-            )
+        rows = result.schedule.rows
+        answers_scheduled = [
+            self.answerer(expr.query, row.cells, reps[row.row_id]) for row in rows
+        ]
 
         engine_result = None
-        if self.client is not None and prompts:
-            batch = self.client.generate(prompts, outputs=answers_scheduled)
-            engine_result = batch.engine_result
+        if self.client is None:
+            prompt_tokens = [
+                estimate_tokens(len(build_prompt(expr.query, row.cells))) for row in rows
+            ]
+        else:
+            encoded = encode_rows(self.client.tokenizer, expr.query, [r.cells for r in rows])
+            prompt_tokens = [len(ids) for ids, _ in encoded]
+            if encoded:
+                batch = self.client.generate_encoded(encoded, outputs=answers_scheduled)
+                engine_result = batch.engine_result
 
         # 4. Scatter each distinct answer to every row of its group and
         # remember it for later calls.
         scheduled_tokens = 0
         dedup_saved = 0
-        for row, prompt, text in zip(result.schedule.rows, prompts, answers_scheduled):
+        for row, n_tokens, text in zip(rows, prompt_tokens, answers_scheduled):
             group = groups[row.row_id]
             for i in group:
                 answers[i] = text
-            n_tokens = self._count_tokens(prompt)
             scheduled_tokens += n_tokens
             dedup_saved += (len(group) - 1) * n_tokens
             if memo_on:

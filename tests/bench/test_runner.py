@@ -1,6 +1,7 @@
 """Tests for the benchmark runner and workload answerer."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -60,6 +61,36 @@ class TestWorkloadAnswerer:
         lens = [tok.count(ans(q.prompt, (), i)) for i in range(20)]
         target = movies.output_tokens["T2"]
         assert target * 0.5 <= sum(lens) / len(lens) <= target * 1.6
+
+    @pytest.mark.parametrize(
+        "query_id, n_rows, digest",
+        [
+            ("movies-T2", 60, "a916d8e9faf86f77"),
+            ("products-T3", 59, "2eccfe66bd974e2e"),
+            ("squad-T5", 90, "cba9317515fe2700"),
+        ],
+    )
+    def test_text_answers_unchanged(self, query_id, n_rows, digest):
+        # Digests of every answer (both stages for T3), recorded when the
+        # answer vocabulary was still built in __init__.
+        q = get_query(query_id)
+        ds = build_dataset(q.dataset, scale=SCALE, seed=0)
+        assert ds.n_rows == n_rows
+        ans = WorkloadAnswerer(ds, q, seed=3)
+        out = [ans(q.prompt, (), i) for i in range(n_rows)]
+        if q.stage1_prompt:
+            out += [ans(q.stage1_prompt, (), i) for i in range(n_rows)]
+        got = hashlib.blake2b("\n".join(out).encode(), digest_size=8).hexdigest()
+        assert got == digest
+
+    @pytest.mark.parametrize("query_id", ["movies-T1", "movies-T4", "fever-T5"])
+    def test_vocabulary_built_only_when_read(self, query_id):
+        q = get_query(query_id)
+        ds = build_dataset(q.dataset, scale=SCALE, seed=0)
+        ans = WorkloadAnswerer(ds, q, seed=0)
+        for i in range(ds.n_rows):
+            ans(q.prompt, (), i)
+        assert "_tg" not in vars(ans)
 
 
 class TestRunQuery:

@@ -13,7 +13,7 @@ from repro.llm.encode_cache import (
     encode_cache_for,
     prompt_segments,
 )
-from repro.llm.prompts import SYSTEM_TEMPLATE, build_prompt
+from repro.llm.prompts import SYSTEM_TEMPLATE, build_prompt, encode_rows
 from repro.llm.radix import pack_tokens
 from repro.llm.tokenizer import HashTokenizer
 
@@ -228,3 +228,63 @@ class TestSegmentEncodeExactness:
             assert encode_cache_for(client.tokenizer).encode(
                 client.tokenizer, prompt
             )[0] == tuple(whole_tok.encode(prompt))
+
+
+class TestEncodeRowsExactness:
+    """The LLM operator's id path, :func:`encode_rows`, against its
+    reference, a whole-prompt ``HashTokenizer.encode`` of ``build_prompt``:
+    same ids, packed bytes equal to ``pack_tokens(ids)``, and the same
+    vocabulary in the same interning order, batch after batch."""
+
+    @staticmethod
+    def check(batches, max_piece_len=6, warm=""):
+        tok = HashTokenizer(max_piece_len)
+        whole_tok = HashTokenizer(max_piece_len)
+        # A pre-warmed vocabulary: ids of pieces seen before the batches.
+        tok.encode(warm)
+        whole_tok.encode(warm)
+        for query, rows in batches:
+            got = encode_rows(tok, query, rows)
+            want = [tuple(whole_tok.encode(build_prompt(query, r))) for r in rows]
+            assert [ids for ids, _ in got] == want
+            assert [packed for _, packed in got] == [pack_tokens(w) for w in want]
+            assert tok._id_to_piece == whole_tok._id_to_piece
+            assert tok._piece_to_id == whole_tok._piece_to_id
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        batches=st.lists(
+            st.tuples(_text, st.lists(_cells, max_size=8)), min_size=1, max_size=2
+        ),
+        max_piece_len=st.integers(1, 7),
+        warm=st.one_of(st.just(""), _text, _prompt),
+    )
+    def test_batches_match_whole_prompt_encode(self, batches, max_piece_len, warm):
+        self.check(batches, max_piece_len, warm)
+
+    def test_cut_patterns_escapes_and_empty_strings(self):
+        tricky = ['say "hi"', "back\\slash", "two\nlines", "tab\there",
+                  '{"k": 1}', 'a, "b', "}", "{}", "", " lead", "trail "]
+        rows = [[Cell(f, v) for f, v in zip(tricky, reversed(tricky))]]
+        rows += [[Cell(t, t)] for t in tricky]
+        rows += [[Cell("", "")], [Cell("", "x"), Cell("y", "")]]
+        self.check([('use {"k": 1}, "x"', rows)])
+
+    def test_rows_with_zero_cells(self):
+        rows = [[], [Cell("a", "1")], [], []]
+        self.check([("q", rows), ("q", [[]])])
+        tok = HashTokenizer()
+        [(ids, _)] = encode_rows(tok, "q", [()])
+        assert tok.decode(ids) == build_prompt("q", ())
+
+    def test_repeated_cells_reuse_segments(self):
+        rows = [[Cell("a", "1"), Cell("b", str(i % 2))] for i in range(6)]
+        self.check([("q", rows), ("other query", rows[::-1])])
+
+    def test_empty_batch_interns_nothing(self):
+        tok = HashTokenizer()
+        assert encode_rows(tok, "a query with words", []) == []
+        assert tok.vocab_size == 0
+        tok.encode("warm")
+        assert encode_rows(tok, "another query", []) == []
+        assert tok._id_to_piece == ["warm"]
