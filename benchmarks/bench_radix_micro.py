@@ -1,5 +1,5 @@
 """Micro-benchmarks of the flat array-backed radix cache against its
-node-object reference (``backend="node"``).
+node-object reference (``tests.reference.NodeRadixCache``).
 
 The shape where the node backend structurally loses is the paper's
 "sorted rows" pattern: a run of requests shares one long prompt base
@@ -32,6 +32,7 @@ from repro.llm.client import SimulatedLLMClient
 from repro.llm.engine import EngineConfig
 from repro.llm.radix import RadixPrefixCache, pack_tokens
 from repro.llm.workload import TraceRequest, WorkloadTrace, bursty_arrivals
+from tests.reference import NodeRadixCache
 
 #: Token budget the eviction loop holds the tree to — a few bases'
 #: worth, so retired groups are evicted as the scan moves on and the
@@ -112,10 +113,10 @@ def bench_radix_flat_vs_node(benchmark):
     anything."""
     stream = _sorted_rows_stream()
     ratio, node_s, flat_s, node_counters, flat_counters = _interleaved(
-        lambda: _drive(RadixPrefixCache(backend="node"), stream),
-        lambda: _drive(RadixPrefixCache(backend="flat"), stream),
+        lambda: _drive(NodeRadixCache(), stream),
+        lambda: _drive(RadixPrefixCache(), stream),
     )
-    run_once(benchmark, lambda: _drive(RadixPrefixCache(backend="flat"), stream))
+    run_once(benchmark, lambda: _drive(RadixPrefixCache(), stream))
     assert flat_counters == node_counters, (
         "backends diverged on identical work: "
         f"flat {flat_counters} vs node {node_counters}"
@@ -157,21 +158,17 @@ def _e2e_trace(n_interactive=96, header_tokens=800):
 
 def _replay(trace, backend="flat"):
     client = SimulatedLLMClient(
-        engine_config=EngineConfig(
-            mode="vector", max_batch_size=4, kv_capacity_tokens=120_000
-        )
+        engine_config=EngineConfig(max_batch_size=4, kv_capacity_tokens=120_000)
     )
     if backend == "node":
         engine = client.engine
-        engine.cache = RadixPrefixCache(
-            backend="node", block_manager=engine.blocks
-        )
+        engine.cache = NodeRadixCache(block_manager=engine.blocks)
     return client.generate_trace(trace, deadline_s=2.0)
 
 
 def bench_radix_e2e_replay(benchmark):
-    """End-to-end vector replay, flat vs node backend, same trace (the
-    node run substitutes its cache into the vector engine).
+    """End-to-end replay, flat vs node tree, same trace (the node run
+    substitutes its cache into the engine).
 
     Recorded as a no-regression guard (``>= 0.9``): the flat backend must
     never make whole-trace replay slower. The measured ratio lands near 1

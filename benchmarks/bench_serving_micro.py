@@ -7,8 +7,9 @@ group-level shared segments (what reordering creates), per-row suffixes,
 and varied output lengths (so completions stagger and the event loop
 sees many events, not one lucky jump). The event/stepwise pair on the
 same ~250k-decode-token workload is the headline: the event loop must be
->=10x faster than the per-token oracle loop
-(``engine_replay_event_speedup`` in ``BENCH_serving.json``).
+>=10x faster than the per-token reference loop
+(``tests.reference.stepwise_engine``; ``engine_replay_event_speedup`` in
+``BENCH_serving.json``).
 """
 
 import random
@@ -29,6 +30,7 @@ from repro.llm.radix import RadixPrefixCache, pack_tokens
 from repro.llm.request import Request
 from repro.llm.tokenizer import HashTokenizer
 from repro.llm.workload import TenantSpec, tenant_prompts
+from tests.reference import ENGINES, NodeRadixCache
 
 
 def _replay_requests(
@@ -64,9 +66,7 @@ def _replay_requests(
 
 
 def _replay(mode, requests, **cfg_kwargs):
-    eng = SimulatedLLMEngine(
-        LLAMA3_8B, CLUSTER_1XL4, EngineConfig(mode=mode, **cfg_kwargs)
-    )
+    eng = ENGINES[mode](LLAMA3_8B, CLUSTER_1XL4, EngineConfig(**cfg_kwargs))
     eng.submit_all(requests)
     return eng.run()
 
@@ -78,8 +78,8 @@ def _record(benchmark, res):
 
 
 def bench_engine_replay_event_speedup(benchmark):
-    """Headline: the default event-loop replay vs the per-token stepwise
-    oracle on the same ~250k-decode-token workload, required to be >=10x
+    """Headline: the event-loop replay vs the per-token stepwise
+    reference on the same ~250k-decode-token workload, required to be >=10x
     with identical metrics, clocks included.
 
     Both modes are timed interleaved and the minimum of 3 runs each is
@@ -167,7 +167,6 @@ def bench_engine_paged_eviction_pressure(benchmark):
             LLAMA3_8B,
             CLUSTER_1XL4,
             EngineConfig(
-                mode="vector",
                 kv_accounting="paged",
                 block_tokens=16,
                 kv_capacity_tokens=4000,
@@ -197,7 +196,7 @@ def bench_engine_eviction_pressure(benchmark):
             LLAMA3_8B,
             CLUSTER_1XL4,
             EngineConfig(
-                mode="vector", kv_capacity_tokens=4000, max_batch_size=8
+                kv_capacity_tokens=4000, max_batch_size=8
             ),
         )
         eng.submit_all(requests)
@@ -262,7 +261,7 @@ def bench_radix_match_insert_deep_scan_oracle(benchmark):
     prompts = _deep_prompts()
 
     def work():
-        cache = RadixPrefixCache(backend="node")
+        cache = NodeRadixCache()
         hits = 0
         for p in prompts:
             hits += cache.match(p)
@@ -344,7 +343,7 @@ def bench_radix_eviction_churn_scan_oracle(benchmark):
     prompts = _deep_prompts(n_prompts=300, depth=300, seed=1)
 
     def work():
-        cache = RadixPrefixCache(backend="node")
+        cache = NodeRadixCache()
         freed = 0
         for i, p in enumerate(prompts):
             cache.insert(p)

@@ -13,10 +13,20 @@ against the committed baselines in ``benchmarks/baselines/`` with
 """
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.bench.perf import record as perf_record  # noqa: F401  (re-export)
+
+# The references that the ratio records time the fast paths against live
+# in the repository's test package (``tests/reference``). ``python -m
+# pytest`` from the repository root finds it on its own; a plain
+# ``pytest benchmarks/`` starts with only ``benchmarks/`` on the path.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 @pytest.fixture(scope="session")

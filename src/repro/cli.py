@@ -256,8 +256,7 @@ def run_serve_trace(args) -> str:
             f"{ec_stats['evictions']} evictions"
         )
         lines.append(
-            f"radix cache: backend={rx_stats['backend']}, "
-            f"{rx_stats['nodes']} nodes, "
+            f"radix cache: {rx_stats['nodes']} nodes, "
             f"{rx_stats['token_store_bytes']} store bytes, "
             f"{rx_stats['evicted_nodes']} nodes / "
             f"{rx_stats['evicted_tokens']} tok evicted"

@@ -8,12 +8,11 @@ discrete-event simulator (see DESIGN.md "Substitutions"):
     Deterministic incremental-vocabulary tokenizer (prefix-stable).
 ``radix``
     RadixAttention-style prefix cache over token sequences with LRU
-    eviction and refcounted pin-locking for running requests. Two
-    backends: the default stores node records in flat slot-indexed arrays
-    (contiguous numpy token store, vectorized prefix compares,
-    intrusive-list LRU); ``backend="node"``, a node-object tree with
-    full-scan eviction, is its one reference and runs under the stepwise
-    engine oracle (``EngineConfig(mode="stepwise")``).
+    eviction and refcounted pin-locking for running requests. Node
+    records live in flat slot-indexed arrays (contiguous numpy token
+    store, vectorized prefix compares, intrusive-list LRU); its reference,
+    a node-object tree with full-scan eviction, lives with the tests
+    (``tests/reference/radix.py``).
 ``blocks``
     Paged KV block manager with ref-counted blocks (vLLM-style). The
     engine admits on it by default: radix nodes own the blocks backing
@@ -30,9 +29,9 @@ discrete-event simulator (see DESIGN.md "Substitutions"):
 ``engine``
     Continuous-batching engine: admission limited by KV memory, sequential
     prefill with radix lookups, batched decode steps. Replay is
-    event-driven by default — the clock jumps over whole runs of decode
-    steps with a closed-form cost — with the original per-token loop kept
-    as the equivalence oracle (``EngineConfig(mode="stepwise")``).
+    event-driven — the clock jumps over whole runs of decode steps with a
+    closed-form cost; its reference, the per-token loop, lives with the
+    tests (``tests/reference/engine.py``).
 ``workload``
     Arrival-timed workload traces: tenant/job-tagged requests, Poisson /
     bursty (MMPP on-off) / diurnal arrival processes, tenant-mix synthesis

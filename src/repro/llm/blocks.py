@@ -9,8 +9,7 @@ shared, the block manager enforces *how much* physical memory that costs
 
 The radix tree is the only holder of prompt KV: each node owns the
 allocation backing its edge, and a running request keeps its prompt path
-resident by pinning it (or, in the stepwise oracle, by protecting it
-from eviction) — it takes no block references of its own. A request owns
+resident by pinning it — it takes no block references of its own. A request owns
 only its private tail: decode KV, plus the prompt when the prefix cache
 is off. So a refcount above 1 comes from a split's straddle block alone.
 
@@ -54,10 +53,10 @@ class BlockAllocation:
     n_tokens: int
     released: bool = False
     start_offset: int = 0
-    #: Flat radix backend only: the node *slot* this allocation is bound to
-    #: (-1 when unowned — decode tails and node-backend allocations).
-    #: Rebound on every radix edge split; the flat backend's invariant
-    #: checker verifies slot and allocation agree.
+    #: The radix node *slot* this allocation is bound to (-1 when unowned:
+    #: decode tails, and the node-tree reference's allocations). Rebound on
+    #: every edge split; the radix invariant checker verifies slot and
+    #: allocation agree.
     owner: int = field(default=-1, repr=False)
 
 

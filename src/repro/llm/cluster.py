@@ -130,6 +130,10 @@ class ClusterConfig:
                 f"unknown cluster backend {self.backend!r}; "
                 f"choose from {CLUSTER_BACKENDS}"
             )
+        if not isinstance(self.engine, EngineConfig):
+            raise ServingError(
+                f"engine must be an EngineConfig, got {self.engine!r}"
+            )
         if not isinstance(self.pins, dict):
             raise ServingError(
                 f"pins must be a dict of tenant -> replica, got {self.pins!r}"
@@ -274,9 +278,9 @@ class PrefixAwareRouter(RoutingPolicy):
 
     The router keeps a bounded shadow :class:`RadixPrefixCache` per
     replica — the same structure the replica's engine uses — and scores
-    each candidate with a side-effect-free ``match_len`` probe (the flat
-    array-backed backend when available, so the probe is one vectorized
-    walk). Committing a route inserts the prompt into that replica's
+    each candidate with a side-effect-free ``match_len`` probe (one walk
+    of the flat array-backed tree, with vectorized edge compares).
+    Committing a route inserts the prompt into that replica's
     shadow tree and evicts it back to a token budget of ``digest_block *
     sketch_entries`` tokens (the legacy sketch knobs, reinterpreted as
     entries x tokens-per-entry), modelling the replica cache's own
@@ -561,8 +565,7 @@ class ClusterResult:
         rstats = [s.cache_stats for s in self.replicas if s.cache_stats]
         if rstats:
             lines.append(
-                f"radix cache: backend={rstats[0]['backend']}, "
-                f"{sum(s['nodes'] for s in rstats)} nodes, "
+                f"radix cache: {sum(s['nodes'] for s in rstats)} nodes, "
                 f"{sum(s['token_store_bytes'] for s in rstats)} store bytes, "
                 f"{sum(s['evicted_nodes'] for s in rstats)} nodes / "
                 f"{sum(s['evicted_tokens'] for s in rstats)} tok evicted"

@@ -13,7 +13,15 @@ server uses:
 * every decode step produces one token per running sequence and costs
   bandwidth-bound time (weights amortized over the batch).
 
-Two replay modes produce the same metrics, clocks included, under ``==``.
+The replay is event-driven: between admission and completion events the
+batch composition is fixed, so the clock advances over whole runs of
+decode steps, the run's KV tokens summed as an arithmetic series
+(:func:`~repro.llm.costmodel.run_kv_tokens`) — O(batch) work per event
+instead of O(steps x batch) Python work per token. Runs are cut at every
+step boundary where a per-token loop could act differently (an arrival,
+a retirement, a chunk, a preemption chance), so admission is probed at
+exactly the clocks a per-token loop would probe it.
+
 The engine clock is one float base plus two integers: every discrete
 charge (prefill wave, per-request overhead, swap traffic, chunk wave) is
 added to the base in order, and decode adds only to the integer counts of
@@ -21,35 +29,23 @@ decode steps and KV tokens read. One :meth:`CostModel.decode_time` call
 turns the counts into seconds, so the clock does not depend on whether
 decode advanced one step or one whole run at a time.
 
-``mode="vector"`` (the default)
-    Event-driven: between admission and completion events the batch
-    composition is fixed, so the clock advances over whole runs of decode
-    steps, the run's KV tokens summed as an arithmetic series
-    (:func:`~repro.llm.costmodel.run_kv_tokens`) — O(batch) work per event
-    instead of O(steps x batch) Python work per token. Runs are cut at every
-    step boundary where the stepwise loop could act differently, so both
-    modes probe admission at identical clocks.
-
-``mode="stepwise"``
-    The original per-token loop, kept as the equivalence oracle and
-    reached only by naming it. It runs on the radix cache's node-tree
-    reference (``backend="node"``), protects running prompts from
-    eviction explicitly instead of by pin counts, and grows each decode
-    tail one token at a time.
-
-The two loops differ only in how decode advances. Admission, chunking,
-preemption and completion are shared: each request's
+The per-token loop is the replay's reference. It lives with the tests
+(``tests/reference/engine.py``): a subclass that overrides only the replay
+loop (:meth:`SimulatedLLMEngine._replay`) and the eviction-protection hook
+(:meth:`SimulatedLLMEngine._protect`), runs on the radix cache's node-tree
+reference, and agrees with this engine under ``==``, clocks included.
+Admission, chunking, preemption and completion are shared: each request's
 :class:`RequestMetrics` is built at admission and stamped in place.
 
-Two *KV accounting* models gate admission (orthogonal to the replay mode):
+Two *KV accounting* models gate admission:
 
 ``kv_accounting="paged"`` (default)
     PagedAttention-style block accounting through
     :class:`~repro.llm.blocks.BlockManager`: each radix node owns the
     fixed-size blocks backing its edge, and the tree is the only holder of
     prompt KV — an admitted request reuses the blocks of its matched
-    prefix through the tree (kept resident by its pin, or by the stepwise
-    loop's protection list) and draws fresh blocks only for the suffix.
+    prefix through the tree (kept resident by its pin) and draws fresh
+    blocks only for the suffix.
     Decode grows a private tail allocation block-by-block (fully reserved
     at admission so decoding never OOMs), and radix eviction returns the
     victim's blocks to the pool. Admission charges whole blocks, so
@@ -72,10 +68,9 @@ admission point the engine releases the requests whose arrival time has
 passed into a pluggable *scheduling policy*
 (:mod:`repro.llm.scheduler` — ``fcfs``/``sjf``/``prefix-affinity``/
 ``fair-share``) that decides which waiting request is admitted next.
-Arrival events merge into both replay loops: the stepwise loop sees them
-naturally (it probes admission at every step boundary), the event loop
-cuts its closed-form decode runs at the first step boundary past the next
-arrival, so both modes attempt admission at identical clocks. With every
+Arrival events merge into the replay: it cuts its closed-form decode runs
+at the first step boundary past the next arrival, where a per-token loop
+would first see it. With every
 arrival at t=0 and the ``fcfs`` policy this degenerates exactly to the
 offline batch replay (``tests/llm/test_online_equivalence.py``).
 
@@ -91,13 +86,13 @@ chunks that advance one per admission point, interleaved with decode
 steps, so a long prompt no longer stalls the batch; radix inserts, pins,
 and paged block reservations settle chunk by chunk. Per-tenant KV block
 quotas (``tenant_kv_quota_blocks``) bound any tenant's concurrent block
-charge, blocking head-of-line exactly like a full pool. The two replay
-modes stay exact: preemption decisions depend only on requests and the
-clock, so the event loop cuts its closed-form decode runs at every
-boundary where the stepwise loop could act — arrivals (even with a full
-batch), the step after an admission wave (new members become eligible
-victims there), active chunked prefills, and time-driven priority shifts
-(a waiting deadline expiring —
+charge, blocking head-of-line exactly like a full pool. The replay stays
+exact: preemption decisions depend only on requests and the clock, so
+the event loop cuts its closed-form decode runs at every boundary where a
+per-token loop could act — arrivals (even with a full batch), the step
+after an admission wave (new members become eligible victims there),
+active chunked prefills, and time-driven priority shifts (a waiting
+deadline expiring —
 :meth:`SchedulerPolicy.next_priority_shift`). The defaults —
 ``preemption="off"``, ``prefill_chunk_tokens=None`` — are the one-shot
 admit-and-forget engine these features are tested against
@@ -138,10 +133,9 @@ class EngineConfig:
 
     ``max_batch_size`` caps concurrent sequences (vLLM ``max_num_seqs``);
     ``kv_capacity_tokens`` overrides the cost model's derived capacity
-    (useful for the memory-pressure ablation); ``mode`` selects the replay
-    engine: ``"vector"`` (the default; the event loop: closed-form
-    multi-step advance between batch events) or ``"stepwise"`` (per-token
-    reference loop); ``kv_accounting`` selects the admission model:
+    (useful for the memory-pressure ablation); ``enable_prefix_cache``
+    (a bool) turns the radix cache off for the paper's *No Cache*
+    baseline; ``kv_accounting`` selects the admission model:
     ``"paged"`` (block-granular, vLLM-style; the default) or ``"tokens"``
     (the token-sum oracle); ``block_tokens`` is the paged block size
     (16 in vLLM by default; 1 makes paged numerically identical to the
@@ -153,7 +147,6 @@ class EngineConfig:
     enable_prefix_cache: bool = True
     max_batch_size: int = 64
     kv_capacity_tokens: Optional[int] = None
-    mode: str = "vector"
     kv_accounting: str = "paged"
     block_tokens: int = 16
     scheduler: str = "fcfs"
@@ -187,8 +180,11 @@ class EngineConfig:
     def __post_init__(self):
         # Name, size and type validity fail here, at config construction,
         # with one-line errors.
-        if self.mode not in ("vector", "stepwise"):
-            raise ServingError(f"unknown engine mode {self.mode!r}")
+        if not isinstance(self.enable_prefix_cache, bool):
+            raise ServingError(
+                f"enable_prefix_cache must be a bool, got "
+                f"{self.enable_prefix_cache!r}"
+            )
         for name, optional in (
             ("max_batch_size", False),
             ("kv_capacity_tokens", True),
@@ -245,14 +241,13 @@ class _Running:
     #: Paged accounting only: the private tail allocation decode tokens
     #: grow into (plus the whole prompt when the prefix cache is off),
     #: released when the member leaves the batch. The prompt's blocks
-    #: belong to its radix path, which the pin (or the stepwise loop's
-    #: protection list) keeps resident.
+    #: belong to its radix path, which the pin keeps resident.
     tail: Optional[BlockAllocation] = None
     #: Continuous-batching lifecycle state. ``in_decode`` marks membership
     #: in the engine's preemption-victim list; ``admit_step`` is the global
     #: decode step the member (re-)joined the batch at, offset by tokens
-    #: already decoded, so the event loop prices completions and preempt
-    #: settlements as ``step - admit_step``; ``admit_gen`` versions the
+    #: already decoded, so completions and preempt settlements are priced
+    #: as ``step - admit_step``; ``admit_gen`` versions the
     #: member's completion-heap entries (bumped on preemption, so stale
     #: entries are recognizably dead).
     in_decode: bool = False
@@ -349,7 +344,6 @@ class SimulatedLLMEngine:
         self.model = model
         self.cluster = cluster
         self.config = config or EngineConfig()
-        self.mode = self.config.mode
         self.cost = CostModel(model=model, cluster=cluster)
         self.capacity_tokens = (
             self.config.kv_capacity_tokens
@@ -368,14 +362,7 @@ class SimulatedLLMEngine:
             if self.kv_accounting == "paged"
             else None
         )
-        # The stepwise oracle runs the node-tree radix reference, so
-        # mode="stepwise" reproduces the original implementation end to
-        # end; the vector loop runs the flat backend.
-        self.cache = RadixPrefixCache(
-            backend="node" if self.mode == "stepwise" else "flat",
-            block_manager=self.blocks,
-        )
-        self._use_pins = self.mode != "stepwise"
+        self.cache = RadixPrefixCache(block_manager=self.blocks)
         #: Arrived-but-unadmitted requests live in the scheduling policy;
         #: not-yet-arrived requests wait in a (arrival_s, seq) heap and are
         #: released into the policy as the clock passes their stamp.
@@ -408,7 +395,7 @@ class SimulatedLLMEngine:
             for tenant, quota in self.config.tenant_kv_quota_blocks.items():
                 self.blocks.set_tenant_quota(tenant, quota)
         #: Decoding members in admission order — the preemption-victim
-        #: candidate list (identical across replay modes by construction).
+        #: candidate list.
         self._decode_order: List[_Running] = []
         #: Members mid-chunked-prefill: hold their admission charge but do
         #: not decode until their last chunk settles.
@@ -416,12 +403,12 @@ class SimulatedLLMEngine:
         #: Preempted members awaiting re-admission, by request id.
         self._parked: dict = {}
         #: Members admitted at the current admission point; they enter the
-        #: victim list only at the *next* one, once every replay mode has
+        #: victim list only at the *next* one, once the replay loop has
         #: actually inserted them into its decoding batch.
         self._pending_decode: List[_Running] = []
-        #: Mode-specific callback removing a victim from the run loop's
-        #: incremental state (set by each run loop for its duration).
-        self._preempt_detach = None
+        #: Global decode step of the current run; a member's decode
+        #: progress is ``_step - admit_step``.
+        self._step = 0
         self._future: List[Tuple[float, int, Request]] = []
         self._arrival_seq = 0
         #: The engine clock: discrete charges summed into ``_clock_base``,
@@ -443,8 +430,8 @@ class SimulatedLLMEngine:
         # Once the queue head fails admission on memory, nothing but a
         # completion can change the outcome (the failed attempt already
         # evicted everything evictable), so further attempts are skipped
-        # until one happens — both modes therefore probe the cache with an
-        # identical call sequence.
+        # until one happens — so the cache sees the same call sequence as
+        # under a loop that probes admission after every decode step.
         self._admission_blocked = False
 
     # ------------------------------------------------------------------ API
@@ -500,107 +487,35 @@ class SimulatedLLMEngine:
         self._peak_blocks = 0
         self._frag_at_peak = 0
         self._peak_waiting = 0
+        self._step = 0
         tracer = self.tracer
         mark = tracer.mark() if tracer is not None else None
-        if self.mode == "vector":
-            result = self._run_event_vector()
-        else:
-            result = self._run_stepwise()
+        result = self._replay()
         if tracer is not None:
             result.trace = tracer.collect(
                 mark,
                 meta={
                     "scheduler": self.scheduler_name,
                     "preemption": self.preemption,
-                    "mode": self.mode,
                     "kv_accounting": self.kv_accounting,
                 },
             )
         return result
 
-    # ----------------------------------------------------- stepwise oracle
-    def _run_stepwise(self) -> EngineResult:
-        running: List[_Running] = []
-        done: List[RequestMetrics] = []
-        peak = 0
-        decode_steps = 0
-        max_batch_seen = 0
-        # Preempting a victim in this mode just removes it from the running
-        # list (its decode progress is already materialized per token).
-        # Identity-based removal: the closure reads the loop's current
-        # ``running`` binding, which _admit also holds.
-        def _detach(m: _Running) -> None:
-            for i, x in enumerate(running):
-                if x is m:
-                    del running[i]
-                    return
-            raise ServingError("preempted a member absent from the batch")
-
-        self._preempt_detach = _detach
-
-        while (
-            len(self.scheduler) or self._future or running or self._prefilling
-        ):
-            self._admit(running)
-            if not running:
-                if self._prefilling:
-                    # Chunked prefills advance (and move the clock) inside
-                    # _admit; keep probing until a member becomes ready.
-                    continue
-                if len(self.scheduler):
-                    raise ServingError("admission stalled with empty batch")
-                if self._future:
-                    self._idle_jump()
-                    continue
-                break
-            max_batch_seen = max(max_batch_seen, len(running))
-            peak = max(peak, self._sample_usage())
-
-            # Retire zero-output requests without a decode step.
-            still: List[_Running] = []
-            for r in running:
-                if r.request.output_tokens == 0:
-                    self._finish(r, done)
-                else:
-                    still.append(r)
-            running = still
-            if not running:
-                continue
-
-            self._advance_decode(1, sum(r.context_len for r in running))
-            decode_steps += 1
-            still = []
-            for r in running:
-                r.decoded += 1
-                if r.tail is not None:
-                    # Paged accounting: the decode tail grows one token at a
-                    # time, drawing a fresh block only at block boundaries
-                    # (covered by the admission-time reservation).
-                    self._grow_tail(r, 1)
-                if r.decoded == 1:
-                    r.metrics.first_token_at_s = self._clock
-                if r.decoded >= r.request.output_tokens:
-                    self._finish(r, done)
-                else:
-                    still.append(r)
-            running = still
-
-        self._preempt_detach = None
-        return self._result(done, decode_steps, peak, max_batch_seen)
-
-    # --------------------------------------------------- event-driven mode
-    def _run_event_vector(self) -> EngineResult:
+    # ---------------------------------------------------------- the replay
+    def _replay(self) -> EngineResult:
         """O(events) replay: the batch is fixed between admission and
         completion events, so each event advances the clock over a whole
         run of decode steps with the closed-form sum. All per-batch state
         (size, context-length sum, next completion) is maintained
         incrementally — no per-event scans of the running set. Runs are
-        cut at every step boundary where the stepwise loop could act
-        differently, so both loops probe admission (and the radix cache)
-        with identical call sequences at identical clocks. A member's
-        decode tail is not grown between events: the admission-time block
-        reservation covers it, and :meth:`_release_member` settles the
-        difference when the member leaves the batch."""
+        cut at every step boundary where a per-token loop could act
+        differently, so admission (and the radix cache) is probed with
+        the call sequence a per-token loop makes, at identical clocks. A
+        member's decode tail is not grown between events: the
+        admission-time block reservation covers it, and
+        :meth:`_release_member` settles the difference when the member
+        leaves the batch."""
         done: List[RequestMetrics] = []
         peak = 0
         decode_steps = 0
@@ -616,23 +531,16 @@ class SimulatedLLMEngine:
         context_sum = 0  # sum of their current context lengths
         step = 0  # global decode-step counter
         fresh: List[RequestMetrics] = []  # members awaiting their first token
-
-        def _detach(m: _Running) -> None:
-            # Settle a preemption victim out of the incremental batch
-            # state: its decode progress is the steps elapsed since it
-            # (re-)joined the batch.
-            nonlocal batch, context_sum
-            m.decoded = step - m.admit_step
-            batch -= 1
-            context_sum -= m.context_len
-
-        self._preempt_detach = _detach
         preempt_on = self.preemption != "off"
         chunking = self.chunk_tokens is not None
 
         while len(self.scheduler) or self._future or batch or self._prefilling:
             wave: List[_Running] = []
-            self._admit(wave, n_active=batch)
+            for m in self._admit(wave, n_active=batch):
+                # A preemption victim leaves the incremental batch state;
+                # _preempt_member already settled its decode progress.
+                batch -= 1
+                context_sum -= m.context_len
             if batch == 0 and not wave:
                 if self._prefilling:
                     # Chunked prefills advance (and move the clock) inside
@@ -674,8 +582,8 @@ class SimulatedLLMEngine:
                 continue
 
             # Next event: the earliest live completion. Each check below
-            # cuts the run shorter, at the first step boundary where the
-            # stepwise loop could act differently.
+            # cuts the run shorter, at the first step boundary where a
+            # per-token loop could act differently.
             if preempt_on:
                 while (
                     completions
@@ -684,14 +592,14 @@ class SimulatedLLMEngine:
                     heappop(completions)  # preempted before completing
             steps = completions[0][0] - step
             if chunking and steps > 1 and self._prefilling:
-                # Chunked prefills advance once per step boundary in the
-                # stepwise loop; mirror that cadence exactly.
+                # Chunked prefills advance once per step boundary in a
+                # per-token loop; mirror that cadence exactly.
                 steps = 1
             if preempt_on and steps > 1 and not self._admission_blocked:
                 if self._pending_decode and len(self.scheduler):
                     # The last wave's members join the preemption-victim
                     # list at the next admission probe, where a waiting
-                    # candidate may evict one of them; the stepwise loop
+                    # candidate may evict one of them; a per-token loop
                     # probes at the very next step boundary, so cut the run
                     # there.
                     steps = 1
@@ -699,7 +607,7 @@ class SimulatedLLMEngine:
                     # A time-driven priority shift (a waiting deadline
                     # expiring) can change which candidate is head-of-line
                     # and thereby enable a preemption mid-run; cut at the
-                    # step boundary where the stepwise loop would see it.
+                    # step boundary where a per-token loop would see it.
                     shift = self.scheduler.next_priority_shift(self._clock)
                     if shift is not None:
                         steps = self._cap_steps_at_arrival(
@@ -711,10 +619,10 @@ class SimulatedLLMEngine:
                 and batch < self.config.max_batch_size
                 and steps > 1
             ):
-                # A zero-output retirement just freed capacity, and the
-                # stepwise loop re-attempts admission after exactly one
-                # decode step — mirror that cadence so both loops issue
-                # identical cache probes.
+                # A zero-output retirement just freed capacity, and a
+                # per-token loop re-attempts admission after exactly one
+                # decode step — mirror that cadence so the cache sees the
+                # same probes.
                 steps = 1
             if (
                 self._future
@@ -723,7 +631,7 @@ class SimulatedLLMEngine:
             ):
                 # Arrival event: cut the decode run at the first step
                 # boundary whose clock reaches the next arrival — the
-                # boundary where the stepwise loop would see it and attempt
+                # boundary where a per-token loop would see it and attempt
                 # admission. With a full batch the arrival cannot be
                 # admitted anyway — unless preemption is on, in which case
                 # the arriving candidate may evict a victim right there.
@@ -740,6 +648,7 @@ class SimulatedLLMEngine:
             )
             decode_steps += steps
             step += steps
+            self._step = step
             context_sum += batch * steps
             while completions and (
                 completions[0][2].admit_gen != completions[0][3]
@@ -753,7 +662,6 @@ class SimulatedLLMEngine:
                 context_sum -= m.context_len
                 self._finish(m, done)
 
-        self._preempt_detach = None
         return self._result(done, decode_steps, peak, max_batch_seen)
 
     # ------------------------------------------------------------ internals
@@ -794,9 +702,9 @@ class SimulatedLLMEngine:
 
     def _clock_at(self, steps: int, kv_tokens: int) -> float:
         """The engine clock after ``steps`` more decode steps that read
-        ``kv_tokens`` more KV tokens. Both replay modes price every clock
-        through here from the same integers, so their clocks are the same
-        float however the steps were grouped."""
+        ``kv_tokens`` more KV tokens. Every clock is priced through here
+        from the same integers, so it is the same float however the steps
+        were grouped."""
         return self._clock_base + self.cost.decode_time(
             self._clock_steps + steps, self._clock_kv + kv_tokens
         )
@@ -847,10 +755,10 @@ class SimulatedLLMEngine:
     def _sample_usage(self) -> int:
         """Token-sum KV usage right now; as a side effect, under paged
         accounting, folds the current block charge (allocated + reserved)
-        into the per-run peak. Sampled at admission points in both replay
-        modes; the charge is invariant to decode progress (a tail's drawn
-        blocks plus its outstanding reservation is a constant), so both
-        modes record identical peaks."""
+        into the per-run peak. Sampled at admission points; the charge is
+        invariant to decode progress (a tail's drawn blocks plus its
+        outstanding reservation is a constant), so the peak does not depend
+        on how decode was grouped."""
         used = self.cache.total_tokens + self._private_tokens
         bm = self.blocks
         if bm is not None:
@@ -864,12 +772,12 @@ class SimulatedLLMEngine:
         """Gauge fields for one admission-wave trace sample, as the
         key-sorted pairs tuple :class:`~repro.llm.tracing.TraceGauge`
         stores (built sorted so the recorder skips the per-wave dict and
-        sort). Every value is mode-invariant at admission boundaries: the
+        sort). Every value is invariant to how decode was grouped: the
         block figures use the *charged* total (allocated + reserved —
-        invariant to decode progress, unlike raw ``used_blocks``);
-        ``radix_store_bytes`` is the one backend-dependent field (the
-        stepwise oracle runs the node backend) and is excluded
-        from the cross-mode equality suite accordingly."""
+        invariant to decode progress, unlike raw ``used_blocks``).
+        ``radix_store_bytes`` is the one field that depends on the radix
+        tree's storage, so the suite comparing this engine with its
+        node-tree reference leaves it out."""
         cache = self.cache
         bm = self.blocks
         head = ()
@@ -909,11 +817,13 @@ class SimulatedLLMEngine:
         if self._reserved_blocks < 0:
             raise ServingError("decode block reservation went negative")
 
-    def _admit(self, running: List[_Running], n_active: Optional[int] = None) -> None:
+    def _admit(self, entrants: List[_Running], n_active: int) -> List[_Running]:
         """Admit the policy's picks while memory and batch slots allow,
-        appending members to ``running``. The stepwise loop passes its full
-        running list; the event loop passes an empty wave list plus
-        ``n_active`` (its incremental batch count).
+        appending the entrants (chunked prefills that just settled, then
+        fresh and re-admitted members) to ``entrants``; ``n_active`` is the
+        number of members decoding before this call. Returns the members
+        preempted here, each already settled (:meth:`_preempt_member`) but
+        still to be taken out of the replay loop's batch.
 
         The policy only chooses *which* waiting request is next — if that
         request does not fit, admission blocks (no skip-ahead), exactly the
@@ -924,19 +834,19 @@ class SimulatedLLMEngine:
         is the other continuous-batching hook here: members mid-prefill
         advance one chunk per admission point and join the batch when
         their last chunk settles."""
+        victims: List[_Running] = []
         self._release_arrivals()
         if len(self.scheduler) > self._peak_waiting:
             # Waiting depth only changes at admission points (arrivals
             # released, pops, preemption resubmits), and the depth between
-            # common probe boundaries is monotone, so the per-run max is
-            # identical across replay modes despite the stepwise loop
-            # probing more often.
+            # common probe boundaries is monotone, so the per-run max equals
+            # that of a loop probing after every decode step.
             self._peak_waiting = len(self.scheduler)
         preempt_on = self.preemption != "off"
         # Members admitted at the previous admission point are decoding by
-        # now in every replay mode — only now do they become viable
-        # preemption victims (the run loops insert them into their batch
-        # state after _admit returns). With preemption off no victim is
+        # now — only now do they become viable preemption victims (the
+        # replay loop inserts them into its batch state after _admit
+        # returns). With preemption off no victim is
         # ever picked, so the list is not maintained at all.
         if self._pending_decode:
             for m in self._pending_decode:
@@ -945,12 +855,12 @@ class SimulatedLLMEngine:
             self._pending_decode.clear()
         ready = self._advance_chunks() if self.chunk_tokens is not None else None
         if ready:
-            running.extend(ready)
+            entrants.extend(ready)
             if preempt_on:
                 self._pending_decode.extend(ready)
         if self._admission_blocked:
-            return
-        base = len(running) if n_active is None else n_active + len(ready or ())
+            return victims
+        base = n_active + len(ready or ())
         cache_on = self.config.enable_prefix_cache
         cache = self.cache
         bm = self.blocks
@@ -975,6 +885,7 @@ class SimulatedLLMEngine:
                 if victim is None:
                     break
                 self._preempt_member(victim)
+                victims.append(victim)
                 base -= 1
                 # Re-select below: select is deterministic for an
                 # unchanged pool and clock, so the same candidate comes
@@ -1062,7 +973,7 @@ class SimulatedLLMEngine:
                 if cache_on:
                     freed = cache.evict(
                         need - free,
-                        protected=self._protected_paths(running, req),
+                        protected=self._protect(req.prompt_tokens, True),
                         unit=unit,
                     )
                     free += freed
@@ -1074,11 +985,11 @@ class SimulatedLLMEngine:
                     victim = self._pick_victim(req)
                     if victim is not None:
                         self._preempt_member(victim)
+                        victims.append(victim)
                         base -= 1
                         # The victim's unpinned path may now be evictable
-                        # and its tail blocks are back in the pool;
-                        # re-probe with a protected list rebuilt from the
-                        # shrunken running set.
+                        # and its tail blocks are back in the pool:
+                        # re-probe.
                         free = (
                             bm.free_blocks - self._reserved_blocks
                             if bm is not None
@@ -1117,7 +1028,7 @@ class SimulatedLLMEngine:
                 swap_in_tokens += swapped_in
                 parked.quota_charge = quota_need
                 wave_members.append(parked)
-                running.append(parked)
+                entrants.append(parked)
                 self._pending_decode.append(parked)
                 n_admitted += 1
                 if self.tracer is not None:
@@ -1143,8 +1054,7 @@ class SimulatedLLMEngine:
             pin = None
             if cache_on:
                 cache.insert(req.prompt_tokens, req.prompt_bytes)
-                if self._use_pins:
-                    pin = cache.pin(req.prompt_tokens)
+                pin = self._protect(req.prompt_tokens)
             tail = None
             if bm is not None:
                 if cache_on:
@@ -1176,7 +1086,7 @@ class SimulatedLLMEngine:
             wave.append((new_prompt, hit))
             wave_members.append(member)
             stamped.append(member)
-            running.append(member)
+            entrants.append(member)
             if preempt_on:
                 self._pending_decode.append(member)
             n_admitted += 1
@@ -1198,28 +1108,23 @@ class SimulatedLLMEngine:
                 self.tracer.wave_end(
                     self._gauge_sample(base + len(wave_members))
                 )
+        return victims
 
-    def _protected_paths(
-        self, running: List[_Running], req: Request
-    ) -> List[Sequence[int]]:
-        """Eviction-protection list for an admission-time evict. Pin modes
-        protect persistently via pin counts, so only the candidate's
-        matched prefix needs transient cover; the stepwise oracle mode
-        protects running prompts (and mid-chunk partial paths) explicitly.
-        The candidate is protected by its whole prompt: the cached path of
-        a prompt *is* the path of its matched prefix, and the very tuple
-        :meth:`_admit` just matched resolves from the radix cursor without
-        a walk. Rebuilt before every evict call — a preemption may have
-        shrunk the running set since the last probe."""
-        if self._use_pins:
-            return [req.prompt_tokens]
-        protected: List[Sequence[int]] = [
-            r.request.prompt_tokens for r in running
-        ]
-        for p in self._prefilling:
-            protected.append(p.request.prompt_tokens[: p.hit + p.done_prefill])
-        protected.append(req.prompt_tokens)
-        return protected
+    def _protect(self, tokens: Sequence[int], candidate: bool = False):
+        """Eviction-protection hook: how the cached path of ``tokens`` is
+        kept resident.
+
+        A batch member's path (its prompt, or a chunked prefill's prefix so
+        far) is pinned, and the ticket returned becomes the member's
+        ``pin``, released in :meth:`_release_member`. For an admission
+        ``candidate`` about to evict, returns the token sequences that
+        evict must spare: the candidate's prompt alone, since every
+        member's path is pinned. (A prompt's cached path *is* its matched
+        prefix's, and the tuple :meth:`_admit` just matched resolves from
+        the radix cursor without a walk.)"""
+        if candidate:
+            return (tokens,)
+        return self.cache.pin(tokens)
 
     def _advance_chunks(self) -> List[_Running]:
         """Advance every mid-prefill member by one chunk; returns the
@@ -1287,11 +1192,10 @@ class SimulatedLLMEngine:
                     raise ServingError(
                         "chunked prefill drew past its block reservation"
                     )
-            if self._use_pins:
-                pin = self.cache.pin(prefix)
-                if m.pin is not None:
-                    self.cache.unpin(m.pin)
-                m.pin = pin
+            pin = self._protect(prefix)
+            if m.pin is not None:
+                self.cache.unpin(m.pin)
+            m.pin = pin
         elif bm is not None:
             self._grow_tail(m, c)
         m.done_prefill += c
@@ -1373,8 +1277,7 @@ class SimulatedLLMEngine:
         pin = None
         if cache_on:
             self.cache.insert(req.prompt_tokens, req.prompt_bytes)
-            if self._use_pins:
-                pin = self.cache.pin(req.prompt_tokens)
+            pin = self._protect(req.prompt_tokens)
         m.pin = pin
         # Tail KV restored on-device: the decoded tokens, plus the whole
         # prompt when the cache is off (it was parked/dropped privately).
@@ -1428,7 +1331,7 @@ class SimulatedLLMEngine:
         decode progress, re-enters the waiting queue, and is re-admitted
         like any other candidate (head-of-line, same need accounting)."""
         req = m.request
-        self._preempt_detach(m)  # the event loop also settles m.decoded here
+        m.decoded = self._step - m.admit_step
         for i, x in enumerate(self._decode_order):
             if x is m:
                 del self._decode_order[i]
@@ -1499,9 +1402,9 @@ class SimulatedLLMEngine:
             m.pin = None
         bm = self.blocks
         if m.tail is not None:
-            # The stepwise loop grows a tail token by token; the event loop
-            # never grows it between events and lets the reservation cover
-            # the difference. Either way the blocks the tail would need at
+            # The replay never grows a tail between events and lets the
+            # reservation cover the difference (a per-token loop grows it
+            # token by token). Either way the blocks the tail would need at
             # its final size, less those it holds, are still reserved:
             # settle that through the reservation counter, then release.
             tail = m.tail

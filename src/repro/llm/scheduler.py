@@ -95,10 +95,9 @@ class SchedulerPolicy:
     choice) and :meth:`pop` to commit the admission.
     ``cache`` is the engine's radix cache (None when prefix caching is
     off); policies may probe it with the side-effect-free ``match_len`` /
-    ``match_many`` only. ``now`` is the engine clock at the admission point — the clock
-    only advances at event boundaries, where both replay modes probe
-    admission at identical times, so clock-dependent selection stays
-    mode-equivalent.
+    ``match_many`` only. ``now`` is the engine clock at the admission point:
+    the replay probes admission at the clocks a per-token loop would, so
+    clock-dependent selection does not depend on how decode was grouped.
     """
 
     name = "base"
@@ -139,7 +138,7 @@ class SchedulerPolicy:
         slots exhausted). ``running`` is the decoding batch in decode-start
         order; the return value must be one of its members. The decision
         must depend only on the requests and ``now`` — not on decode
-        progress, which the event-driven replay modes do not materialize
+        progress, which the event-driven replay does not materialize
         between events."""
         return None
 
@@ -147,10 +146,9 @@ class SchedulerPolicy:
         """Earliest future time at which this policy's selection order can
         change with *no* new arrival or completion (e.g. a waiting request
         crossing its deadline), or None when the order is time-invariant
-        (the default). The event-driven engines cut their closed-form
-        decode runs at this time so time-driven priority shifts land at
-        the same step boundary in every replay mode — the stepwise loop
-        sees them naturally by probing every step."""
+        (the default). The engine cuts its closed-form decode runs at
+        this time so time-driven priority shifts land at the step boundary
+        where a per-token loop, probing every step, would see them."""
         return None
 
     def __len__(self) -> int:

@@ -8,9 +8,9 @@ plus instant events for radix evictions, deadline sheds, and tenant
 quota rejections, and gauge timelines (batch size, waiting depth, KV
 block charge, radix footprint, per-tenant quota charge) sampled at every
 admission wave. Everything is stamped on the engine's *simulated* clock,
-which both replay modes compute identically (see :mod:`repro.llm.engine`),
-so span sets compare ``==`` across modes and every span stamp equals the
-matching ``RequestMetrics`` stamp.
+which the engine and its per-token reference compute identically (see
+:mod:`repro.llm.engine`), so their span sets compare ``==`` and every span
+stamp equals the matching ``RequestMetrics`` stamp.
 
 Exports: Chrome trace-event JSON (``chrome://tracing`` / Perfetto; one
 process row per track — policy, replica — and one thread per engine
@@ -50,7 +50,7 @@ class TraceSpan(NamedTuple):
     """One closed lifecycle interval on the simulated engine clock.
 
     ``args`` is a sorted tuple of ``(key, value)`` pairs so spans stay
-    hashable and compare ``==`` across replay modes. A NamedTuple rather
+    hashable and compare ``==`` across replay loops. A NamedTuple rather
     than a frozen dataclass: span construction sits on the traced
     replay's hot path, and the tuple build keeps the tracing-overhead
     guard honest."""
@@ -82,7 +82,7 @@ class TraceGauge(NamedTuple):
 @dataclass
 class EngineTrace:
     """One run's trace: spans, instants, gauge samples, and run metadata
-    (scheduler / preemption / replay mode), as plain dataclasses."""
+    (scheduler / preemption / KV accounting), as plain dataclasses."""
 
     spans: List[TraceSpan] = field(default_factory=list)
     instants: List[TraceInstant] = field(default_factory=list)
@@ -124,8 +124,8 @@ class TraceRecorder:
         self._tenant: Dict[int, str] = {}  # rid -> tenant (while in-flight)
         self._chunk_idx: Dict[int, int] = {}  # rid -> next prefill-chunk index
         # Engine batch-slot assignment: min free slot at pop, freed at
-        # finish/preempt — pop and release order are mode-invariant, so
-        # slot numbers are too.
+        # finish/preempt — pop and release order do not depend on how
+        # decode was grouped, so slot numbers do not either.
         self._slot_of: Dict[int, int] = {}
         self._free_slots: List[int] = []
         self._next_slot = 0

@@ -92,6 +92,8 @@ class TestClusterConfig:
             dict(n_replicas=2, pins={"a": "0"}),
             dict(n_replicas=2, pins={"a": True}),
             dict(n_replicas=2, pins=[("a", 0)]),
+            dict(engine={"max_batch_size": 4}),
+            dict(engine=None),
         ],
     )
     def test_invalid_rejected_at_construction(self, kwargs):

@@ -169,13 +169,13 @@ class TestEngineConfigValidation:
             for name in SCHEDULER_POLICIES:
                 assert name in msg
 
-    def test_unknown_mode_at_config_time(self):
+    @pytest.mark.parametrize("bad", ["no", "False", 0, 1, None])
+    def test_enable_prefix_cache_must_be_bool(self, bad):
         from repro.errors import ServingError
 
-        for mode in ("warp", "event", "auto"):
-            with pytest.raises(ServingError, match="unknown engine mode") as exc_info:
-                EngineConfig(mode=mode)
-            assert "\n" not in str(exc_info.value)
+        with pytest.raises(ServingError, match="must be a bool") as exc_info:
+            EngineConfig(enable_prefix_cache=bad)
+        assert "\n" not in str(exc_info.value)
 
     def test_unknown_accounting_at_config_time(self):
         from repro.errors import ReproError
@@ -191,8 +191,6 @@ class TestEngineConfigValidation:
 
         for scheduler in SCHEDULER_POLICIES:
             EngineConfig(scheduler=scheduler)
-        for mode in ("vector", "stepwise"):
-            EngineConfig(mode=mode)
         for acc in ("paged", "tokens"):
             EngineConfig(kv_accounting=acc)
         for trace in ("on", "off"):

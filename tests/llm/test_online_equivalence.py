@@ -4,7 +4,7 @@ The contract: with every arrival at t=0 and the ``fcfs`` policy, the
 online path (arrival heap -> policy pool -> policy-driven admission) must
 reproduce the offline engine's schedules, integer metrics and cache
 counters *exactly*, clocks included (``==``) — in
-both replay modes (the event loop, ``mode="vector"``, and stepwise).
+both replay loops (the event loop and the stepwise reference).
 """
 
 import random
@@ -12,12 +12,13 @@ import random
 import pytest
 
 from repro.llm.client import SimulatedLLMClient
-from repro.llm.engine import EngineConfig, SimulatedLLMEngine
+from repro.llm.engine import EngineConfig
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
 from repro.llm.workload import TraceRequest, WorkloadTrace
+from tests.reference import ENGINES
 
 #: Both replay loops.
 MODES = ["vector", "stepwise"]
@@ -56,12 +57,21 @@ def random_workload(rng, n_requests=40, vocab=50, max_len=60, max_out=12):
     return reqs
 
 
+def client_on(mode, engine_config):
+    """A client whose engine replays with ``mode``'s loop."""
+    client = SimulatedLLMClient(engine_config=engine_config)
+    client.engine = ENGINES[mode](
+        client.engine.model, client.engine.cluster, engine_config
+    )
+    return client
+
+
 def run_engine(requests, mode, scheduler, waves=1, **cfg_kwargs):
     cfg_kwargs.setdefault("kv_accounting", "tokens")
-    eng = SimulatedLLMEngine(
+    eng = ENGINES[mode](
         LLAMA3_8B,
         CLUSTER_1XL4,
-        EngineConfig(mode=mode, scheduler=scheduler, **cfg_kwargs),
+        EngineConfig(scheduler=scheduler, **cfg_kwargs),
     )
     results = []
     per_wave = max(1, len(requests) // waves)
@@ -127,8 +137,8 @@ class TestOnlineEquivalence:
         prompts = [distinct[rng.randrange(len(distinct))] for _ in range(n)]
         out_lens = [rng.randrange(0, 6) for _ in range(n)]
 
-        cfg = dict(mode=mode, kv_accounting="tokens", max_batch_size=8)
-        c_off = SimulatedLLMClient(engine_config=EngineConfig(**cfg))
+        cfg = dict(kv_accounting="tokens", max_batch_size=8)
+        c_off = client_on(mode, EngineConfig(**cfg))
         r_off = c_off.generate(prompts, output_lens=out_lens)
 
         trace = WorkloadTrace(
@@ -139,9 +149,7 @@ class TestOnlineEquivalence:
                 for i, p in enumerate(prompts)
             ]
         )
-        c_on = SimulatedLLMClient(
-            engine_config=EngineConfig(scheduler="fcfs", **cfg)
-        )
+        c_on = client_on(mode, EngineConfig(scheduler="fcfs", **cfg))
         r_on = c_on.generate_trace(trace)
 
         assert_results_equal(r_off.engine_result, r_on.engine_result)

@@ -22,6 +22,7 @@ from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.request import Request
+from tests.reference import ENGINES
 
 from tests.llm.test_vector_equivalence import random_workload
 
@@ -30,11 +31,10 @@ MODES = ["vector", "stepwise"]
 
 
 def run_accounting(requests, kv_accounting, mode, block_tokens=1, waves=1, **cfg):
-    eng = SimulatedLLMEngine(
+    eng = ENGINES[mode](
         LLAMA3_8B,
         CLUSTER_1XL4,
         EngineConfig(
-            mode=mode,
             kv_accounting=kv_accounting,
             block_tokens=block_tokens,
             **cfg,

@@ -4,8 +4,8 @@ Two contracts:
 
 * **Mode equivalence with the features ON**: with decode preemption
   (recompute or swap), chunked prefill, and the deadline EDF scheduler
-  all active, the event loop (``mode="vector"``) still agrees with the
-  stepwise oracle — identical integer metrics including every
+  all active, the event loop (``SimulatedLLMEngine``) still agrees with
+  the stepwise reference (``tests.reference.stepwise_engine``) — identical integer metrics including every
   preemption/chunk counter, clocks included (``==``).
 
 * **The one-shot oracle**: ``preemption="off"`` with monolithic prefill
@@ -23,6 +23,7 @@ from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
+from tests.reference import ENGINES
 
 #: Tight serving point: 4 slots and a small KV pool, so the deadline
 #: policy has constant preemption pressure from the bursty arrivals.
@@ -85,9 +86,7 @@ def clone(requests):
 
 
 def run_engine(requests, mode, **cfg_kwargs):
-    eng = SimulatedLLMEngine(
-        LLAMA3_8B, CLUSTER_1XL4, EngineConfig(mode=mode, **cfg_kwargs)
-    )
+    eng = ENGINES[mode](LLAMA3_8B, CLUSTER_1XL4, EngineConfig(**cfg_kwargs))
     eng.submit_all(requests)
     result = eng.run()
     eng.cache.check_invariants()

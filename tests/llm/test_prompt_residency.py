@@ -2,8 +2,8 @@
 
 The radix tree is the only holder of prompt KV: a running request takes
 no block references of its own, so its prompt path survives eviction
-only because the event loop pins it and the stepwise oracle lists it as
-protected. This suite replays randomized paged traces under eviction
+only because the event loop pins it and the stepwise reference lists it
+as protected. This suite replays randomized paged traces under eviction
 pressure in both replay modes, with preemption off/recompute/swap and
 prefill chunked or not, and checks at every admission point:
 
@@ -25,13 +25,15 @@ import pytest
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
+from repro.llm.radix import RadixPrefixCache
 
 from tests.llm.test_preempt_equivalence import clone, preempt_workload
+from tests.reference import NodeRadixCache, StepwiseEngine
 
 
 def node_allocations(cache):
-    """Block allocations of every live radix node, on either backend."""
-    if cache.backend == "flat":
+    """Block allocations of every live radix node, on either tree."""
+    if isinstance(cache, RadixPrefixCache):
         return [
             a
             for s, a in enumerate(cache._allocs)
@@ -50,12 +52,12 @@ def block_occurrences(allocs):
     return Counter(b for a in allocs for b in a.block_ids)
 
 
-class ResidencyProbe(SimulatedLLMEngine):
-    """The engine with a residency check after every admission point.
+class ResidencyProbe:
+    """Engine mixin: a residency check after every admission point.
 
-    ``live`` tracks the members in the batch by request id: the lists
-    ``_admit`` fills hold every member it admitted (the stepwise loop
-    passes its whole batch), and a member leaves at finish or
+    ``live`` tracks the members in the batch by request id: ``_admit``
+    appends every member it admits to the list it is given (the stepwise
+    loop passes its whole batch), and a member leaves at finish or
     preemption."""
 
     def __init__(self, *args, **kwargs):
@@ -63,11 +65,13 @@ class ResidencyProbe(SimulatedLLMEngine):
         self.live = {}
         self.checked_members = 0
 
-    def _admit(self, running, n_active=None):
-        super()._admit(running, n_active)
-        for m in running:
+    def _admit(self, wave, n_active):
+        n_before = len(wave)
+        victims = super()._admit(wave, n_active)
+        for m in wave[n_before:]:
             self.live[m.request.request_id] = m
         self.check_residency()
+        return victims
 
     def _finish(self, r, done):
         del self.live[r.request.request_id]
@@ -100,17 +104,31 @@ class ResidencyProbe(SimulatedLLMEngine):
         assert self.blocks._refs == expected
 
 
+class VectorProbe(ResidencyProbe, SimulatedLLMEngine):
+    pass
+
+
+class StepwiseProbe(ResidencyProbe, StepwiseEngine):
+    pass
+
+
+def make_probe(mode, config):
+    if mode == "vector":
+        return VectorProbe(LLAMA3_8B, CLUSTER_1XL4, config)
+    eng = StepwiseProbe(LLAMA3_8B, CLUSTER_1XL4, config)
+    eng.cache = NodeRadixCache(block_manager=eng.blocks)
+    return eng
+
+
 @pytest.mark.parametrize("mode", ["vector", "stepwise"])
 @pytest.mark.parametrize("preemption", ["off", "recompute", "swap"])
 @pytest.mark.parametrize("chunk", [None, 48])
 @pytest.mark.parametrize("seed", range(3))
 def test_running_prompts_stay_resident(mode, preemption, chunk, seed):
     reqs = preempt_workload(random.Random(500 + seed), n_requests=50)
-    eng = ResidencyProbe(
-        LLAMA3_8B,
-        CLUSTER_1XL4,
+    eng = make_probe(
+        mode,
         EngineConfig(
-            mode=mode,
             scheduler="deadline",
             scheduler_deadline_s=1.0,
             preemption=preemption,

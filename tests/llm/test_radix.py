@@ -1,5 +1,5 @@
 """Tests for the radix prefix cache, including hypothesis invariants,
-pin/unpin refcounting, and flat-vs-node backend equivalence."""
+pin/unpin refcounting, and equivalence with the node-tree reference."""
 
 import random
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ServingError
 from repro.llm.radix import RadixPrefixCache, pack_tokens
+from tests.reference import RADIX_CACHES, NodeRadixCache
 
 BACKENDS = ("flat", "node")
 
@@ -111,7 +112,7 @@ class TestEviction:
         LRU order. One evict call must still take it (the flat backend
         steps its list cursor back to the parent)."""
         for first, second in (((0,), (0, 0)), ((0, 0), (0, 1))):
-            c = RadixPrefixCache(backend=backend)
+            c = RADIX_CACHES[backend]()
             c.insert(first)
             c.insert(second)
             total = c.total_tokens
@@ -121,8 +122,10 @@ class TestEviction:
 
 
 class TestPathNodes:
+    """The node reference's protection walk."""
+
     def test_path_ids_tolerant(self):
-        c = RadixPrefixCache()
+        c = NodeRadixCache()
         c.insert([1, 2, 3])
         ids_full = c.path_node_ids([1, 2, 3])
         ids_divergent = c.path_node_ids([1, 2, 99])
@@ -131,13 +134,13 @@ class TestPathNodes:
 
 
 class TestPinning:
-    """Pin semantics on the default (flat) backend; TestNodePinning runs
+    """Pin semantics on the shipped (flat) tree; TestNodePinning runs
     the same checks on the node reference."""
 
     backend = "flat"
 
     def test_pin_protects_path(self):
-        c = RadixPrefixCache(backend=self.backend)
+        c = RADIX_CACHES[self.backend]()
         c.insert([1, 2, 3])
         c.insert([9, 8, 7])
         ticket = c.pin([1, 2, 3])
@@ -150,12 +153,12 @@ class TestPinning:
         assert c.evict(100) == 3
 
     def test_pin_miss_returns_none(self):
-        c = RadixPrefixCache(backend=self.backend)
+        c = RADIX_CACHES[self.backend]()
         assert c.pin([1, 2]) is None
         c.unpin(None)  # no-op
 
     def test_unpin_without_pin_raises(self):
-        c = RadixPrefixCache(backend=self.backend)
+        c = RADIX_CACHES[self.backend]()
         c.insert([1, 2])
         ticket = c.pin([1, 2])
         c.unpin(ticket)
@@ -165,7 +168,7 @@ class TestPinning:
     def test_split_inherits_lock_refs(self):
         """A pinned path stays pinned after a later insert splits one of
         its edges — the split head inherits the tail's refcount."""
-        c = RadixPrefixCache(backend=self.backend)
+        c = RADIX_CACHES[self.backend]()
         c.insert([1, 2, 3, 4, 5])
         ticket = c.pin([1, 2, 3, 4, 5])
         c.insert([1, 2, 9])  # splits [1..5] into [1,2] + [3,4,5]
@@ -178,7 +181,7 @@ class TestPinning:
         assert c.evict(100) == 5
 
     def test_pin_partial_edge_protects_whole_node(self):
-        c = RadixPrefixCache(backend=self.backend)
+        c = RADIX_CACHES[self.backend]()
         c.insert([1, 2, 3, 4])
         ticket = c.pin([1, 2])  # ends mid-edge: pins the [1,2,3,4] node
         assert c.evict(100) == 0
@@ -187,7 +190,7 @@ class TestPinning:
         c.check_invariants()
 
     def test_nested_pins(self):
-        c = RadixPrefixCache(backend=self.backend)
+        c = RADIX_CACHES[self.backend]()
         c.insert([1, 2, 3])
         t1 = c.pin([1, 2, 3])
         t2 = c.pin([1, 2, 3])
@@ -203,14 +206,14 @@ class TestNodePinning(TestPinning):
 
 
 class TestFlatVsNode:
-    """Both backends must make identical decisions on identical operation
-    sequences — the node tree is the flat backend's reference."""
+    """Both trees must make identical decisions on identical operation
+    sequences — the node tree is the flat tree's reference."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_op_sequence(self, seed):
         rng = random.Random(seed)
         flat = RadixPrefixCache()
-        node = RadixPrefixCache(backend="node")
+        node = NodeRadixCache()
         pool = [
             [rng.randrange(6) for _ in range(rng.randrange(1, 10))]
             for _ in range(12)
@@ -259,7 +262,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(seqs=st.lists(token_seqs(), min_size=1, max_size=12))
     def test_insert_then_match_full(self, backend, seqs):
-        c = RadixPrefixCache(backend=backend)
+        c = RADIX_CACHES[backend]()
         for s in seqs:
             c.insert(s)
             assert c.match(s) == len(s)
@@ -270,7 +273,7 @@ class TestProperties:
     def test_total_tokens_equals_unique_prefix_mass(self, backend, seqs):
         """total_tokens == number of distinct prefixes (trie nodes at token
         granularity), independent of insertion order."""
-        c = RadixPrefixCache(backend=backend)
+        c = RADIX_CACHES[backend]()
         for s in seqs:
             c.insert(s)
         prefixes = {tuple(s[:k]) for s in seqs for k in range(1, len(s) + 1)}
@@ -281,7 +284,7 @@ class TestProperties:
     @given(seqs=st.lists(token_seqs(), min_size=2, max_size=10),
            n_evict=st.integers(min_value=1, max_value=20))
     def test_eviction_preserves_invariants(self, backend, seqs, n_evict):
-        c = RadixPrefixCache(backend=backend)
+        c = RADIX_CACHES[backend]()
         for s in seqs:
             c.insert(s)
         before = c.total_tokens
@@ -292,7 +295,7 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(seqs=st.lists(token_seqs(), min_size=1, max_size=10))
     def test_match_never_exceeds_probe(self, backend, seqs):
-        c = RadixPrefixCache(backend=backend)
+        c = RADIX_CACHES[backend]()
         for s in seqs:
             c.insert(s)
         for s in seqs:
@@ -302,7 +305,7 @@ class TestProperties:
     @given(seqs=st.lists(token_seqs(), min_size=1, max_size=10),
            n_evict=st.integers(min_value=1, max_value=20))
     def test_pinned_inserts_survive_eviction(self, backend, seqs, n_evict):
-        c = RadixPrefixCache(backend=backend)
+        c = RADIX_CACHES[backend]()
         tickets = []
         for s in seqs:
             c.insert(s)

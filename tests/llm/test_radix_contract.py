@@ -1,6 +1,6 @@
 """Shrinking state-machine test of the radix cache contract.
 
-Hypothesis drives the flat backend and its node-tree reference in
+Hypothesis drives the flat tree and its node-tree reference in
 lockstep, each over its own ``BlockManager``: inserts (including pool
 exhaustion), side-effecting and side-effect-free probes, pins, and
 eviction in both units with protected paths. Compound rules replay the engine's admission and chunk sequences on one
@@ -29,7 +29,8 @@ from hypothesis.stateful import (
 
 from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import BlockManager
-from repro.llm.radix import RadixPrefixCache, pack_tokens
+from repro.llm.radix import pack_tokens
+from tests.reference import RADIX_CACHES
 
 #: A small alphabet and short prompts make shared prefixes, edge splits
 #: and pool exhaustion common.
@@ -50,7 +51,7 @@ class RadixContract(RuleBasedStateMachine):
     def build(self, block_tokens):
         self.pools = tuple(BlockManager(64, block_tokens) for _ in range(2))
         self.caches = tuple(
-            RadixPrefixCache(backend=backend, block_manager=pool)
+            RADIX_CACHES[backend](block_manager=pool)
             for backend, pool in zip(("flat", "node"), self.pools)
         )
         self.pins = []
@@ -201,7 +202,7 @@ TestRadixContract = RadixContract.TestCase
 @pytest.mark.parametrize("backend", ["flat", "node"])
 class TestInsertAnchor:
     def test_unpinned_anchor_rejected(self, backend):
-        cache = RadixPrefixCache(backend=backend)
+        cache = RADIX_CACHES[backend]()
         cache.insert((1, 2, 3))
         ticket = cache.pin((1, 2, 3))
         cache.unpin(ticket)
@@ -209,7 +210,7 @@ class TestInsertAnchor:
             cache.insert((1, 2, 3, 4), anchor=ticket)
 
     def test_stale_anchor_rejected(self, backend):
-        cache = RadixPrefixCache(backend=backend)
+        cache = RADIX_CACHES[backend]()
         cache.insert((1, 2, 3))
         ticket = cache.pin((1, 2, 3))
         cache.unpin(ticket)
@@ -219,8 +220,7 @@ class TestInsertAnchor:
             cache.insert((1, 2, 3, 4), anchor=ticket)
 
     def test_anchor_past_probe_rejected(self, backend):
-        cache = RadixPrefixCache(
-            backend=backend, block_manager=BlockManager(16, 2)
+        cache = RADIX_CACHES[backend](block_manager=BlockManager(16, 2)
         )
         cache.insert((1, 2, 3))
         ticket = cache.pin((1, 2, 3))
@@ -228,7 +228,7 @@ class TestInsertAnchor:
             cache.insert((1, 2), anchor=ticket)
 
     def test_anchored_insert_extends_pinned_path(self, backend):
-        cache = RadixPrefixCache(backend=backend)
+        cache = RADIX_CACHES[backend]()
         first = (1, 2, 3)
         cache.insert(first)
         ticket = cache.pin(first)

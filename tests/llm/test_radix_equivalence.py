@@ -1,14 +1,13 @@
-"""Randomized engine-level equivalence: flat radix backend vs node-tree
-oracle.
+"""Randomized engine-level equivalence: the flat radix tree vs its
+node-tree reference.
 
-The flat array-backed radix cache (``RadixPrefixCache(backend="flat")``,
-the default) must make exactly the same caching
-decisions as its node-object reference (``backend="node"``): match
-lengths, eviction victims and order, hit/miss/eviction counters, block
-allocations, and therefore every engine clock — compared with plain
-``==``. Both runs use the *same* engine mode and the cache is the only
-thing that differs: the node run substitutes its cache into a
-vector-mode engine before ``run``.
+The flat array-backed radix cache (``RadixPrefixCache``) must make exactly
+the same caching decisions as its node-object reference
+(``tests.reference.NodeRadixCache``): match lengths, eviction victims and
+order, hit/miss/eviction counters, block allocations, and therefore every
+engine clock — compared with plain ``==``. Both runs use the shipped
+engine and the cache is the only thing that differs: the node run
+substitutes its cache into the engine before ``run``.
 
 Scope: paged x preemption x chunked-prefill shapes, eviction pressure,
 multi-wave warm caches, timed arrivals, every scheduler policy.
@@ -23,6 +22,7 @@ from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.radix import RadixPrefixCache, pack_tokens
 from repro.llm.request import Request
+from tests.reference import NodeRadixCache
 
 
 def random_workload(rng, n_requests=40, vocab=50, max_len=60, max_out=12):
@@ -77,11 +77,9 @@ def clone(requests):
 
 def run_engine(requests, backend, waves=1, **cfg_kwargs):
     """Run the vector engine on the ``backend`` radix cache."""
-    eng = SimulatedLLMEngine(
-        LLAMA3_8B, CLUSTER_1XL4, EngineConfig(mode="vector", **cfg_kwargs)
-    )
+    eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4, EngineConfig(**cfg_kwargs))
     if backend == "node":
-        eng.cache = RadixPrefixCache(backend="node", block_manager=eng.blocks)
+        eng.cache = NodeRadixCache(block_manager=eng.blocks)
     results = []
     per_wave = max(1, len(requests) // waves)
     for w in range(waves):
@@ -93,7 +91,7 @@ def run_engine(requests, backend, waves=1, **cfg_kwargs):
 
 
 def assert_bit_identical(rf, rn):
-    """Flat vs node backend under one engine mode: ``==`` on everything."""
+    """Flat vs node tree under the shipped engine: ``==`` on everything."""
     assert rf.prompt_tokens == rn.prompt_tokens
     assert rf.cached_tokens == rn.cached_tokens
     assert rf.prefill_tokens == rn.prefill_tokens
@@ -125,8 +123,8 @@ def assert_bit_identical(rf, rn):
 def assert_flat_matches_node(requests, waves=1, **cfg_kwargs):
     e_flat, r_flat = run_engine(clone(requests), "flat", waves=waves, **cfg_kwargs)
     e_node, r_node = run_engine(clone(requests), "node", waves=waves, **cfg_kwargs)
-    assert e_flat.cache.backend == "flat"
-    assert e_node.cache.backend == "node"
+    assert type(e_flat.cache) is RadixPrefixCache
+    assert type(e_node.cache) is NodeRadixCache
     for rf, rn in zip(r_flat, r_node):
         assert_bit_identical(rf, rn)
     # Cache counters — the signal the backends must agree on directly.

@@ -1,6 +1,5 @@
-"""Unit-level flat radix backend tests: backend resolution, randomized
-op-sequence equivalence against the node-tree reference, LCP edge cases
-on both backends, match_len side-effect-freeness under eviction
+"""Unit-level radix cache tests: randomized op-sequence equivalence
+against the node-tree reference, LCP edge cases on both trees, match_len side-effect-freeness under eviction
 pressure, and pin-ticket semantics.
 
 Engine-level equivalence (clocks, block allocations, preemption) lives
@@ -14,7 +13,8 @@ import pytest
 
 from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import BlockManager
-from repro.llm.radix import RadixPrefixCache, _FlatRadixCache, pack_tokens
+from repro.llm.radix import RadixPrefixCache, pack_tokens
+from tests.reference import RADIX_CACHES, NodeRadixCache
 
 
 def pair(capacity_tokens=None, block_tokens=4):
@@ -25,8 +25,8 @@ def pair(capacity_tokens=None, block_tokens=4):
         return BlockManager(capacity_tokens, block_tokens)
 
     return (
-        RadixPrefixCache(backend="flat", block_manager=bm()),
-        RadixPrefixCache(backend="node", block_manager=bm()),
+        RadixPrefixCache(block_manager=bm()),
+        NodeRadixCache(block_manager=bm()),
     )
 
 
@@ -47,25 +47,13 @@ def assert_counters_agree(caches):
         assert len(set(vals)) == 1, (key, vals)
 
 
-class TestBackendResolution:
-    def test_default_is_flat(self):
-        assert isinstance(RadixPrefixCache(), _FlatRadixCache)
-        assert RadixPrefixCache().backend == "flat"
-
-    def test_explicit_backends(self):
-        assert RadixPrefixCache(backend="flat").backend == "flat"
-        assert type(RadixPrefixCache(backend="node")) is RadixPrefixCache
-        with pytest.raises(ServingError, match="unknown radix backend 'trie'"):
-            RadixPrefixCache(backend="trie")
-
-
 class TestLcpEdgeCases:
-    """_common_prefix_len / flat-LCP boundary shapes, on both backends
+    """_common_prefix_len / flat-LCP boundary shapes, on both trees
     (satellite: empty edge, exact-edge boundary, mid-block split)."""
 
     @pytest.mark.parametrize("backend", ["flat", "node"])
     def test_empty_probe(self, backend):
-        c = RadixPrefixCache(backend=backend)
+        c = RADIX_CACHES[backend]()
         assert c.insert(()) == 0
         assert c.match(()) == 0
         assert c.match_len(()) == 0
@@ -74,7 +62,7 @@ class TestLcpEdgeCases:
     @pytest.mark.parametrize("backend", ["flat", "node"])
     def test_exact_edge_boundary(self, backend):
         """Probe ending exactly at an edge boundary: full match, no split."""
-        c = RadixPrefixCache(backend=backend)
+        c = RADIX_CACHES[backend]()
         c.insert((1, 2, 3, 4, 5, 6))
         assert c.match_len((1, 2, 3, 4, 5, 6)) == 6
         before = c.stats()["nodes"]
@@ -85,7 +73,7 @@ class TestLcpEdgeCases:
     @pytest.mark.parametrize("backend", ["flat", "node"])
     def test_probe_shorter_than_edge(self, backend):
         """Probe exhausts mid-edge: partial match without divergence."""
-        c = RadixPrefixCache(backend=backend)
+        c = RADIX_CACHES[backend]()
         c.insert((1, 2, 3, 4, 5, 6))
         assert c.match_len((1, 2, 3)) == 3
         assert c.match_len((1,)) == 1
@@ -100,7 +88,7 @@ class TestLcpEdgeCases:
         backend's scalar/vectorized compare threshold both ways)."""
         base = tuple(range(1, 25))
         for cut in range(1, len(base)):
-            c = RadixPrefixCache(backend=backend)
+            c = RADIX_CACHES[backend]()
             c.insert(base)
             probe = base[:cut] + (999,) + base[cut + 1 :]
             assert c.match_len(probe) == cut, cut
@@ -109,7 +97,7 @@ class TestLcpEdgeCases:
 
     @pytest.mark.parametrize("backend", ["flat", "node"])
     def test_single_token_edges(self, backend):
-        c = RadixPrefixCache(backend=backend)
+        c = RADIX_CACHES[backend]()
         c.insert((1,))
         c.insert((1, 2))
         c.insert((1, 3))
@@ -124,7 +112,7 @@ class TestLcpEdgeCases:
         """Paged: a split inside a block leaves head and tail sharing the
         straddling block id."""
         bm = BlockManager(64, 4)
-        c = RadixPrefixCache(backend=backend, block_manager=bm)
+        c = RADIX_CACHES[backend](block_manager=bm)
         c.insert((1, 2, 3, 4, 5, 6))  # 6 tokens: blocks [b0, b1]
         c.insert((1, 2, 3, 9, 9))  # split at 3 — inside b0
         c.check_invariants()
@@ -133,8 +121,8 @@ class TestLcpEdgeCases:
         assert c.match_len((1, 2, 3)) == 3
 
     def test_flat_matches_node_on_packed_and_unpacked(self):
-        flat = RadixPrefixCache(backend="flat")
-        node = RadixPrefixCache(backend="node")
+        flat = RadixPrefixCache()
+        node = NodeRadixCache()
         rng = random.Random(11)
         for _ in range(300):
             toks = tuple(rng.randrange(4) for _ in range(rng.randrange(0, 30)))
@@ -252,7 +240,7 @@ class TestRandomizedOpEquivalence:
 
 class TestFlatPinning:
     def test_double_unpin_raises(self):
-        c = RadixPrefixCache(backend="flat")
+        c = RadixPrefixCache()
         c.insert((1, 2, 3))
         t = c.pin((1, 2, 3))
         c.unpin(t)
@@ -260,10 +248,10 @@ class TestFlatPinning:
             c.unpin(t)
 
     def test_unpin_none_is_noop(self):
-        RadixPrefixCache(backend="flat").unpin(None)
+        RadixPrefixCache().unpin(None)
 
     def test_pinned_path_survives_full_eviction(self):
-        c = RadixPrefixCache(backend="flat")
+        c = RadixPrefixCache()
         c.insert((1, 2, 3, 4))
         c.insert((9, 9))
         t = c.pin((1, 2, 3, 4))
@@ -275,7 +263,7 @@ class TestFlatPinning:
         c.check_invariants()
 
     def test_stale_ticket_after_slot_reuse_raises(self):
-        c = RadixPrefixCache(backend="flat")
+        c = RadixPrefixCache()
         c.insert((1, 2))
         t = c.pin((1, 2))
         c.unpin(t)
@@ -290,7 +278,7 @@ class TestFlatStorage:
     def test_store_compaction_preserves_contents(self):
         """Eviction strands spans; enough churn triggers compaction, which
         must not change what matches."""
-        c = RadixPrefixCache(backend="flat")
+        c = RadixPrefixCache()
         rng = random.Random(5)
         live = []
         for i in range(400):
@@ -305,16 +293,14 @@ class TestFlatStorage:
             assert 0 <= hit <= len(toks)
 
     def test_stats_shape(self):
-        c = RadixPrefixCache(backend="flat")
+        c = RadixPrefixCache()
         c.insert((1, 2, 3))
         s = c.stats()
-        assert s["backend"] == "flat"
         assert s["nodes"] == 1
         assert s["total_tokens"] == 3
         assert s["token_store_bytes"] >= 3 * 8
-        n = RadixPrefixCache(backend="node")
+        n = NodeRadixCache()
         n.insert((1, 2, 3))
         ns = n.stats()
-        assert ns["backend"] == "node"
         assert ns["nodes"] == 1 and ns["total_tokens"] == 3
         assert ns["token_store_bytes"] == 3 * 8

@@ -8,12 +8,13 @@ Three contracts:
   prefill x KV accounting, in both replay modes. The recorder only
   observes; it never perturbs the replay.
 
-* **Mode invariance**: the stepwise oracle and the event loop
-  (``mode="vector"``) emit **identical span sets** — the same spans,
-  instants, and gauge samples with the same simulated-clock stamps
-  under ``==``. The one excluded value is the ``radix_store_bytes``
-  gauge: the stepwise oracle pins the node radix backend, whose byte
-  accounting legitimately differs from the flat backend's arena.
+* **Mode invariance**: the stepwise reference
+  (``tests.reference.stepwise_engine``) and the event loop emit
+  **identical span sets** — the same spans, instants, and gauge samples
+  with the same simulated-clock stamps under ``==``. The one excluded
+  value is the ``radix_store_bytes`` gauge: the stepwise reference runs
+  the node radix tree, whose byte accounting legitimately differs from
+  the flat tree's arena.
 
 * **Stamp agreement**: spans are stamped from the engine clock itself,
   so a request's last prefill span ends exactly at its
@@ -33,6 +34,7 @@ from repro.llm.models import LLAMA3_8B
 from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
 from repro.llm.workload import TraceRequest, WorkloadTrace
+from tests.reference import ENGINES
 
 MODES = ("stepwise", "vector")
 
@@ -122,10 +124,8 @@ def clone(requests):
 
 
 def run_traced(requests, mode, trace, **cfg_kwargs):
-    eng = SimulatedLLMEngine(
-        LLAMA3_8B,
-        CLUSTER_1XL4,
-        EngineConfig(mode=mode, trace=trace, **cfg_kwargs),
+    eng = ENGINES[mode](
+        LLAMA3_8B, CLUSTER_1XL4, EngineConfig(trace=trace, **cfg_kwargs)
     )
     eng.submit_all(requests)
     result = eng.run()
@@ -287,10 +287,7 @@ class TestModeInvariantSpans:
         assert tr.spans == ref.spans
         assert tr.instants == ref.instants
         assert strip_store_bytes(tr.gauges) == strip_store_bytes(ref.gauges)
-        # The meta records which mode actually replayed each trace.
-        for mode in MODES:
-            assert traces[mode].meta["mode"] == mode
-            assert traces[mode].meta["scheduler"] == ref.meta["scheduler"]
+        assert tr.meta == ref.meta
 
     @pytest.mark.parametrize("seed", range(3))
     def test_peak_waiting_mode_invariant(self, seed):
@@ -371,7 +368,7 @@ class TestTraceMachineryFires:
         eng = SimulatedLLMEngine(
             LLAMA3_8B,
             CLUSTER_1XL4,
-            EngineConfig(mode="vector", trace="on", scheduler="fcfs"),
+            EngineConfig(trace="on", scheduler="fcfs"),
         )
         eng.submit_all(clone(reqs[:12]))
         r1 = eng.run()

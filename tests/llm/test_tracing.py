@@ -124,7 +124,6 @@ class TestSpanStructure:
         assert meta["scheduler"] == result.scheduler
         assert meta["preemption"] == result.preemption
         assert meta["kv_accounting"] == result.kv_accounting
-        assert meta["mode"] in ("stepwise", "vector")
 
 
 class TestChromeExport:

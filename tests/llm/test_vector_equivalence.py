@@ -1,9 +1,10 @@
-"""Randomized equivalence: the event loop vs the stepwise oracle.
+"""Randomized equivalence: the event loop vs the stepwise reference.
 
-The event loop (``mode="vector"``: closed-form decode runs, decode tails
-settled through the block reservation, flat radix backend) must make
+The event loop (``SimulatedLLMEngine``: closed-form decode runs, decode
+tails settled through the block reservation, flat radix tree) must make
 exactly the same scheduling decisions as the per-token stepwise loop
-(node-tree radix reference): identical integer metrics (per request and
+(``tests.reference.stepwise_engine``, on the node-tree radix reference):
+identical integer metrics (per request and
 per run, paged-block peaks and fragmentation included), cache counters,
 and clocks, all under ``==`` — both loops price decode time from the same
 integer step and KV-token counts. Radix invariants are checked after
@@ -12,7 +13,7 @@ every run.
 Scope: all scheduler policies, online (timed) arrivals — including
 arrivals landing exactly on a decode-step boundary — paged block
 accounting, eviction pressure, multi-wave replay, zero-output requests,
-the capacity error, and replay-mode selection. Each scenario draws its
+and the capacity error. Each scenario draws its
 workloads from ``random.Random(base + seed)``; seeds 8000 and up add a
 second, disjoint block of workloads per scenario.
 """
@@ -25,8 +26,9 @@ from repro.errors import CapacityError
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
-from repro.llm.radix import pack_tokens
+from repro.llm.radix import RadixPrefixCache, pack_tokens
 from repro.llm.request import Request
+from tests.reference import ENGINES, NodeRadixCache, StepwiseEngine
 
 
 def random_workload(rng, n_requests=40, vocab=50, max_len=60, max_out=12):
@@ -77,9 +79,7 @@ def clone(requests):
 
 
 def run_engine(requests, mode, waves=1, **cfg_kwargs):
-    eng = SimulatedLLMEngine(
-        LLAMA3_8B, CLUSTER_1XL4, EngineConfig(mode=mode, **cfg_kwargs)
-    )
+    eng = ENGINES[mode](LLAMA3_8B, CLUSTER_1XL4, EngineConfig(**cfg_kwargs))
     results = []
     per_wave = max(1, len(requests) // waves)
     for w in range(waves):
@@ -121,8 +121,9 @@ def assert_vector_matches_stepwise(requests, waves=1, **cfg_kwargs):
         clone(requests), "stepwise", waves=waves, **cfg_kwargs
     )
     e_vec, r_vec = run_engine(clone(requests), "vector", waves=waves, **cfg_kwargs)
-    assert e_step.mode == "stepwise" and e_vec.mode == "vector"
-    assert e_step.cache.backend == "node" and e_vec.cache.backend == "flat"
+    assert type(e_step) is StepwiseEngine and type(e_vec) is SimulatedLLMEngine
+    assert type(e_step.cache) is NodeRadixCache
+    assert type(e_vec.cache) is RadixPrefixCache
     for rs, rv in zip(r_step, r_vec):
         assert_same(rs, rv)
     assert e_vec.cache.hits == e_step.cache.hits
@@ -234,9 +235,7 @@ class TestVectorVsStepwise:
 def solo_clock_after(prompt_len, steps):
     """The event loop's clock after ``steps`` decode steps of one request
     with a ``prompt_len``-token prompt: that request's finish stamp."""
-    eng = SimulatedLLMEngine(
-        LLAMA3_8B, CLUSTER_1XL4, EngineConfig(mode="vector")
-    )
+    eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4, EngineConfig())
     eng.submit(Request(0, tuple(range(prompt_len)), steps))
     return eng.run().request_metrics[0].finished_at_s
 
@@ -259,24 +258,10 @@ class TestArrivalOnStepBoundary:
 
 
 class TestModeSelectionAndErrors:
-    def test_default_mode_is_vector(self):
-        eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
-        assert eng.mode == "vector"
-        assert eng.cache.backend == "flat"
-
-    def test_stepwise_mode_runs_node_radix(self):
-        eng = SimulatedLLMEngine(
-            LLAMA3_8B, CLUSTER_1XL4, EngineConfig(mode="stepwise")
-        )
-        assert eng.mode == "stepwise"
-        assert eng.cache.backend == "node"
-
     @pytest.mark.parametrize("mode", ["vector", "stepwise"])
     def test_capacity_error(self, mode):
-        eng = SimulatedLLMEngine(
-            LLAMA3_8B,
-            CLUSTER_1XL4,
-            EngineConfig(mode=mode, kv_capacity_tokens=500),
+        eng = ENGINES[mode](
+            LLAMA3_8B, CLUSTER_1XL4, EngineConfig(kv_capacity_tokens=500)
         )
         eng.submit(Request(0, tuple(range(2000)), 10))
         with pytest.raises(CapacityError):

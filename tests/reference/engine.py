@@ -1,0 +1,130 @@
+"""The serving engine's reference: the per-token replay loop.
+
+:class:`StepwiseEngine` is :class:`repro.llm.engine.SimulatedLLMEngine`
+with two methods replaced. Its replay loop (``_replay``) advances decode
+one step at a time, growing every decode tail token by token and probing
+admission after each step. Its eviction-protection hook (``_protect``)
+pins nothing: an admission-time evict spares every batch member's prompt
+path, each mid-prefill member's prefix so far, and the candidate's prompt,
+collected afresh for each evict. Admission, chunking, preemption and tail
+settlement are the shipped engine's own code.
+
+:func:`stepwise_engine` builds one on the node-tree radix reference
+(:class:`tests.reference.radix.NodeRadixCache`), so the pair the replay
+suites compare differs in the replay loop, the residency mechanism and
+the radix tree, and must still agree under ``==``, clocks included.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence
+
+from repro.errors import ServingError
+from repro.llm.engine import EngineConfig, EngineResult, SimulatedLLMEngine, _Running
+from repro.llm.hardware import CLUSTER_1XL4, Cluster
+from repro.llm.models import LLAMA3_8B, ModelSpec
+from repro.llm.request import RequestMetrics
+
+from .radix import NodeRadixCache
+
+
+class StepwiseEngine(SimulatedLLMEngine):
+    """Per-token replay loop with explicit eviction protection."""
+
+    def _replay(self) -> EngineResult:
+        running: List[_Running] = []
+        #: The batch, read by _protect while _admit runs.
+        self._running = running
+        done: List[RequestMetrics] = []
+        peak = 0
+        decode_steps = 0
+        max_batch_seen = 0
+
+        while len(self.scheduler) or self._future or running or self._prefilling:
+            n_before = len(running)
+            victims = self._admit(running, n_active=n_before)
+            for m in running[n_before:]:
+                m.admit_step = self._step - m.decoded
+            for m in victims:
+                # Its first occurrence: a victim re-admitted in the same
+                # call was appended again at the end.
+                for i, x in enumerate(running):
+                    if x is m:
+                        del running[i]
+                        break
+                else:
+                    raise ServingError("preempted a member absent from the batch")
+            if not running:
+                if self._prefilling:
+                    # Chunked prefills advance (and move the clock) inside
+                    # _admit; keep probing until a member becomes ready.
+                    continue
+                if len(self.scheduler):
+                    raise ServingError("admission stalled with empty batch")
+                if self._future:
+                    self._idle_jump()
+                    continue
+                break
+            max_batch_seen = max(max_batch_seen, len(running))
+            peak = max(peak, self._sample_usage())
+
+            # Retire zero-output requests without a decode step.
+            still: List[_Running] = []
+            for r in running:
+                if r.request.output_tokens == 0:
+                    self._finish(r, done)
+                else:
+                    still.append(r)
+            running[:] = still
+            if not running:
+                continue
+
+            self._advance_decode(1, sum(r.context_len for r in running))
+            decode_steps += 1
+            self._step += 1
+            still = []
+            for r in running:
+                r.decoded += 1
+                if r.tail is not None:
+                    # Paged accounting: the decode tail grows one token at a
+                    # time, drawing a fresh block only at block boundaries
+                    # (covered by the admission-time reservation).
+                    self._grow_tail(r, 1)
+                if r.decoded == 1:
+                    r.metrics.first_token_at_s = self._clock
+                if r.decoded >= r.request.output_tokens:
+                    self._finish(r, done)
+                else:
+                    still.append(r)
+            running[:] = still
+
+        return self._result(done, decode_steps, peak, max_batch_seen)
+
+    def _protect(self, tokens: Sequence[int], candidate: bool = False):
+        """No pins: a member's ticket is None. An admission-time evict
+        spares every batch member's prompt, each mid-prefill member's
+        prefilled prefix and the candidate's prompt. A preempted member is
+        parked, and its path is no longer spared."""
+        if not candidate:
+            return None
+        parked = self._parked
+        protected = [
+            m.request.prompt_tokens
+            for m in self._running
+            if parked.get(m.request.request_id) is not m
+        ]
+        for p in self._prefilling:
+            protected.append(p.request.prompt_tokens[: p.hit + p.done_prefill])
+        protected.append(tokens)
+        return protected
+
+
+def stepwise_engine(
+    model: ModelSpec = LLAMA3_8B,
+    cluster: Cluster = CLUSTER_1XL4,
+    config: Optional[EngineConfig] = None,
+) -> StepwiseEngine:
+    """A :class:`StepwiseEngine` on the node-tree radix reference."""
+    engine = StepwiseEngine(model, cluster, config)
+    engine.cache = NodeRadixCache(block_manager=engine.blocks)
+    return engine
