@@ -126,31 +126,17 @@ def bench_engine_replay_no_cache(benchmark):
 
 
 def bench_engine_replay_paged_blocks(benchmark):
-    """The same replay under explicit paged-KV admission (block_tokens=16):
-    quantifies the block-accounting overhead vs the token-sum oracle twin
-    below, and records the fragmentation the oracle cannot see."""
+    """The same replay at vLLM's block size (block_tokens=16): records the
+    peak block charge and the internal fragmentation that block rounding
+    costs on this workload."""
     requests = _replay_requests()
     res = run_once(
-        benchmark,
-        lambda: _replay(
-            "vector", requests, kv_accounting="paged", block_tokens=16
-        ),
+        benchmark, lambda: _replay("vector", requests, block_tokens=16)
     )
-    assert res.kv_accounting == "paged" and res.peak_kv_blocks > 0
+    assert res.block_tokens == 16 and res.peak_kv_blocks > 0
     benchmark.extra_info["peak_kv_blocks"] = res.peak_kv_blocks
     benchmark.extra_info["fragmentation_tokens"] = res.fragmentation_tokens
     benchmark.extra_info["fragmentation"] = round(res.fragmentation, 4)
-    _record(benchmark, res)
-
-
-def bench_engine_replay_token_oracle_accounting(benchmark):
-    """Token-sum admission oracle (`kv_accounting="tokens"`) on the same
-    workload — the baseline for bench_engine_replay_paged_blocks."""
-    requests = _replay_requests()
-    res = run_once(
-        benchmark, lambda: _replay("vector", requests, kv_accounting="tokens")
-    )
-    assert res.kv_accounting == "tokens" and res.peak_kv_blocks == 0
     _record(benchmark, res)
 
 
@@ -167,7 +153,6 @@ def bench_engine_paged_eviction_pressure(benchmark):
             LLAMA3_8B,
             CLUSTER_1XL4,
             EngineConfig(
-                kv_accounting="paged",
                 block_tokens=16,
                 kv_capacity_tokens=4000,
                 max_batch_size=8,

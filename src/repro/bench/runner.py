@@ -92,10 +92,9 @@ class RunResult:
     n_llm_calls: int
     peak_kv_tokens: int = 0
     max_batch_seen: int = 0
-    #: Paged-KV admission metrics (zero under the token-sum oracle): block
-    #: size, the largest per-stage peak of physical blocks charged, and the
+    #: Paged-KV admission metrics (zero for engine-less runs): block size,
+    #: the largest per-stage peak of physical blocks charged, and the
     #: internal fragmentation at that peak.
-    kv_accounting: str = "tokens"
     block_tokens: int = 0
     peak_kv_blocks: int = 0
     fragmentation_tokens: int = 0
@@ -123,7 +122,7 @@ class RunResult:
     @property
     def fragmentation(self) -> float:
         """Fraction of peak block memory lost to internal fragmentation
-        (0.0 under the token-sum oracle)."""
+        (0.0 for engine-less runs)."""
         denom = self.peak_kv_blocks * self.block_tokens
         return self.fragmentation_tokens / denom if denom else 0.0
 
@@ -187,7 +186,6 @@ def run_query(
     seed: int = 0,
     max_batch_size: int = 64,
     kv_capacity_tokens: Optional[int] = None,
-    kv_accounting: str = "paged",
     block_tokens: int = 16,
     tokenizer: Optional[HashTokenizer] = None,
 ) -> RunResult:
@@ -196,8 +194,8 @@ def run_query(
     A fresh engine (empty prefix cache) is created per run, matching the
     paper's per-query measurement methodology. Multi-stage (T3) queries
     share one engine across stages, like a long-lived server would.
-    ``kv_accounting``/``block_tokens`` select the engine's admission model
-    (paged block-granular by default; see :class:`repro.llm.engine.EngineConfig`).
+    ``block_tokens`` is the KV block size the engine admits in (see
+    :class:`repro.llm.engine.EngineConfig`).
     ``tokenizer`` lets callers share one tokenizer — and with it the
     tokenizer-level encode cache — across runs; prompts are then encoded
     once per sweep instead of once per run. Metrics are unaffected: the
@@ -216,7 +214,6 @@ def run_query(
             enable_prefix_cache=policy.cache_enabled,
             max_batch_size=max_batch_size,
             kv_capacity_tokens=kv_capacity_tokens,
-            kv_accounting=kv_accounting,
             block_tokens=block_tokens,
         ),
         tokenizer=tokenizer,
@@ -239,7 +236,6 @@ def run_query(
 
     prompt_tokens = cached_tokens = prefill_tokens = decode_tokens = 0
     peak = batch = peak_blocks = frag = blk = 0
-    acct = "tokens"
     sched_num = sched_den = 0.0
     request_metrics = []
     for call in runtime.calls:
@@ -255,7 +251,6 @@ def run_query(
             if er.peak_kv_blocks > peak_blocks:
                 peak_blocks = er.peak_kv_blocks
                 frag = er.fragmentation_tokens
-            acct = er.kv_accounting
             blk = max(blk, er.block_tokens)
         # Weight each stage's schedule-level PHR by its prompt volume (the
         # runtime's scheduled-token estimate when the stage issued no
@@ -284,7 +279,6 @@ def run_query(
         n_llm_calls=len(runtime.calls),
         peak_kv_tokens=peak,
         max_batch_seen=batch,
-        kv_accounting=acct,
         block_tokens=blk,
         peak_kv_blocks=peak_blocks,
         fragmentation_tokens=frag,

@@ -15,11 +15,11 @@ discrete-event simulator (see DESIGN.md "Substitutions"):
     (``tests/reference/radix.py``).
 ``blocks``
     Paged KV block manager with ref-counted blocks (vLLM-style). The
-    engine admits on it by default: radix nodes own the blocks backing
-    their edges (the tree is the only holder of prompt KV), decode tails
-    grow block-by-block, and eviction returns blocks to the pool. The
-    token-sum admission heuristic stays selectable as the oracle
-    (``EngineConfig.kv_accounting="tokens"``).
+    engine always admits on it: radix nodes own the blocks backing their
+    edges (the tree is the only holder of prompt KV), decode tails grow
+    block-by-block, and eviction returns blocks to the pool. Its
+    reference, a token-sum admission model, lives with the tests
+    (``tests/reference/engine.py``).
 ``hardware`` / ``models``
     GPU and model registries (L4, 8xL4; Llama-3 1B/8B/70B) with memory,
     bandwidth, FLOPs, weight bytes and KV bytes/token.

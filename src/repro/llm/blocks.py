@@ -13,9 +13,9 @@ resident by pinning it — it takes no block references of its own. A request ow
 only its private tail: decode KV, plus the prompt when the prefix cache
 is off. So a refcount above 1 comes from a split's straddle block alone.
 
-The engine's token-sum admission (``EngineConfig(kv_accounting="tokens")``)
-is the oracle this accounting is tested against: with ``block_tokens=1``
-paged admission reproduces it exactly.
+The engine always admits on this manager. Its reference is a token-sum
+admission model that lives with the tests (``tests/reference/engine.py``):
+at ``block_tokens=1`` paged admission reproduces it exactly.
 
 The pool is a Python list used as a LIFO free stack plus a dict of
 refcounts; every operation is a short per-block loop.
@@ -106,15 +106,8 @@ class BlockManager:
     def used_blocks(self) -> int:
         return self.n_blocks - self.free_blocks
 
-    @property
-    def free_tokens(self) -> int:
-        return self.free_blocks * self.block_tokens
-
     def blocks_needed(self, n_tokens: int) -> int:
         return (n_tokens + self.block_tokens - 1) // self.block_tokens
-
-    def can_allocate(self, n_tokens: int) -> bool:
-        return self.blocks_needed(n_tokens) <= self.free_blocks
 
     def allocate(self, n_tokens: int) -> BlockAllocation:
         """Allocate blocks for ``n_tokens``; raises :class:`CapacityError`

@@ -37,26 +37,21 @@ reference, and agrees with this engine under ``==``, clocks included.
 Admission, chunking, preemption and completion are shared: each request's
 :class:`RequestMetrics` is built at admission and stamped in place.
 
-Two *KV accounting* models gate admission:
-
-``kv_accounting="paged"`` (default)
-    PagedAttention-style block accounting through
-    :class:`~repro.llm.blocks.BlockManager`: each radix node owns the
-    fixed-size blocks backing its edge, and the tree is the only holder of
-    prompt KV — an admitted request reuses the blocks of its matched
-    prefix through the tree (kept resident by its pin) and draws fresh
-    blocks only for the suffix.
-    Decode grows a private tail allocation block-by-block (fully reserved
-    at admission so decoding never OOMs), and radix eviction returns the
-    victim's blocks to the pool. Admission charges whole blocks, so
-    internal fragmentation — partially-filled last blocks — is visible to
-    every benchmark via ``peak_kv_blocks`` / ``fragmentation_tokens``.
-
-``kv_accounting="tokens"``
-    The original token-sum heuristic, kept as the oracle paged admission
-    is tested against: with ``block_tokens=1`` the paged path reproduces
-    its schedules and clocks exactly (a block is a token; no rounding, no
-    straddles; ``tests/llm/test_paged_equivalence.py``).
+Admission is paged, PagedAttention-style, through
+:class:`~repro.llm.blocks.BlockManager`: each radix node owns the
+fixed-size blocks backing its edge, and the tree is the only holder of
+prompt KV — an admitted request reuses the blocks of its matched prefix
+through the tree (kept resident by its pin) and draws fresh blocks only
+for the suffix. Decode grows a private tail allocation block-by-block
+(fully reserved at admission so decoding never OOMs), and radix eviction
+returns the victim's blocks to the pool. Admission charges whole blocks,
+so internal fragmentation — partially-filled last blocks — is visible to
+every benchmark via ``peak_kv_blocks`` / ``fragmentation_tokens``. The
+free-memory figure admission compares against is one method,
+:meth:`SimulatedLLMEngine._kv_free`; the tests' token-sum model
+(``tests/reference/engine.py``) overrides only that method and must agree
+with paged admission at ``block_tokens=1`` exactly
+(``tests/llm/test_paged_equivalence.py``).
 
 Disabling the prefix cache turns the same machinery into the paper's
 *No Cache* baseline: every prompt prefills fully and its KV is private,
@@ -135,11 +130,10 @@ class EngineConfig:
     ``kv_capacity_tokens`` overrides the cost model's derived capacity
     (useful for the memory-pressure ablation); ``enable_prefix_cache``
     (a bool) turns the radix cache off for the paper's *No Cache*
-    baseline; ``kv_accounting`` selects the admission model:
-    ``"paged"`` (block-granular, vLLM-style; the default) or ``"tokens"``
-    (the token-sum oracle); ``block_tokens`` is the paged block size
-    (16 in vLLM by default; 1 makes paged numerically identical to the
-    token oracle); ``scheduler`` names the online admission policy
+    baseline; ``block_tokens`` is the KV block size admission charges in
+    (16 in vLLM by default; at 1 a block is a token, and admission
+    matches the tests' token-sum model exactly); ``scheduler`` names the
+    online admission policy
     (:data:`repro.llm.scheduler.SCHEDULER_POLICIES`; ``"fcfs"`` is the
     offline-equivalent default).
     """
@@ -147,7 +141,6 @@ class EngineConfig:
     enable_prefix_cache: bool = True
     max_batch_size: int = 64
     kv_capacity_tokens: Optional[int] = None
-    kv_accounting: str = "paged"
     block_tokens: int = 16
     scheduler: str = "fcfs"
     #: Decode preemption: ``"off"`` (one-shot admit-and-forget, the
@@ -167,9 +160,8 @@ class EngineConfig:
     #: (requests carrying their own ``Request.deadline_s`` override it).
     scheduler_deadline_s: Optional[float] = None
     #: Per-tenant KV block quotas enforced by the :class:`BlockManager`
-    #: ledger (paged accounting only): tenant name -> max blocks charged
-    #: at once. A quota-full tenant blocks admission head-of-line, like a
-    #: full pool.
+    #: ledger: tenant name -> max blocks charged at once. A quota-full
+    #: tenant blocks admission head-of-line, like a full pool.
     tenant_kv_quota_blocks: Optional[dict] = None
     #: Request-lifecycle tracing (:mod:`repro.llm.tracing`): ``"on"``
     #: records spans/instants/gauges into ``EngineResult.trace``;
@@ -195,8 +187,6 @@ class EngineConfig:
             if value is None and optional:
                 continue
             check_size(name, value)
-        if self.kv_accounting not in ("paged", "tokens"):
-            raise ServingError(f"unknown kv accounting {self.kv_accounting!r}")
         validate_policy_name(self.scheduler)
         if self.preemption not in PREEMPTION_MODES:
             raise ServingError(
@@ -238,10 +228,10 @@ class _Running:
     reserved_tokens: int
     decoded: int = 0
     pin: Optional[object] = None
-    #: Paged accounting only: the private tail allocation decode tokens
-    #: grow into (plus the whole prompt when the prefix cache is off),
-    #: released when the member leaves the batch. The prompt's blocks
-    #: belong to its radix path, which the pin keeps resident.
+    #: The private tail allocation decode tokens grow into (plus the
+    #: whole prompt when the prefix cache is off), released when the member
+    #: leaves the batch. The prompt's blocks belong to its radix path,
+    #: which the pin keeps resident.
     tail: Optional[BlockAllocation] = None
     #: Continuous-batching lifecycle state. ``in_decode`` marks membership
     #: in the engine's preemption-victim list; ``admit_step`` is the global
@@ -281,12 +271,10 @@ class EngineResult:
     decode_steps: int
     peak_kv_tokens: int
     max_batch_seen: int
-    #: Accounting model the run admitted under ("paged" or "tokens").
-    kv_accounting: str = "tokens"
-    #: Paged accounting only (0 otherwise): block size, peak physical
-    #: blocks charged (allocated + reserved decode blocks), and internal
-    #: fragmentation at that peak — token slots inside charged blocks that
-    #: hold no KV (partially-filled last blocks, decode reservations).
+    #: Block size, peak physical blocks charged (allocated + reserved
+    #: decode blocks), and internal fragmentation at that peak — token
+    #: slots inside charged blocks that hold no KV (partially-filled last
+    #: blocks, decode reservations).
     block_tokens: int = 0
     peak_kv_blocks: int = 0
     fragmentation_tokens: int = 0
@@ -325,7 +313,7 @@ class EngineResult:
     @property
     def fragmentation(self) -> float:
         """Fraction of peak block memory lost to internal fragmentation
-        (0.0 under token-sum accounting, where blocks are not modelled)."""
+        (0.0 for an empty run)."""
         denom = self.peak_kv_blocks * self.block_tokens
         if denom == 0:
             return 0.0
@@ -352,16 +340,11 @@ class SimulatedLLMEngine:
         )
         if self.capacity_tokens <= 0:
             raise ServingError(f"no KV memory left for {model.name} on this cluster")
-        self.kv_accounting = self.config.kv_accounting
         self.block_tokens = self.config.block_tokens
-        # Paged admission: a BlockManager owns the physical pool, the radix
-        # cache attaches per-node allocations to it. Capacity is floored to
-        # whole blocks, exactly as a real paged allocator would.
-        self.blocks: Optional[BlockManager] = (
-            BlockManager(self.capacity_tokens, self.block_tokens)
-            if self.kv_accounting == "paged"
-            else None
-        )
+        # A BlockManager owns the physical pool, the radix cache attaches
+        # per-node allocations to it. Capacity is floored to whole blocks,
+        # exactly as a real paged allocator would.
+        self.blocks = BlockManager(self.capacity_tokens, self.block_tokens)
         self.cache = RadixPrefixCache(block_manager=self.blocks)
         #: Arrived-but-unadmitted requests live in the scheduling policy;
         #: not-yet-arrived requests wait in a (arrival_s, seq) heap and are
@@ -388,9 +371,7 @@ class SimulatedLLMEngine:
         self._peak_waiting = 0
         self.preemption = self.config.preemption
         self.chunk_tokens = self.config.prefill_chunk_tokens
-        self._quota_on = bool(
-            self.blocks is not None and self.config.tenant_kv_quota_blocks
-        )
+        self._quota_on = bool(self.config.tenant_kv_quota_blocks)
         if self._quota_on:
             for tenant, quota in self.config.tenant_kv_quota_blocks.items():
                 self.blocks.set_tenant_quota(tenant, quota)
@@ -420,10 +401,10 @@ class SimulatedLLMEngine:
         self._clock_kv = 0
         self._clock = 0.0
         self._private_tokens = 0
-        #: Decode blocks promised at admission but not yet drawn from the
-        #: pool (paged accounting): the tail allocation grows block-by-block
-        #: as decode proceeds, and this reservation guarantees the growth
-        #: can never fail mid-decode.
+        #: Blocks promised at admission but not yet drawn from the pool:
+        #: decode tails grow block-by-block as decode proceeds (and chunked
+        #: prefills chunk by chunk), and this reservation guarantees the
+        #: growth can never fail.
         self._reserved_blocks = 0
         self._peak_blocks = 0
         self._frag_at_peak = 0
@@ -497,7 +478,6 @@ class SimulatedLLMEngine:
                 meta={
                     "scheduler": self.scheduler_name,
                     "preemption": self.preemption,
-                    "kv_accounting": self.kv_accounting,
                 },
             )
         return result
@@ -683,8 +663,7 @@ class SimulatedLLMEngine:
             decode_steps=decode_steps,
             peak_kv_tokens=peak,
             max_batch_seen=max_batch_seen,
-            kv_accounting=self.kv_accounting,
-            block_tokens=self.block_tokens if self.blocks is not None else 0,
+            block_tokens=self.block_tokens,
             peak_kv_blocks=self._peak_blocks,
             fragmentation_tokens=self._frag_at_peak,
             scheduler=self.scheduler_name,
@@ -749,23 +728,24 @@ class SimulatedLLMEngine:
                 lo = mid + 1
         return lo
 
-    def _used_tokens(self) -> int:
-        return self.cache.total_tokens + self._private_tokens
+    def _kv_free(self) -> int:
+        """Free KV memory admission may draw on, in blocks: the pool's
+        free blocks less those promised to admitted members but not yet
+        drawn."""
+        return self.blocks.free_blocks - self._reserved_blocks
 
     def _sample_usage(self) -> int:
-        """Token-sum KV usage right now; as a side effect, under paged
-        accounting, folds the current block charge (allocated + reserved)
-        into the per-run peak. Sampled at admission points; the charge is
-        invariant to decode progress (a tail's drawn blocks plus its
-        outstanding reservation is a constant), so the peak does not depend
-        on how decode was grouped."""
+        """KV tokens held right now (radix tree plus private tails at their
+        full size); as a side effect, folds the current block charge
+        (allocated + reserved) into the per-run peak. Sampled at admission
+        points; the charge is invariant to decode progress (a tail's drawn
+        blocks plus its outstanding reservation is a constant), so the peak
+        does not depend on how decode was grouped."""
         used = self.cache.total_tokens + self._private_tokens
-        bm = self.blocks
-        if bm is not None:
-            charged = bm.used_blocks + self._reserved_blocks
-            if charged > self._peak_blocks:
-                self._peak_blocks = charged
-                self._frag_at_peak = charged * self.block_tokens - used
+        charged = self.blocks.used_blocks + self._reserved_blocks
+        if charged > self._peak_blocks:
+            self._peak_blocks = charged
+            self._frag_at_peak = charged * self.block_tokens - used
         return used
 
     def _gauge_sample(self, running_now: int) -> tuple:
@@ -780,15 +760,11 @@ class SimulatedLLMEngine:
         node-tree reference leaves it out."""
         cache = self.cache
         bm = self.blocks
-        head = ()
-        if bm is not None:
-            charged = bm.used_blocks + self._reserved_blocks
-            head = (
-                ("kv_blocks_charged", charged),
-                ("kv_blocks_free", bm.n_blocks - charged),
-                ("kv_parked_tokens", bm.parked_tokens),
-            )
+        charged = bm.used_blocks + self._reserved_blocks
         body = (
+            ("kv_blocks_charged", charged),
+            ("kv_blocks_free", bm.n_blocks - charged),
+            ("kv_parked_tokens", bm.parked_tokens),
             ("kv_used_tokens", cache.total_tokens + self._private_tokens),
             ("prefilling", len(self._prefilling)),
             ("radix_nodes", cache.n_nodes),
@@ -805,7 +781,7 @@ class SimulatedLLMEngine:
                     ),
                 ),
             )
-        return head + body + (("waiting", len(self.scheduler)),)
+        return body + (("waiting", len(self.scheduler)),)
 
     def _grow_tail(self, r: _Running, extra_tokens: int) -> None:
         """Grow a request's private tail allocation, consuming its
@@ -915,30 +891,22 @@ class SimulatedLLMEngine:
                     chunks = [chunk_cap] * (pre_tokens // chunk_cap)
                     if pre_tokens % chunk_cap:
                         chunks.append(pre_tokens % chunk_cap)
-            if bm is not None:
-                # Paged admission charges whole blocks: the matched prefix
-                # is already cached (zero new blocks), the suffix rounds up
-                # to its own blocks — per chunk when chunked, since every
-                # chunk edge is its own allocation — and the private tail
-                # (decode KV, plus the prompt when the cache is off)
-                # reserves its blocks now so block-by-block growth can
-                # never fail.
-                if cache_on:
-                    if chunks is not None:
-                        pre_blocks = sum(bm.blocks_needed(c) for c in chunks)
-                    else:
-                        pre_blocks = bm.blocks_needed(new_prompt)
-                    need = pre_blocks + bm.blocks_needed(req.output_tokens)
+            # Admission charges whole blocks: the matched prefix is already
+            # cached (zero new blocks), the suffix rounds up to its own
+            # blocks — per chunk when chunked, since every chunk edge is its
+            # own allocation — and the private tail (decode KV, plus the
+            # prompt when the cache is off) reserves its blocks now so
+            # block-by-block growth can never fail.
+            if cache_on:
+                if chunks is not None:
+                    pre_blocks = sum(bm.blocks_needed(c) for c in chunks)
                 else:
-                    pre_blocks = 0
-                    need = bm.blocks_needed(prompt_len + req.output_tokens)
-                free = bm.free_blocks - self._reserved_blocks
-                unit = "blocks"
+                    pre_blocks = bm.blocks_needed(new_prompt)
+                need = pre_blocks + bm.blocks_needed(req.output_tokens)
             else:
                 pre_blocks = 0
-                need = (new_prompt if cache_on else 0) + private_growth
-                free = self.capacity_tokens - self._used_tokens()
-                unit = "tokens"
+                need = bm.blocks_needed(prompt_len + req.output_tokens)
+            free = self._kv_free()
             if self._quota_on:
                 quota = bm.tenant_quota(req.tenant)
                 if quota is not None and bm.tenant_used(req.tenant) + need > quota:
@@ -974,11 +942,10 @@ class SimulatedLLMEngine:
                     freed = cache.evict(
                         need - free,
                         protected=self._protect(req.prompt_tokens, True),
-                        unit=unit,
                     )
-                    free += freed
+                    free = self._kv_free()
                     if freed and self.tracer is not None:
-                        self.tracer.instant("evict", freed=freed, unit=unit)
+                        self.tracer.instant("evict", freed_blocks=freed)
                     if need <= free:
                         break
                 if preempt_on:
@@ -990,26 +957,17 @@ class SimulatedLLMEngine:
                         # The victim's unpinned path may now be evictable
                         # and its tail blocks are back in the pool:
                         # re-probe.
-                        free = (
-                            bm.free_blocks - self._reserved_blocks
-                            if bm is not None
-                            else self.capacity_tokens - self._used_tokens()
-                        )
+                        free = self._kv_free()
                         continue
                 break
             if need > free:
                 if base == 0 and not wave_members and not self._prefilling:
-                    if bm is not None:
-                        raise CapacityError(
-                            f"request {req.request_id} needs {need} KV blocks; "
-                            f"pool is {bm.n_blocks} blocks of "
-                            f"{bm.block_tokens} tokens "
-                            f"({self.capacity_tokens} token capacity, "
-                            f"{self._reserved_blocks} blocks reserved)"
-                        )
                     raise CapacityError(
-                        f"request {req.request_id} needs {need} KV tokens; "
-                        f"capacity is {self.capacity_tokens}"
+                        f"request {req.request_id} needs {need} KV blocks; "
+                        f"pool is {bm.n_blocks} blocks of "
+                        f"{bm.block_tokens} tokens "
+                        f"({self.capacity_tokens} token capacity, "
+                        f"{self._reserved_blocks} blocks reserved)"
                     )
                 self._admission_blocked = True
                 break  # wait for a completion (or arrival) to change things
@@ -1055,16 +1013,14 @@ class SimulatedLLMEngine:
             if cache_on:
                 cache.insert(req.prompt_tokens, req.prompt_bytes)
                 pin = self._protect(req.prompt_tokens)
-            tail = None
-            if bm is not None:
-                if cache_on:
-                    # The suffix blocks were just drawn by insert(); only
-                    # the decode tail stays reserved.
-                    tail = bm.allocate(0)
-                    self._reserved_blocks += bm.blocks_needed(req.output_tokens)
-                else:
-                    tail = bm.allocate(prompt_len)
-                    self._reserved_blocks += need - len(tail.block_ids)
+            if cache_on:
+                # The suffix blocks were just drawn by insert(); only the
+                # decode tail stays reserved.
+                tail = bm.allocate(0)
+                self._reserved_blocks += bm.blocks_needed(req.output_tokens)
+            else:
+                tail = bm.allocate(prompt_len)
+                self._reserved_blocks += need - len(tail.block_ids)
             self._private_tokens += private_growth
 
             member = _Running(
@@ -1182,21 +1138,20 @@ class SimulatedLLMEngine:
                 if req.prompt_bytes is not None
                 else None
             )
-            before = bm.free_blocks if bm is not None else 0
+            before = bm.free_blocks
             self.cache.insert(prefix, packed, anchor=m.pin)
-            if bm is not None:
-                drawn = before - bm.free_blocks
-                m.prefill_reserved -= drawn
-                self._reserved_blocks -= drawn
-                if m.prefill_reserved < 0 or self._reserved_blocks < 0:
-                    raise ServingError(
-                        "chunked prefill drew past its block reservation"
-                    )
+            drawn = before - bm.free_blocks
+            m.prefill_reserved -= drawn
+            self._reserved_blocks -= drawn
+            if m.prefill_reserved < 0 or self._reserved_blocks < 0:
+                raise ServingError(
+                    "chunked prefill drew past its block reservation"
+                )
             pin = self._protect(prefix)
             if m.pin is not None:
                 self.cache.unpin(m.pin)
             m.pin = pin
-        elif bm is not None:
+        else:
             self._grow_tail(m, c)
         m.done_prefill += c
         return (c, start)
@@ -1220,17 +1175,15 @@ class SimulatedLLMEngine:
         evicting them would only churn the chunk reservation)."""
         bm = self.blocks
         cache_on = self.config.enable_prefix_cache
-        tail = None
-        if bm is not None:
-            tail = bm.allocate(0)
-            if cache_on:
-                self._reserved_blocks += (
-                    pre_blocks + bm.blocks_needed(req.output_tokens)
-                )
-            else:
-                self._reserved_blocks += bm.blocks_needed(
-                    req.prompt_len + req.output_tokens
-                )
+        tail = bm.allocate(0)
+        if cache_on:
+            self._reserved_blocks += (
+                pre_blocks + bm.blocks_needed(req.output_tokens)
+            )
+        else:
+            self._reserved_blocks += bm.blocks_needed(
+                req.prompt_len + req.output_tokens
+            )
         self._private_tokens += private_growth
         member = _Running(
             request=req,
@@ -1247,7 +1200,7 @@ class SimulatedLLMEngine:
             tail=tail,
             hit=hit,
             chunks_left=list(chunks),
-            prefill_reserved=pre_blocks if (bm is not None and cache_on) else 0,
+            prefill_reserved=pre_blocks if cache_on else 0,
         )
         # The first chunk rides this admission wave; admitted_at_s is
         # stamped when the last chunk settles (the post-prefill
@@ -1283,12 +1236,11 @@ class SimulatedLLMEngine:
         # prompt when the cache is off (it was parked/dropped privately).
         tail_tokens = self._tail_tokens(m)
         private_growth = req.output_tokens + (0 if cache_on else prompt_len)
-        if bm is not None:
-            tail = bm.unpark(tail_tokens) if swap else bm.allocate(tail_tokens)
-            self._reserved_blocks += (
-                bm.blocks_needed(private_growth) - len(tail.block_ids)
-            )
-            m.tail = tail
+        tail = bm.unpark(tail_tokens) if swap else bm.allocate(tail_tokens)
+        self._reserved_blocks += (
+            bm.blocks_needed(private_growth) - len(tail.block_ids)
+        )
+        m.tail = tail
         self._private_tokens += private_growth
         m.reserved_tokens = private_growth
         # Re-prefill work and the wave entry: recompute redoes the suffix
@@ -1348,10 +1300,9 @@ class SimulatedLLMEngine:
         m.metrics.n_preemptions += 1
         if swap:
             m.metrics.preempted_tokens_swapped += target
-            if self.blocks is not None:
-                # The tail's device blocks are back in the pool; its KV
-                # now sits on the host ledger until re-admission.
-                self.blocks.parked_tokens += target
+            # The tail's device blocks are back in the pool; its KV now
+            # sits on the host ledger until re-admission.
+            self.blocks.parked_tokens += target
         else:
             m.metrics.preempted_tokens_recomputed += target
         start = self._clock
@@ -1401,20 +1352,19 @@ class SimulatedLLMEngine:
             self.cache.unpin(m.pin)
             m.pin = None
         bm = self.blocks
-        if m.tail is not None:
-            # The replay never grows a tail between events and lets the
-            # reservation cover the difference (a per-token loop grows it
-            # token by token). Either way the blocks the tail would need at
-            # its final size, less those it holds, are still reserved:
-            # settle that through the reservation counter, then release.
-            tail = m.tail
-            self._reserved_blocks -= bm.blocks_needed(
-                tail.start_offset + final
-            ) - len(tail.block_ids)
-            if self._reserved_blocks < 0:
-                raise ServingError("decode block reservation went negative")
-            bm.release(tail)
-            m.tail = None
+        # The replay never grows a tail between events and lets the
+        # reservation cover the difference (a per-token loop grows it token
+        # by token). Either way the blocks the tail would need at its final
+        # size, less those it holds, are still reserved: settle that through
+        # the reservation counter, then release.
+        tail = m.tail
+        self._reserved_blocks -= bm.blocks_needed(
+            tail.start_offset + final
+        ) - len(tail.block_ids)
+        if self._reserved_blocks < 0:
+            raise ServingError("decode block reservation went negative")
+        bm.release(tail)
+        m.tail = None
         if m.quota_charge:
             bm.uncharge_tenant(req.tenant, m.quota_charge)
             m.quota_charge = 0

@@ -142,7 +142,7 @@ class RadixPrefixCache:
         self._lru_prev: List[int] = [_NOT_IN]
         self._lru_next: List[int] = [_NOT_IN]
         self._dead: List[bool] = [False]
-        #: Per-slot block allocations (paged accounting only).
+        #: Per-slot block allocations (None without a block manager).
         self._allocs: List[Optional[BlockAllocation]] = [None]
         self._children: Dict[Tuple[int, int], int] = {}
         self._free: List[int] = []
@@ -675,32 +675,21 @@ class RadixPrefixCache:
         self,
         n_units: int,
         protected: Iterable[Sequence[int]] = (),
-        unit: str = "tokens",
     ) -> int:
         """Evict LRU leaves until >= ``n_units`` freed or nothing remains.
 
-        ``unit`` selects the currency: ``"tokens"`` (edge tokens removed
-        from the tree — the token-sum oracle's view) or ``"blocks"``
-        (physical blocks actually returned to the block manager's free
-        pool; requires a block manager). The two differ under paged
-        accounting: a victim whose blocks straddle a split boundary frees
-        fewer blocks than its token count suggests, so block-denominated
-        eviction keeps going until real memory is available.
+        The currency is the tree's own: with a block manager, physical
+        blocks actually returned to its free pool (a victim whose blocks
+        straddle a split boundary frees fewer blocks than its token count
+        suggests, so eviction keeps going until real memory is available);
+        without one, edge tokens removed from the tree.
 
         ``protected`` are token sequences whose cached paths must survive
         this call (the engine passes the admission candidate's prompt;
         running requests are pinned persistently): each is pinned for the
         call's duration. Paths pinned via :meth:`pin` always survive.
-        Returns units actually freed.
-
-        Victim *selection* is pure LRU either way, so the paged and token
-        oracles pick victims in the same order — only the stopping point
-        differs.
+        Returns units actually freed. Victim *selection* is pure LRU.
         """
-        if unit not in ("tokens", "blocks"):
-            raise ServingError(f"unknown eviction unit {unit!r}")
-        if unit == "blocks" and self._bm is None:
-            raise ServingError("block-denominated eviction needs a block manager")
         tickets = [self.pin(seq) for seq in protected]
         try:
             freed = 0
@@ -719,7 +708,7 @@ class RadixPrefixCache:
                 vid = nid[cur]
                 p = parent[cur]
                 nxt = lru_next[cur]
-                freed += self._remove_leaf(cur, unit)
+                freed += self._remove_leaf(cur)
                 if (
                     p != 0
                     and not nchild[p]
@@ -739,7 +728,9 @@ class RadixPrefixCache:
             for ticket in tickets:
                 self.unpin(ticket)
 
-    def _remove_leaf(self, s: int, unit: str = "tokens") -> int:
+    def _remove_leaf(self, s: int) -> int:
+        """Unlink leaf slot ``s``; returns what it freed in :meth:`evict`'s
+        currency."""
         k = self._elen[s]
         self.total_tokens -= k
         self.evicted_tokens += k
@@ -761,7 +752,7 @@ class RadixPrefixCache:
         memo = self._last_end
         if memo is not None and memo[1] == s:
             self._last_end = None
-        return freed_blocks if unit == "blocks" else k
+        return k if self._bm is None else freed_blocks
 
     # --------------------------------------------------------------- stats
     @property

@@ -73,6 +73,10 @@ class Lit(Expr):
         return [self.value] * table.n_rows
 
 
+#: Ordering comparisons: a NULL operand compares false, and operands of
+#: unorderable types raise a one-line SQLError.
+_ORDER_OPS = frozenset(("<", "<=", ">", ">="))
+
 _CMP_OPS = {
     "=": lambda a, b: a == b,
     "<>": lambda a, b: a != b,
@@ -98,7 +102,21 @@ class Cmp(Expr):
         fn = _CMP_OPS[self.op]
         lv = self.left.eval(table, ctx)
         rv = self.right.eval(table, ctx)
-        return [fn(a, b) for a, b in zip(lv, rv)]
+        if self.op not in _ORDER_OPS:
+            return [fn(a, b) for a, b in zip(lv, rv)]
+        out = []
+        for a, b in zip(lv, rv):
+            if a is None or b is None:
+                out.append(False)
+                continue
+            try:
+                out.append(fn(a, b))
+            except TypeError:
+                raise SQLError(
+                    f"cannot compare {type(a).__name__} {self.op} "
+                    f"{type(b).__name__}"
+                ) from None
+        return out
 
     def referenced_columns(self, table: Table) -> Set[str]:
         return self.left.referenced_columns(table) | self.right.referenced_columns(table)

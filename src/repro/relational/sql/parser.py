@@ -98,9 +98,12 @@ class _Parser:
         if self.at_keyword("LIMIT"):
             self.next()
             t = self.next()
-            if t.kind != "NUMBER":
-                raise SQLError(f"LIMIT expects a number at {t.pos}")
-            limit = int(float(t.value))
+            if t.kind != "NUMBER" or not (t.value.isascii() and t.value.isdigit()):
+                raise SQLError(
+                    f"LIMIT expects a non-negative integer at {t.pos}, "
+                    f"got {t.value!r}"
+                )
+            limit = int(t.value)
         return SelectStmt(
             items=items, source=source, joins=joins,
             where=where, group_by=group_by, limit=limit,

@@ -208,30 +208,17 @@ class TestRunQuery:
         """Block-granular admission surfaces fragmentation on a real
         benchmark workload at block_tokens=16 and none at block_tokens=1."""
         q = get_query("movies-T1")
-        res = run_query(q, movies, CACHE_GGR, kv_accounting="paged", block_tokens=16)
-        assert res.kv_accounting == "paged"
+        res = run_query(q, movies, CACHE_GGR, block_tokens=16)
         assert res.block_tokens == 16
         assert res.peak_kv_blocks > 0
         assert res.fragmentation_tokens > 0
         assert 0.0 < res.fragmentation < 1.0
         assert res.peak_kv_blocks * 16 >= res.peak_kv_tokens
 
-        unit = run_query(q, movies, CACHE_GGR, kv_accounting="paged", block_tokens=1)
+        unit = run_query(q, movies, CACHE_GGR, block_tokens=1)
         assert unit.fragmentation_tokens == 0
         assert unit.fragmentation == 0.0
         assert unit.peak_kv_blocks == unit.peak_kv_tokens
-
-    def test_token_oracle_matches_paged_at_block_one(self, movies):
-        """End-to-end through the bench runner: the token-sum oracle and
-        the paged path at block_tokens=1 produce identical schedules."""
-        q = get_query("movies-T1")
-        tok = run_query(q, movies, CACHE_GGR, kv_accounting="tokens")
-        pag = run_query(q, movies, CACHE_GGR, kv_accounting="paged", block_tokens=1)
-        assert tok.kv_accounting == "tokens" and pag.kv_accounting == "paged"
-        assert pag.cached_tokens == tok.cached_tokens
-        assert pag.prefill_tokens == tok.prefill_tokens
-        assert pag.peak_kv_tokens == tok.peak_kv_tokens
-        assert pag.engine_seconds == tok.engine_seconds
 
 
 class TestScaledCapacity:

@@ -32,11 +32,6 @@ class TestAllocation:
         with pytest.raises(CapacityError):
             bm.allocate(100)
 
-    def test_can_allocate(self):
-        bm = BlockManager(capacity_tokens=32, block_tokens=16)
-        assert bm.can_allocate(32)
-        assert not bm.can_allocate(33)
-
     def test_invalid_params(self):
         with pytest.raises(ServingError):
             BlockManager(capacity_tokens=0)
@@ -221,7 +216,7 @@ class TestRandomizedChurn:
             op = rng.random()
             if op < 0.4 or not live:
                 n = rng.randrange(0, 40)
-                if bm.can_allocate(n):
+                if bm.blocks_needed(n) <= bm.free_blocks:
                     live.append(bm.allocate(n))
                 else:
                     with pytest.raises(CapacityError):

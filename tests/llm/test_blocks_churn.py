@@ -35,7 +35,7 @@ class Churner:
     # ------------------------------------------------------------------ ops
     def op_allocate(self):
         n = self.rng.randrange(1, 70)
-        if self.bm.can_allocate(n):
+        if self.bm.blocks_needed(n) <= self.bm.free_blocks:
             self.live.append(self.bm.allocate(n))
         else:
             with pytest.raises(CapacityError):
@@ -89,7 +89,7 @@ class Churner:
         if self.bm.parked_tokens <= 0:
             return
         n = self.rng.randrange(1, self.bm.parked_tokens + 1)
-        if self.bm.can_allocate(n):
+        if self.bm.blocks_needed(n) <= self.bm.free_blocks:
             self.live.append(self.bm.unpark(n))
             self.expected_parked -= n
         else:
@@ -144,7 +144,10 @@ class Churner:
             self.bm.release(self.live.pop())
             self.bm.check_invariants()
         while self.bm.parked_tokens:
-            n = min(self.bm.parked_tokens, self.bm.free_tokens)
+            n = min(
+                self.bm.parked_tokens,
+                self.bm.free_blocks * self.bm.block_tokens,
+            )
             assert n > 0, "parked tokens can no longer fit the empty pool"
             self.bm.release(self.bm.unpark(n))
             self.expected_parked -= n
@@ -177,7 +180,7 @@ class TestBlockChurn:
         victim = bm.allocate(100)
         assert bm.park(victim) == 100
         bm.check_invariants()
-        hog = bm.allocate(bm.free_tokens)
+        hog = bm.allocate(bm.free_blocks * bm.block_tokens)
         bm.check_invariants()
         with pytest.raises(CapacityError):
             bm.unpark(100)

@@ -107,9 +107,8 @@ class TestClient:
         assert slo.ttft.p95 > 0.0
 
     def test_paged_accounting_reported(self):
-        client = SimulatedLLMClient(engine_config=EngineConfig(kv_accounting="paged"))
+        client = SimulatedLLMClient(engine_config=EngineConfig())
         res = client.generate(prompts("x"), output_lens=[1] * 5).engine_result
-        assert res.kv_accounting == "paged"
         assert res.block_tokens == 16
         assert res.peak_kv_blocks > 0
         assert 0.0 <= res.fragmentation < 1.0

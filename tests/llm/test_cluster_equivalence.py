@@ -77,7 +77,7 @@ def assert_cluster_matches_single(cres, sres, engine):
 ENGINE_SHAPES = [
     dict(max_batch_size=4),
     dict(max_batch_size=2, kv_capacity_tokens=900),
-    dict(max_batch_size=8, kv_accounting="tokens"),
+    dict(max_batch_size=8, block_tokens=1),
     dict(max_batch_size=4, scheduler="prefix-affinity"),
 ]
 

@@ -177,12 +177,9 @@ class TestEngineConfigValidation:
             EngineConfig(enable_prefix_cache=bad)
         assert "\n" not in str(exc_info.value)
 
-    def test_unknown_accounting_at_config_time(self):
+    def test_unknown_trace_mode_at_config_time(self):
         from repro.errors import ReproError
 
-        for bad in ("warp", "auto"):
-            with pytest.raises(ReproError):
-                EngineConfig(kv_accounting=bad)
         with pytest.raises(ReproError, match="unknown trace mode"):
             EngineConfig(trace="auto")
 
@@ -191,8 +188,6 @@ class TestEngineConfigValidation:
 
         for scheduler in SCHEDULER_POLICIES:
             EngineConfig(scheduler=scheduler)
-        for acc in ("paged", "tokens"):
-            EngineConfig(kv_accounting=acc)
         for trace in ("on", "off"):
             EngineConfig(trace=trace)
         EngineConfig(

@@ -67,7 +67,7 @@ def client_on(mode, engine_config):
 
 
 def run_engine(requests, mode, scheduler, waves=1, **cfg_kwargs):
-    cfg_kwargs.setdefault("kv_accounting", "tokens")
+    cfg_kwargs.setdefault("block_tokens", 1)
     eng = ENGINES[mode](
         LLAMA3_8B,
         CLUSTER_1XL4,
@@ -137,7 +137,7 @@ class TestOnlineEquivalence:
         prompts = [distinct[rng.randrange(len(distinct))] for _ in range(n)]
         out_lens = [rng.randrange(0, 6) for _ in range(n)]
 
-        cfg = dict(kv_accounting="tokens", max_batch_size=8)
+        cfg = dict(block_tokens=1, max_batch_size=8)
         c_off = client_on(mode, EngineConfig(**cfg))
         r_off = c_off.generate(prompts, output_lens=out_lens)
 
@@ -250,7 +250,7 @@ class TestPagedOnlineEquivalence:
             ]
 
         assert_online_matches_offline(
-            make, mode, kv_accounting="paged", block_tokens=16
+            make, mode, block_tokens=16
         )
 
 

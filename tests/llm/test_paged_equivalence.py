@@ -1,16 +1,20 @@
-"""Randomized equivalence: paged-KV block admission vs the token-sum oracle.
+"""Randomized equivalence: paged-KV block admission vs token-sum admission.
 
-With ``block_tokens=1`` a block *is* a token — no rounding, no partial
-blocks, no straddles — so the paged admission path must reproduce the
-token-sum oracle's request schedules exactly (identical integer metrics
-and per-request clocks under ``==``) in *both* replay modes. With
-realistic block sizes (16), the paged path must surface what the oracle
-cannot see: internal fragmentation and block-granular sharing.
+The engine admits on its block pool. Its reference is token-sum admission
+(``tests.reference.TokenSumAdmission``), which counts free memory in
+tokens from the engine's token ledgers instead of the pool. With
+``block_tokens=1`` a block *is* a token — no rounding, no partial blocks,
+no straddles — so paged admission must reproduce the token-sum schedules
+exactly (identical integer metrics and per-request clocks under ``==``)
+in *both* replay loops: with the prefix cache on and off, under eviction
+pressure, with chunked prefill, with recompute and swap preemption, and
+with tenant quotas. With realistic block sizes (16), the paged path must
+surface internal fragmentation and block-granular sharing.
 
 Block-manager and radix invariants (per-node allocations, refcount
 conservation, no leaked or doubly-owned blocks) are checked after every
 run, plus the engine-level drain invariants (no outstanding reservation,
-no private tokens).
+no private tokens, nothing parked).
 """
 
 import random
@@ -18,27 +22,29 @@ import random
 import pytest
 
 from repro.errors import ServingError
+from repro.llm.blocks import BlockManager
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.request import Request
-from tests.reference import ENGINES
-
+from tests.llm.test_preempt_equivalence import (
+    INT_METRIC_FIELDS,
+    INT_RESULT_FIELDS,
+    clone,
+    preempt_workload,
+)
 from tests.llm.test_vector_equivalence import random_workload
+from tests.reference import ENGINES, TOKEN_SUM_ENGINES, TokenSumEngine
 
 #: Both replay loops.
 MODES = ["vector", "stepwise"]
 
+CLOCK_FIELDS = ("arrival_s", "admitted_at_s", "first_token_at_s", "finished_at_s")
 
-def run_accounting(requests, kv_accounting, mode, block_tokens=1, waves=1, **cfg):
-    eng = ENGINES[mode](
-        LLAMA3_8B,
-        CLUSTER_1XL4,
-        EngineConfig(
-            kv_accounting=kv_accounting,
-            block_tokens=block_tokens,
-            **cfg,
-        ),
+
+def run_engine(requests, engines, mode, block_tokens=1, waves=1, **cfg):
+    eng = engines[mode](
+        LLAMA3_8B, CLUSTER_1XL4, EngineConfig(block_tokens=block_tokens, **cfg)
     )
     results = []
     per_wave = max(1, len(requests) // waves)
@@ -49,58 +55,52 @@ def run_accounting(requests, kv_accounting, mode, block_tokens=1, waves=1, **cfg
         eng.cache.check_invariants()  # includes BlockManager invariants
         assert eng._reserved_blocks == 0
         assert eng._private_tokens == 0
+        assert eng.blocks.parked_tokens == 0
     return eng, results
 
 
-def fresh(requests):
-    """Rebuild Request objects so each engine sees untouched instances."""
-    return [
-        Request(
-            r.request_id, r.prompt_tokens, r.output_tokens,
-            prompt_bytes=r.prompt_bytes,
-        )
-        for r in requests
-    ]
-
-
-def assert_paged_matches_tokens(requests, mode, waves=1, **cfg):
+def assert_paged_matches_token_sum(requests, mode, waves=1, **cfg):
     """block_tokens=1 neutralizes every block effect: schedules, clocks and
-    cache counters must match the token-sum oracle exactly."""
-    e_tok, r_tok = run_accounting(fresh(requests), "tokens", mode, waves=waves, **cfg)
-    e_pag, r_pag = run_accounting(
-        fresh(requests), "paged", mode, block_tokens=1, waves=waves, **cfg
+    cache counters must match token-sum admission exactly, and neither
+    model may hold more KV than the pool has."""
+    e_tok, r_tok = run_engine(
+        clone(requests), TOKEN_SUM_ENGINES, mode, waves=waves, **cfg
     )
-    assert e_tok.blocks is None and e_pag.blocks is not None
+    e_pag, r_pag = run_engine(clone(requests), ENGINES, mode, waves=waves, **cfg)
+    assert type(e_pag) is not type(e_tok)
+    capacity = e_pag.capacity_tokens
 
     for rt, rp in zip(r_tok, r_pag):
-        assert rp.prompt_tokens == rt.prompt_tokens
-        assert rp.cached_tokens == rt.cached_tokens
-        assert rp.prefill_tokens == rt.prefill_tokens
-        assert rp.decode_tokens == rt.decode_tokens
-        assert rp.decode_steps == rt.decode_steps
-        assert rp.peak_kv_tokens == rt.peak_kv_tokens
-        assert rp.max_batch_seen == rt.max_batch_seen
+        for f in INT_RESULT_FIELDS:
+            assert getattr(rp, f) == getattr(rt, f), f
         assert rp.total_seconds == rt.total_seconds
-        # One-token blocks: block charge == token charge, zero waste.
-        assert rp.peak_kv_blocks == rt.peak_kv_tokens
-        assert rp.fragmentation_tokens == 0
-        assert rp.fragmentation == 0.0
+        assert rt.peak_kv_tokens <= capacity
+        # One-token blocks: block charge covers token use, zero waste.
+        assert rp.peak_kv_blocks >= rp.peak_kv_tokens
+        assert rp.peak_kv_blocks == rt.peak_kv_blocks <= capacity
+        assert rp.fragmentation_tokens == rt.fragmentation_tokens
         assert len(rp.request_metrics) == len(rt.request_metrics)
         for mt, mp in zip(rt.request_metrics, rp.request_metrics):
             assert mp.request_id == mt.request_id
-            assert mp.prompt_tokens == mt.prompt_tokens
-            assert mp.cached_tokens == mt.cached_tokens
-            assert mp.prefill_tokens == mt.prefill_tokens
-            assert mp.output_tokens == mt.output_tokens
-            assert mp.admitted_at_s == mt.admitted_at_s
-            assert mp.first_token_at_s == mt.first_token_at_s
-            assert mp.finished_at_s == mt.finished_at_s
+            for f in INT_METRIC_FIELDS + CLOCK_FIELDS:
+                assert getattr(mp, f) == getattr(mt, f), (mt.request_id, f)
 
     # Identical probe/evict sequences against the radix cache.
     assert e_pag.cache.hits == e_tok.cache.hits
     assert e_pag.cache.misses == e_tok.cache.misses
     assert e_pag.cache.evicted_tokens == e_tok.cache.evicted_tokens
     assert e_pag.cache.total_tokens == e_tok.cache.total_tokens
+    return r_pag
+
+
+def pressure_workload(seed):
+    """Small pool, 8 slots: every request fits alone, few fit together."""
+    reqs = random_workload(
+        random.Random(5000 + seed), n_requests=30, max_len=40, max_out=8
+    )
+    need = max(r.prompt_len + r.output_tokens for r in reqs)
+    slack = max(r.prompt_len for r in reqs)
+    return reqs, dict(kv_capacity_tokens=need + slack, max_batch_size=8)
 
 
 class TestPagedMatchesTokenOracle:
@@ -108,7 +108,7 @@ class TestPagedMatchesTokenOracle:
     @pytest.mark.parametrize("seed", range(6))
     def test_roomy_capacity(self, mode, seed):
         rng = random.Random(seed)
-        assert_paged_matches_tokens(random_workload(rng), mode)
+        assert_paged_matches_token_sum(random_workload(rng), mode)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(6))
@@ -116,13 +116,8 @@ class TestPagedMatchesTokenOracle:
         """Tight capacity: eviction and blocked admission decisions must
         coincide too (at block_tokens=1 the free-pool arithmetic is
         numerically identical)."""
-        rng = random.Random(5000 + seed)
-        reqs = random_workload(rng, n_requests=30, max_len=40, max_out=8)
-        need = max(r.prompt_len + r.output_tokens for r in reqs)
-        slack = max(r.prompt_len for r in reqs)
-        assert_paged_matches_tokens(
-            reqs, mode, kv_capacity_tokens=need + slack, max_batch_size=8
-        )
+        reqs, cfg = pressure_workload(seed)
+        assert_paged_matches_token_sum(reqs, mode, **cfg)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(3))
@@ -130,7 +125,7 @@ class TestPagedMatchesTokenOracle:
         rng = random.Random(6000 + seed)
         reqs = random_workload(rng, n_requests=25, max_out=6)
         need = max(r.prompt_len + r.output_tokens for r in reqs)
-        assert_paged_matches_tokens(
+        assert_paged_matches_token_sum(
             reqs,
             mode,
             enable_prefix_cache=False,
@@ -142,19 +137,69 @@ class TestPagedMatchesTokenOracle:
     @pytest.mark.parametrize("seed", range(3))
     def test_persistent_cache_across_runs(self, mode, seed):
         rng = random.Random(7000 + seed)
-        assert_paged_matches_tokens(
+        assert_paged_matches_token_sum(
             random_workload(rng, n_requests=45), mode, waves=3
         )
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chunked_prefill_under_pressure(self, mode, cache, seed):
+        """Chunk reservations still in flight count against the pool: a
+        mid-prefill member holds blocks for the chunks it has not
+        prefilled yet, and both models must see them."""
+        reqs, cfg = pressure_workload(seed)
+        res = assert_paged_matches_token_sum(
+            reqs, mode, prefill_chunk_tokens=8, enable_prefix_cache=cache, **cfg
+        )
+        assert res[0].n_prefill_chunks > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("preemption", ["recompute", "swap"])
+    @pytest.mark.parametrize("chunk", [None, 48])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_preemption(self, mode, preemption, chunk, seed):
+        """4 slots and a 400-token pool: victims are evicted for both slot
+        and memory pressure while the radix tree evicts too."""
+        reqs = preempt_workload(random.Random(300 + seed))
+        (res,) = assert_paged_matches_token_sum(
+            reqs,
+            mode,
+            scheduler="deadline",
+            scheduler_deadline_s=1.0,
+            preemption=preemption,
+            prefill_chunk_tokens=chunk,
+            max_batch_size=4,
+            kv_capacity_tokens=400,
+        )
+        assert res.n_preemptions > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_tenant_quotas(self, mode, seed):
+        """Quotas are charged in blocks on the pool's ledger, so both
+        models block a quota-full tenant at the same point."""
+        reqs = preempt_workload(random.Random(401 + seed))
+        (res,) = assert_paged_matches_token_sum(
+            reqs,
+            mode,
+            scheduler="fair-share",
+            tenant_kv_quota_blocks={"tenant-0": 180, "tenant-1": 250},
+            max_batch_size=4,
+            kv_capacity_tokens=600,
+            trace="on",
+        )
+        assert any(i.name == "quota-reject" for i in res.trace.instants)
+
 
 def assert_modes_agree(requests, block_tokens, **cfg):
-    """Event-loop vs stepwise replay must agree under paged accounting at
+    """Event-loop vs stepwise replay must agree under paged admission at
     any block size (same admission authority, same schedules)."""
-    e_s, r_s = run_accounting(
-        fresh(requests), "paged", "stepwise", block_tokens=block_tokens, **cfg
+    e_s, r_s = run_engine(
+        clone(requests), ENGINES, "stepwise", block_tokens=block_tokens, **cfg
     )
-    e_e, r_e = run_accounting(
-        fresh(requests), "paged", "vector", block_tokens=block_tokens, **cfg
+    e_e, r_e = run_engine(
+        clone(requests), ENGINES, "vector", block_tokens=block_tokens, **cfg
     )
     for rs, re in zip(r_s, r_e):
         assert re.cached_tokens == rs.cached_tokens
@@ -187,13 +232,12 @@ class TestPagedBlockGranularity:
 
     def test_fragmentation_visible_at_block_16(self):
         """Odd-length prompts leave partially-filled last blocks: the paged
-        path must report them, the oracle reports none."""
+        path must report them."""
         reqs = [
             Request(i, tuple(range(1000 * i, 1000 * i + 37)), 5)
             for i in range(8)
         ]
-        _, (res,) = run_accounting(fresh(reqs), "paged", "vector", block_tokens=16)
-        assert res.kv_accounting == "paged"
+        _, (res,) = run_engine(clone(reqs), ENGINES, "vector", block_tokens=16)
         assert res.block_tokens == 16
         assert res.peak_kv_blocks > 0
         assert res.fragmentation_tokens > 0
@@ -201,18 +245,12 @@ class TestPagedBlockGranularity:
         # Block charge always covers the tokens actually stored.
         assert res.peak_kv_blocks * 16 >= res.peak_kv_tokens
 
-        _, (oracle,) = run_accounting(fresh(reqs), "tokens", "vector")
-        assert oracle.kv_accounting == "tokens"
-        assert oracle.peak_kv_blocks == 0
-        assert oracle.fragmentation_tokens == 0
-        assert oracle.fragmentation == 0.0
-
     def test_shared_prefix_blocks_counted_once(self):
         """N requests over one shared prompt: the shared blocks are charged
         once (one radix path), not N times."""
         shared = tuple(range(160))  # exactly 10 blocks of 16
         reqs = [Request(i, shared, 1) for i in range(6)]
-        _, (res,) = run_accounting(fresh(reqs), "paged", "vector", block_tokens=16)
+        _, (res,) = run_engine(clone(reqs), ENGINES, "vector", block_tokens=16)
         # 10 shared prompt blocks + one decode-tail block per request.
         assert res.peak_kv_blocks == 10 + 6
 
@@ -220,22 +258,8 @@ class TestPagedBlockGranularity:
 class TestAccountingSelection:
     def test_default_is_paged(self):
         eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
-        assert eng.kv_accounting == "paged"
-        assert eng.blocks is not None
+        assert isinstance(eng.blocks, BlockManager)
         assert eng.blocks.block_tokens == 16
-
-    def test_tokens_config_selects_token_oracle(self):
-        eng = SimulatedLLMEngine(
-            LLAMA3_8B, CLUSTER_1XL4, EngineConfig(kv_accounting="tokens")
-        )
-        assert eng.kv_accounting == "tokens"
-        assert eng.blocks is None
-
-    def test_unknown_accounting_rejected(self):
-        with pytest.raises(ServingError):
-            SimulatedLLMEngine(
-                LLAMA3_8B, CLUSTER_1XL4, EngineConfig(kv_accounting="bogus")
-            )
 
     def test_bad_block_tokens_rejected(self):
         with pytest.raises(ServingError):
@@ -248,9 +272,9 @@ class TestAccountingSelection:
             SimulatedLLMEngine(
                 LLAMA3_8B,
                 CLUSTER_1XL4,
-                EngineConfig(
-                    kv_accounting="paged",
-                    block_tokens=16,
-                    kv_capacity_tokens=10,
-                ),
+                EngineConfig(block_tokens=16, kv_capacity_tokens=10),
             )
+
+    def test_token_sum_reference_needs_one_token_blocks(self):
+        with pytest.raises(ServingError, match="block_tokens=1"):
+            TokenSumEngine(LLAMA3_8B, CLUSTER_1XL4, EngineConfig())

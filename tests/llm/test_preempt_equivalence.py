@@ -94,9 +94,8 @@ def run_engine(requests, mode, **cfg_kwargs):
     # charge was settled by a completion.
     assert eng._private_tokens == 0
     assert eng._reserved_blocks == 0
-    if eng.blocks is not None:
-        eng.blocks.check_invariants()
-        assert eng.blocks.parked_tokens == 0
+    eng.blocks.check_invariants()
+    assert eng.blocks.parked_tokens == 0
     return eng, result
 
 
@@ -172,7 +171,6 @@ class TestModeEquivalenceWithPreemption:
     @pytest.mark.parametrize(
         "cfg_axis",
         [
-            dict(kv_accounting="tokens"),
             dict(enable_prefix_cache=False),
             dict(block_tokens=1),
         ],

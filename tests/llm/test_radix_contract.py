@@ -3,8 +3,8 @@
 Hypothesis drives the flat tree and its node-tree reference in
 lockstep, each over its own ``BlockManager``: inserts (including pool
 exhaustion), side-effecting and side-effect-free probes, pins, and
-eviction in both units with protected paths. Compound rules replay the engine's admission and chunk sequences on one
-tuple object, so the flat backend's match cursor and pin-ticket insert
+block-denominated eviction with protected paths. Compound rules replay
+the engine's admission and chunk sequences on one tuple object, so the flat backend's match cursor and pin-ticket insert
 anchors run against the reference's plain root walks: match → evict
 (prefix protected) → insert, insert with an anchor → pin roll-forward,
 and match → unprotected evict → insert (a cursor whose node is gone).
@@ -105,27 +105,19 @@ class RadixContract(RuleBasedStateMachine):
         for cache, ticket in zip(self.caches, tickets):
             cache.unpin(ticket)
 
-    @rule(
-        n=st.integers(1, 40),
-        unit=st.sampled_from(["tokens", "blocks"]),
-        protected=st.lists(TOKENS, max_size=2),
-    )
-    def evict(self, n, unit, protected):
-        self.both(lambda c: c.evict(n, protected=protected, unit=unit))
+    @rule(n=st.integers(1, 40), protected=st.lists(TOKENS, max_size=2))
+    def evict(self, n, protected):
+        self.both(lambda c: c.evict(n, protected=protected))
 
-    @rule(
-        toks=TOKENS,
-        n=st.integers(1, 40),
-        unit=st.sampled_from(["tokens", "blocks"]),
-    )
-    def admit(self, toks, n, unit):
+    @rule(toks=TOKENS, n=st.integers(1, 40))
+    def admit(self, toks, n):
         """The engine's admission: match, evict with the candidate's
         prompt protected, insert the same tuple (the flat backend resumes
         at the match cursor). The matched prefix must survive the evict."""
 
         def op(cache):
             hit = cache.match(toks)
-            freed = cache.evict(n, protected=[toks], unit=unit)
+            freed = cache.evict(n, protected=[toks])
             assert cache.match_len(toks) == hit
             try:
                 return hit, freed, cache.insert(toks)

@@ -159,7 +159,7 @@ class TestFlatVsNode:
         slack = max(r.prompt_len for r in reqs)
         assert_flat_matches_node(
             reqs,
-            kv_accounting="tokens",
+            block_tokens=1,
             kv_capacity_tokens=need + slack,
             max_batch_size=8,
         )
@@ -171,7 +171,7 @@ class TestFlatVsNode:
         rng = random.Random(2000 + seed)
         reqs = random_workload(rng, n_requests=30)
         assert_flat_matches_node(
-            reqs, kv_accounting="paged", block_tokens=8
+            reqs, block_tokens=8
         )
 
     @pytest.mark.parametrize("seed", range(3))
@@ -182,7 +182,6 @@ class TestFlatVsNode:
         slack = max(r.prompt_len for r in reqs)
         assert_flat_matches_node(
             reqs,
-            kv_accounting="paged",
             block_tokens=8,
             kv_capacity_tokens=need + slack,
             max_batch_size=8,
@@ -241,7 +240,6 @@ class TestFlatVsNode:
             scheduler="deadline",
             preemption="swap",
             prefill_chunk_tokens=16,
-            kv_accounting="paged",
             block_tokens=8,
             kv_capacity_tokens=need + slack,
             max_batch_size=4,

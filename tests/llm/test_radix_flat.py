@@ -209,12 +209,11 @@ class TestRandomizedOpEquivalence:
                     c.unpin(t)
             else:
                 n = rng.randrange(1, 30)
-                unit = rng.choice(["tokens", "blocks"])
                 prot = [
                     tuple(rng.randrange(6) for _ in range(rng.randrange(0, 10)))
                 ]
-                freed = [c.evict(n, protected=prot, unit=unit) for c in caches]
-                assert len(set(freed)) == 1, (step, freed, unit)
+                freed = [c.evict(n, protected=prot) for c in caches]
+                assert len(set(freed)) == 1, (step, freed)
             for c in caches:
                 c.check_invariants()
             assert_counters_agree(caches)

@@ -310,7 +310,7 @@ class TestFairShare:
 
 class TestOnlineAdmission:
     def cfg(self, **kw):
-        kw.setdefault("kv_accounting", "tokens")
+        kw.setdefault("block_tokens", 1)
         return EngineConfig(**kw)
 
     def test_idle_engine_jumps_to_arrival(self):

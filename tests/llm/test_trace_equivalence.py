@@ -40,11 +40,10 @@ MODES = ("stepwise", "vector")
 
 #: The full feature matrix the equivalences must hold over.
 CONFIGS = {
-    "baseline": dict(scheduler="fcfs", kv_accounting="tokens"),
+    "baseline": dict(scheduler="fcfs", block_tokens=1),
     "sjf-recompute-paged": dict(
         scheduler="sjf",
         preemption="recompute",
-        kv_accounting="paged",
         block_tokens=16,
         max_batch_size=6,
         kv_capacity_tokens=4096,
@@ -56,11 +55,10 @@ CONFIGS = {
         scheduler_deadline_s=1.0,
         max_batch_size=4,
         kv_capacity_tokens=4000,
-        kv_accounting="tokens",
+        block_tokens=1,
     ),
     "fair-share-quota": dict(
         scheduler="fair-share",
-        kv_accounting="paged",
         block_tokens=16,
         max_batch_size=6,
         kv_capacity_tokens=4096,

@@ -102,7 +102,7 @@ class TestSpanStructure:
         assert all(s.end_s == s.start_s for s in decodes)
 
     def test_gauges_sampled_with_expected_keys(self):
-        result = run_traced(simple_requests(10), kv_accounting="paged")
+        result = run_traced(simple_requests(10))
         gauges = result.trace.gauges
         assert gauges
         keys = dict(gauges[0].values).keys()
@@ -112,18 +112,16 @@ class TestSpanStructure:
             "kv_used_tokens",
             "radix_nodes",
             "radix_store_bytes",
+            "kv_blocks_charged",
+            "kv_blocks_free",
         ):
             assert expected in keys
-        if result.kv_accounting == "paged":
-            assert "kv_blocks_charged" in keys
-            assert "kv_blocks_free" in keys
 
     def test_meta_records_run_shape(self):
         result = run_traced(simple_requests(4), scheduler="sjf")
         meta = result.trace.meta
         assert meta["scheduler"] == result.scheduler
         assert meta["preemption"] == result.preemption
-        assert meta["kv_accounting"] == result.kv_accounting
 
 
 class TestChromeExport:

@@ -116,7 +116,7 @@ def assert_same(rs, rv):
 
 
 def assert_vector_matches_stepwise(requests, waves=1, **cfg_kwargs):
-    cfg_kwargs.setdefault("kv_accounting", "tokens")
+    cfg_kwargs.setdefault("block_tokens", 1)
     e_step, r_step = run_engine(
         clone(requests), "stepwise", waves=waves, **cfg_kwargs
     )
@@ -160,7 +160,7 @@ class TestVectorVsStepwise:
         rng = random.Random(2000 + seed)
         reqs = random_workload(rng, n_requests=30)
         assert_vector_matches_stepwise(
-            reqs, kv_accounting="paged", block_tokens=16
+            reqs, block_tokens=16
         )
 
     @pytest.mark.parametrize("seed", range(4))
@@ -171,7 +171,6 @@ class TestVectorVsStepwise:
         slack = max(r.prompt_len for r in reqs)
         assert_vector_matches_stepwise(
             reqs,
-            kv_accounting="paged",
             block_tokens=8,
             kv_capacity_tokens=need + slack,
             max_batch_size=8,

@@ -9,27 +9,42 @@ ratio records run them:
   RadixPrefixCache`;
 * :class:`StepwiseEngine` / :func:`stepwise_engine`
   (``tests/reference/engine.py``) — the per-token replay loop on the node
-  tree, for :class:`repro.llm.engine.SimulatedLLMEngine`.
+  tree, for :class:`repro.llm.engine.SimulatedLLMEngine`;
+* :class:`TokenSumAdmission` (``tests/reference/engine.py``) — admission
+  counted in tokens, for the engine's paged admission at
+  ``block_tokens=1``.
 
 The suites parametrize over names: :data:`RADIX_CACHES` maps ``"flat"``
 (shipped) and ``"node"`` to cache classes, :data:`ENGINES` maps
 ``"vector"`` (shipped) and ``"stepwise"`` to engine constructors taking
-``(model, cluster, config)``.
+``(model, cluster, config)``, and :data:`TOKEN_SUM_ENGINES` maps the same
+two names to their token-sum twins.
 """
 
 from repro.llm.engine import SimulatedLLMEngine
 from repro.llm.radix import RadixPrefixCache
 
-from .engine import StepwiseEngine, stepwise_engine
+from .engine import (
+    StepwiseEngine,
+    TokenSumAdmission,
+    TokenSumEngine,
+    stepwise_engine,
+    token_sum_stepwise_engine,
+)
 from .radix import NodeRadixCache
 
 RADIX_CACHES = {"flat": RadixPrefixCache, "node": NodeRadixCache}
 ENGINES = {"vector": SimulatedLLMEngine, "stepwise": stepwise_engine}
+TOKEN_SUM_ENGINES = {"vector": TokenSumEngine, "stepwise": token_sum_stepwise_engine}
 
 __all__ = [
     "ENGINES",
     "NodeRadixCache",
     "RADIX_CACHES",
     "StepwiseEngine",
+    "TOKEN_SUM_ENGINES",
+    "TokenSumAdmission",
+    "TokenSumEngine",
     "stepwise_engine",
+    "token_sum_stepwise_engine",
 ]

@@ -1,4 +1,5 @@
-"""The serving engine's reference: the per-token replay loop.
+"""The serving engine's references: the per-token replay loop and the
+token-sum admission model.
 
 :class:`StepwiseEngine` is :class:`repro.llm.engine.SimulatedLLMEngine`
 with two methods replaced. Its replay loop (``_replay``) advances decode
@@ -13,6 +14,15 @@ settlement are the shipped engine's own code.
 (:class:`tests.reference.radix.NodeRadixCache`), so the pair the replay
 suites compare differs in the replay loop, the residency mechanism and
 the radix tree, and must still agree under ``==``, clocks included.
+
+:class:`TokenSumAdmission` is the reference for paged admission: a mixin
+that replaces only :meth:`SimulatedLLMEngine._kv_free`, the free-memory
+figure admission compares against. It counts free memory in tokens from
+the engine's token ledgers (radix tree, private tails, chunk
+reservations still in flight) instead of the block pool. It runs only at
+``block_tokens=1``, where a block is a token, and there paged admission
+must reproduce it exactly in both loops
+(``tests/llm/test_paged_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -85,11 +95,10 @@ class StepwiseEngine(SimulatedLLMEngine):
             still = []
             for r in running:
                 r.decoded += 1
-                if r.tail is not None:
-                    # Paged accounting: the decode tail grows one token at a
-                    # time, drawing a fresh block only at block boundaries
-                    # (covered by the admission-time reservation).
-                    self._grow_tail(r, 1)
+                # The decode tail grows one token at a time, drawing a fresh
+                # block only at block boundaries (covered by the
+                # admission-time reservation).
+                self._grow_tail(r, 1)
                 if r.decoded == 1:
                     r.metrics.first_token_at_s = self._clock
                 if r.decoded >= r.request.output_tokens:
@@ -126,5 +135,55 @@ def stepwise_engine(
 ) -> StepwiseEngine:
     """A :class:`StepwiseEngine` on the node-tree radix reference."""
     engine = StepwiseEngine(model, cluster, config)
+    engine.cache = NodeRadixCache(block_manager=engine.blocks)
+    return engine
+
+
+class TokenSumAdmission:
+    """Token-sum admission: mix in ahead of an engine class.
+
+    Free memory is the token capacity less the tokens the radix tree
+    holds, the private tails at their full size, and the blocks reserved
+    for chunks that mid-prefill members have not prefilled yet. Without
+    that last term a chunked prefill's later chunks go uncounted and the
+    pool overruns."""
+
+    def __init__(
+        self,
+        model: ModelSpec = LLAMA3_8B,
+        cluster: Cluster = CLUSTER_1XL4,
+        config: Optional[EngineConfig] = None,
+    ):
+        super().__init__(model, cluster, config)
+        if self.block_tokens != 1:
+            raise ServingError(
+                f"token-sum admission counts tokens, so it needs "
+                f"block_tokens=1, got {self.block_tokens}"
+            )
+
+    def _kv_free(self) -> int:
+        return (
+            self.capacity_tokens
+            - self.cache.total_tokens
+            - self._private_tokens
+            - sum(m.prefill_reserved for m in self._prefilling)
+        )
+
+
+class TokenSumEngine(TokenSumAdmission, SimulatedLLMEngine):
+    """The shipped replay loop under token-sum admission."""
+
+
+class TokenSumStepwiseEngine(TokenSumAdmission, StepwiseEngine):
+    """The per-token replay loop under token-sum admission."""
+
+
+def token_sum_stepwise_engine(
+    model: ModelSpec = LLAMA3_8B,
+    cluster: Cluster = CLUSTER_1XL4,
+    config: Optional[EngineConfig] = None,
+) -> TokenSumStepwiseEngine:
+    """A :class:`TokenSumStepwiseEngine` on the node-tree radix reference."""
+    engine = TokenSumStepwiseEngine(model, cluster, config)
     engine.cache = NodeRadixCache(block_manager=engine.blocks)
     return engine

@@ -395,31 +395,19 @@ class NodeRadixCache:
         self,
         n_units: int,
         protected: Iterable[Sequence[int]] = (),
-        unit: str = "tokens",
     ) -> int:
         """Evict LRU leaves until >= ``n_units`` freed or nothing remains.
 
-        ``unit`` selects the currency: ``"tokens"`` (edge tokens removed
-        from the tree — the token-sum oracle's view) or ``"blocks"``
-        (physical blocks actually returned to the block manager's free
-        pool; requires a block manager). The two differ under paged
-        accounting: a victim whose blocks straddle a split boundary frees
-        fewer blocks than its token count suggests, so block-denominated
-        eviction keeps going until real memory is available.
+        The currency is the tree's own: with a block manager, physical
+        blocks returned to its free pool; without one, edge tokens removed
+        from the tree.
 
         ``protected`` are token sequences whose cached paths must survive
         this call (the engine passes the not-yet-admitted request's matched
         prefix; running requests are pinned persistently). Paths pinned via
-        :meth:`pin` always survive. Returns units actually freed.
-
-        Victim *selection* is pure LRU either way, so the paged and token
-        oracles pick victims in the same order — only the stopping point
-        differs. This reference scans the whole tree for each victim.
+        :meth:`pin` always survive. Returns units actually freed. This
+        reference scans the whole tree for each victim.
         """
-        if unit not in ("tokens", "blocks"):
-            raise ServingError(f"unknown eviction unit {unit!r}")
-        if unit == "blocks" and self._bm is None:
-            raise ServingError("block-denominated eviction needs a block manager")
         protected_ids: Set[int] = set()
         for seq in protected:
             protected_ids |= self.path_node_ids(seq)
@@ -428,10 +416,10 @@ class NodeRadixCache:
             victim = self._lru_leaf(protected_ids)
             if victim is None:
                 break
-            freed += self._remove_leaf(victim, unit)
+            freed += self._remove_leaf(victim)
         return freed
 
-    def _remove_leaf(self, victim: _Node, unit: str = "tokens") -> int:
+    def _remove_leaf(self, victim: _Node) -> int:
         k = len(victim.edge)
         self.total_tokens -= k
         self.evicted_tokens += k
@@ -448,7 +436,7 @@ class NodeRadixCache:
             self._bm.release(victim.alloc)
             victim.alloc = None
             freed_blocks = self._bm.free_blocks - before
-        return freed_blocks if unit == "blocks" else k
+        return k if self._bm is None else freed_blocks
 
     def _lru_leaf(self, protected_ids: Set[int]) -> Optional[_Node]:
         best: Optional[_Node] = None

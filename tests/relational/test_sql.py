@@ -131,6 +131,15 @@ class TestParser:
         with pytest.raises(SQLError):
             parse_sql("SELECT MAGIC(a) FROM t")
 
+    @pytest.mark.parametrize("bad", ["-1", "1.7"])
+    def test_limit_must_be_non_negative_integer(self, bad):
+        with pytest.raises(SQLError, match="non-negative integer") as exc_info:
+            parse_sql(f"SELECT * FROM t LIMIT {bad}")
+        assert "\n" not in str(exc_info.value)
+
+    def test_limit_zero(self):
+        assert parse_sql("SELECT * FROM t LIMIT 0").limit == 0
+
     def test_trailing_garbage(self):
         with pytest.raises(SQLError):
             parse_sql("SELECT a FROM t extra stuff ( ")
@@ -151,6 +160,19 @@ class TestExecution:
         db = make_db()
         out = db.sql("SELECT movietitle FROM movies WHERE rating >= 90")
         assert out.column("movietitle") == ["Up", "Coco"]
+
+    def test_ordering_comparison_with_null_filters_row(self):
+        db = Database()
+        db.register("t", Table({"a": [1, None, 3]}))
+        assert db.sql("SELECT a FROM t WHERE a > 1").column("a") == [3]
+        assert db.sql("SELECT a FROM t WHERE a <= 3").column("a") == [1, 3]
+
+    def test_comparison_across_types_is_sql_error(self):
+        db = Database()
+        db.register("t", Table({"a": [1, 2]}))
+        with pytest.raises(SQLError, match="cannot compare int > str") as exc_info:
+            db.sql("SELECT a FROM t WHERE a > 'abc'")
+        assert "\n" not in str(exc_info.value)
 
     def test_limit(self):
         db = make_db()
