@@ -82,7 +82,7 @@ class TraceGauge(NamedTuple):
 @dataclass
 class EngineTrace:
     """One run's trace: spans, instants, gauge samples, and run metadata
-    (scheduler / preemption / KV accounting), as plain dataclasses."""
+    (scheduler / preemption), as plain dataclasses."""
 
     spans: List[TraceSpan] = field(default_factory=list)
     instants: List[TraceInstant] = field(default_factory=list)

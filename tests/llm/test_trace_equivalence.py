@@ -5,7 +5,7 @@ Three contracts:
 * **Observer invariance**: tracing ON leaves every ``EngineResult``
   metric — integer counters AND float clocks — **bit-identical** to the
   same replay with tracing OFF, across schedulers x preemption x chunked
-  prefill x KV accounting, in both replay modes. The recorder only
+  prefill x KV block size and quotas, in both replay modes. The recorder only
   observes; it never perturbs the replay.
 
 * **Mode invariance**: the stepwise reference
