@@ -1013,7 +1013,6 @@ class SimulatedLLMEngine:
             if cache_on:
                 cache.insert(req.prompt_tokens, req.prompt_bytes)
                 pin = self._protect(req.prompt_tokens)
-            if cache_on:
                 # The suffix blocks were just drawn by insert(); only the
                 # decode tail stays reserved.
                 tail = bm.allocate(0)

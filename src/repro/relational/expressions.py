@@ -73,8 +73,9 @@ class Lit(Expr):
         return [self.value] * table.n_rows
 
 
-#: Ordering comparisons: a NULL operand compares false, and operands of
-#: unorderable types raise a one-line SQLError.
+#: Ordering comparisons: a NULL operand yields NULL (None), which a filter
+#: treats as false, and operands of unorderable types raise a one-line
+#: SQLError.
 _ORDER_OPS = frozenset(("<", "<=", ">", ">="))
 
 _CMP_OPS = {
@@ -86,6 +87,16 @@ _CMP_OPS = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
 }
+
+
+def _unorderable(fn, a, b) -> bool:
+    if a is None or b is None:
+        return False
+    try:
+        fn(a, b)
+    except TypeError:
+        return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -104,19 +115,16 @@ class Cmp(Expr):
         rv = self.right.eval(table, ctx)
         if self.op not in _ORDER_OPS:
             return [fn(a, b) for a, b in zip(lv, rv)]
-        out = []
-        for a, b in zip(lv, rv):
-            if a is None or b is None:
-                out.append(False)
-                continue
-            try:
-                out.append(fn(a, b))
-            except TypeError:
-                raise SQLError(
-                    f"cannot compare {type(a).__name__} {self.op} "
-                    f"{type(b).__name__}"
-                ) from None
-        return out
+        try:
+            return [
+                None if a is None or b is None else fn(a, b)
+                for a, b in zip(lv, rv)
+            ]
+        except TypeError:
+            a, b = next(p for p in zip(lv, rv) if _unorderable(fn, *p))
+            raise SQLError(
+                f"cannot compare {type(a).__name__} {self.op} {type(b).__name__}"
+            ) from None
 
     def referenced_columns(self, table: Table) -> Set[str]:
         return self.left.referenced_columns(table) | self.right.referenced_columns(table)
@@ -155,7 +163,8 @@ class Not(Expr):
     child: Expr
 
     def eval(self, table: Table, ctx=None) -> List[Any]:
-        return [not bool(v) for v in self.child.eval(table, ctx)]
+        # NOT NULL is NULL, so a negated comparison still filters the row.
+        return [None if v is None else not bool(v) for v in self.child.eval(table, ctx)]
 
     def referenced_columns(self, table: Table) -> Set[str]:
         return self.child.referenced_columns(table)

@@ -167,6 +167,13 @@ class TestExecution:
         assert db.sql("SELECT a FROM t WHERE a > 1").column("a") == [3]
         assert db.sql("SELECT a FROM t WHERE a <= 3").column("a") == [1, 3]
 
+    def test_negated_ordering_comparison_with_null_filters_row(self):
+        """NOT of a NULL comparison is still NULL: the row stays filtered."""
+        db = Database()
+        db.register("t", Table({"a": [1, None, 3]}))
+        assert db.sql("SELECT a FROM t WHERE NOT (a > 1)").column("a") == [1]
+        assert db.sql("SELECT a FROM t WHERE NOT a > 1").column("a") == [1]
+
     def test_comparison_across_types_is_sql_error(self):
         db = Database()
         db.register("t", Table({"a": [1, 2]}))
