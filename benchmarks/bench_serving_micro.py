@@ -26,11 +26,13 @@ from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.prompts import build_prompt, encode_rows
+from repro.llm.blocks import BlockManager
 from repro.llm.radix import RadixPrefixCache, pack_tokens
 from repro.llm.request import Request
 from repro.llm.tokenizer import HashTokenizer
 from repro.llm.workload import TenantSpec, tenant_prompts
 from tests.reference import ENGINES, NodeRadixCache
+from tests.reference.blocks import IdsBlockManager
 
 
 def _replay_requests(
@@ -113,6 +115,84 @@ def bench_engine_replay_event_speedup(benchmark):
     benchmark.extra_info["speedup_event_over_stepwise"] = round(ratio, 3)
     assert ratio >= 10.0
     perf_record("serving", "engine_replay_event_speedup", ratio, ">= 10")
+
+
+def _blocks_churn_ops(n_ops=60_000, seed=0):
+    """A seeded allocate/split/grow/release sequence, drawn up front so the
+    timed loop pays no random-number generation: per op a selector in
+    [0, 1) and two integers."""
+    rng = random.Random(seed)
+    return [(rng.random(), rng.getrandbits(30), rng.getrandbits(30)) for _ in range(n_ops)]
+
+
+def _blocks_churn(bm, ops):
+    """Replay ``ops`` on a block manager: allocate decode-tail-like runs of
+    up to 200 tokens, grow them, split any run mid-block or on an edge the
+    way the radix tree does (split halves are never grown again, as radix
+    edges are not), and release at random. Returns the live allocations'
+    sizes and the free-block count, for comparing managers."""
+    tails = []  # unsplit allocations: these grow
+    nodes = []  # split halves
+    for p, a, b in ops:
+        if p < 0.35:
+            n = a % 200
+            if bm.blocks_needed(n) <= bm.free_blocks:
+                tails.append(bm.allocate(n))
+        elif p < 0.6:
+            if tails:
+                t = tails[a % len(tails)]
+                if bm.blocks_needed(t.n_tokens + b % 40) - t.n_blocks <= bm.free_blocks:
+                    bm.grow(t, b % 40)
+        elif p < 0.8:
+            pool = tails if a & 1 else nodes
+            if pool:
+                x = pool.pop(a % len(pool))
+                if x.n_tokens >= 2:
+                    nodes.extend(bm.split(x, 1 + b % (x.n_tokens - 1)))
+                else:
+                    pool.append(x)
+        else:
+            pool = tails if a & 1 else nodes
+            if pool:
+                bm.release(pool.pop(a % len(pool)))
+    live = tails + nodes
+    sizes = [(x.n_tokens, x.n_blocks, x.start_offset) for x in live]
+    free = bm.free_blocks
+    for x in live:
+        bm.release(x)
+    assert bm.free_blocks == bm.n_blocks
+    return sizes, free
+
+
+def bench_blocks_ledger_speedup(benchmark):
+    """The block manager's ledger of counts against the list-of-ids
+    reference (``tests.reference.blocks.IdsBlockManager``) on one seeded
+    churn of 16-token blocks: both must end with the same allocations and
+    free-block count, and the ledger must be faster
+    (``blocks_ledger_speedup`` in ``BENCH_serving.json``).
+
+    The minimum of 3 interleaved rounds per side is used."""
+    ops = _blocks_churn_ops()
+
+    def work():
+        best = {}
+        results = {}
+        for _ in range(3):
+            for name, cls in (("ledger", BlockManager), ("ids", IdsBlockManager)):
+                bm = cls(capacity_tokens=2048 * 16, block_tokens=16)
+                t0 = time.perf_counter()
+                results[name] = _blocks_churn(bm, ops)
+                dt = time.perf_counter() - t0
+                best[name] = min(dt, best.get(name, dt))
+        return best, results
+
+    best, results = run_once(benchmark, work)
+    assert results["ledger"] == results["ids"]
+    ratio = best["ids"] / best["ledger"]
+    benchmark.extra_info["ops"] = len(ops)
+    benchmark.extra_info["speedup_ledger_over_ids"] = round(ratio, 3)
+    assert ratio >= 1.3
+    perf_record("serving", "blocks_ledger_speedup", ratio, ">= 1.3")
 
 
 def bench_engine_replay_no_cache(benchmark):

@@ -14,12 +14,14 @@ discrete-event simulator (see DESIGN.md "Substitutions"):
     a node-object tree with full-scan eviction, lives with the tests
     (``tests/reference/radix.py``).
 ``blocks``
-    Paged KV block manager with ref-counted blocks (vLLM-style). The
-    engine always admits on it: radix nodes own the blocks backing their
-    edges (the tree is the only holder of prompt KV), decode tails grow
-    block-by-block, and eviction returns blocks to the pool. Its
-    reference, a token-sum admission model, lives with the tests
-    (``tests/reference/engine.py``).
+    Paged KV block manager (vLLM-style) kept as a ledger of counts: a
+    free-block integer, and per allocation a block count plus a counter
+    for each end block a radix split shares. The engine always admits on
+    it: radix nodes own the blocks backing their edges (the tree is the
+    only holder of prompt KV), decode tails grow block-by-block, and
+    eviction returns blocks to the pool. Its references, a list-of-ids
+    manager and a token-sum admission model, live with the tests
+    (``tests/reference/blocks.py``, ``tests/reference/engine.py``).
 ``hardware`` / ``models``
     GPU and model registries (L4, 8xL4; Llama-3 1B/8B/70B) with memory,
     bandwidth, FLOPs, weight bytes and KV bytes/token.

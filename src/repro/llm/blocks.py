@@ -1,67 +1,86 @@
-"""Paged KV-cache block manager (vLLM-style).
+"""Paged KV-cache block manager (vLLM-style), kept as a ledger of counts.
 
 KV memory is allocated in fixed-size blocks of ``block_tokens`` tokens.
-Blocks are ref-counted so a block straddling a radix edge split is stored
-once for both halves; releasing decrements and frees at zero. The engine
-uses the manager for admission control; the radix tree decides *what* is
-shared, the block manager enforces *how much* physical memory that costs
-(including fragmentation from partially-filled last blocks).
+The engine uses the manager for admission control; the radix tree decides
+*what* is shared, the block manager enforces *how much* physical memory
+that costs (including fragmentation from partially-filled last blocks).
 
 The radix tree is the only holder of prompt KV: each node owns the
 allocation backing its edge, and a running request keeps its prompt path
 resident by pinning it — it takes no block references of its own. A request owns
 only its private tail: decode KV, plus the prompt when the prefix cache
-is off. So a refcount above 1 comes from a split's straddle block alone.
+is off. So a block is shared only when a radix edge split cuts inside it:
+it is then the head's last block and the tail's first, freed when both
+have released it.
 
-The engine always admits on this manager. Its reference is a token-sum
-admission model that lives with the tests (``tests/reference/engine.py``):
-at ``block_tokens=1`` paged admission reproduces it exactly.
-
-The pool is a Python list used as a LIFO free stack plus a dict of
-refcounts; every operation is a short per-block loop.
+Memory here is simulated, so a block has no identity to track. The pool is
+one integer, ``free_blocks``; an allocation holds its block count plus a
+:class:`SharedBlock` counter for each shared end block, and every operation
+is O(1). The list-of-ids manager is the reference the contract machine
+compares it against (``tests/reference/blocks.py``); token-sum admission,
+which paged admission reproduces at ``block_tokens=1``, is the engine's
+(``tests/reference/engine.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import CapacityError, ServingError
 
 
-def check_size(name: str, value) -> None:
-    """Raise :class:`ServingError` unless ``value`` is an integer >= 1.
-    bool is an Integral, but True as a size is a typo, not 1."""
-    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
-        raise ServingError(f"{name} must be an integer >= 1, got {value!r}")
+def check_size(name: str, value, least: int = 1) -> int:
+    """Return ``value`` as an int, raising :class:`ServingError` unless it
+    is an integer >= ``least``. bool is an Integral, but True as a size
+    is a typo, not 1."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
+        raise ServingError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
-@dataclass
+class SharedBlock:
+    """The refcount of one block that ``refs`` live allocations hold."""
+
+    __slots__ = ("refs",)
+
+    def __init__(self, refs: int):
+        self.refs = refs
+
+
 class BlockAllocation:
-    """A contiguous logical run of ref-counted block ids.
+    """A run of ``n_blocks`` blocks holding ``n_tokens`` tokens at positions
+    ``[start_offset, start_offset + n_tokens)``, so ``n_blocks ==
+    blocks_needed(start_offset + n_tokens)``; the tail half of a mid-block
+    split starts partway into its first block.
 
-    ``start_offset`` is the token position inside ``block_ids[0]`` where
-    this allocation's tokens begin: fresh allocations start at 0, but the
-    tail half of a mid-block :meth:`BlockManager.split` starts partway into
-    the straddling block. Tokens occupy positions ``[start_offset,
-    start_offset + n_tokens)`` laid out consecutively across the blocks —
-    the invariant every block computation below relies on.
+    ``first`` and ``last`` are the :class:`SharedBlock` counters of a shared
+    first and last block (only an end block can be shared), ``None`` while
+    private, and one object when the run is one block. ``owner`` is the
+    radix node slot the run backs (-1 for decode tails and the node-tree
+    reference's runs); the radix invariant checker verifies both agree.
     """
 
-    block_ids: List[int]
-    n_tokens: int
-    released: bool = False
-    start_offset: int = 0
-    #: The radix node *slot* this allocation is bound to (-1 when unowned:
-    #: decode tails, and the node-tree reference's allocations). Rebound on
-    #: every edge split; the radix invariant checker verifies slot and
-    #: allocation agree.
-    owner: int = field(default=-1, repr=False)
+    __slots__ = (
+        "n_blocks", "n_tokens", "start_offset", "first", "last", "released",
+        "owner",
+    )
+
+    def __init__(self, n_blocks, n_tokens, start_offset=0, first=None, last=None):
+        self.n_blocks = n_blocks
+        self.n_tokens = n_tokens
+        self.start_offset = start_offset
+        self.first = first
+        self.last = last
+        self.released = False
+        self.owner = -1
+
+    def __repr__(self) -> str:
+        return f"BlockAllocation({self.n_blocks} blocks, {self.n_tokens} tokens)"
 
 
 class BlockManager:
-    """Fixed-pool allocator with ref counting.
+    """Fixed-pool allocator over a count of free blocks.
 
     Parameters
     ----------
@@ -81,26 +100,15 @@ class BlockManager:
             )
         self.block_tokens = block_tokens
         self.n_blocks = capacity_tokens // block_tokens
-        # Free blocks as a LIFO stack; refcounts of the blocks in use.
-        self._free: List[int] = list(range(self.n_blocks))
-        self._refs: Dict[int, int] = {}
-        # KV tokens parked in host memory by preempt-swap: they occupy no
-        # device blocks (that is the point of swapping out), only this
-        # ledger, which unpark draws back down. Purely token-denominated —
-        # host memory is modeled as unbounded next to device KV.
+        self.free_blocks = self.n_blocks
+        # KV tokens swapped out to host memory (modeled as unbounded): they
+        # hold no device blocks; unpark draws them back down.
         self.parked_tokens = 0
-        # Per-tenant quota enforcement: ``_tenant_quota`` holds the hard
-        # block ceilings (absent = unlimited), ``_tenant_used`` the blocks
-        # currently charged. The engine charges/uncharges around its own
-        # allocate/release calls — the ledger is deliberately decoupled from
-        # individual allocations because radix-cached prompt blocks have no
-        # single owning tenant.
+        # Per-tenant block ceilings (absent = unlimited) and charges. The
+        # engine charges around its own allocate/release calls: radix-cached
+        # prompt blocks have no single owning tenant.
         self._tenant_quota: Dict[str, int] = {}
         self._tenant_used: Dict[str, int] = {}
-
-    @property
-    def free_blocks(self) -> int:
-        return len(self._free)
 
     @property
     def used_blocks(self) -> int:
@@ -113,54 +121,43 @@ class BlockManager:
         """Allocate blocks for ``n_tokens``; raises :class:`CapacityError`
         when the pool cannot satisfy the request. ``n_tokens == 0`` yields a
         valid empty allocation (a decode tail before its first token)."""
-        if n_tokens < 0:
-            raise ServingError(f"cannot allocate {n_tokens} tokens")
-        need = self.blocks_needed(n_tokens)
+        if type(n_tokens) is not int or n_tokens < 0:
+            n_tokens = check_size("n_tokens", n_tokens, 0)
+        need = (n_tokens + self.block_tokens - 1) // self.block_tokens
         if need > self.free_blocks:
             raise CapacityError(
                 f"need {need} blocks for {n_tokens} tokens, only {self.free_blocks} free"
             )
-        ids = self._pop_free(need)
-        return BlockAllocation(block_ids=ids, n_tokens=n_tokens)
-
-    def _pop_free(self, need: int) -> List[int]:
-        """Take ``need`` blocks off the free stack at refcount 1. The
-        caller has already checked capacity."""
-        ids = [self._free.pop() for _ in range(need)]
-        for b in ids:
-            self._refs[b] = 1
-        return ids
+        self.free_blocks -= need
+        return BlockAllocation(need, n_tokens)
 
     def release(self, alloc: BlockAllocation) -> None:
-        """Drop one reference per block; free blocks reaching zero."""
+        """Return the allocation's blocks to the pool, less each shared end
+        block that another allocation still holds."""
         if alloc.released:
             raise ServingError("double free of allocation")
-        refs = self._refs
-        for b in alloc.block_ids:
-            r = refs.get(b, 0)
-            if r <= 0:
-                raise ServingError(f"double free of block {b}")
-            if r == 1:
-                del refs[b]
-                self._free.append(b)
-            else:
-                refs[b] = r - 1
+        freed = alloc.n_blocks
+        first, last = alloc.first, alloc.last
+        if first is not None:
+            first.refs -= 1
+            freed -= first.refs > 0
+        if last is not None and last is not first:
+            last.refs -= 1
+            freed -= last.refs > 0
+        self.free_blocks += freed
         alloc.released = True
 
     def split(
         self, alloc: BlockAllocation, head_tokens: int
     ) -> Tuple[BlockAllocation, BlockAllocation]:
-        """Split an allocation at ``head_tokens`` into (head, tail).
-
-        Models a radix edge split: block ids map positionally onto the
-        allocation's tokens, so the head keeps the blocks covering its
-        tokens and the tail keeps the blocks covering the remainder. When
-        the cut falls inside a block, that block *straddles* both halves:
-        it gains a reference and is owned by head and tail alike until both
-        release it — real block-granular sharing, and the reason evicting a
-        small tail may free fewer blocks than its token count suggests.
-        The input allocation is consumed (marked released without touching
-        refcounts — ownership transfers to the two halves).
+        """Split an allocation at ``head_tokens`` into (head, tail), as a
+        radix edge split does. The head keeps the blocks covering its
+        tokens, the tail those covering the rest. A cut inside a block
+        leaves that block *straddling* both halves: the head's last and the
+        tail's first, its counter (new, or the one it already had as an end
+        of ``alloc``) one reference up — so evicting a small tail may free
+        fewer blocks than its token count suggests. The input is consumed
+        (marked released without touching the pool).
         """
         if alloc.released:
             raise ServingError("split of a released allocation")
@@ -168,67 +165,71 @@ class BlockManager:
             raise ServingError(
                 f"split point {head_tokens} outside (0, {alloc.n_tokens})"
             )
-        # All block arithmetic is in *block-local* token positions: the cut
-        # sits at start_offset + head_tokens, not at head_tokens — the tail
-        # of an earlier mid-block split starts partway into its first block.
-        cut = alloc.start_offset + head_tokens
-        n_head = self.blocks_needed(cut)
-        tail_start = cut // self.block_tokens
-        head = BlockAllocation(
-            block_ids=alloc.block_ids[:n_head],
-            n_tokens=head_tokens,
-            start_offset=alloc.start_offset,
-        )
-        tail = BlockAllocation(
-            block_ids=alloc.block_ids[tail_start:],
-            n_tokens=alloc.n_tokens - head_tokens,
-            start_offset=cut % self.block_tokens,
-        )
-        if cut % self.block_tokens:
-            straddle = alloc.block_ids[tail_start]
-            if self._refs.get(straddle, 0) <= 0:
-                raise ServingError(f"split across freed block {straddle}")
-            self._refs[straddle] += 1
+        # Block positions count from the first block's start, not from the
+        # allocation's first token: a tail starts partway into its block.
+        start = alloc.start_offset
+        k, inner = divmod(start + head_tokens, self.block_tokens)
+        n, first, last = alloc.n_blocks, alloc.first, alloc.last
+        tail_tokens = alloc.n_tokens - head_tokens
+        if inner:  # block k straddles the cut
+            shared = first if k == 0 else last if k == n - 1 else None
+            shared = shared or SharedBlock(1)
+            shared.refs += 1
+            head = BlockAllocation(
+                k + 1, head_tokens, start, shared if k == 0 else first, shared
+            )
+            tail = BlockAllocation(
+                n - k, tail_tokens, inner, shared, shared if k == n - 1 else last
+            )
+        else:  # a block-edge cut: each half keeps the end it inherits
+            head = BlockAllocation(
+                k, head_tokens, start, first, first if k == 1 else None
+            )
+            tail = BlockAllocation(
+                n - k, tail_tokens, 0, last if k == n - 1 else None, last
+            )
         alloc.released = True
         return head, tail
 
     def grow(self, alloc: BlockAllocation, extra_tokens: int) -> None:
-        """Extend an allocation in place (decode appends tokens)."""
+        """Extend an allocation in place (decode appends tokens). Growing
+        past a last block that a later allocation still shares is refused:
+        the new tokens would overlap that allocation's."""
         if alloc.released:
             raise ServingError("grow of a released allocation")
-        if extra_tokens < 0:
-            raise ServingError(f"cannot grow by {extra_tokens} tokens")
+        if type(extra_tokens) is not int or extra_tokens < 0:
+            extra_tokens = check_size("extra_tokens", extra_tokens, 0)
         new_total = alloc.n_tokens + extra_tokens
-        need = (
-            self.blocks_needed(alloc.start_offset + new_total)
-            - len(alloc.block_ids)
-        )
-        if need > self.free_blocks:
-            raise CapacityError(
-                f"grow needs {need} blocks, only {self.free_blocks} free"
-            )
+        bt = self.block_tokens
+        need = (alloc.start_offset + new_total + bt - 1) // bt - alloc.n_blocks
         if need > 0:
-            alloc.block_ids.extend(self._pop_free(need))
+            last = alloc.last
+            if last is not None and last is not alloc.first and last.refs > 1:
+                raise ServingError("grow past a shared last block")
+            if need > self.free_blocks:
+                raise CapacityError(
+                    f"grow needs {need} blocks, only {self.free_blocks} free"
+                )
+            # The new last block is private; the old one moves inside the
+            # run, shared only if it is also the first block.
+            alloc.last = None
+            self.free_blocks -= need
+            alloc.n_blocks += need
         alloc.n_tokens = new_total
 
     # ------------------------------------------------- preempt-swap parking
     def park(self, alloc: BlockAllocation) -> int:
-        """Swap an allocation's KV out to host memory: its device blocks are
-        released (immediately reusable by other requests) and its token
-        count moves to the :attr:`parked_tokens` ledger. Returns the number
-        of tokens parked."""
+        """Swap an allocation's KV out to host memory: release its device
+        blocks and move its tokens to :attr:`parked_tokens`; returns them."""
         n = alloc.n_tokens
         self.release(alloc)
         self.parked_tokens += n
         return n
 
     def unpark(self, n_tokens: int) -> BlockAllocation:
-        """Swap parked KV back in: draws ``n_tokens`` off the parked ledger
-        and allocates fresh device blocks for them (raises
-        :class:`CapacityError` like any allocation when the pool is full —
-        the caller decides when re-admission fits)."""
-        if n_tokens < 0:
-            raise ServingError(f"cannot unpark {n_tokens} tokens")
+        """Swap parked KV back in: draw ``n_tokens`` off the parked ledger
+        onto fresh device blocks (:class:`CapacityError` when they do not fit)."""
+        n_tokens = check_size("n_tokens", n_tokens, 0)
         if n_tokens > self.parked_tokens:
             raise ServingError(
                 f"unpark of {n_tokens} tokens but only {self.parked_tokens} parked"
@@ -239,12 +240,9 @@ class BlockManager:
 
     # ----------------------------------------------------- per-tenant quota
     def set_tenant_quota(self, tenant: str, blocks: int) -> None:
-        """Cap ``tenant`` at ``blocks`` device blocks; charging past the cap
-        raises :class:`CapacityError` so admission treats a quota-full
-        tenant exactly like a full pool (head-of-line blocks)."""
-        if blocks <= 0:
-            raise ServingError(f"tenant quota must be positive, got {blocks}")
-        self._tenant_quota[tenant] = blocks
+        """Cap ``tenant`` at ``blocks``; charging past the cap raises
+        :class:`CapacityError`, so admission treats it like a full pool."""
+        self._tenant_quota[tenant] = check_size("tenant quota", blocks)
 
     def tenant_quota(self, tenant: str) -> "int | None":
         return self._tenant_quota.get(tenant)
@@ -255,8 +253,7 @@ class BlockManager:
     def charge_tenant(self, tenant: str, blocks: int) -> None:
         """Charge ``blocks`` against the tenant's quota (no-op accounting
         when the tenant has no quota set)."""
-        if blocks < 0:
-            raise ServingError(f"cannot charge {blocks} blocks")
+        blocks = check_size("blocks", blocks, 0)
         quota = self._tenant_quota.get(tenant)
         used = self._tenant_used.get(tenant, 0)
         if quota is not None and used + blocks > quota:
@@ -267,8 +264,7 @@ class BlockManager:
         self._tenant_used[tenant] = used + blocks
 
     def uncharge_tenant(self, tenant: str, blocks: int) -> None:
-        if blocks < 0:
-            raise ServingError(f"cannot uncharge {blocks} blocks")
+        blocks = check_size("blocks", blocks, 0)
         used = self._tenant_used.get(tenant, 0) - blocks
         if used < 0:
             raise ServingError(
@@ -280,21 +276,10 @@ class BlockManager:
             self._tenant_used.pop(tenant, None)
 
     def check_invariants(self) -> None:
+        if not 0 <= self.free_blocks <= self.n_blocks:
+            raise ServingError(f"{self.free_blocks} free of {self.n_blocks} blocks")
         if self.parked_tokens < 0:
             raise ServingError("negative parked-token ledger")
         for tenant, used in self._tenant_used.items():
-            if used < 0:
-                raise ServingError(f"tenant {tenant!r} charged negative blocks")
-            quota = self._tenant_quota.get(tenant)
-            if quota is not None and used > quota:
-                raise ServingError(f"tenant {tenant!r} over quota")
-        refs_blocks = set(self._refs)
-        free_blocks = set(self._free)
-        if refs_blocks & free_blocks:
-            raise ServingError("block appears both free and referenced")
-        if len(free_blocks) != len(self._free):
-            raise ServingError("duplicate block in free list")
-        if len(refs_blocks) + len(free_blocks) != self.n_blocks:
-            raise ServingError("blocks leaked or invented")
-        if any(r <= 0 for r in self._refs.values()):
-            raise ServingError("non-positive refcount recorded")
+            if not 0 <= used <= self._tenant_quota.get(tenant, used):
+                raise ServingError(f"tenant {tenant!r} charged {used} blocks")

@@ -787,9 +787,9 @@ class SimulatedLLMEngine:
         """Grow a request's private tail allocation, consuming its
         admission-time block reservation as boundaries are crossed."""
         tail = r.tail
-        before = len(tail.block_ids)
+        before = tail.n_blocks
         self.blocks.grow(tail, extra_tokens)
-        self._reserved_blocks -= len(tail.block_ids) - before
+        self._reserved_blocks -= tail.n_blocks - before
         if self._reserved_blocks < 0:
             raise ServingError("decode block reservation went negative")
 
@@ -1019,7 +1019,7 @@ class SimulatedLLMEngine:
                 self._reserved_blocks += bm.blocks_needed(req.output_tokens)
             else:
                 tail = bm.allocate(prompt_len)
-                self._reserved_blocks += need - len(tail.block_ids)
+                self._reserved_blocks += need - tail.n_blocks
             self._private_tokens += private_growth
 
             member = _Running(
@@ -1237,7 +1237,7 @@ class SimulatedLLMEngine:
         private_growth = req.output_tokens + (0 if cache_on else prompt_len)
         tail = bm.unpark(tail_tokens) if swap else bm.allocate(tail_tokens)
         self._reserved_blocks += (
-            bm.blocks_needed(private_growth) - len(tail.block_ids)
+            bm.blocks_needed(private_growth) - tail.n_blocks
         )
         m.tail = tail
         self._private_tokens += private_growth
@@ -1359,7 +1359,7 @@ class SimulatedLLMEngine:
         tail = m.tail
         self._reserved_blocks -= bm.blocks_needed(
             tail.start_offset + final
-        ) - len(tail.block_ids)
+        ) - tail.n_blocks
         if self._reserved_blocks < 0:
             raise ServingError("decode block reservation went negative")
         bm.release(tail)

@@ -249,22 +249,21 @@ class RadixPrefixCache:
     def _probe_arr(self, tokens: Tuple[int, ...], packed: Optional[bytes]):
         """``(array, bytes)`` views of the probe: the int64 array drives
         vectorized compares, the bytes drive the medium-edge ``startswith``
-        pre-check. Zero-copy over ``packed`` when the caller supplied it,
-        else one marshalling pass memoized by tuple identity (clients
-        intern prompt tuples, so replays hit the memo)."""
+        pre-check. Zero-copy over ``packed`` when the caller supplied it, and
+        not memoized (that would keep one-shot chunk prefixes alive); else
+        one marshalling pass memoized by tuple identity (clients intern
+        prompt tuples, so replays hit the memo)."""
+        if packed is not None and len(packed) == len(tokens) * _PACK_BYTES:
+            return _np.frombuffer(packed, dtype=_np.int64), packed
         key = id(tokens)
         memo = self._probe_memo.get(key)
         if memo is not None and memo[0] is tokens:
             return memo[1], memo[2]
-        if packed is not None and len(packed) == len(tokens) * _PACK_BYTES:
-            arr = _np.frombuffer(packed, dtype=_np.int64)
-            pb = packed
-        else:
-            try:
-                arr = _np.asarray(tokens, dtype=_np.int64)
-            except (OverflowError, TypeError, ValueError) as exc:
-                raise ServingError(f"radix cache requires int64 token ids: {exc}")
-            pb = arr.tobytes()
+        try:
+            arr = _np.asarray(tokens, dtype=_np.int64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ServingError(f"radix cache requires int64 token ids: {exc}")
+        pb = arr.tobytes()
         if len(self._probe_memo) >= _PROBE_MEMO_CAP:
             self._probe_memo.clear()
         self._probe_memo[key] = (tokens, arr, pb)
@@ -740,19 +739,19 @@ class RadixPrefixCache:
         del self._children[(p, int(self._store[self._estart[s]]))]
         self._nchild[p] -= 1
         self._lru_unlink(s)
-        freed_blocks = 0
-        alloc = self._allocs[s]
-        if self._bm is not None and alloc is not None:
-            before = self._bm.free_blocks
-            self._bm.release(alloc)
-            freed_blocks = self._bm.free_blocks - before
+        freed = k
+        bm = self._bm
+        if bm is not None:
+            freed = bm.free_blocks
+            bm.release(self._allocs[s])
+            freed = bm.free_blocks - freed
         self._allocs[s] = None
         self._dead[s] = True
         self._free.append(s)
         memo = self._last_end
         if memo is not None and memo[1] == s:
             self._last_end = None
-        return k if self._bm is None else freed_blocks
+        return freed
 
     # --------------------------------------------------------------- stats
     @property
@@ -863,7 +862,8 @@ class RadixPrefixCache:
                     parent_alloc = self._allocs[pslot]
                     if (
                         parent_alloc is None
-                        or parent_alloc.block_ids[-1] != alloc.block_ids[0]
+                        or alloc.first is None
+                        or parent_alloc.last is not alloc.first
                     ):
                         raise ServingError(
                             f"slot {s} straddle block out of sync with "

@@ -73,11 +73,9 @@ class Lit(Expr):
         return [self.value] * table.n_rows
 
 
-#: Ordering comparisons: a NULL operand yields NULL (None), which a filter
-#: treats as false, and operands of unorderable types raise a one-line
-#: SQLError.
-_ORDER_OPS = frozenset(("<", "<=", ">", ">="))
-
+#: Comparisons follow SQL's three-valued logic: a NULL operand yields NULL
+#: (None), which a filter treats as false. Operands of unorderable types
+#: raise a one-line SQLError.
 _CMP_OPS = {
     "=": lambda a, b: a == b,
     "<>": lambda a, b: a != b,
@@ -113,8 +111,6 @@ class Cmp(Expr):
         fn = _CMP_OPS[self.op]
         lv = self.left.eval(table, ctx)
         rv = self.right.eval(table, ctx)
-        if self.op not in _ORDER_OPS:
-            return [fn(a, b) for a, b in zip(lv, rv)]
         try:
             return [
                 None if a is None or b is None else fn(a, b)
@@ -130,6 +126,20 @@ class Cmp(Expr):
         return self.left.referenced_columns(table) | self.right.referenced_columns(table)
 
 
+def _and3(a, b):
+    """Kleene AND: false if a side is false, else NULL if a side is NULL."""
+    if (a is not None and not a) or (b is not None and not b):
+        return False
+    return None if a is None or b is None else True
+
+
+def _or3(a, b):
+    """Kleene OR: true if a side is true, else NULL if a side is NULL."""
+    if (a is not None and a) or (b is not None and b):
+        return True
+    return None if a is None or b is None else False
+
+
 @dataclass(frozen=True)
 class And(Expr):
     left: Expr
@@ -138,7 +148,7 @@ class And(Expr):
     def eval(self, table: Table, ctx=None) -> List[Any]:
         lv = self.left.eval(table, ctx)
         rv = self.right.eval(table, ctx)
-        return [bool(a) and bool(b) for a, b in zip(lv, rv)]
+        return [_and3(a, b) for a, b in zip(lv, rv)]
 
     def referenced_columns(self, table: Table) -> Set[str]:
         return self.left.referenced_columns(table) | self.right.referenced_columns(table)
@@ -152,7 +162,7 @@ class Or(Expr):
     def eval(self, table: Table, ctx=None) -> List[Any]:
         lv = self.left.eval(table, ctx)
         rv = self.right.eval(table, ctx)
-        return [bool(a) or bool(b) for a, b in zip(lv, rv)]
+        return [_or3(a, b) for a, b in zip(lv, rv)]
 
     def referenced_columns(self, table: Table) -> Set[str]:
         return self.left.referenced_columns(table) | self.right.referenced_columns(table)

@@ -1,6 +1,7 @@
 """Randomized churn over the BlockManager: split/grow/release
 interleaved with preempt-swap park/unpark and tenant quota
-charge/uncharge, with the full invariant check after **every** op.
+charge/uncharge, with the ledger's counts checked against the live
+allocations (``check_ledger``) after **every** op.
 
 The engine drives the allocator through exactly these interleavings once
 preemption is on — a victim's tail is parked mid-decode while radix
@@ -16,6 +17,8 @@ import pytest
 
 from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import BlockManager
+
+from tests.reference.blocks import check_ledger
 
 
 class Churner:
@@ -46,10 +49,7 @@ class Churner:
         if not candidates:
             return
         alloc = self.rng.choice(candidates)
-        # Remove by identity: BlockAllocation is a dataclass, so
-        # list.remove() would match any field-equal allocation instead of the
-        # allocation split() actually consumed.
-        self.live = [a for a in self.live if a is not alloc]
+        self.live.remove(alloc)
         cut = self.rng.randrange(1, alloc.n_tokens)
         head, tail = self.bm.split(alloc, cut)
         assert head.n_tokens + tail.n_tokens == cut + tail.n_tokens
@@ -62,8 +62,13 @@ class Churner:
         extra = self.rng.randrange(0, 40)
         need = self.bm.blocks_needed(
             alloc.start_offset + alloc.n_tokens + extra
-        ) - len(alloc.block_ids)
-        if need <= self.bm.free_blocks:
+        ) - alloc.n_blocks
+        last = alloc.last
+        if need > 0 and alloc.n_blocks > 1 and last is not None and last.refs > 1:
+            # The last block is shared with a later split half.
+            with pytest.raises(ServingError):
+                self.bm.grow(alloc, extra)
+        elif need <= self.bm.free_blocks:
             before = alloc.n_tokens
             self.bm.grow(alloc, extra)
             assert alloc.n_tokens == before + extra
@@ -132,7 +137,7 @@ class Churner:
     def run(self, n_ops=150):
         for _ in range(n_ops):
             self.rng.choice(self.OPS)(self)
-            self.bm.check_invariants()
+            check_ledger(self.bm, self.live)
             assert self.bm.parked_tokens == self.expected_parked
             for t in self.tenants:
                 assert self.bm.tenant_used(t) == self.expected_charge[t]
@@ -142,7 +147,7 @@ class Churner:
         """Release everything and verify the pool returns whole."""
         while self.live:
             self.bm.release(self.live.pop())
-            self.bm.check_invariants()
+            check_ledger(self.bm, self.live)
         while self.bm.parked_tokens:
             n = min(
                 self.bm.parked_tokens,

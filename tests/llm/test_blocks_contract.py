@@ -1,38 +1,62 @@
 """Shrinking state-machine test of the BlockManager contract.
 
-Hypothesis drives a ``BlockManager`` and a plain model of it — a dict of
-per-block refcounts (a block is free exactly when it has none), a parked
-token count and a per-tenant charge ledger — through allocate, split
-(mid-block and on a block edge), grow, release, park/unpark and tenant
-charge/uncharge, including
-every misuse the manager must refuse. After every rule both must agree
-on the outcome (the same result, or the same ``CapacityError`` /
-``ServingError`` with nothing changed), on ``free_blocks``, on every
-block's refcount, on the parked tokens and on each tenant's charge, and
-the manager must pass ``check_invariants()``. A divergence shrinks to a
+Hypothesis drives the shipped ``BlockManager`` — a ledger of counts — and
+its reference, the list-of-ids ``IdsBlockManager`` from
+``tests/reference/blocks.py``, through allocate, split (mid-block and on
+a block edge), grow, release, park/unpark and tenant charge/uncharge,
+including every misuse both must refuse (operations on consumed
+allocations, negative and non-integer sizes, growth past a shared last
+block). After every rule both must
+agree on the outcome (the same result, or the same ``CapacityError`` /
+``ServingError`` with nothing changed), on ``free_blocks``,
+``used_blocks``, the parked tokens, each tenant's charge and each live
+allocation's blocks and tokens; each shared counter the ledger keeps for
+an end block must hold the refcount the reference keeps for that block,
+and both must pass ``check_invariants()``. A divergence shrinks to a
 short operation sequence that replays it.
 """
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
+    Bundle,
     RuleBasedStateMachine,
+    consumes,
     initialize,
     invariant,
-    precondition,
+    multiple,
     rule,
 )
 
 from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import BlockManager
 
+from tests.reference.blocks import IdsBlockManager
+
 TENANTS = ("alpha", "beta")
 #: alpha has a hard ceiling, beta is unlimited.
 ALPHA_QUOTA = 12
+#: Sizes neither manager may take: a count ledger would turn them into a
+#: float or bool pool.
+NON_INTEGERS = (2.5, 0.0, 1.5, -0.5, True, False, "3", None)
+
+
+def outcome(call):
+    """``(kind, value)`` of a call: its result, or the error class with
+    nothing else, since the two managers word their messages apart."""
+    try:
+        return "ok", call()
+    except (CapacityError, ServingError) as exc:
+        assert "\n" not in str(exc)
+        return type(exc), None
 
 
 class BlocksContract(RuleBasedStateMachine):
+    #: Live (ledger, reference) allocation pairs. Rules draw them from a
+    #: bundle rather than by index, so a shrink that deletes an unrelated
+    #: step leaves the others acting on the same allocations.
+    allocs = Bundle("allocs")
+
     @initialize(
         block_tokens=st.sampled_from([1, 2, 4, 16]),
         n_blocks=st.integers(1, 24),
@@ -42,192 +66,150 @@ class BlocksContract(RuleBasedStateMachine):
         # A sub-block remainder of capacity is floored away.
         capacity = n_blocks * block_tokens + remainder % block_tokens
         self.bm = BlockManager(capacity, block_tokens)
-        self.bt = block_tokens
-        self.n_blocks = n_blocks
-        self.refs = {}  # the model: block id -> references held
-        self.live = []  # allocations we own
-        self.dead = []  # released or consumed allocations
-        self.parked = 0
-        self.charged = {t: 0 for t in TENANTS}
-        self.bm.set_tenant_quota("alpha", ALPHA_QUOTA)
+        self.ref = IdsBlockManager(capacity, block_tokens)
+        self.live = []  # the pairs in the bundle, for the invariant
+        self.dead = []  # released or consumed pairs
+        for m in (self.bm, self.ref):
+            m.set_tenant_quota("alpha", ALPHA_QUOTA)
 
     # ------------------------------------------------------------ helpers
-    @property
-    def free(self):
-        return self.n_blocks - len(self.refs)
+    def both(self, op, *args, pair=None):
+        """Run ``op`` on both managers (on the two halves of ``pair``
+        when given) and return the shared outcome kind and both values."""
+        if pair is not None:
+            a, r = pair
+            got = outcome(lambda: getattr(self.bm, op)(a, *args))
+            want = outcome(lambda: getattr(self.ref, op)(r, *args))
+        else:
+            got = outcome(lambda: getattr(self.bm, op)(*args))
+            want = outcome(lambda: getattr(self.ref, op)(*args))
+        assert got[0] == want[0], (op, args, got, want)
+        return got[0], got[1], want[1]
 
-    def need(self, n_tokens):
-        return -(-n_tokens // self.bt)
+    def add(self, *pairs):
+        self.live += pairs
+        return multiple(*pairs)
 
-    def take_fresh(self, ids, count):
-        """``ids`` must be ``count`` distinct free blocks; they now hold
-        one reference each."""
-        assert len(ids) == count
-        assert len(set(ids)) == count
-        for b in ids:
-            assert 0 <= b < self.n_blocks and b not in self.refs
-            self.refs[b] = 1
-
-    def drop(self, ids):
-        for b in ids:
-            self.refs[b] -= 1
-            if not self.refs[b]:
-                del self.refs[b]
-
-    def pop_live(self, i):
-        return self.live.pop(i % len(self.live))
+    def kill(self, pair):
+        self.live.remove(pair)
+        self.dead.append(pair)
 
     # -------------------------------------------------------------- rules
-    @rule(n=st.integers(-1, 80))
-    def allocate(self, n):
-        if n < 0:
-            with pytest.raises(ServingError):
-                self.bm.allocate(n)
-        elif self.need(n) > self.free:
-            with pytest.raises(CapacityError):
-                self.bm.allocate(n)
-        else:
-            alloc = self.bm.allocate(n)
-            assert (alloc.n_tokens, alloc.start_offset) == (n, 0)
-            self.take_fresh(alloc.block_ids, self.need(n))
-            self.live.append(alloc)
+    @rule(target=allocs, size=st.integers(-1, 96), swap_in=st.booleans())
+    def allocate(self, size, swap_in):
+        """Allocate, or unpark parked tokens (a preempt-swap re-admission)."""
+        # ``size`` is in sixteenths of a block, so an allocation spans up
+        # to six blocks at any block size.
+        n = size if size < 1 else 1 + (size - 1) * self.ref.block_tokens // 16
+        kind, a, r = self.both("unpark" if swap_in else "allocate", n)
+        return self.add((a, r)) if kind == "ok" else multiple()
 
-    @precondition(lambda self: self.live)
-    @rule(i=st.integers(0, 63), where=st.integers(0, 63), on_edge=st.booleans())
-    def split(self, i, where, on_edge):
-        alloc = self.pop_live(i)
-        n, start = alloc.n_tokens, alloc.start_offset
+    @rule(
+        target=allocs,
+        pair=consumes(allocs),
+        where=st.integers(0, 63),
+        on_edge=st.booleans(),
+    )
+    def split(self, pair, where, on_edge):
+        n, start = pair[1].n_tokens, pair[1].start_offset
         if n < 2:
-            with pytest.raises(ServingError):
-                self.bm.split(alloc, max(n, 1))
-            self.live.append(alloc)
-            return
+            kind, _, _ = self.both("split", max(n, 1), pair=pair)
+            assert kind is ServingError
+            return multiple(pair)
         cuts = range(1, n)
         if on_edge:
             # Block-edge cuts, when this allocation spans one.
-            cuts = [h for h in cuts if (start + h) % self.bt == 0] or cuts
-        head_tokens = cuts[where % len(cuts)]
-        ids = list(alloc.block_ids)
-        head, tail = self.bm.split(alloc, head_tokens)
-        self.dead.append(alloc)
-        cut = start + head_tokens
-        assert head.block_ids == ids[: self.need(cut)]
-        assert tail.block_ids == ids[cut // self.bt :]
-        assert (head.n_tokens, head.start_offset) == (head_tokens, start)
-        assert tail.n_tokens == n - head_tokens
-        assert tail.start_offset == cut % self.bt
-        if cut % self.bt:
-            self.refs[ids[cut // self.bt]] += 1
-        self.live += [head, tail]
+            bt = self.ref.block_tokens
+            cuts = [h for h in cuts if (start + h) % bt == 0] or cuts
+        kind, a, r = self.both("split", cuts[where % len(cuts)], pair=pair)
+        assert kind == "ok"
+        self.kill(pair)
+        return self.add((a[0], r[0]), (a[1], r[1]))
 
-    @precondition(lambda self: self.live)
-    @rule(i=st.integers(0, 63), extra=st.integers(-1, 40))
-    def grow(self, i, extra):
-        alloc = self.live[i % len(self.live)]
-        before = list(alloc.block_ids)
-        if extra < 0:
-            with pytest.raises(ServingError):
-                self.bm.grow(alloc, extra)
-            return
-        total = alloc.start_offset + alloc.n_tokens + extra
-        need = self.need(total) - len(before)
-        if need > self.free:
-            with pytest.raises(CapacityError):
-                self.bm.grow(alloc, extra)
-            assert alloc.block_ids == before
-            return
-        n = alloc.n_tokens
-        self.bm.grow(alloc, extra)
-        assert alloc.n_tokens == n + extra
-        assert alloc.block_ids[: len(before)] == before
-        self.take_fresh(alloc.block_ids[len(before) :], need)
+    @rule(pair=allocs, extra=st.integers(-1, 40))
+    def grow(self, pair, extra):
+        self.both("grow", extra, pair=pair)
 
-    @precondition(lambda self: self.live)
-    @rule(i=st.integers(0, 63))
-    def release(self, i):
-        alloc = self.pop_live(i)
-        self.bm.release(alloc)
-        self.drop(alloc.block_ids)
-        self.dead.append(alloc)
+    @rule(pair=consumes(allocs), swap=st.booleans())
+    def release(self, pair, swap):
+        """Release the pair, or park it (a preempt-swap release that moves
+        its tokens to the host ledger)."""
+        kind, a, r = self.both("park" if swap else "release", pair=pair)
+        assert kind == "ok"
+        if swap:
+            assert a == r == pair[1].n_tokens
+        self.kill(pair)
 
-    @precondition(lambda self: self.dead)
     @rule(
-        i=st.integers(0, 63),
-        op=st.sampled_from(["release", "split", "grow", "park"]),
+        op=st.sampled_from(["charge_tenant", "uncharge_tenant"]),
+        tenant=st.sampled_from(TENANTS),
+        blocks=st.integers(-1, 8),
     )
-    def misuse_dead(self, i, op):
-        """Every operation on a released or split-consumed allocation is
-        refused before it touches the pool."""
-        alloc = self.dead[i % len(self.dead)]
-        with pytest.raises(ServingError):
-            if op == "split":
-                self.bm.split(alloc, 1)
-            elif op == "grow":
-                self.bm.grow(alloc, 1)
-            else:
-                getattr(self.bm, op)(alloc)
+    def tenant(self, op, tenant, blocks):
+        self.both(op, tenant, blocks)
 
-    @precondition(lambda self: self.live)
-    @rule(i=st.integers(0, 63))
-    def park(self, i):
-        alloc = self.pop_live(i)
-        assert self.bm.park(alloc) == alloc.n_tokens
-        self.drop(alloc.block_ids)
-        self.dead.append(alloc)
-        self.parked += alloc.n_tokens
-
-    @rule(n=st.integers(-1, 80))
-    def unpark(self, n):
-        if n < 0 or n > self.parked:
-            with pytest.raises(ServingError):
-                self.bm.unpark(n)
-        elif self.need(n) > self.free:
-            with pytest.raises(CapacityError):
-                self.bm.unpark(n)
+    @rule(
+        op=st.sampled_from(
+            ["release", "split", "grow", "park", "allocate", "unpark",
+             "set_tenant_quota", "charge_tenant", "uncharge_tenant"]
+        ),
+        bad=st.sampled_from(NON_INTEGERS),
+        i=st.integers(0, 63),
+    )
+    def misuse(self, op, bad, i):
+        """Refused before anything changes: every operation on a released
+        or split-consumed allocation, and a non-integer size in any
+        operation that takes one, whatever else the state would allow."""
+        if op in ("release", "split", "park"):
+            if not self.dead:
+                return
+            pair = self.dead[i % len(self.dead)]
+            args = (1,) if op == "split" else ()
+            kind = self.both(op, *args, pair=pair)[0]
+        elif op == "grow":
+            # A dead allocation, or a live one with a non-integer size.
+            pairs = self.dead + self.live
+            if not pairs:
+                return
+            pair = pairs[i % len(pairs)]
+            kind = self.both(op, 1 if pair in self.dead else bad, pair=pair)[0]
+        elif op in ("allocate", "unpark"):
+            kind = self.both(op, bad)[0]
         else:
-            alloc = self.bm.unpark(n)
-            assert (alloc.n_tokens, alloc.start_offset) == (n, 0)
-            self.take_fresh(alloc.block_ids, self.need(n))
-            self.parked -= n
-            self.live.append(alloc)
-
-    @rule(tenant=st.sampled_from(TENANTS), blocks=st.integers(-1, 8))
-    def charge_tenant(self, tenant, blocks):
-        used = self.charged[tenant]
-        if blocks < 0:
-            with pytest.raises(ServingError):
-                self.bm.charge_tenant(tenant, blocks)
-        elif tenant == "alpha" and used + blocks > ALPHA_QUOTA:
-            with pytest.raises(CapacityError):
-                self.bm.charge_tenant(tenant, blocks)
-        else:
-            self.bm.charge_tenant(tenant, blocks)
-            self.charged[tenant] = used + blocks
-
-    @rule(tenant=st.sampled_from(TENANTS), blocks=st.integers(-1, 8))
-    def uncharge_tenant(self, tenant, blocks):
-        used = self.charged[tenant]
-        if blocks < 0 or blocks > used:
-            with pytest.raises(ServingError):
-                self.bm.uncharge_tenant(tenant, blocks)
-        else:
-            self.bm.uncharge_tenant(tenant, blocks)
-            self.charged[tenant] = used - blocks
+            kind = self.both(op, TENANTS[i % 2], bad)[0]
+        assert kind is ServingError
 
     # ---------------------------------------------------------- invariant
     @invariant()
-    def manager_matches_model(self):
-        bm = self.bm
-        assert bm.free_blocks == self.free
-        assert bm.used_blocks == len(self.refs)
-        assert bm._refs == self.refs
-        assert bm.parked_tokens == self.parked
+    def ledger_matches_reference(self):
+        bm, ref = self.bm, self.ref
+        assert bm.free_blocks == ref.free_blocks
+        assert bm.used_blocks == ref.used_blocks
+        assert bm.parked_tokens == ref.parked_tokens
         for t in TENANTS:
-            assert bm.tenant_used(t) == self.charged[t]
+            assert bm.tenant_used(t) == ref.tenant_used(t)
+        for a, r in self.live:
+            assert (a.n_blocks, a.n_tokens, a.start_offset) == (
+                r.n_blocks,
+                r.n_tokens,
+                r.start_offset,
+            )
+            ids = r.block_ids
+            # Only an end block is ever shared, so two counters suffice.
+            assert all(ref._refs[b] == 1 for b in ids[1:-1])
+            if not ids:
+                assert a.first is None and a.last is None
+                continue
+            if len(ids) == 1:
+                assert a.first is a.last
+            for counter, b in ((a.first, ids[0]), (a.last, ids[-1])):
+                held = 1 if counter is None else counter.refs
+                assert held == ref._refs[b]
         bm.check_invariants()
+        ref.check_invariants()
 
 
 BlocksContract.TestCase.settings = settings(
-    max_examples=200, stateful_step_count=40, deadline=None
+    max_examples=400, stateful_step_count=50, deadline=None
 )
 TestBlocksContract = BlocksContract.TestCase

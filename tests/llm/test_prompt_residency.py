@@ -10,15 +10,16 @@ prefill chunked or not, and checks at every admission point:
 * every member in the batch still has its whole prompt cached
   (``match_len(prompt) == prompt_len``, which has no side effects), and
   every mid-prefill member the part of its prompt already prefilled;
-* every block's refcount equals the number of times the id appears
-  across live radix node allocations and live decode tails.
+* the block ledger adds up over the live radix node allocations and live
+  decode tails: the blocks in use are their ``n_blocks`` less each shared
+  block's extra holders, and each shared counter's ``refs`` is the number
+  of them that hold it (``check_ledger``).
 
-After the replay the tails are gone, so the refcounts must match the
+After the replay the tails are gone, so the ledger must add up over the
 node allocations alone.
 """
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.llm.radix import RadixPrefixCache
 
 from tests.llm.test_preempt_equivalence import clone, preempt_workload
 from tests.reference import NodeRadixCache, StepwiseEngine
+from tests.reference.blocks import check_ledger
 
 
 def node_allocations(cache):
@@ -46,10 +48,6 @@ def node_allocations(cache):
         out.append(node.alloc)
         stack.extend(node.children.values())
     return out
-
-
-def block_occurrences(allocs):
-    return Counter(b for a in allocs for b in a.block_ids)
 
 
 class ResidencyProbe:
@@ -100,8 +98,7 @@ class ResidencyProbe:
             for m in list(self.live.values()) + self._prefilling
             if m.tail is not None
         ]
-        expected = block_occurrences(node_allocations(cache) + tails)
-        assert self.blocks._refs == expected
+        check_ledger(self.blocks, node_allocations(cache) + tails)
 
 
 class VectorProbe(ResidencyProbe, SimulatedLLMEngine):
@@ -152,4 +149,4 @@ def test_running_prompts_stay_resident(mode, preemption, chunk, seed):
     if chunk is not None:
         assert result.n_prefill_chunks > 0
     eng.cache.check_invariants()
-    assert eng.blocks._refs == block_occurrences(node_allocations(eng.cache))
+    check_ledger(eng.blocks, node_allocations(eng.cache))

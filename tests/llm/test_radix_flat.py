@@ -291,6 +291,21 @@ class TestFlatStorage:
             hit = c.match_len(toks)
             assert 0 <= hit <= len(toks)
 
+    def test_packed_probes_skip_the_memo(self):
+        """A probe that arrives with its packed bytes is viewed zero-copy
+        and never memoized, so one-shot probes (chunk prefixes) are not
+        kept alive; an unpacked probe is memoized by tuple identity."""
+        c = RadixPrefixCache()
+        toks = (1, 2, 3, 4, 5)
+        c.insert(toks, pack_tokens(toks))
+        c.insert(toks[:3] + (9,), pack_tokens(toks[:3] + (9,)))
+        assert c.match_len(toks, pack_tokens(toks)) == 5
+        assert c._probe_memo == {}
+        plain = (1, 2, 7)
+        c.insert(plain)
+        assert [v[0] for v in c._probe_memo.values()] == [plain]
+        c.check_invariants()
+
     def test_stats_shape(self):
         c = RadixPrefixCache()
         c.insert((1, 2, 3))

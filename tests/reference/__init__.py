@@ -12,7 +12,11 @@ ratio records run them:
   tree, for :class:`repro.llm.engine.SimulatedLLMEngine`;
 * :class:`TokenSumAdmission` (``tests/reference/engine.py``) — admission
   counted in tokens, for the engine's paged admission at
-  ``block_tokens=1``.
+  ``block_tokens=1``;
+* :class:`~tests.reference.blocks.IdsBlockManager`
+  (``tests/reference/blocks.py``) — the block pool as ids on a free stack
+  with a refcount dict, for the ledger of counts
+  :class:`repro.llm.blocks.BlockManager`.
 
 The suites parametrize over names: :data:`RADIX_CACHES` maps ``"flat"``
 (shipped) and ``"node"`` to cache classes, :data:`ENGINES` maps

@@ -500,8 +500,8 @@ class NodeRadixCache:
                         parent_alloc = node.parent.alloc
                         if (
                             parent_alloc is None
-                            or parent_alloc.block_ids[-1]
-                            != node.alloc.block_ids[0]
+                            or node.alloc.first is None
+                            or parent_alloc.last is not node.alloc.first
                         ):
                             raise ServingError(
                                 f"node {node.node_id} straddle block out of "

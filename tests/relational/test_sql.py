@@ -174,6 +174,27 @@ class TestExecution:
         assert db.sql("SELECT a FROM t WHERE NOT (a > 1)").column("a") == [1]
         assert db.sql("SELECT a FROM t WHERE NOT a > 1").column("a") == [1]
 
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            ("a <> 1", [3]),
+            ("a != 1", [3]),
+            ("NOT (a = 1)", [3]),
+            ("NOT (a > 1 OR b = 1)", [1]),
+            ("NOT (a > 1 AND b = 0)", [1]),
+            # NULL OR TRUE is TRUE; NULL AND FALSE is FALSE, so NOT is TRUE.
+            ("a = 1 OR b = 0", [1, None, 3]),
+            ("NOT (a = 1 AND b = 1)", [1, None, 3]),
+        ],
+    )
+    def test_three_valued_logic(self, where, expected):
+        """A NULL operand makes ``=``/``<>`` NULL, AND and OR are Kleene
+        (NULL AND FALSE is FALSE, NULL OR TRUE is TRUE, else NULL), and NOT
+        keeps NULL: the NULL row passes only where the NULL cannot matter."""
+        db = Database()
+        db.register("t", Table({"a": [1, None, 3], "b": [0, 0, 0]}))
+        assert db.sql(f"SELECT a FROM t WHERE {where}").column("a") == expected
+
     def test_comparison_across_types_is_sql_error(self):
         db = Database()
         db.register("t", Table({"a": [1, 2]}))
