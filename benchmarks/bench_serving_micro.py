@@ -18,6 +18,7 @@ import time
 from conftest import perf_record, run_once
 
 from repro.bench.queries import get_query
+from repro.core.phc import cell_codes
 from repro.core.reorder import reorder
 from repro.data import build_dataset
 from repro.llm.client import SimulatedLLMClient
@@ -504,7 +505,8 @@ def bench_client_segment_encode_speedup(benchmark, repro_scale):
 
 def bench_client_prompt_ids_speedup(benchmark, repro_scale):
     """The LLM operator's prompt assembly, ``encode_rows`` (token ids built
-    cell by cell from the schedule, no prompt text), against the
+    cell by cell from the schedule, no prompt text, its segment memo keyed
+    by the schedule's cell codes), against the
     whole-prompt oracle, ``build_prompt`` + ``HashTokenizer.encode`` +
     ``pack_tokens``, on the query streams of the segment benchmark above,
     one batch per query. Ids, packed bytes and vocabulary must be
@@ -522,19 +524,23 @@ def bench_client_prompt_ids_speedup(benchmark, repro_scale):
             ds.table.to_reorder_table(fields), policy="ggr", fds=ds.fds,
             validate=False,
         )
-        streams.append((query.prompt, [row.cells for row in result.schedule.rows]))
+        streams.append((
+            query.prompt,
+            [row.cells for row in result.schedule.rows],
+            cell_codes(result.schedule).tolist(),
+        ))
 
     def id_path():
         tok = HashTokenizer()
         out = []
-        for query, rows in streams:
-            out += encode_rows(tok, query, rows)
+        for query, rows, keys in streams:
+            out += encode_rows(tok, query, rows, keys)
         return out, tok._id_to_piece
 
     def whole_prompt_oracle():
         tok = HashTokenizer()
         out = []
-        for query, rows in streams:
+        for query, rows, _ in streams:
             for cells in rows:
                 ids = tuple(tok.encode(build_prompt(query, cells)))
                 out.append((ids, pack_tokens(ids)))
@@ -554,7 +560,7 @@ def bench_client_prompt_ids_speedup(benchmark, repro_scale):
     best, results = run_once(benchmark, work)
     assert results["ids"] == results["whole"]
     ratio = best["whole"] / best["ids"]
-    benchmark.extra_info["prompts"] = sum(len(rows) for _, rows in streams)
+    benchmark.extra_info["prompts"] = sum(len(rows) for _, rows, _ in streams)
     benchmark.extra_info["speedup_ids_over_whole"] = round(ratio, 3)
     assert ratio >= 1.5
     perf_record("serving", "prompt_ids_speedup", ratio, ">= 1.5")

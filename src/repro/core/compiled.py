@@ -25,28 +25,61 @@ can run on:
 
 Compilation is cached on the ``ReorderTable`` instance (tables are frozen,
 so the encoding can never go stale); repeated solves of the same table pay
-the encoding cost once. The pure-Python reference implementations stay
-beside each fast path, reached by name (``GGRConfig(engine="python")``,
-``TableStats._compute_python``, ...), as the equivalence-test oracles.
+the encoding cost once. A table whose columns are already encoded — the
+relational :class:`~repro.relational.table.Table` keeps one
+:func:`encode_strings` encoding per column and carries it through its
+operators — skips the strings: :func:`table_from_codes` builds the compiled
+form from the codes, and the ``ReorderTable`` it returns renders its rows
+only if asked. :func:`schedule_from_layout` attaches the schedule's PHC
+encoding, gathered from the same codes. The pure-Python reference
+implementations stay beside each fast path, reached by name
+(``GGRConfig(engine="python")``, ``TableStats._compute_python``, ...), as
+the equivalence-test oracles.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.table import Cell, OrderedRow, ReorderTable
-from repro.errors import SolverError
+from repro.core.phc import attach_cell_encoding
+from repro.core.table import COMPILED_ATTR, Cell, OrderedRow, ReorderTable
+from repro.errors import SchemaError, SolverError
 
 import numpy as np
 
-#: Attribute name used to cache the compiled form on a ReorderTable.
-_CACHE_ATTR = "_compiled_table_cache"
+#: One dictionary-encoded column: its sorted distinct values and one int32
+#: code per row into them.
+ColumnCodes = Tuple[Tuple[str, ...], "np.ndarray"]
+
+
+def encode_strings(strings: Sequence[str]) -> ColumnCodes:
+    """Dictionary-encode one column of strings: codes are assigned in
+    sorted order of the distinct values (the invariant every fast path
+    relies on)."""
+    vocab = sorted(set(strings))
+    index = dict(zip(vocab, range(len(vocab))))
+    codes = np.fromiter(
+        map(index.__getitem__, strings), dtype=np.int32, count=len(strings)
+    )
+    return tuple(vocab), codes
+
+
+def dense_codes(vocab: Tuple[str, ...], codes: "np.ndarray") -> ColumnCodes:
+    """Drop the values no row uses and renumber the rest, keeping their
+    order: a row subset of an encoded column becomes exactly the encoding
+    :func:`encode_strings` would give the subset's strings."""
+    used = np.bincount(codes, minlength=len(vocab)) > 0
+    if used.all():
+        return vocab, codes
+    renumber = np.cumsum(used, dtype=np.int32) - 1
+    return tuple(v for v, u in zip(vocab, used.tolist()) if u), renumber[codes]
 
 
 class CompiledTable:
-    """The dictionary-encoded columnar view of one :class:`ReorderTable`.
+    """The dictionary-encoded columnar view of one table.
 
-    Build via :func:`compile_table` (cached), not directly.
+    Build via :func:`compile_table` (cached on a :class:`ReorderTable`) or
+    :func:`table_from_codes` (from already-encoded columns), not directly.
     """
 
     __slots__ = (
@@ -63,12 +96,9 @@ class CompiledTable:
         "_cell_pool",
     )
 
-    def __init__(self, table: ReorderTable):
-        n, m = table.n_rows, table.n_fields
-        # Only the field names, not the table: the table caches this
-        # object, and a back-reference would make the pair a cycle that
-        # outlives the table until a full gc pass.
-        self.fields = table.fields
+    def __init__(self, fields: Tuple[str, ...], columns: Sequence[ColumnCodes], n_rows: int):
+        n, m = n_rows, len(fields)
+        self.fields = fields
         self.n_rows = n
         self.n_fields = m
         # Column-major so per-column slices used by the solvers are
@@ -82,25 +112,16 @@ class CompiledTable:
         self.sq_lengths = np.empty((n, m), dtype=np.int64, order="F")
         self._cell_pool: List[Optional[List[Cell]]] = [None] * m
 
-        rows = table.rows
-        for j in range(m):
-            col = [row[j] for row in rows]
-            # Sorted distinct values: code order == lexicographic value
-            # order, the invariant every fast path relies on.
-            distinct = sorted(set(col))
-            index = {v: k for k, v in enumerate(distinct)}
-            col_codes = np.fromiter(
-                (index[v] for v in col), dtype=np.int32, count=n
-            )
+        for j, (distinct, col_codes) in enumerate(columns):
             first = np.full(len(distinct), n, dtype=np.int64)
             # minimum.at: first occurrence per code (reference tie-breaks
             # use first-appearance order).
             if n:
                 np.minimum.at(first, col_codes, np.arange(n, dtype=np.int64))
-            lens = np.fromiter((len(v) for v in distinct), dtype=np.int64,
+            lens = np.fromiter(map(len, distinct), dtype=np.int64,
                                count=len(distinct))
             self.codes[:, j] = col_codes
-            self.values.append(tuple(distinct))
+            self.values.append(distinct)
             self.first_pos.append(first)
             self.code_lens.append(lens)
             self.code_sq.append(lens * lens)
@@ -117,6 +138,14 @@ class CompiledTable:
             self._cell_pool[col] = pool
         return pool
 
+    def render_rows(self) -> Tuple[Tuple[str, ...], ...]:
+        """The table's string rows, gathered from the per-column values."""
+        cols = [
+            map(values.__getitem__, self.codes[:, j].tolist())
+            for j, values in enumerate(self.values)
+        ]
+        return tuple(zip(*cols)) if cols else ((),) * self.n_rows
+
 
 def compile_table(table: ReorderTable) -> CompiledTable:
     """Return the cached compiled form of ``table`` (building it once).
@@ -125,12 +154,36 @@ def compile_table(table: ReorderTable) -> CompiledTable:
     instance itself: repeated solves/stat computations over the same table
     share one encoding.
     """
-    cached = getattr(table, _CACHE_ATTR, None)
+    cached = getattr(table, COMPILED_ATTR, None)
     if cached is not None:
         return cached
-    ct = CompiledTable(table)
-    object.__setattr__(table, _CACHE_ATTR, ct)
+    rows = table.rows
+    ct = CompiledTable(
+        table.fields,
+        [encode_strings([row[j] for row in rows]) for j in range(table.n_fields)],
+        table.n_rows,
+    )
+    object.__setattr__(table, COMPILED_ATTR, ct)
     return ct
+
+
+def table_from_codes(
+    fields: Sequence[str], columns: Sequence[ColumnCodes], n_rows: int
+) -> ReorderTable:
+    """A :class:`ReorderTable` of ``n_rows`` rows over already-encoded
+    columns, with its compiled form attached.
+
+    Each column's ``(values, codes)`` must be an :func:`encode_strings`
+    encoding or a row gather of one; unused values are dropped, so the
+    attached encoding is exactly what :func:`compile_table` would build
+    from the strings. The table's string rows are rendered only if a
+    caller reads them.
+    """
+    fields = tuple(fields)
+    if len(set(fields)) != len(fields):
+        raise SchemaError(f"duplicate field names in {fields!r}")
+    ct = CompiledTable(fields, [dense_codes(v, c) for v, c in columns], n_rows)
+    return ReorderTable.from_compiled(ct)
 
 
 def validate_layout(
@@ -171,33 +224,32 @@ def schedule_from_layout(
 
     Equivalent to :meth:`RequestSchedule.from_orders` but with the cheap
     index-level validation of :func:`validate_layout` and pooled cells.
+    The schedule's ``"cell"``-mode PHC encoding is gathered from the same
+    codes and attached, so :func:`~repro.core.phc.phc` and
+    :func:`~repro.core.phc.phr` never hash its cells.
     """
     from repro.core.ordering import RequestSchedule  # local: avoid cycle
 
-    import numpy as np
-
-    validate_layout(ct.n_rows, ct.n_fields, layout)
-    pools = [ct.cell_pool(c) for c in range(ct.n_fields)]
-    rows: List[OrderedRow] = []
-    getitem = list.__getitem__
-    # Solver layouts apply one field order to whole row blocks; process
-    # block-wise so the per-block code gather is one vectorized fancy-index
-    # and the per-cell pool lookup is a C-level ``map``.
-    i = 0
-    total = len(layout)
-    while i < total:
-        col_order = layout[i][1]
-        j = i + 1
-        while j < total and layout[j][1] == col_order:
-            j += 1
-        rids = [rid for rid, _ in layout[i:j]]
-        block_codes = ct.codes[
-            np.fromiter(rids, dtype=np.int64, count=len(rids))
-        ][:, list(col_order)].tolist()
-        order_pools = [pools[c] for c in col_order]
-        rows.extend(
-            OrderedRow(row_id=rid, cells=tuple(map(getitem, order_pools, crow)))
-            for rid, crow in zip(rids, block_codes)
-        )
-        i = j
-    return RequestSchedule(rows=rows, source_fields=ct.fields)
+    n, m = ct.n_rows, ct.n_fields
+    validate_layout(n, m, layout)
+    # A cell's id is its column's offset plus its code, and indexes the
+    # pooled cells of all columns laid end to end. Equal ids are equal
+    # (field, value) pairs, because field names are distinct.
+    sizes = [len(v) for v in ct.values]
+    offsets = np.cumsum([0] + sizes[:-1], dtype=np.intp)[:m]
+    pool = [cell for c in range(m) for cell in ct.cell_pool(c)]
+    lens = np.concatenate([*ct.code_lens, np.zeros(0, dtype=np.int64)])
+    field_lens = np.repeat(np.array([len(f) for f in ct.fields], dtype=np.int64), sizes)
+    id_sq = lens * lens
+    id_tok = (field_lens + lens + 3) // 4 + 1
+    rids = [rid for rid, _ in layout]
+    orders = np.array([order for _, order in layout], dtype=np.intp).reshape(n, m)
+    ids = ct.codes[np.array(rids, dtype=np.intp)[:, None], orders] + offsets[orders]
+    cell_of = pool.__getitem__
+    rows = [
+        OrderedRow(row_id=rid, cells=tuple(map(cell_of, row)))
+        for rid, row in zip(rids, ids.tolist())
+    ]
+    schedule = RequestSchedule(rows=rows, source_fields=ct.fields)
+    attach_cell_encoding(schedule, ids, id_sq[ids], id_tok[ids])
+    return schedule

@@ -38,15 +38,6 @@ class RequestSchedule:
     def row_ids(self) -> List[int]:
         return [r.row_id for r in self.rows]
 
-    def inverse_permutation(self) -> List[int]:
-        """``inv[original_row_id] = position in schedule`` for scatter-back."""
-        inv = [-1] * len(self.rows)
-        for pos, row in enumerate(self.rows):
-            if not 0 <= row.row_id < len(self.rows) or inv[row.row_id] != -1:
-                raise SolverError(f"schedule is not a row permutation: {self.row_ids()}")
-            inv[row.row_id] = pos
-        return inv
-
     def validate_against(self, table: ReorderTable) -> None:
         """Raise :class:`SolverError` unless this schedule is a permutation
         of ``table`` (row-level and within each row)."""

@@ -25,7 +25,9 @@ Evaluating a whole :class:`RequestSchedule` has a compiled fast path: the
 schedule's cells are dictionary-encoded once into integer id / weight
 matrices (cached on the schedule object — schedules are treated as
 immutable once built), after which PHC and the token-level PHR reduce to
-vectorized prefix-run computations. The cell-by-cell string path serves
+vectorized prefix-run computations. A schedule built from a solver layout
+(:func:`~repro.core.compiled.schedule_from_layout`) arrives with its
+``"cell"`` encoding attached, gathered from the table's codes. The cell-by-cell string path serves
 plain cell-row sequences and custom ``token_len`` callables, and is the
 reference oracle: pass ``[r.cells for r in schedule.rows]`` to reach it.
 """
@@ -128,17 +130,43 @@ class _ScheduleEncoding:
         return np.logical_and.accumulate(eq, axis=1)
 
 
-def _encoding_for(schedule: RequestSchedule, mode: MatchMode) -> _ScheduleEncoding:
-    """Cached encoding of a schedule."""
+def _encoding_cache(schedule: RequestSchedule) -> dict:
     cache = getattr(schedule, _ENC_ATTR, None)
     if cache is None:
         cache = {}
         setattr(schedule, _ENC_ATTR, cache)
+    return cache
+
+
+def attach_cell_encoding(
+    schedule: RequestSchedule,
+    ids: "np.ndarray",
+    sq: "np.ndarray",
+    tok: "np.ndarray",
+) -> None:
+    """Give ``schedule`` its ``"cell"``-mode encoding, computed by whoever
+    built it from codes (:func:`~repro.core.compiled.schedule_from_layout`):
+    ``n x m`` int64 matrices, ``ids`` equal exactly where the cells are
+    equal, and ``sq`` / ``tok`` as in :class:`_ScheduleEncoding`."""
+    enc = _ScheduleEncoding.__new__(_ScheduleEncoding)
+    enc.ids, enc.sq, enc.tok = ids, sq, tok
+    _encoding_cache(schedule)["cell"] = enc
+
+
+def _encoding_for(schedule: RequestSchedule, mode: MatchMode) -> _ScheduleEncoding:
+    """Cached encoding of a schedule."""
+    cache = _encoding_cache(schedule)
     enc = cache.get(mode)
     if enc is None:
         enc = _ScheduleEncoding([r.cells for r in schedule.rows], mode)
         cache[mode] = enc
     return enc
+
+
+def cell_codes(schedule: RequestSchedule) -> "np.ndarray":
+    """One int64 per scheduled cell (rows padded to the widest): two
+    cells get the same code exactly when field and value are equal."""
+    return _encoding_for(schedule, "cell").ids
 
 
 def phc(schedule: Union[RequestSchedule, Sequence[CellRow]], mode: MatchMode = "cell") -> int:

@@ -16,6 +16,10 @@ from repro.errors import SchemaError
 
 Row = Tuple[str, ...]
 
+#: Attribute under which a table's compiled form
+#: (:class:`~repro.core.compiled.CompiledTable`) is cached.
+COMPILED_ATTR = "_compiled_table_cache"
+
 
 @dataclass(frozen=True)
 class ReorderTable:
@@ -50,9 +54,30 @@ class ReorderTable:
         object.__setattr__(self, "fields", norm_fields)
         object.__setattr__(self, "rows", tuple(norm_rows))
 
+    @staticmethod
+    def from_compiled(ct) -> "ReorderTable":
+        """The table whose compiled form is ``ct``. Its string ``rows`` are
+        gathered from ``ct``'s per-column values on first access, so a
+        solver that runs on codes never builds them."""
+        table = object.__new__(ReorderTable)
+        object.__setattr__(table, "fields", ct.fields)
+        object.__setattr__(table, COMPILED_ATTR, ct)
+        return table
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set yet: the rows of a table
+        # made by from_compiled.
+        ct = self.__dict__.get(COMPILED_ATTR)
+        if name != "rows" or ct is None:
+            raise AttributeError(name)
+        rows = ct.render_rows()
+        object.__setattr__(self, "rows", rows)
+        return rows
+
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        ct = self.__dict__.get(COMPILED_ATTR)
+        return len(self.rows) if ct is None else ct.n_rows
 
     @property
     def n_fields(self) -> int:

@@ -449,8 +449,8 @@ class ReplicaStats:
     cache_misses: int
     cache_evicted_tokens: int
     cache_total_tokens: int
-    #: Full :meth:`RadixPrefixCache.stats` snapshot (backend, node count,
-    #: token-store bytes, eviction totals) for operator output.
+    #: Full :meth:`RadixPrefixCache.stats` snapshot (node and token counts,
+    #: token-store bytes, hit/miss and eviction totals) for operator output.
     cache_stats: Optional[Dict[str, object]] = None
     #: Peak engine-side waiting-queue depth (scheduler backlog), as opposed
     #: to ``peak_queue_depth`` which is the router's outstanding view.

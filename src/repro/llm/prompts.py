@@ -17,7 +17,7 @@ renders the prompt as text: the reference the id path is tested against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.table import Cell
 from repro.llm.radix import pack_tokens
@@ -56,36 +56,50 @@ def build_prompt(query: str, cells: Sequence[Cell]) -> str:
 
 
 def encode_rows(
-    tokenizer, query: str, rows: Sequence[Sequence[Cell]]
+    tokenizer,
+    query: str,
+    rows: Sequence[Sequence[Cell]],
+    keys: Optional[Sequence[Sequence[Hashable]]] = None,
 ) -> List[Tuple[Tuple[int, ...], bytes]]:
     """``(ids, packed)`` of ``build_prompt(query, cells)`` for each row,
     equal to a whole-prompt encode of each in turn (vocabulary included),
-    with the header and each distinct cell segment tokenized once."""
-    # (ids, packed) by key: None for the header, (lead, field, value) for a
-    # cell, the text itself for the closing "}" (or "{}" of an empty row).
-    # Packing is fixed-width, so a row's packed bytes are its segments'.
-    memo: Dict[object, Tuple[List[int], bytes]] = {}
+    with the header and each distinct cell segment tokenized once.
 
-    def segment(key: object, text: str) -> Tuple[List[int], bytes]:
-        ids = tokenizer.encode(text)
+    ``keys[i][j]`` names cell ``rows[i][j]`` in the segment memo: equal
+    keys must mean equal cells. The LLM operator passes the schedule's
+    cell codes (:func:`repro.core.phc.cell_codes`), which hash faster than
+    cells; by default a cell is its own key."""
+    # (ids, packed) by key: one memo for a row's first cell (led by '{"'),
+    # one for the others (led by ', "'). Packing is fixed-width, so a
+    # row's packed bytes are its segments'.
+    first: Dict[Hashable, Tuple[List[int], bytes]] = {}
+    rest: Dict[Hashable, Tuple[List[int], bytes]] = {}
+    encode = tokenizer.encode
+
+    def segment(memo: dict, key: Hashable, text: str) -> Tuple[List[int], bytes]:
+        ids = encode(text)
         seg = memo[key] = (ids, pack_tokens(ids))
         return seg
 
     out = []
-    for cells in rows:
-        seg = memo.get(None) or segment(None, SYSTEM_TEMPLATE.format(query=query))
-        ids, packed, lead = seg[0].copy(), [seg[1]], '{"'
-        for c in cells:
-            key = (lead, c.field, c.value)
+    if not rows:
+        return out
+    head_ids, head_packed = segment({}, None, SYSTEM_TEMPLATE.format(query=query))
+    closes: Dict[str, Tuple[List[int], bytes]] = {}
+    for cells, row_keys in zip(rows, rows if keys is None else keys):
+        ids, packed = head_ids.copy(), [head_packed]
+        memo, lead = first, '{"'
+        for c, key in zip(cells, row_keys):
             seg = memo.get(key) or segment(
+                memo,
                 key,
                 f'{lead}{escape_json_string(c.field)}": "{escape_json_string(c.value)}"',
             )
             ids += seg[0]
             packed.append(seg[1])
-            lead = ', "'
+            memo, lead = rest, ', "'
         close = "}" if cells else "{}"
-        seg = memo.get(close) or segment(close, close)
+        seg = closes.get(close) or segment(closes, close, close)
         ids += seg[0]
         packed.append(seg[1])
         out.append((tuple(ids), b"".join(packed)))

@@ -49,7 +49,23 @@ exact.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Sequence
+from typing import List, Sequence
+
+
+class _Vocabulary(dict):
+    """Piece -> id map that interns an unseen piece on lookup: it gets the
+    next id and is appended to ``pieces``, the id -> piece list."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self):
+        super().__init__()
+        self.pieces: List[str] = []
+
+    def __missing__(self, piece: str) -> int:
+        pid = self[piece] = len(self.pieces)
+        self.pieces.append(piece)
+        return pid
 
 
 class HashTokenizer:
@@ -65,34 +81,18 @@ class HashTokenizer:
             rf"(?<!\s) ?[A-Za-z0-9_]{{1,{n}}}|[A-Za-z0-9_]{{1,{n}}}"
             rf"|(?<!\s) \s{{0,{n}}}|\s{{1,{n}}}|[^A-Za-z0-9_\s]"
         ).findall
-        self._piece_to_id: Dict[str, int] = {}
-        self._id_to_piece: List[str] = []
+        self._piece_to_id = _Vocabulary()
+        self._id_to_piece = self._piece_to_id.pieces
 
     @property
     def vocab_size(self) -> int:
         return len(self._id_to_piece)
 
     def encode(self, text: str) -> List[int]:
-        """Tokenize ``text`` into a list of integer ids."""
-        pieces = self._findall(text)
-        piece_to_id = self._piece_to_id
-        ids = list(map(piece_to_id.get, pieces))
-        # Intern unseen pieces left to right, so ids follow first sight.
-        id_to_piece = self._id_to_piece
-        try:
-            i = ids.index(None)
-            while True:
-                piece = pieces[i]
-                pid = piece_to_id.get(piece)
-                if pid is None:
-                    pid = len(id_to_piece)
-                    piece_to_id[piece] = pid
-                    id_to_piece.append(piece)
-                ids[i] = pid
-                i = ids.index(None, i + 1)
-        except ValueError:
-            pass
-        return ids
+        """Tokenize ``text`` into a list of integer ids. Pieces are looked
+        up left to right, so unseen ones are interned in first-sight
+        order."""
+        return list(map(self._piece_to_id.__getitem__, self._findall(text)))
 
     def decode(self, tokens: Sequence[int]) -> str:
         """Exact inverse of :meth:`encode` for ids produced by this instance.

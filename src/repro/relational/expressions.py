@@ -182,12 +182,14 @@ class Not(Expr):
 
 @dataclass(frozen=True)
 class IsNotNull(Expr):
-    """``col <> NULL`` in the paper's first example query."""
+    """``col IS NOT NULL`` (and ``col <> NULL``, the paper's first example
+    query). As in sqlite3, only ``None`` is NULL: ``''`` is a value, the
+    same one ``Cmp`` compares."""
 
     child: Expr
 
     def eval(self, table: Table, ctx=None) -> List[Any]:
-        return [v is not None and v != "" for v in self.child.eval(table, ctx)]
+        return [v is not None for v in self.child.eval(table, ctx)]
 
     def referenced_columns(self, table: Table) -> Set[str]:
         return self.child.referenced_columns(table)

@@ -3,16 +3,18 @@
 ``LLMRuntime.execute`` is invoked once per ``LLM(...)`` expression in a
 query. It:
 
-1. projects the touched fields into a :class:`ReorderTable`;
-2. looks up rows whose ``(query, cells)`` were already answered by an
+1. projects the touched fields' dictionary codes (carried by the
+   :class:`~repro.relational.table.Table`, so no cell is rendered again);
+2. **deduplicates** rows on their projected code row — equal code rows
+   are equal cell tuples: a model is a function of its prompt, so only
+   distinct inputs are solved and served — query cost is proportional to
+   *distinct* LLM inputs, not rows (§3's input dedup optimization);
+3. looks up rows whose ``(query, cells)`` were already answered by an
    earlier call (the cross-call **answer memo** — multi-stage queries that
    re-ask the same rows hit memory instead of the engine);
-3. **deduplicates** the remaining rows on their projected cell tuple: a
-   model is a function of its prompt, so only distinct inputs are solved
-   and served — query cost is proportional to *distinct* LLM inputs, not
-   rows (§3's input dedup optimization);
 4. runs the configured reordering policy (GGR by default, with the source
-   table's functional dependencies) over the distinct rows;
+   table's functional dependencies) over the distinct unanswered rows,
+   handing it their codes as a compiled table (no string rows);
 5. encodes one JSON prompt per scheduled row (Appendix C format) as
    token ids, without building its text (:func:`~repro.llm.prompts.encode_rows`);
 6. obtains the answer text for each row from the ``answerer`` — the
@@ -38,12 +40,16 @@ optimizer test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.compiled import table_from_codes
 from repro.core.fd import FunctionalDependencies
 from repro.core.ggr import GGRConfig
+from repro.core.phc import cell_codes
 from repro.core.reorder import ReorderResult, reorder
-from repro.core.table import Cell, ReorderTable, Row
+from repro.core.table import Cell, Row
 from repro.llm.client import SimulatedLLMClient
 from repro.llm.costmodel import estimate_tokens
 from repro.llm.engine import EngineResult
@@ -186,54 +192,54 @@ class LLMRuntime:
         the table's row order. ``fds`` (from the execution context) is used
         when the runtime has none of its own."""
         fields = expr.expanded_fields(table)
-        sub = table.to_reorder_table(fields)
+        key_fields = tuple(fields)
+        encodings = [table.encoding(f) for f in fields]
         n_rows = table.n_rows
-        answers: List[Optional[str]] = [None] * n_rows
 
-        # 1. Cross-call memo: rows already answered by an earlier call —
-        # of this runtime or of any runtime sharing the (Database-scoped)
-        # store. Lookups are skipped entirely while the store is empty.
+        # 1. Group rows by their projected code row (first-appearance
+        # order): with dedup on, only group representatives are solved,
+        # served and memoized.
+        if self.dedup:
+            group_of, reps = _first_appearance_groups(
+                [codes for _, codes in encodings], n_rows
+            )
+        else:
+            group_of = reps = np.arange(n_rows)
+        group_list = group_of.tolist()
+        n_groups = len(reps)
+        by_group: List[Optional[str]] = [None] * n_groups
+
+        # 2. Cross-call memo, keyed by the rendered cells: rows already
+        # answered by an earlier call — of this runtime or of any runtime
+        # sharing the (Database-scoped) store. Lookups are per row and are
+        # skipped entirely while the store is empty.
         memo_on = self.memo
         memo_hits = 0
-        pending: List[int] = []
+        key_rows: List[Row] = []
+        if memo_on:
+            rep_codes = [(vocab, codes[reps].tolist()) for vocab, codes in encodings]
+            key_rows = (
+                list(zip(*[map(v.__getitem__, c) for v, c in rep_codes]))
+                if rep_codes
+                else [()] * n_groups
+            )
         if memo_on and len(self.memo_store):
-            for i, row in enumerate(sub.rows):
-                hit = self.memo_store.get((expr.query, sub.fields, row))
-                if hit is None:
-                    pending.append(i)
-                else:
-                    answers[i] = hit
+            for g in group_list:
+                hit = self.memo_store.get((expr.query, key_fields, key_rows[g]))
+                if hit is not None:
+                    by_group[g] = hit
                     memo_hits += 1
+            pending = [g for g in range(n_groups) if by_group[g] is None]
         else:
-            pending = list(range(n_rows))
+            pending = list(range(n_groups))
 
-        # 2. Dedup: group the remaining rows by their projected cell tuple;
-        # only group representatives are solved and served.
-        groups: List[List[int]]
-        reps: List[int]
-        if self.dedup:
-            slot_of: Dict[Row, int] = {}
-            groups, reps = [], []
-            for i in pending:
-                row = sub.rows[i]
-                slot = slot_of.get(row)
-                if slot is None:
-                    slot_of[row] = len(groups)
-                    groups.append([i])
-                    reps.append(i)
-                else:
-                    groups[slot].append(i)
-        else:
-            groups = [[i] for i in pending]
-            reps = list(pending)
-
-        # 3. Reorder only the distinct pending rows. When nothing was
-        # collapsed, solve the original view so the oracle path
-        # (dedup/memo off) is byte-identical to the pre-optimizer code.
-        if len(reps) == n_rows:
-            solve = sub
-        else:
-            solve = ReorderTable(fields, [sub.rows[i] for i in reps])
+        # 3. Reorder only the distinct pending rows, on their codes.
+        solve_rows = reps[pending]
+        solve = table_from_codes(
+            fields,
+            [(vocab, codes[solve_rows]) for vocab, codes in encodings],
+            len(pending),
+        )
         effective_fds = self.fds if self.fds is not None else fds
         fds = effective_fds.restrict(fields) if effective_fds is not None else None
         result: ReorderResult = reorder(
@@ -245,8 +251,9 @@ class LLMRuntime:
         )
 
         rows = result.schedule.rows
+        rep_rows = solve_rows.tolist()
         answers_scheduled = [
-            self.answerer(expr.query, row.cells, reps[row.row_id]) for row in rows
+            self.answerer(expr.query, row.cells, rep_rows[row.row_id]) for row in rows
         ]
 
         engine_result = None
@@ -255,7 +262,12 @@ class LLMRuntime:
                 estimate_tokens(len(build_prompt(expr.query, row.cells))) for row in rows
             ]
         else:
-            encoded = encode_rows(self.client.tokenizer, expr.query, [r.cells for r in rows])
+            encoded = encode_rows(
+                self.client.tokenizer,
+                expr.query,
+                [r.cells for r in rows],
+                cell_codes(result.schedule).tolist(),
+            )
             prompt_tokens = [len(ids) for ids, _ in encoded]
             if encoded:
                 batch = self.client.generate_encoded(encoded, outputs=answers_scheduled)
@@ -263,16 +275,17 @@ class LLMRuntime:
 
         # 4. Scatter each distinct answer to every row of its group and
         # remember it for later calls.
+        group_sizes = np.bincount(group_of, minlength=n_groups).tolist()
         scheduled_tokens = 0
         dedup_saved = 0
         for row, n_tokens, text in zip(rows, prompt_tokens, answers_scheduled):
-            group = groups[row.row_id]
-            for i in group:
-                answers[i] = text
+            g = pending[row.row_id]
+            by_group[g] = text
             scheduled_tokens += n_tokens
-            dedup_saved += (len(group) - 1) * n_tokens
+            dedup_saved += (group_sizes[g] - 1) * n_tokens
             if memo_on:
-                self.memo_store.put((expr.query, sub.fields, sub.rows[group[0]]), text)
+                self.memo_store.put((expr.query, key_fields, key_rows[g]), text)
+        answers = [by_group[g] for g in group_list]
 
         self.calls.append(
             LLMCallStats(
@@ -283,13 +296,13 @@ class LLMRuntime:
                 exact_phc=result.exact_phc,
                 schedule_phr=result.exact_phr,
                 engine_result=engine_result,
-                n_distinct=len(reps),
+                n_distinct=len(pending),
                 memo_hits=memo_hits,
                 dedup_saved_prompt_tokens=dedup_saved,
                 scheduled_prompt_tokens=scheduled_tokens,
             )
         )
-        return answers  # type: ignore[return-value]  # every slot is filled above
+        return answers  # type: ignore[return-value]  # every group is answered above
 
     # ------------------------------------------------------------- rollups
     @property
@@ -307,3 +320,19 @@ class LLMRuntime:
     @property
     def total_memo_hits(self) -> int:
         return sum(c.memo_hits for c in self.calls)
+
+
+def _first_appearance_groups(
+    columns: List["np.ndarray"], n_rows: int
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Group equal rows of the code columns: each row's group id, and each
+    group's first row, with groups numbered in order of first appearance."""
+    if n_rows == 0 or not columns:
+        return np.zeros(n_rows, dtype=np.intp), np.arange(min(n_rows, 1))
+    _, first, inverse = np.unique(
+        np.column_stack(columns), axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], first[order]

@@ -1,15 +1,25 @@
 """Column-oriented table: the engine's only data container.
 
-Columns are plain Python lists (values may be str/int/float/bool/None);
-the reordering solvers receive a stringified
-:class:`~repro.core.table.ReorderTable` view via :meth:`Table.to_reorder_table`,
-mirroring how the paper's operator serializes Spark rows to JSON.
+Columns are plain Python lists (values may be str/int/float/bool/None).
+Each column also has one dictionary encoding, built on first use: its
+values rendered once (:func:`render_value`, as the prompt shows them),
+sorted, and one int32 code per row (:func:`repro.core.compiled.encode_strings`).
+``take``, ``filter``, ``head``, ``select``, ``rename`` and ``join`` carry the
+encodings of the columns they keep by gathering codes, so a derived table
+never renders again. The LLM operator and the solvers run on these codes;
+:meth:`Table.to_reorder_table` gives the same encoding as a
+:class:`~repro.core.table.ReorderTable`, mirroring how the paper's
+operator serializes Spark rows to JSON. Tables are treated as immutable:
+mutating a column list in place would leave its encoding stale.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.compiled import ColumnCodes, encode_strings, table_from_codes
 from repro.core.table import ReorderTable
 from repro.errors import SchemaError
 
@@ -42,6 +52,19 @@ class Table:
             self._columns[str(col)] = values
         self._n_rows = n or 0
         self.name = name
+        self._codes: Dict[str, ColumnCodes] = {}
+
+    def _derived(
+        self, columns: Dict[str, List[Any]], n_rows: int, codes: Dict[str, ColumnCodes]
+    ) -> "Table":
+        """A table made by an operator: columns already checked, and the
+        encodings it carries from its inputs."""
+        out = Table.__new__(Table)
+        out._columns = columns
+        out._n_rows = n_rows
+        out.name = self.name
+        out._codes = codes
+        return out
 
     # ----------------------------------------------------------- inspection
     @property
@@ -65,6 +88,16 @@ class Table:
             raise SchemaError(
                 f"unknown column {name!r}; table has {self.fields!r}"
             ) from None
+
+    def encoding(self, name: str) -> ColumnCodes:
+        """Column ``name``'s dictionary encoding: its sorted distinct
+        rendered values and each row's int32 code into them (built on
+        first use, then carried by the operators)."""
+        enc = self._codes.get(name)
+        if enc is None:
+            enc = encode_strings(list(map(render_value, self.column(name))))
+            self._codes[name] = enc
+        return enc
 
     def row(self, i: int) -> Dict[str, Any]:
         return {c: v[i] for c, v in self._columns.items()}
@@ -96,21 +129,22 @@ class Table:
 
     # ------------------------------------------------------------ operators
     def select(self, names: Sequence[str]) -> "Table":
-        return Table({n: self.column(n) for n in names}, name=self.name)
-
-    def rename(self, mapping: Mapping[str, str]) -> "Table":
-        return Table(
-            {mapping.get(c, c): v for c, v in self._columns.items()}, name=self.name
+        cols = {n: list(self.column(n)) for n in names}
+        return self._derived(
+            cols, self._n_rows, {n: self._codes[n] for n in cols if n in self._codes}
         )
 
-    def with_column(self, name: str, values: Sequence[Any]) -> "Table":
-        if len(values) != self._n_rows:
-            raise SchemaError(
-                f"new column {name!r} has {len(values)} rows, expected {self._n_rows}"
-            )
-        cols = dict(self._columns)
-        cols[name] = list(values)
-        return Table(cols, name=self.name)
+    def rename(self, mapping: Mapping[str, str]) -> "Table":
+        cols: Dict[str, List[Any]] = {}
+        codes: Dict[str, Optional[ColumnCodes]] = {}
+        for c, v in self._columns.items():
+            # A later column renamed onto an earlier name replaces it, and
+            # so does its encoding (or the lack of one).
+            cols[mapping.get(c, c)] = list(v)
+            codes[mapping.get(c, c)] = self._codes.get(c)
+        return self._derived(
+            cols, self._n_rows, {c: e for c, e in codes.items() if e is not None}
+        )
 
     def filter(self, mask: Sequence[bool]) -> "Table":
         if len(mask) != self._n_rows:
@@ -119,20 +153,15 @@ class Table:
         return self.take(keep)
 
     def take(self, indices: Sequence[int]) -> "Table":
-        return Table(
+        indices = list(indices)
+        return self._derived(
             {c: [v[i] for i in indices] for c, v in self._columns.items()},
-            name=self.name,
+            len(indices),
+            self._gather_codes(self._codes, indices),
         )
 
     def head(self, n: int) -> "Table":
         return self.take(range(min(n, self._n_rows)))
-
-    def sort_by(self, names: Sequence[str]) -> "Table":
-        cols = [self.column(n) for n in names]
-        order = sorted(
-            range(self._n_rows), key=lambda i: tuple(render_value(c[i]) for c in cols)
-        )
-        return self.take(order)
 
     def join(
         self,
@@ -162,22 +191,33 @@ class Table:
         cols: Dict[str, List[Any]] = {
             c: [v[i] for i in left_idx] for c, v in self._columns.items()
         }
+        codes = self._gather_codes(self._codes, left_idx)
         for c, v in other._columns.items():
             if c == right_on:
                 continue
             cols[c] = [v[j] for j in right_idx]
-        return Table(cols, name=self.name)
+            codes.pop(c, None)  # a right column replaces a left one
+        right_codes = {c: e for c, e in other._codes.items() if c != right_on}
+        codes.update(self._gather_codes(right_codes, right_idx))
+        return self._derived(cols, len(left_idx), codes)
+
+    @staticmethod
+    def _gather_codes(
+        codes: Dict[str, ColumnCodes], indices: List[int]
+    ) -> Dict[str, ColumnCodes]:
+        if not codes:
+            return {}
+        idx = np.array(indices, dtype=np.intp)
+        return {c: (vocab, col[idx]) for c, (vocab, col) in codes.items()}
 
     # ------------------------------------------------------------- bridging
     def to_reorder_table(self, fields: Optional[Sequence[str]] = None) -> ReorderTable:
-        """Stringified view for the reordering solvers (prompt order of
-        ``fields`` is irrelevant — the solver decides)."""
+        """The solvers' view of ``fields`` (all by default), built from the
+        columns' encodings (prompt order of ``fields`` is irrelevant — the
+        solver decides). Its string rows are gathered from the encodings
+        only if a caller reads them."""
         names = list(fields) if fields is not None else list(self.fields)
-        cols = [self.column(n) for n in names]
-        rows = [
-            tuple(render_value(col[i]) for col in cols) for i in range(self._n_rows)
-        ]
-        return ReorderTable(names, rows)
+        return table_from_codes(names, [self.encoding(n) for n in names], self._n_rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Table({self.name or 'anon'}: {self._n_rows}x{len(self._columns)} {self.fields})"

@@ -75,12 +75,6 @@ class TestRequestSchedule:
         sched = RequestSchedule.from_orders(t, [2, 0, 1], [[1, 0]] * 3)
         assert sched.rows[0].values() == ("6", "5")
 
-    def test_inverse_permutation(self):
-        t = self.make_table()
-        sched = RequestSchedule.from_orders(t, [2, 0, 1], [[0, 1]] * 3)
-        inv = sched.inverse_permutation()
-        assert inv == [1, 2, 0]
-
     def test_duplicate_row_rejected(self):
         t = self.make_table()
         sched = RequestSchedule(

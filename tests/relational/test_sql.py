@@ -195,6 +195,23 @@ class TestExecution:
         db.register("t", Table({"a": [1, None, 3], "b": [0, 0, 0]}))
         assert db.sql(f"SELECT a FROM t WHERE {where}").column("a") == expected
 
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            ("a IS NULL", [None]),
+            ("a = NULL", [None]),
+            ("a IS NOT NULL", ["", "y"]),
+            ("a <> NULL", ["", "y"]),
+            ("a <> 'x'", ["", "y"]),
+        ],
+    )
+    def test_empty_string_is_a_value(self, where, expected):
+        """One NULL model, as in sqlite3: only None is NULL. ``''`` is a
+        value to ``IS [NOT] NULL`` just as it is to a comparison."""
+        db = Database()
+        db.register("t", Table({"a": ["", "y", None]}))
+        assert db.sql(f"SELECT a FROM t WHERE {where}").column("a") == expected
+
     def test_comparison_across_types_is_sql_error(self):
         db = Database()
         db.register("t", Table({"a": [1, 2]}))

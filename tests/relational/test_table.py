@@ -69,16 +69,6 @@ class TestOperations:
         assert t.head(2).n_rows == 2
         assert t.head(10).n_rows == 3
 
-    def test_sort_by(self, t):
-        s = t.sort_by(["name"])
-        assert s.column("name") == ["a", "b", "c"]
-
-    def test_with_column(self, t):
-        t2 = t.with_column("flag", [True, False, True])
-        assert t2.column("flag") == [True, False, True]
-        with pytest.raises(SchemaError):
-            t.with_column("bad", [1])
-
     def test_rename(self, t):
         r = t.rename({"id": "key"})
         assert "key" in r.fields and "id" not in r.fields
