@@ -9,6 +9,7 @@ this).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServingError
@@ -17,7 +18,7 @@ from repro.llm.engine import EngineConfig, EngineResult, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4, Cluster
 from repro.llm.models import LLAMA3_8B, ModelSpec
 from repro.llm.request import Request
-from repro.llm.scheduler import SLOReport
+from repro.llm.scheduler import SLOReport, check_deadline, compute_slo
 from repro.llm.tokenizer import HashTokenizer
 from repro.llm.workload import WorkloadTrace
 
@@ -42,12 +43,19 @@ class BatchResult:
 class TraceResult:
     """Outcome of one :meth:`SimulatedLLMClient.generate_trace` replay:
     answers in trace (arrival) order, the engine metrics, and the SLO
-    rollup (latency percentiles, per-tenant breakdown, goodput)."""
+    rollup (latency percentiles, per-tenant breakdown, goodput under
+    ``deadline_s``), computed on first read of :attr:`slo`."""
 
     trace_name: str
     outputs: List[str]
     engine_result: EngineResult
-    slo: SLOReport
+    deadline_s: Optional[float] = None
+
+    @cached_property
+    def slo(self) -> SLOReport:
+        return compute_slo(
+            self.engine_result.request_metrics, deadline_s=self.deadline_s
+        )
 
     @property
     def total_seconds(self) -> float:
@@ -246,8 +254,10 @@ class SimulatedLLMClient:
         :meth:`generate` on the same prompt sequence.
 
         ``deadline_s`` (arrival-relative) feeds the goodput accounting of
-        the returned SLO report.
+        the returned SLO report; a deadline that is not positive is
+        rejected here, before the replay.
         """
+        check_deadline(deadline_s)
         requests, out_texts = requests_from_trace(
             trace,
             self.tokenizer,
@@ -264,5 +274,5 @@ class SimulatedLLMClient:
             trace_name=trace.name,
             outputs=out_texts,
             engine_result=result,
-            slo=result.slo(deadline_s),
+            deadline_s=deadline_s,
         )

@@ -70,6 +70,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -83,7 +84,7 @@ from repro.llm.hardware import CLUSTER_1XL4, Cluster
 from repro.llm.models import LLAMA3_8B, ModelSpec
 from repro.llm.radix import RadixPrefixCache
 from repro.llm.request import Request, RequestMetrics
-from repro.llm.scheduler import SLOReport, compute_slo
+from repro.llm.scheduler import SLOReport, check_deadline, compute_slo
 from repro.llm.tokenizer import HashTokenizer
 from repro.llm.tracing import EngineTrace
 from repro.llm.workload import WorkloadTrace
@@ -279,13 +280,17 @@ class PrefixAwareRouter(RoutingPolicy):
     The router keeps a bounded shadow :class:`RadixPrefixCache` per
     replica — the same structure the replica's engine uses — and scores
     each candidate with a side-effect-free ``match_len`` probe (one walk
-    of the flat array-backed tree, with vectorized edge compares).
-    Committing a route inserts the prompt into that replica's
-    shadow tree and evicts it back to a token budget of ``digest_block *
-    sketch_entries`` tokens (the legacy sketch knobs, reinterpreted as
-    entries x tokens-per-entry), modelling the replica cache's own
-    eviction: prefixes a replica has not served recently age out, so the
-    router stops chasing prefixes that are no longer resident. Earlier
+    of the flat array-backed tree, with vectorized edge compares; a probe
+    that misses at the root costs one dict lookup). Committing a route
+    inserts the prompt into that replica's shadow tree, resuming at the
+    cursor its probe left (each shadow keeps its own, so the other
+    replicas' probes do not disturb it): each routed prompt's cached
+    prefix is walked once. The commit then evicts the shadow back to a
+    token budget of ``digest_block * sketch_entries`` tokens (the legacy
+    sketch knobs, reinterpreted as entries x tokens-per-entry),
+    modelling the replica cache's own eviction: prefixes a replica has
+    not served recently age out, so the router stops chasing prefixes
+    that are no longer resident. Earlier
     revisions approximated this with rolling-hash digest sketches scored
     at ``digest_block`` granularity; true match lengths are exact per
     token and track edge splits the sketch could not see. Shadow state
@@ -473,6 +478,8 @@ class ClusterResult:
     ``total_seconds`` is the cluster makespan (the slowest replica).
     ``load_skew`` is the coefficient of variation (population std / mean)
     of per-replica routed work in tokens — 0.0 means perfectly even.
+    :attr:`slo` rolls ``request_metrics`` up under ``deadline_s`` on first
+    read.
     """
 
     n_replicas: int
@@ -487,8 +494,11 @@ class ClusterResult:
     replicas: List[ReplicaStats]
     engine_results: List[EngineResult]
     load_skew: float
-    slo: SLOReport
     deadline_s: Optional[float] = None
+
+    @cached_property
+    def slo(self) -> SLOReport:
+        return compute_slo(self.request_metrics, deadline_s=self.deadline_s)
 
     @property
     def prefix_hit_rate(self) -> float:
@@ -667,9 +677,11 @@ class ClusterEngine:
     ) -> ClusterResult:
         """Route and replay one arrival-timed trace; returns the merged
         cluster result. Each call is a self-contained replay (fresh
-        replica engines and router state)."""
+        replica engines and router state). A ``deadline_s`` that is not
+        positive is rejected here, before the replay."""
         from repro.llm.client import requests_from_trace
 
+        check_deadline(deadline_s)
         if not trace.n_requests:
             raise ServingError("trace has no requests")
         requests, _ = requests_from_trace(
@@ -754,6 +766,5 @@ class ClusterEngine:
             replicas=stats,
             engine_results=engine_results,
             load_skew=_load_skew(work_tokens),
-            slo=compute_slo(merged, deadline_s=deadline_s),
             deadline_s=deadline_s,
         )

@@ -83,13 +83,25 @@ class CostModel:
                 f"{self.model.name} ({self.model.weight_bytes/1e9:.1f} GB) does not fit "
                 f"on {self.cluster.n_gpus}x{self.cluster.gpu.name}"
             )
-        # decode_time prices every engine clock read: fix its rates once.
+        # decode_time prices every engine clock read and the prefill
+        # methods every admission wave and routed request: fix their rates
+        # once. Each keeps its expression's evaluation order, so the times
+        # are bit-identical to evaluating the properties per call.
         bw = self.cluster.effective_bandwidth * self.bw_util
+        weight_read = self.model.weight_bytes / bw
         object.__setattr__(self, "_decode_bw", bw)
-        object.__setattr__(
-            self, "_decode_step_s", self.model.weight_bytes / bw + self.step_overhead_s
-        )
+        object.__setattr__(self, "_decode_step_s", weight_read + self.step_overhead_s)
         object.__setattr__(self, "_kv_bytes", self.model.kv_bytes_per_token)
+        object.__setattr__(self, "_weight_read", weight_read)
+        object.__setattr__(self, "_dense_flops", 2.0 * self.model.n_params)
+        object.__setattr__(
+            self,
+            "_attn_flops",
+            4.0 * self.model.hidden_size * self.model.n_layers,
+        )
+        object.__setattr__(
+            self, "_prefill_flops_s", self.cluster.effective_flops * self.mfu
+        )
 
     # ------------------------------------------------------------------ KV
     @property
@@ -105,18 +117,19 @@ class CostModel:
         ``context_start`` (cached prefix length)."""
         if new_tokens <= 0:
             return 0.0
-        dense = 2.0 * self.model.n_params * new_tokens
+        dense = self._dense_flops * new_tokens
         # Attention: each new token attends to all preceding positions.
         # Sum of positions over the new span:
         end = context_start + new_tokens
         pos_sum = (context_start + end - 1) * new_tokens / 2.0
-        attn = 4.0 * self.model.hidden_size * self.model.n_layers * pos_sum
+        attn = self._attn_flops * pos_sum
         return dense + attn
 
     def prefill_time(self, new_tokens: int, context_start: int = 0) -> float:
         """Seconds to prefill one request on its own; cached tokens are
-        *not* passed here at all."""
-        return self.prefill_wave_time([(new_tokens, context_start)])
+        *not* passed here at all. Equal to :meth:`prefill_wave_time` of
+        the one-request wave."""
+        return self._prefill_s(self.prefill_flops(new_tokens, context_start))
 
     def prefill_wave_time(self, requests: Sequence[Tuple[int, int]]) -> float:
         """Seconds to prefill a batch of ``(new_tokens, context_start)``.
@@ -126,15 +139,17 @@ class CostModel:
         paid once per wave, not once per request — without this, short
         prompts would see no benefit from cached prefixes at all.
         """
-        flops = sum(self.prefill_flops(n, c) for n, c in requests if n > 0)
+        return self._prefill_s(
+            sum(self.prefill_flops(n, c) for n, c in requests if n > 0)
+        )
+
+    def _prefill_s(self, flops: float) -> float:
+        """Seconds for one prefill pass of ``flops`` total work."""
         if flops <= 0:
             return 0.0
-        compute = flops / (self.cluster.effective_flops * self.mfu)
+        compute = flops / self._prefill_flops_s
         # The weights stream through at least once per prefill wave.
-        weight_read = self.model.weight_bytes / (
-            self.cluster.effective_bandwidth * self.bw_util
-        )
-        return max(compute, weight_read) + self.step_overhead_s
+        return max(compute, self._weight_read) + self.step_overhead_s
 
     # --------------------------------------------------------------- decode
     def decode_time(self, steps: int, kv_tokens: int) -> float:

@@ -156,10 +156,11 @@ class RadixPrefixCache:
         #: with insert -> pin, so pin() reuses insert()'s end node instead
         #: of re-walking the path.
         self._last_end: Optional[Tuple[Tuple[int, ...], int]] = None
-        #: One-slot admission cursor left by :meth:`match`: ``(tokens,
-        #: node, node_id, pos, end, end_id)`` — the deepest fully matched
-        #: node and the probe position at its end, plus the deepest node
-        #: touched (a partially matched edge counts; None on a miss).
+        #: One-slot cursor left by :meth:`match` and :meth:`match_len`:
+        #: ``(tokens, node, node_id, pos, end, end_id)`` — the deepest
+        #: fully matched node and the probe position at its end, plus the
+        #: deepest node touched (a partially matched edge counts; None on
+        #: a miss).
         #: :meth:`insert` of the same tuple object resumes at ``node``
         #: and evict protection / :meth:`pin` resolve ``end`` from it,
         #: each only while the slot still holds that id. Only insert
@@ -392,32 +393,47 @@ class RadixPrefixCache:
 
     def match_len(self, tokens: Sequence[int], packed: Optional[bytes] = None) -> int:
         """Length of the longest cached prefix of ``tokens`` WITHOUT any
-        side effects: no LRU refresh, no hit/miss counters, no clock tick.
+        observable side effects: no LRU refresh, no hit/miss counters, no
+        clock tick.
 
         This is the probe scheduling policies use to rank waiting requests
         by cache affinity — a policy peeking at candidates must not perturb
-        the eviction order or the counters.
+        the eviction order or the counters. Like :meth:`match` it leaves
+        the one-slot cursor, so an :meth:`insert` of the same tuple (the
+        prefix-aware router's commit after its probes) resumes where this
+        walk stopped. A probe whose first token misses at the root returns
+        before building its array views.
         """
         if not isinstance(tokens, tuple):
             tokens = tuple(tokens)
         n = len(tokens)
-        pa, pb = self._probe_arr(tokens, packed) if n else (None, None)
+        children = self._children
+        c = children.get((0, tokens[0])) if n else None
+        if c is None:
+            self._cursor = (tokens, 0, 0, 0, None, None)
+            return 0
+        pa, pb = self._probe_arr(tokens, packed)
+        elen = self._elen
+        nid = self._nid
         node = 0
         pos = 0
-        children = self._children
-        elen = self._elen
-        while pos < n:
-            c = children.get((node, tokens[pos]))
-            if c is None:
-                break
+        while True:
             k = elen[c]
             rem = n - pos
             m = k if k <= rem else rem
             lcp = self._edge_lcp(c, tokens, pa, pb, pos, m)
-            pos += lcp
             if lcp != k:
-                break
+                # The partially matched last edge is the deepest touched.
+                self._cursor = (tokens, node, nid[node], pos, c, nid[c])
+                return pos + lcp
+            pos += k
             node = c
+            if pos == n:
+                break
+            c = children.get((node, tokens[pos]))
+            if c is None:
+                break
+        self._cursor = (tokens, node, nid[node], pos, node, nid[node])
         return pos
 
     def match_many(self, requests: Sequence[object]) -> List[int]:
@@ -457,9 +473,10 @@ class RadixPrefixCache:
         request's pin as it caches the next chunk); a stale or unpinned
         ticket raises :class:`ServingError`. The walk starts at the
         anchor's node, and — when ``tokens`` is the very tuple the last
-        :meth:`match` probed — at the node that match reached, so each
-        cached token is walked once. Either way every node on the path is
-        stamped at this call's tick, exactly like a walk from the root."""
+        :meth:`match` or :meth:`match_len` probed — at the deepest node
+        that probe fully matched, so each cached token is walked once.
+        Either way every node on the path is stamped at this call's tick,
+        exactly like a walk from the root."""
         now = self._tick()
         if not isinstance(tokens, tuple):
             tokens = tuple(tokens)

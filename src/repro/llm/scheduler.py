@@ -622,14 +622,20 @@ class SLOReport:
         return "\n".join(lines)
 
 
+def check_deadline(deadline_s: Optional[float]) -> None:
+    """Reject an SLO deadline that is not positive (NaN included); None
+    means no deadline."""
+    if deadline_s is not None and not deadline_s > 0:  # also rejects NaN
+        raise ServingError(f"deadline_s must be positive, got {deadline_s}")
+
+
 def compute_slo(
     metrics: Sequence[RequestMetrics],
     deadline_s: Optional[float] = None,
     by_tenant: bool = True,
 ) -> SLOReport:
     """Roll per-request stamps into an :class:`SLOReport` (empty-safe)."""
-    if deadline_s is not None and not deadline_s > 0:  # also rejects NaN
-        raise ServingError(f"deadline_s must be positive, got {deadline_s}")
+    check_deadline(deadline_s)
     if not metrics:
         empty = LatencySummary.of(())
         return SLOReport(0, deadline_s, empty, empty, empty, 0, 0.0)

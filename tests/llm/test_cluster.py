@@ -289,3 +289,60 @@ class TestClusterEngine:
         after = eng.encode_cache_stats()
         assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"] + trace.n_requests
+
+
+def _run_cluster(trace, deadline_s):
+    return ClusterEngine(ClusterConfig(n_replicas=2)).run_trace(
+        trace, deadline_s=deadline_s
+    )
+
+
+def _run_client(trace, deadline_s):
+    from repro.llm.client import SimulatedLLMClient
+
+    return SimulatedLLMClient().generate_trace(trace, deadline_s=deadline_s)
+
+
+def _metrics(res):
+    if hasattr(res, "request_metrics"):
+        return res.request_metrics
+    return res.engine_result.request_metrics
+
+
+@pytest.mark.parametrize("run", [_run_cluster, _run_client], ids=["cluster", "client"])
+class TestLazySLO:
+    """``ClusterResult.slo`` and ``TraceResult.slo`` roll the request
+    metrics up on first read, once; a bad deadline still fails at the
+    call that takes it."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_bad_deadline_fails_at_the_call(self, run, bad, monkeypatch):
+        from repro.llm import engine as engine_mod
+
+        def no_replay(self):
+            raise AssertionError("replayed before the deadline check")
+
+        monkeypatch.setattr(engine_mod.SimulatedLLMEngine, "run", no_replay)
+        with pytest.raises(ServingError) as info:
+            run(_trace(), bad)
+        assert str(info.value) == f"deadline_s must be positive, got {bad}"
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("deadline", [None, 0.5, 1e9])
+    def test_slo_computed_once_on_read(self, run, deadline, monkeypatch):
+        from repro.llm import client as client_mod, cluster as cluster_mod
+
+        calls = []
+
+        def counting(metrics, deadline_s=None, by_tenant=True):
+            calls.append(deadline_s)
+            return compute_slo(metrics, deadline_s=deadline_s, by_tenant=by_tenant)
+
+        monkeypatch.setattr(cluster_mod, "compute_slo", counting)
+        monkeypatch.setattr(client_mod, "compute_slo", counting)
+        res = run(_trace(seed=2), deadline)
+        assert calls == []
+        first = res.slo
+        assert res.slo is first
+        assert calls == [deadline]
+        assert first == compute_slo(_metrics(res), deadline_s=deadline)

@@ -1,6 +1,9 @@
 """Tests for the roofline cost model, including calibration against the
 paper's cited performance envelope."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.errors import ServingError
@@ -62,6 +65,76 @@ class TestPrefill:
         f1 = cm8b.prefill_flops(100, 0)
         f2 = cm8b.prefill_flops(100, 10_000)
         assert f2 > f1
+
+
+def _formula_flops(cost, new_tokens, context_start):
+    """prefill_flops evaluated from the model's properties on every call."""
+    if new_tokens <= 0:
+        return 0.0
+    dense = 2.0 * cost.model.n_params * new_tokens
+    end = context_start + new_tokens
+    pos_sum = (context_start + end - 1) * new_tokens / 2.0
+    attn = 4.0 * cost.model.hidden_size * cost.model.n_layers * pos_sum
+    return dense + attn
+
+
+def _formula_wave(cost, requests):
+    """prefill_wave_time evaluated from the properties on every call."""
+    flops = sum(_formula_flops(cost, n, c) for n, c in requests if n > 0)
+    if flops <= 0:
+        return 0.0
+    compute = flops / (cost.cluster.effective_flops * cost.mfu)
+    weight_read = cost.model.weight_bytes / (
+        cost.cluster.effective_bandwidth * cost.bw_util
+    )
+    return max(compute, weight_read) + cost.step_overhead_s
+
+
+# Llama-3-70B does not fit on one L4 (test_70b_needs_the_big_rig), so
+# only the 8xL4 rig prices it.
+RIGS = [
+    (LLAMA3_8B, CLUSTER_1XL4),
+    (LLAMA3_8B, CLUSTER_8XL4),
+    (LLAMA3_70B, CLUSTER_8XL4),
+]
+
+
+class TestPrefillConstants:
+    """The rates CostModel fixes at construction price exactly (``==``)
+    what the property formulas do, on both sides of the weight-read
+    floor, and a ``dataclasses.replace`` recomputes them."""
+
+    @pytest.mark.parametrize("rerated", [False, True])
+    @pytest.mark.parametrize("model,cluster", RIGS)
+    def test_matches_property_formulas(self, model, cluster, rerated):
+        cost = CostModel(model, cluster)
+        if rerated:
+            cost = dataclasses.replace(cost, mfu=0.3, bw_util=0.5)
+        rng = random.Random(f"{model.name}/{cluster.n_gpus}/{rerated}")
+        floor_hits = 0
+        for _ in range(300):
+            short = rng.random() < 0.5
+            n = rng.randrange(-2, 64) if short else rng.randrange(64, 8000)
+            c = rng.randrange(0, 16000)
+            assert cost.prefill_flops(n, c) == _formula_flops(cost, n, c)
+            single = _formula_wave(cost, [(n, c)])
+            assert cost.prefill_time(n, c) == single
+            floor_hits += n > 0 and single == (
+                cost.model.weight_bytes
+                / (cost.cluster.effective_bandwidth * cost.bw_util)
+                + cost.step_overhead_s
+            )
+            wave = [
+                (rng.randrange(-2, 3000), rng.randrange(0, 8000))
+                for _ in range(rng.randrange(0, 6))
+            ]
+            assert cost.prefill_wave_time(wave) == _formula_wave(cost, wave)
+        assert floor_hits  # the weight-read floor was exercised
+
+    def test_replace_recomputes_constants(self, cm8b):
+        rerated = dataclasses.replace(cm8b, mfu=0.3, bw_util=0.5)
+        assert rerated.prefill_time(1) > cm8b.prefill_time(1)
+        assert rerated.prefill_time(4000) > cm8b.prefill_time(4000)
 
 
 class TestDecode:

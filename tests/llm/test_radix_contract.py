@@ -4,16 +4,20 @@ Hypothesis drives the flat tree and its node-tree reference in
 lockstep, each over its own ``BlockManager``: inserts (including pool
 exhaustion), side-effecting and side-effect-free probes, pins, and
 block-denominated eviction with protected paths. Compound rules replay
-the engine's admission and chunk sequences on one tuple object, so the flat backend's match cursor and pin-ticket insert
-anchors run against the reference's plain root walks: match → evict
-(prefix protected) → insert, insert with an anchor → pin roll-forward,
-and match → unprotected evict → insert (a cursor whose node is gone).
-After every rule the two must have returned the same values and agree
-on every ``stats()`` counter and on the pool's free blocks, and both
-must pass ``check_invariants()``. A divergence shrinks to a short
-operation sequence that replays it.
+the engine's admission and chunk sequences and the prefix-aware
+router's probe-then-commit on one tuple object, so the flat backend's
+probe cursor and pin-ticket insert anchors run against the reference's
+plain root walks: match → evict (prefix protected) → insert, match_len
+→ insert, insert with an anchor → pin roll-forward, and match or
+match_len → unprotected evict → insert (a cursor whose node is gone).
+After every rule the two must have returned the same values and hold
+the same tree under ``==`` (every node's path, LRU stamp, pin counts
+and block allocation, and the LRU order), the same ``stats()`` counters
+and the same free blocks, and both must pass ``check_invariants()``. A
+divergence shrinks to a short operation sequence that replays it.
 """
 
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -29,8 +33,8 @@ from hypothesis.stateful import (
 
 from repro.errors import CapacityError, ServingError
 from repro.llm.blocks import BlockManager
-from repro.llm.radix import pack_tokens
-from tests.reference import RADIX_CACHES
+from repro.llm.radix import RadixPrefixCache, pack_tokens
+from tests.reference import RADIX_CACHES, NodeRadixCache
 
 #: A small alphabet and short prompts make shared prefixes, edge splits
 #: and pool exhaustion common.
@@ -44,6 +48,66 @@ COUNTERS = (
     "evicted_tokens",
     "evicted_nodes",
 )
+
+
+def _alloc_state(alloc):
+    if alloc is None:
+        return None
+    return (
+        alloc.n_blocks,
+        alloc.n_tokens,
+        alloc.start_offset,
+        None if alloc.first is None else alloc.first.refs,
+        None if alloc.last is None else alloc.last.refs,
+    )
+
+
+def tree_state(cache):
+    """``(root stamp, {path: (stamp, lock, pins, allocation)}, LRU order
+    as paths)`` of either backend, where a node's path is the tokens
+    spelled from the root to the end of its edge."""
+    if isinstance(cache, NodeRadixCache):
+        nodes, order = {}, []
+        stack = [(cache.root, ())]
+        while stack:
+            parent, prefix = stack.pop()
+            for child in parent.children.values():
+                path = prefix + child.edge
+                nodes[path] = (
+                    child.last_access,
+                    child.lock_ref,
+                    child.pin_count,
+                    _alloc_state(child.alloc),
+                )
+                order.append((child.last_access, child.node_id, path))
+                stack.append((child, path))
+        return cache.root.last_access, nodes, [p for _, _, p in sorted(order)]
+    assert isinstance(cache, RadixPrefixCache)
+
+    def path(s):
+        spans = []
+        while s != 0:
+            start = cache._estart[s]
+            spans.append(tuple(int(t) for t in cache._store[start : start + cache._elen[s]]))
+            s = cache._parent[s]
+        return sum(reversed(spans), ())
+
+    nodes = {
+        path(s): (
+            cache._stamp[s],
+            cache._lock[s],
+            cache._pins[s],
+            _alloc_state(cache._allocs[s]),
+        )
+        for s in range(1, cache._n_slots)
+        if not cache._dead[s]
+    }
+    order = []
+    cur = cache._lru_head
+    while cur != -1:
+        order.append(path(cur))
+        cur = cache._lru_next[cur]
+    return cache._stamp[0], nodes, order
 
 
 class RadixContract(RuleBasedStateMachine):
@@ -126,17 +190,46 @@ class RadixContract(RuleBasedStateMachine):
 
         self.both(op)
 
-    @rule(toks=TOKENS, n=st.integers(1, 40), m=st.integers(1, 40))
-    def admit_after_unprotected_evict(self, toks, n, m):
-        """A cursor whose nodes an evict removed falls back to a root
-        walk, both for evict protection and for insert."""
+    @rule(toks=TOKENS, packed=st.booleans())
+    def probe_then_insert(self, toks, packed):
+        """The prefix-aware router's commit: a side-effect-free probe,
+        then an insert of the same tuple (the flat backend resumes at the
+        cursor the probe left)."""
+        pb = pack_tokens(toks) if packed else None
 
         def op(cache):
-            cache.match(toks)
+            hit = cache.match_len(toks, pb)
+            try:
+                return hit, cache.insert(toks, pb)
+            except CapacityError:
+                return hit, "capacity"
+
+        self.both(op)
+
+    @rule(
+        toks=TOKENS,
+        n=st.integers(1, 40),
+        m=st.integers(1, 40),
+        probe=st.booleans(),
+    )
+    def admit_after_unprotected_evict(self, toks, n, m, probe):
+        """A cursor whose nodes an evict removed — left by a match or by
+        a match_len probe — falls back to a root walk, both for evict
+        protection and for insert. Only the reference, which keeps no
+        cursor, re-probes to check that the protected prefix survived:
+        a probe of the flat tree would replace the stale cursor."""
+
+        def op(cache):
+            if probe:
+                cache.match_len(toks)
+            else:
+                cache.match(toks)
             freed = cache.evict(n)
-            hit = cache.match_len(toks)
+            is_ref = isinstance(cache, NodeRadixCache)
+            hit = cache.match_len(toks) if is_ref else None
             freed_protected = cache.evict(m, protected=[toks])
-            assert cache.match_len(toks) == hit
+            if is_ref:
+                assert cache.match_len(toks) == hit
             try:
                 return freed, freed_protected, cache.insert(toks)
             except CapacityError:
@@ -181,6 +274,7 @@ class RadixContract(RuleBasedStateMachine):
         for key in COUNTERS:
             assert flat[key] == node[key], key
         assert self.pools[0].free_blocks == self.pools[1].free_blocks
+        assert tree_state(self.caches[0]) == tree_state(self.caches[1])
         for cache in self.caches:
             cache.check_invariants()
 
@@ -228,3 +322,48 @@ class TestInsertAnchor:
         assert cache.match_len((1, 2, 3, 4, 5, 6)) == 5
         cache.unpin(ticket)
         cache.check_invariants()
+
+
+class TestProbeResume:
+    """An insert after a match_len of the same tuple resumes at the
+    probe's cursor instead of walking the matched path again."""
+
+    def test_insert_skips_edges_the_probe_matched(self):
+        rng = random.Random(11)
+        resumed = 0
+        for _ in range(60):
+            cache = RadixPrefixCache()
+            for _ in range(rng.randrange(1, 12)):
+                cache.insert(tuple(rng.randrange(3) for _ in range(rng.randrange(1, 16))))
+            toks = tuple(rng.randrange(3) for _ in range(rng.randrange(1, 20)))
+            calls = []
+            edge_lcp = cache._edge_lcp
+
+            def spy(c, *args):
+                lcp = edge_lcp(c, *args)
+                calls.append((c, lcp == cache._elen[c]))
+                return lcp
+
+            cache._edge_lcp = spy
+            hit = cache.match_len(toks)
+            fully_matched = {c for c, full in calls if full}
+            calls.clear()
+            added = cache.insert(toks)
+            assert not fully_matched & {c for c, _ in calls}
+            assert hit + added == len(toks) or added == 0
+            resumed += bool(fully_matched)
+            cache.check_invariants()
+        assert resumed >= 20  # most probes resumed past a matched edge
+
+    def test_other_tuple_probe_drops_the_cursor(self):
+        """The cursor holds one tuple: a probe of another tuple replaces
+        it, and the insert walks from the root (same result)."""
+        flat, node = RadixPrefixCache(), NodeRadixCache()
+        for cache in (flat, node):
+            cache.insert((1, 2, 3, 4))
+        toks, other = (1, 2, 3, 4, 5), (1, 2, 9)
+        for cache in (flat, node):
+            assert cache.match_len(toks) == 4
+            assert cache.match_len(other) == 2
+            assert cache.insert(toks) == 1
+        assert tree_state(flat) == tree_state(node)
