@@ -236,6 +236,26 @@ class TestClusterEngine:
         assert res.slo.n_requests == trace.n_requests
         assert res.goodput_attainment == res.slo.attainment
 
+    def test_no_cache_replicas_report_an_empty_cache(self):
+        eng = ClusterEngine(
+            ClusterConfig(
+                n_replicas=2,
+                routing="round-robin",
+                engine=EngineConfig(enable_prefix_cache=False, max_batch_size=4),
+            )
+        )
+        res = eng.run_trace(_trace(n=12), deadline_s=5.0)
+        assert res.cached_tokens == 0
+        for s in res.replicas:
+            assert s.cache_stats["nodes"] == 0
+            assert s.cache_stats["total_tokens"] == 0
+            assert s.cache_stats["hits"] == s.cache_stats["misses"] == 0
+            assert s.cache_stats["evicted_nodes"] == 0
+            assert s.cache_stats["evicted_tokens"] == 0
+        line = res.render_replicas().splitlines()[-1]
+        assert line.startswith("radix cache: 0 nodes, ")
+        assert line.endswith(" store bytes, 0 nodes / 0 tok evicted")
+
     def test_route_trace_matches_run(self):
         trace = _trace(seed=3)
         cfg = ClusterConfig(n_replicas=3, routing="tenant-sharded")

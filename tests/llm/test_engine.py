@@ -234,3 +234,50 @@ class TestEngineConfigValidation:
         with pytest.raises(ServingError, match=match) as err:
             EngineConfig(**{field: value})
         assert "\n" not in str(err.value)
+
+
+class TestAdmissionCharges:
+    """Admission drift that the replay equivalence suites cannot see: the
+    stepwise reference shares ``_admit`` with the engine."""
+
+    def test_no_cache_rounds_prompt_and_tail_together(self):
+        # One 16-token block: an 8-token prompt plus 8 output tokens fill
+        # it exactly when charged as one private allocation (No Cache).
+        # With the cache on, the prompt's suffix and the decode tail round
+        # up separately, to 2 blocks, which the pool can never hold.
+        kw = dict(output_tokens=8, kv_capacity_tokens=16, block_tokens=16)
+        res = run_engine([list(range(8))], enable_prefix_cache=False, **kw)
+        assert res.peak_kv_blocks == 1
+        assert res.request_metrics[0].output_tokens == 8
+        with pytest.raises(CapacityError, match="needs 2 KV blocks"):
+            run_engine([list(range(8))], **kw)
+
+    def test_admission_evicts_before_it_preempts(self):
+        # Request 0 finishes and leaves an unpinned 4-block path in the
+        # tree. Request 1 (2 + 4 blocks) is decoding when request 2 (3
+        # blocks) arrives with the earlier deadline, so the policy would
+        # name request 1 as a victim; 2 blocks are free. Evicting request
+        # 0's path makes room, so nothing is preempted.
+        eng = SimulatedLLMEngine(
+            LLAMA3_8B,
+            CLUSTER_1XL4,
+            EngineConfig(
+                scheduler="deadline",
+                preemption="recompute",
+                kv_capacity_tokens=12 * 16,
+                block_tokens=16,
+            ),
+        )
+        eng.submit_all(
+            [
+                Request(0, tuple(range(64)), 1, arrival_s=0.0, deadline_s=100.0),
+                Request(1, tuple(range(1000, 1032)), 64, arrival_s=1.0, deadline_s=100.0),
+                Request(2, tuple(range(2000, 2032)), 16, arrival_s=2.0, deadline_s=1.0),
+            ]
+        )
+        res = eng.run()
+        assert eng.cache.evicted_tokens == 64
+        assert res.n_preemptions == 0
+        m1, m2 = res.request_metrics[1], res.request_metrics[2]
+        # Request 2 was admitted on arrival, while request 1 still decoded.
+        assert m2.admitted_at_s < m1.finished_at_s
