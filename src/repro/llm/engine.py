@@ -53,11 +53,14 @@ free-memory figure admission compares against is one method,
 with paged admission at ``block_tokens=1`` exactly
 (``tests/llm/test_paged_equivalence.py``).
 
-Disabling the prefix cache turns the same machinery into the paper's
-*No Cache* baseline: every prompt prefills fully and its KV is private,
-shrinking the feasible batch.
+Disabling the prefix cache gives the paper's *No Cache* baseline on the
+same admission path: the engine runs on a
+:class:`~repro.llm.radix.NonSharingCache`, which matches and holds
+nothing. Every prompt then prefills fully, and its KV is the member's
+*private* prompt tokens (0 on the radix tree), held in its own tail, so
+prompt and decode tail round up to blocks as one allocation.
 
-**Online serving** (PR 5): requests may carry an ``arrival_s`` stamp. A
+**Online serving.** Requests may carry an ``arrival_s`` stamp. A
 not-yet-arrived request waits in a time-ordered arrival heap; at every
 admission point the engine releases the requests whose arrival time has
 passed into a pluggable *scheduling policy*
@@ -69,16 +72,16 @@ would first see it. With every
 arrival at t=0 and the ``fcfs`` policy this degenerates exactly to the
 offline batch replay (``tests/llm/test_online_equivalence.py``).
 
-**Continuous batching** (PR 8): admission is no longer one-shot. With
-``EngineConfig.preemption`` enabled, the scheduling policy may name a
-decoding *victim* (:meth:`SchedulerPolicy.preempt_victim`) whenever its
+**Continuous batching.** With ``EngineConfig.preemption`` enabled, the
+scheduling policy may name a decoding *victim*
+(:meth:`SchedulerPolicy.preempt_victim`) whenever its
 selected candidate lacks batch slots or KV memory; the victim's decode
 tail is evicted for later re-prefill (``"recompute"``) or parked in host
 memory at PCIe-priced cost (``"swap"``, :meth:`CostModel.swap_time`), and
 the victim re-enters the waiting queue with its decode progress and
 metrics intact. ``prefill_chunk_tokens`` splits long prefills into
 chunks that advance one per admission point, interleaved with decode
-steps, so a long prompt no longer stalls the batch; radix inserts, pins,
+steps, so a long prompt does not stall the batch; radix inserts, pins,
 and paged block reservations settle chunk by chunk. Per-tenant KV block
 quotas (``tenant_kv_quota_blocks``) bound any tenant's concurrent block
 charge, blocking head-of-line exactly like a full pool. The replay stays
@@ -106,7 +109,7 @@ from repro.llm.blocks import BlockAllocation, BlockManager, check_size
 from repro.llm.costmodel import CostModel, run_kv_tokens
 from repro.llm.hardware import CLUSTER_1XL4, Cluster
 from repro.llm.models import LLAMA3_8B, ModelSpec
-from repro.llm.radix import RadixPrefixCache
+from repro.llm.radix import NonSharingCache, RadixPrefixCache
 from repro.llm.request import Request, RequestMetrics
 from repro.llm.scheduler import (
     SchedulerPolicy,
@@ -129,8 +132,9 @@ class EngineConfig:
     ``max_batch_size`` caps concurrent sequences (vLLM ``max_num_seqs``);
     ``kv_capacity_tokens`` overrides the cost model's derived capacity
     (useful for the memory-pressure ablation); ``enable_prefix_cache``
-    (a bool) turns the radix cache off for the paper's *No Cache*
-    baseline; ``block_tokens`` is the KV block size admission charges in
+    (a bool) picks the engine's cache: the radix prefix cache, or with
+    False the non-sharing cache of the paper's *No Cache* baseline;
+    ``block_tokens`` is the KV block size admission charges in
     (16 in vLLM by default; at 1 a block is a token, and admission
     matches the tests' token-sum model exactly); ``scheduler`` names the
     online admission policy
@@ -223,15 +227,18 @@ class _Running:
     #: Built at admission, stamped in place as the request progresses, and
     #: reported as is when it finishes.
     metrics: RequestMetrics
+    #: Prompt tokens whose KV is the member's own, held in its tail: 0 on
+    #: the radix tree, the whole prompt on the non-sharing cache.
+    private: int = 0
     #: Private KV tokens charged while in the batch: the tail's size once
-    #: fully decoded (output tokens, plus the prompt with the cache off).
-    reserved_tokens: int
+    #: fully decoded (the private prompt tokens plus the output tokens).
+    reserved_tokens: int = 0
     decoded: int = 0
     pin: Optional[object] = None
-    #: The private tail allocation decode tokens grow into (plus the
-    #: whole prompt when the prefix cache is off), released when the member
-    #: leaves the batch. The prompt's blocks belong to its radix path,
-    #: which the pin keeps resident.
+    #: The private tail allocation: the private prompt tokens, then the
+    #: decode tokens it grows into; released when the member leaves the
+    #: batch. A shared prompt's blocks belong to its radix path, which the
+    #: pin keeps resident.
     tail: Optional[BlockAllocation] = None
     #: Continuous-batching lifecycle state. ``in_decode`` marks membership
     #: in the engine's preemption-victim list; ``admit_step`` is the global
@@ -345,7 +352,12 @@ class SimulatedLLMEngine:
         # per-node allocations to it. Capacity is floored to whole blocks,
         # exactly as a real paged allocator would.
         self.blocks = BlockManager(self.capacity_tokens, self.block_tokens)
-        self.cache = RadixPrefixCache(block_manager=self.blocks)
+        # No Cache is a cache that never shares; a member's prompt is then
+        # private (_Running.private), held in its own tail.
+        share = self.config.enable_prefix_cache
+        cache = RadixPrefixCache if share else NonSharingCache
+        self.cache = cache(block_manager=self.blocks)
+        self._private_prompts = not share
         #: Arrived-but-unadmitted requests live in the scheduling policy;
         #: not-yet-arrived requests wait in a (arrival_s, seq) heap and are
         #: released into the policy as the clock passes their stamp.
@@ -801,15 +813,15 @@ class SimulatedLLMEngine:
         preempted here, each already settled (:meth:`_preempt_member`) but
         still to be taken out of the replay loop's batch.
 
-        The policy only chooses *which* waiting request is next — if that
-        request does not fit, admission blocks (no skip-ahead), exactly the
-        head-of-line semantics the offline FIFO had. With preemption
-        enabled there is one escape: the policy may name a running victim
-        (:meth:`SchedulerPolicy.preempt_victim`) to evict from the batch —
-        both slot pressure and memory pressure consult it. Chunked prefill
-        is the other continuous-batching hook here: members mid-prefill
-        advance one chunk per admission point and join the batch when
-        their last chunk settles."""
+        The policy only chooses *which* waiting request is next; if it does
+        not fit, admission blocks (no skip-ahead, the offline FIFO's
+        head-of-line semantics). Each candidate is priced (:meth:`_need`),
+        room is made for it (:meth:`_make_room`: quota, eviction, then
+        preemption), and it enters the batch fresh or chunked
+        (:meth:`_fresh`) or re-admitted (:meth:`_readmit`). With preemption
+        on, a candidate that finds every slot taken may preempt too
+        (:meth:`_preempt_for`). Members mid-prefill advance one chunk per
+        admission point and join the batch when their last chunk settles."""
         victims: List[_Running] = []
         self._release_arrivals()
         if len(self.scheduler) > self._peak_waiting:
@@ -822,248 +834,245 @@ class SimulatedLLMEngine:
         # Members admitted at the previous admission point are decoding by
         # now — only now do they become viable preemption victims (the
         # replay loop inserts them into its batch state after _admit
-        # returns). With preemption off no victim is
-        # ever picked, so the list is not maintained at all.
+        # returns). With preemption off no victim is ever picked, so the
+        # list is not maintained at all.
         if self._pending_decode:
             for m in self._pending_decode:
                 m.in_decode = True
                 self._decode_order.append(m)
             self._pending_decode.clear()
-        ready = self._advance_chunks() if self.chunk_tokens is not None else None
+        ready = self._advance_chunks() if self.chunk_tokens is not None else ()
         if ready:
             entrants.extend(ready)
             if preempt_on:
                 self._pending_decode.extend(ready)
         if self._admission_blocked:
             return victims
-        base = n_active + len(ready or ())
-        cache_on = self.config.enable_prefix_cache
-        cache = self.cache
-        bm = self.blocks
-        sched = self.scheduler
-        chunk_cap = self.chunk_tokens
+        held = n_active + len(ready)  # slots held before this wave's entrants
         wave: List[Tuple[int, int]] = []  # (new_tokens, cached_prefix) per admission
-        wave_members: List[_Running] = []  # new batch entrants (fresh + re-admitted)
+        members: List[_Running] = []  # new batch entrants (fresh + re-admitted)
         stamped: List[_Running] = []  # fresh entrants: admitted_at_s post-wave
-        n_admitted = 0  # admissions charged per-request overhead (incl. chunk starts)
         swap_in_tokens = 0
+        sched = self.scheduler
         while True:
-            if (
-                base + len(wave_members) + len(self._prefilling)
-                >= self.config.max_batch_size
-            ):
-                if not preempt_on:
-                    break
-                req = sched.select(cache if cache_on else None, now=self._clock)
-                if req is None:
-                    break
-                victim = self._pick_victim(req)
-                if victim is None:
-                    break
-                self._preempt_member(victim)
-                victims.append(victim)
-                base -= 1
-                # Re-select below: select is deterministic for an
-                # unchanged pool and clock, so the same candidate comes
-                # back.
-                continue
-            req = sched.select(cache if cache_on else None, now=self._clock)
+            occupied = held - len(victims) + len(members) + len(self._prefilling)
+            full = occupied >= self.config.max_batch_size
+            if full and not preempt_on:
+                break
+            req = sched.select(self.cache, now=self._clock)
             if req is None:
                 break
-            prompt_len = req.prompt_len
-            parked = self._parked.get(req.request_id) if preempt_on else None
-            hit = (
-                cache.match(req.prompt_tokens, req.prompt_bytes)
-                if cache_on
-                else 0
-            )
-            new_prompt = prompt_len - hit
-            # Shared tokens enter the radix tree; decode KV (and, without a
-            # cache, the whole prompt) is reserved privately up front.
-            private_growth = req.output_tokens + (0 if cache_on else prompt_len)
-            # Chunked prefill applies to first admissions only: a
-            # re-admitted request's recompute tail re-prefills in one pass
-            # (its prompt path is typically still cached anyway).
-            chunks: Optional[List[int]] = None
-            if parked is None and chunk_cap is not None:
-                pre_tokens = new_prompt if cache_on else prompt_len
-                if pre_tokens > chunk_cap:
-                    chunks = [chunk_cap] * (pre_tokens // chunk_cap)
-                    if pre_tokens % chunk_cap:
-                        chunks.append(pre_tokens % chunk_cap)
-            # Admission charges whole blocks: the matched prefix is already
-            # cached (zero new blocks), the suffix rounds up to its own
-            # blocks — per chunk when chunked, since every chunk edge is its
-            # own allocation — and the private tail (decode KV, plus the
-            # prompt when the cache is off) reserves its blocks now so
-            # block-by-block growth can never fail.
-            if cache_on:
-                if chunks is not None:
-                    pre_blocks = sum(bm.blocks_needed(c) for c in chunks)
-                else:
-                    pre_blocks = bm.blocks_needed(new_prompt)
-                need = pre_blocks + bm.blocks_needed(req.output_tokens)
-            else:
-                pre_blocks = 0
-                need = bm.blocks_needed(prompt_len + req.output_tokens)
-            free = self._kv_free()
-            if self._quota_on:
-                quota = bm.tenant_quota(req.tenant)
-                if quota is not None and bm.tenant_used(req.tenant) + need > quota:
-                    # A quota-full tenant blocks head-of-line like a full
-                    # pool; preempting other tenants cannot help, so the
-                    # victim hook is not consulted. A request that exceeds
-                    # its tenant's whole quota can never run — surface that
-                    # once the engine would otherwise sit idle on it.
-                    if (
-                        need > quota
-                        and bm.tenant_used(req.tenant) == 0
-                        and base == 0
-                        and not wave_members
-                        and not self._prefilling
-                    ):
-                        raise CapacityError(
-                            f"request {req.request_id} needs {need} KV "
-                            f"blocks; tenant {req.tenant!r} is capped at "
-                            f"{quota} blocks"
-                        )
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "quota-reject",
-                            request_id=req.request_id,
-                            tenant=req.tenant,
-                            need_blocks=need,
-                            quota_blocks=quota,
-                        )
-                    self._admission_blocked = True
-                    break
-            while need > free:
-                if cache_on:
-                    freed = cache.evict(
-                        need - free,
-                        protected=self._protect(req.prompt_tokens, True),
-                    )
-                    free = self._kv_free()
-                    if freed and self.tracer is not None:
-                        self.tracer.instant("evict", freed_blocks=freed)
-                    if need <= free:
-                        break
-                if preempt_on:
-                    victim = self._pick_victim(req)
-                    if victim is not None:
-                        self._preempt_member(victim)
-                        victims.append(victim)
-                        base -= 1
-                        # The victim's unpinned path may now be evictable
-                        # and its tail blocks are back in the pool:
-                        # re-probe.
-                        free = self._kv_free()
-                        continue
+            if full:
+                # Re-select after a preemption: select is deterministic for
+                # an unchanged pool and clock, so the same candidate comes
+                # back.
+                if self._preempt_for(req, victims):
+                    continue
                 break
-            if need > free:
-                if base == 0 and not wave_members and not self._prefilling:
-                    raise CapacityError(
-                        f"request {req.request_id} needs {need} KV blocks; "
-                        f"pool is {bm.n_blocks} blocks of "
-                        f"{bm.block_tokens} tokens "
-                        f"({self.capacity_tokens} token capacity, "
-                        f"{self._reserved_blocks} blocks reserved)"
-                    )
+            parked = self._parked.get(req.request_id) if preempt_on else None
+            hit, private, chunks, pre_blocks, need = self._need(req, parked is None)
+            if not self._make_room(req, need, victims, occupied):
                 self._admission_blocked = True
                 break  # wait for a completion (or arrival) to change things
             sched.pop(req)
-            quota_need = 0
-            if self._quota_on:
-                bm.charge_tenant(req.tenant, need)
-                quota_need = need
-
             if parked is not None:
-                # Re-admission of a preempted member: restore its decode
-                # tail (swap it back in, or re-prefill it) and rejoin the
-                # batch with decode progress intact.
                 del self._parked[req.request_id]
-                swapped_in = self._readmit(parked, hit, new_prompt, wave)
-                swap_in_tokens += swapped_in
-                parked.quota_charge = quota_need
-                wave_members.append(parked)
-                entrants.append(parked)
-                self._pending_decode.append(parked)
-                n_admitted += 1
-                if self.tracer is not None:
-                    self.tracer.popped(
-                        req.request_id,
-                        "readmit",
-                        (("readmit", 1), ("swap_in_tokens", swapped_in)),
-                    )
-                continue
-            if chunks is not None:
-                member = self._start_chunked(
-                    req, hit, new_prompt, chunks, pre_blocks,
-                    private_growth, wave,
-                )
-                member.quota_charge = quota_need
-                n_admitted += 1
-                if self.tracer is not None:
-                    self.tracer.popped(
-                        req.request_id, "chunk", (("n_chunks", len(chunks)),)
-                    )
-                continue
-
-            pin = None
-            if cache_on:
-                cache.insert(req.prompt_tokens, req.prompt_bytes)
-                pin = self._protect(req.prompt_tokens)
-                # The suffix blocks were just drawn by insert(); only the
-                # decode tail stays reserved.
-                tail = bm.allocate(0)
-                self._reserved_blocks += bm.blocks_needed(req.output_tokens)
+                member = parked
+                swap_in_tokens += self._readmit(member, hit, wave)
             else:
-                tail = bm.allocate(prompt_len)
-                self._reserved_blocks += need - tail.n_blocks
-            self._private_tokens += private_growth
-
-            member = _Running(
-                request=req,
-                metrics=RequestMetrics(
-                    request_id=req.request_id,
-                    prompt_tokens=prompt_len,
-                    cached_tokens=hit,
-                    prefill_tokens=new_prompt,
-                    arrival_s=req.arrival_s,
-                    tenant=req.tenant,
-                ),
-                reserved_tokens=private_growth,
-                pin=pin,
-                tail=tail,
-                hit=hit,
-                quota_charge=quota_need,
-            )
-            wave.append((new_prompt, hit))
-            wave_members.append(member)
-            stamped.append(member)
-            entrants.append(member)
-            if preempt_on:
-                self._pending_decode.append(member)
-            n_admitted += 1
-            if self.tracer is not None:
-                self.tracer.popped(req.request_id, "fresh")
-
-        if n_admitted:
-            # One merged prefill pass for the whole admission wave: the
-            # weight read amortizes across requests (continuous batching).
-            # Per-request serving overhead is charged here too, and swap-in
-            # traffic for re-admitted members rides the same wave.
-            self._charge(self.cost.prefill_wave_time(wave))
-            self._charge(self.cost.per_request_overhead_s * n_admitted)
-            if swap_in_tokens:
-                self._charge(self.cost.swap_time(swap_in_tokens))
-            for member in stamped:
-                member.metrics.admitted_at_s = self._clock
-            if self.tracer is not None:
-                self.tracer.wave_end(
-                    self._gauge_sample(base + len(wave_members))
-                )
+                member = self._fresh(req, hit, private, chunks, pre_blocks, need, wave)
+            if self._quota_on:
+                self.blocks.charge_tenant(req.tenant, need)
+                member.quota_charge = need
+            if chunks is None:
+                members.append(member)
+                entrants.append(member)
+                if parked is None:
+                    stamped.append(member)
+                if preempt_on:
+                    self._pending_decode.append(member)
+        if wave:
+            running = held - len(victims) + len(members)
+            self._charge_wave(wave, swap_in_tokens, stamped, running)
         return victims
+
+    def _charge_wave(
+        self,
+        wave: List[Tuple[int, int]],
+        swap_in_tokens: int,
+        stamped: List[_Running],
+        running: int,
+    ) -> None:
+        """Charge an admission wave, one ``wave`` entry per admission: one
+        merged prefill pass (the weight read amortizes across requests —
+        continuous batching), the per-request serving overhead and the
+        swap-in traffic of re-admitted members. Then stamp the fresh
+        entrants' ``admitted_at_s`` at the post-wave clock."""
+        self._charge(self.cost.prefill_wave_time(wave))
+        self._charge(self.cost.per_request_overhead_s * len(wave))
+        if swap_in_tokens:
+            self._charge(self.cost.swap_time(swap_in_tokens))
+        for m in stamped:
+            m.metrics.admitted_at_s = self._clock
+        if self.tracer is not None:
+            self.tracer.wave_end(self._gauge_sample(running))
+
+    def _need(
+        self, req: Request, chunkable: bool
+    ) -> Tuple[int, int, Optional[List[int]], int, int]:
+        """Price candidate ``req``: its cached prefix (the cache's counted
+        :meth:`match`), private prompt tokens, chunk sizes (None unless
+        ``chunkable`` and the prefill exceeds ``prefill_chunk_tokens``),
+        the blocks of its shared suffix, and ``need``, its whole charge.
+
+        Admission charges whole blocks. The matched prefix is already
+        cached (zero new blocks); the shared suffix rounds up on its own,
+        per chunk when chunked (every chunk edge is its own radix
+        allocation); the private tail (private prompt plus decode KV)
+        rounds up as one allocation, reserved now so its growth can never
+        fail. No Cache's prompt is all private: one rounding."""
+        hit = self.cache.match(req.prompt_tokens, req.prompt_bytes)
+        private = req.prompt_len if self._private_prompts else 0
+        new_prompt = req.prompt_len - hit
+        cap = self.chunk_tokens
+        chunks: Optional[List[int]] = None
+        # Chunked prefill applies to first admissions only: a re-admitted
+        # request's recompute tail re-prefills in one pass (its prompt path
+        # is typically still cached anyway).
+        if chunkable and cap is not None and new_prompt > cap:
+            chunks = [cap] * (new_prompt // cap)
+            if new_prompt % cap:
+                chunks.append(new_prompt % cap)
+        bm = self.blocks
+        if chunks is None or private:
+            pre_blocks = bm.blocks_needed(new_prompt - private)
+        else:
+            pre_blocks = sum(bm.blocks_needed(c) for c in chunks)
+        need = pre_blocks + bm.blocks_needed(private + req.output_tokens)
+        return hit, private, chunks, pre_blocks, need
+
+    def _make_room(
+        self, req: Request, need: int, victims: List[_Running], occupied: int
+    ) -> bool:
+        """Free ``need`` blocks for candidate ``req``, or return False when
+        it must wait. A tenant over its quota blocks head-of-line like a
+        full pool; preempting other tenants cannot help, so no victim is
+        named for it. Otherwise the cache evicts first, and only what
+        eviction cannot free is taken from the policy's preemption victims,
+        one at a time: each returns its tail blocks and unpins its path for
+        the next eviction. ``occupied`` is the batch slots in use; a
+        candidate that can never fit raises :class:`CapacityError` once the
+        engine would otherwise sit idle on it."""
+        bm = self.blocks
+        if self._quota_on:
+            quota = bm.tenant_quota(req.tenant)
+            used = bm.tenant_used(req.tenant)
+            if quota is not None and used + need > quota:
+                if need > quota and used == 0 and occupied == 0:
+                    raise CapacityError(
+                        f"request {req.request_id} needs {need} KV "
+                        f"blocks; tenant {req.tenant!r} is capped at "
+                        f"{quota} blocks"
+                    )
+                if self.tracer is not None:
+                    self.tracer.instant(
+                        "quota-reject",
+                        request_id=req.request_id,
+                        tenant=req.tenant,
+                        need_blocks=need,
+                        quota_blocks=quota,
+                    )
+                return False
+        free = self._kv_free()
+        while need > free:
+            freed = self.cache.evict(
+                need - free, protected=self._protect(req.prompt_tokens, True)
+            )
+            free = self._kv_free()
+            if freed and self.tracer is not None:
+                self.tracer.instant("evict", freed_blocks=freed)
+            if need <= free or not self._preempt_for(req, victims):
+                break
+            occupied -= 1
+            free = self._kv_free()
+        if need <= free:
+            return True
+        if occupied == 0:
+            raise CapacityError(
+                f"request {req.request_id} needs {need} KV blocks; "
+                f"pool is {bm.n_blocks} blocks of "
+                f"{bm.block_tokens} tokens "
+                f"({self.capacity_tokens} token capacity, "
+                f"{self._reserved_blocks} blocks reserved)"
+            )
+        return False
+
+    def _fresh(
+        self,
+        req: Request,
+        hit: int,
+        private: int,
+        chunks: Optional[List[int]],
+        pre_blocks: int,
+        need: int,
+        wave: List[Tuple[int, int]],
+    ) -> _Running:
+        """Admit ``req`` for the first time, its prefill whole in this wave
+        or, given ``chunks``, chunked: the member then holds a batch slot
+        and its full charge (``need`` blocks, ``pre_blocks`` of them for
+        its shared chunks) at once, but only its first chunk prefills in
+        this wave. The rest advance one per admission point
+        (:meth:`_advance_chunks`), and the member decodes once its last
+        chunk settles. Mid-prefill members are not preemption victims
+        (their decode tail is empty; evicting them would only churn the
+        chunk reservation)."""
+        m = _Running(
+            request=req,
+            metrics=RequestMetrics(
+                request_id=req.request_id,
+                prompt_tokens=req.prompt_len,
+                cached_tokens=hit,
+                prefill_tokens=req.prompt_len - hit,
+                arrival_s=req.arrival_s,
+                tenant=req.tenant,
+            ),
+            private=private,
+            hit=hit,
+        )
+        if chunks is None:
+            self._hold(m, swap_in=False)
+            wave.append((req.prompt_len - hit, hit))
+        else:
+            m.metrics.n_prefill_chunks = len(chunks)
+            m.chunks_left = chunks
+            m.tail = self.blocks.allocate(0)
+            m.reserved_tokens = private + req.output_tokens
+            m.prefill_reserved = pre_blocks
+            self._reserved_blocks += need
+            self._private_tokens += m.reserved_tokens
+            # admitted_at_s is stamped when the last chunk settles.
+            wave.append(self._chunk_step(m))
+            self._prefilling.append(m)
+        if self.tracer is not None:
+            n = m.metrics.n_prefill_chunks
+            args = (("n_chunks", n),) if n else ()
+            self.tracer.popped(req.request_id, "chunk" if n else "fresh", args)
+        return m
+
+    def _hold(self, m: _Running, swap_in: bool) -> None:
+        """Give member ``m`` its KV as it enters the batch: its prompt into
+        the cache, pinned, and its tail (private prompt tokens plus those
+        already decoded, allocated fresh or swapped back in), with blocks
+        reserved for the rest of its decode."""
+        req = m.request
+        self.cache.insert(req.prompt_tokens, req.prompt_bytes)
+        m.pin = self._protect(req.prompt_tokens)
+        bm = self.blocks
+        n = m.private + m.decoded
+        m.tail = bm.unpark(n) if swap_in else bm.allocate(n)
+        m.reserved_tokens = m.private + req.output_tokens
+        self._reserved_blocks += bm.blocks_needed(m.reserved_tokens) - m.tail.n_blocks
+        self._private_tokens += m.reserved_tokens
 
     def _protect(self, tokens: Sequence[int], candidate: bool = False):
         """Eviction-protection hook: how the cached path of ``tokens`` is
@@ -1075,7 +1084,7 @@ class SimulatedLLMEngine:
         ``candidate`` about to evict, returns the token sequences that
         evict must spare: the candidate's prompt alone, since every
         member's path is pinned. (A prompt's cached path *is* its matched
-        prefix's, and the tuple :meth:`_admit` just matched resolves from
+        prefix's, and the tuple :meth:`_need` just matched resolves from
         the radix cursor without a walk.)"""
         if candidate:
             return (tokens,)
@@ -1117,17 +1126,17 @@ class SimulatedLLMEngine:
         return ready
 
     def _chunk_step(self, m: _Running) -> Tuple[int, int]:
-        """Prefill ``m``'s next chunk; returns its prefill-wave entry.
-        Cache on: the chunk extends the radix path (drawing blocks out of
-        the chunk reservation) and the pin rolls forward to cover it.
-        Cache off: the private tail grows by the chunk."""
+        """Prefill ``m``'s next chunk; returns its prefill-wave entry. A
+        private prompt grows the member's tail by the chunk. A shared one
+        extends the radix path (drawing blocks out of the chunk
+        reservation), and the pin rolls forward to cover it."""
         c = m.chunks_left.pop(0)
         req = m.request
-        cache_on = self.config.enable_prefix_cache
-        bm = self.blocks
-        start = m.hit + m.done_prefill if cache_on else m.done_prefill
-        if cache_on:
-            k = m.hit + m.done_prefill + c
+        start = m.hit + m.done_prefill
+        if m.private:
+            self._grow_tail(m, c)
+        else:
+            k = start + c
             # One slice serves insert and pin: pin hits insert's end-node
             # memo. The previous chunk's pin anchors the insert, so the
             # walk covers only this chunk, not the whole prefix again.
@@ -1137,6 +1146,7 @@ class SimulatedLLMEngine:
                 if req.prompt_bytes is not None
                 else None
             )
+            bm = self.blocks
             before = bm.free_blocks
             self.cache.insert(prefix, packed, anchor=m.pin)
             drawn = before - bm.free_blocks
@@ -1150,165 +1160,92 @@ class SimulatedLLMEngine:
             if m.pin is not None:
                 self.cache.unpin(m.pin)
             m.pin = pin
-        else:
-            self._grow_tail(m, c)
         m.done_prefill += c
         return (c, start)
 
-    def _start_chunked(
-        self,
-        req: Request,
-        hit: int,
-        new_prompt: int,
-        chunks: List[int],
-        pre_blocks: int,
-        private_growth: int,
-        wave: List[Tuple[int, int]],
-    ) -> _Running:
-        """Admit a long-prefill request in chunked mode: it occupies a
-        batch slot and holds its full admission charge immediately, but
-        only its first chunk prefills in this wave — the rest advance one
-        chunk per admission point (:meth:`_advance_chunks`), and the
-        member starts decoding once its last chunk settles. Mid-prefill
-        members are not preemption victims (their decode tail is empty;
-        evicting them would only churn the chunk reservation)."""
-        bm = self.blocks
-        cache_on = self.config.enable_prefix_cache
-        tail = bm.allocate(0)
-        if cache_on:
-            self._reserved_blocks += (
-                pre_blocks + bm.blocks_needed(req.output_tokens)
-            )
-        else:
-            self._reserved_blocks += bm.blocks_needed(
-                req.prompt_len + req.output_tokens
-            )
-        self._private_tokens += private_growth
-        member = _Running(
-            request=req,
-            metrics=RequestMetrics(
-                request_id=req.request_id,
-                prompt_tokens=req.prompt_len,
-                cached_tokens=hit,
-                prefill_tokens=new_prompt,
-                arrival_s=req.arrival_s,
-                tenant=req.tenant,
-                n_prefill_chunks=len(chunks),
-            ),
-            reserved_tokens=private_growth,
-            tail=tail,
-            hit=hit,
-            chunks_left=list(chunks),
-            prefill_reserved=pre_blocks if cache_on else 0,
-        )
-        # The first chunk rides this admission wave; admitted_at_s is
-        # stamped when the last chunk settles (the post-prefill
-        # convention, unchanged).
-        wave.append(self._chunk_step(member))
-        self._prefilling.append(member)
-        return member
-
-    def _readmit(
-        self,
-        m: _Running,
-        hit: int,
-        new_prompt: int,
-        wave: List[Tuple[int, int]],
-    ) -> int:
+    def _readmit(self, m: _Running, hit: int, wave: List[Tuple[int, int]]) -> int:
         """Rebuild a parked member's engine-side state at re-admission and
         append its prefill-wave entry; returns the KV tokens swapped back
         in (0 in recompute mode). The caller has already charged admission
         (need/free/quota) with the same formulas as a fresh request."""
-        req = m.request
-        cache_on = self.config.enable_prefix_cache
-        bm = self.blocks
         swap = self.preemption == "swap"
-        d = m.decoded
-        prompt_len = req.prompt_len
         m.hit = hit
-        pin = None
-        if cache_on:
-            self.cache.insert(req.prompt_tokens, req.prompt_bytes)
-            pin = self._protect(req.prompt_tokens)
-        m.pin = pin
-        # Tail KV restored on-device: the decoded tokens, plus the whole
-        # prompt when the cache is off (it was parked/dropped privately).
-        tail_tokens = self._tail_tokens(m)
-        private_growth = req.output_tokens + (0 if cache_on else prompt_len)
-        tail = bm.unpark(tail_tokens) if swap else bm.allocate(tail_tokens)
-        self._reserved_blocks += (
-            bm.blocks_needed(private_growth) - tail.n_blocks
-        )
-        m.tail = tail
-        self._private_tokens += private_growth
-        m.reserved_tokens = private_growth
-        # Re-prefill work and the wave entry: recompute redoes the suffix
-        # plus the dropped tail in one contiguous span (positions
-        # hit..prompt_len+d); swap prefills only the suffix (nothing at
-        # all cache-off) and pays PCIe time for the tail instead.
+        # The tail (private prompt plus decoded tokens) is restored
+        # on-device, swapped back in or re-allocated for recompute.
+        self._hold(m, swap_in=swap)
+        new_prompt = m.request.prompt_len - hit
         if swap:
-            entry = (new_prompt if cache_on else 0, hit)
-            swapped_in = tail_tokens
+            # Swap prefills only the shared suffix and pays PCIe time for
+            # the tail instead.
+            entry = (new_prompt - m.private, hit)
+            swapped_in = m.private + m.decoded
         else:
-            entry = (new_prompt + d, hit) if cache_on else (prompt_len + d, 0)
+            # Recompute redoes the suffix plus the dropped tail in one
+            # contiguous span (positions hit..prompt_len+decoded).
+            entry = (new_prompt + m.decoded, hit)
             swapped_in = 0
         m.metrics.cached_tokens += hit
         m.metrics.prefill_tokens += entry[0]
         wave.append(entry)
+        if self.tracer is not None:
+            self.tracer.popped(
+                m.request.request_id,
+                "readmit",
+                (("readmit", 1), ("swap_in_tokens", swapped_in)),
+            )
         return swapped_in
 
-    def _pick_victim(self, candidate: Request) -> Optional[_Running]:
-        """Ask the policy for a preemption victim among decoding members."""
+    def _preempt_for(self, candidate: Request, victims: List[_Running]) -> bool:
+        """Preempt the victim the policy names for ``candidate`` among the
+        decoding members, appending it to ``victims``; False if it names
+        none."""
         if not self._decode_order:
-            return None
+            return False
         choice = self.scheduler.preempt_victim(
             candidate,
             [m.request for m in self._decode_order],
             now=self._clock,
         )
         if choice is None:
-            return None
+            return False
         for m in self._decode_order:
             if m.request is choice:
-                return m
-        raise ServingError(
-            "preempt_victim returned a request that is not decoding"
-        )
-
-    def _preempt_member(self, m: _Running) -> None:
-        """Evict a decoding member from the batch. Its decode-tail KV is
-        either dropped for re-prefill (``recompute``) or parked in host
-        memory (``swap``); either way the member keeps its metrics and
-        decode progress, re-enters the waiting queue, and is re-admitted
-        like any other candidate (head-of-line, same need accounting)."""
-        req = m.request
-        m.decoded = self._step - m.admit_step
-        for i, x in enumerate(self._decode_order):
-            if x is m:
-                del self._decode_order[i]
                 break
         else:
+            raise ServingError(
+                "preempt_victim returned a request that is not decoding"
+            )
+        self._preempt_member(m)
+        victims.append(m)
+        return True
+
+    def _preempt_member(self, m: _Running) -> None:
+        """Evict a decoding member from the batch. Its tail KV (decoded and
+        private prompt tokens) is either dropped for re-prefill
+        (``recompute``) or parked in host memory (``swap``); a shared
+        prompt path stays in the radix tree and is merely unpinned. Either
+        way the member keeps its metrics and decode progress, re-enters
+        the waiting queue, and is re-admitted like any other candidate
+        (head-of-line, same need accounting)."""
+        req = m.request
+        m.decoded = self._step - m.admit_step
+        if not _remove(self._decode_order, m):
             raise ServingError("preempted a member that is not decoding")
         m.in_decode = False
         m.admit_gen += 1  # completion-heap entries for this stint are dead
-        # KV actually evicted: the decode tail, plus the whole prompt when
-        # the prefix cache is off (it is private then) — a cached prompt
-        # path stays in the radix tree and is merely unpinned.
         target = self._release_member(m)
-        swap = self.preemption == "swap"
         m.metrics.n_preemptions += 1
-        if swap:
+        start = self._clock
+        if self.preemption == "swap":
             m.metrics.preempted_tokens_swapped += target
             # The tail's device blocks are back in the pool; its KV now
-            # sits on the host ledger until re-admission.
+            # sits on the host ledger until re-admission. Swap-out traffic
+            # is charged immediately, before any further admission work at
+            # this clock.
             self.blocks.parked_tokens += target
+            self._charge(self.cost.swap_time(target))
         else:
             m.metrics.preempted_tokens_recomputed += target
-        start = self._clock
-        if swap:
-            # Swap-out traffic is charged immediately, before any further
-            # admission work at this clock.
-            self._charge(self.cost.swap_time(target))
         if self.tracer is not None:
             self.tracer.preempt(req.request_id, self.preemption, target, start)
         self._parked[req.request_id] = m
@@ -1316,18 +1253,12 @@ class SimulatedLLMEngine:
 
     def _finish(self, r: _Running, done: List[RequestMetrics]) -> None:
         if r.in_decode:
-            for i, x in enumerate(self._decode_order):
-                if x is r:
-                    del self._decode_order[i]
-                    break
+            _remove(self._decode_order, r)
             r.in_decode = False
         elif self._pending_decode:
             # Zero-output members retire before ever reaching the victim
             # list; drop their pending registration.
-            for i, x in enumerate(self._pending_decode):
-                if x is r:
-                    del self._pending_decode[i]
-                    break
+            _remove(self._pending_decode, r)
         self._release_member(r)
         r.metrics.output_tokens = r.decoded
         r.metrics.finished_at_s = self._clock
@@ -1339,8 +1270,8 @@ class SimulatedLLMEngine:
     def _release_member(self, m: _Running) -> int:
         """Give back everything a member leaving the batch holds: its
         private-token charge, pin, tail blocks with their undrawn decode
-        reservation and tenant quota charge. Returns the tail's KV tokens
-        (:meth:`_tail_tokens`)."""
+        reservation and tenant quota charge. Returns the tail's KV tokens:
+        those decoded plus the private prompt tokens."""
         req = m.request
         final = m.reserved_tokens  # the tail's size once fully decoded
         self._private_tokens -= final
@@ -1367,11 +1298,13 @@ class SimulatedLLMEngine:
         if m.quota_charge:
             bm.uncharge_tenant(req.tenant, m.quota_charge)
             m.quota_charge = 0
-        return self._tail_tokens(m)
+        return m.decoded + m.private
 
-    def _tail_tokens(self, m: _Running) -> int:
-        """KV tokens in ``m``'s private tail: those decoded, plus the
-        prompt when the prefix cache is off (the prompt is private then)."""
-        if self.config.enable_prefix_cache:
-            return m.decoded
-        return m.decoded + m.request.prompt_len
+
+def _remove(members: List[_Running], m: _Running) -> bool:
+    """Remove ``m`` (by identity) from ``members``; False if absent."""
+    for i, x in enumerate(members):
+        if x is m:
+            del members[i]
+            return True
+    return False

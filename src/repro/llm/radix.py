@@ -922,3 +922,50 @@ class RadixPrefixCache:
             raise ServingError("LRU tail out of sync")
         if self._bm is not None:
             self._bm.check_invariants()
+
+
+
+class NonSharingCache:
+    """A prefix cache that never shares: the paper's *No Cache* baseline.
+
+    It has the interface the engine, the scheduling policies and the
+    telemetry call on :class:`RadixPrefixCache` and holds nothing: every
+    probe matches 0 tokens and counts nothing, :meth:`insert` and
+    :meth:`pin` do nothing (a pin ticket is None), :meth:`evict` frees
+    nothing, and every counter reads 0. A prompt's KV is then its
+    request's own, in the request's private allocation. SGLang serves
+    with its radix cache disabled the same way (``ChunkCache``).
+    """
+
+    total_tokens = n_nodes = hits = misses = 0
+    evicted_tokens = evicted_nodes = token_store_bytes = 0
+
+    def __init__(self, *, block_manager: Optional[BlockManager] = None):
+        self._bm = block_manager  # read only by check_invariants
+
+    def match(self, tokens: Sequence[int], packed: Optional[bytes] = None) -> int:
+        return 0
+
+    def match_many(self, requests: Sequence[object]) -> List[int]:
+        return [0] * len(requests)
+
+    def insert(self, tokens, packed=None, anchor=None) -> int:
+        return 0
+
+    def pin(self, tokens: Sequence[int]) -> None:
+        return None
+
+    def evict(self, n_units: int, protected: Iterable[Sequence[int]] = ()) -> int:
+        return 0
+
+    def stats(self) -> Dict[str, object]:
+        """:meth:`RadixPrefixCache.stats`'s keys, each 0."""
+        return dict.fromkeys(
+            ("nodes", "total_tokens", "token_store_bytes", "hits", "misses",
+             "evicted_tokens", "evicted_nodes"),
+            0,
+        )
+
+    def check_invariants(self) -> None:
+        if self._bm is not None:
+            self._bm.check_invariants()

@@ -93,9 +93,9 @@ class SchedulerPolicy:
     (repeatedly — given an unchanged pool and clock the call must return
     the same request; it may update internal bookkeeping, never the
     choice) and :meth:`pop` to commit the admission.
-    ``cache`` is the engine's radix cache (None when prefix caching is
-    off); policies may probe it with the side-effect-free ``match_len`` /
-    ``match_many`` only. ``now`` is the engine clock at the admission point:
+    ``cache`` is the engine's prefix cache (with prefix caching off, a
+    non-sharing one whose probes read 0; None without an engine); policies
+    may probe it with the side-effect-free ``match_many`` only. ``now`` is the engine clock at the admission point:
     the replay probes admission at the clocks a per-token loop would, so
     clock-dependent selection does not depend on how decode was grouped.
     """

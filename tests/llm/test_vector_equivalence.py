@@ -26,7 +26,7 @@ from repro.errors import CapacityError
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
-from repro.llm.radix import RadixPrefixCache, pack_tokens
+from repro.llm.radix import NonSharingCache, RadixPrefixCache, pack_tokens
 from repro.llm.request import Request
 from tests.reference import ENGINES, NodeRadixCache, StepwiseEngine
 
@@ -122,8 +122,12 @@ def assert_vector_matches_stepwise(requests, waves=1, **cfg_kwargs):
     )
     e_vec, r_vec = run_engine(clone(requests), "vector", waves=waves, **cfg_kwargs)
     assert type(e_step) is StepwiseEngine and type(e_vec) is SimulatedLLMEngine
-    assert type(e_step.cache) is NodeRadixCache
-    assert type(e_vec.cache) is RadixPrefixCache
+    if cfg_kwargs.get("enable_prefix_cache", True):
+        assert type(e_step.cache) is NodeRadixCache
+        assert type(e_vec.cache) is RadixPrefixCache
+    else:
+        # No Cache: both sides serve on the same non-sharing cache.
+        assert type(e_step.cache) is type(e_vec.cache) is NonSharingCache
     for rs, rv in zip(r_step, r_vec):
         assert_same(rs, rv)
     assert e_vec.cache.hits == e_step.cache.hits

@@ -11,9 +11,12 @@ collected afresh for each evict. Admission, chunking, preemption and tail
 settlement are the shipped engine's own code.
 
 :func:`stepwise_engine` builds one on the node-tree radix reference
-(:class:`tests.reference.radix.NodeRadixCache`), so the pair the replay
-suites compare differs in the replay loop, the residency mechanism and
-the radix tree, and must still agree under ``==``, clocks included.
+(:class:`tests.reference.radix.NodeRadixCache`) when the config has the
+prefix cache on, so the pair the replay suites compare differs in the
+replay loop, the residency mechanism and the radix tree, and must still
+agree under ``==``, clocks included. With the cache off both sides run on
+the engine's own non-sharing cache: a node tree there would share
+prompts.
 
 :class:`TokenSumAdmission` is the reference for paged admission: a mixin
 that replaces only :meth:`SimulatedLLMEngine._kv_free`, the free-memory
@@ -133,10 +136,9 @@ def stepwise_engine(
     cluster: Cluster = CLUSTER_1XL4,
     config: Optional[EngineConfig] = None,
 ) -> StepwiseEngine:
-    """A :class:`StepwiseEngine` on the node-tree radix reference."""
-    engine = StepwiseEngine(model, cluster, config)
-    engine.cache = NodeRadixCache(block_manager=engine.blocks)
-    return engine
+    """A :class:`StepwiseEngine`, on the node-tree radix reference when
+    the prefix cache is on."""
+    return _on_node_tree(StepwiseEngine(model, cluster, config))
 
 
 class TokenSumAdmission:
@@ -183,7 +185,14 @@ def token_sum_stepwise_engine(
     cluster: Cluster = CLUSTER_1XL4,
     config: Optional[EngineConfig] = None,
 ) -> TokenSumStepwiseEngine:
-    """A :class:`TokenSumStepwiseEngine` on the node-tree radix reference."""
-    engine = TokenSumStepwiseEngine(model, cluster, config)
-    engine.cache = NodeRadixCache(block_manager=engine.blocks)
+    """A :class:`TokenSumStepwiseEngine`, on the node-tree radix reference
+    when the prefix cache is on."""
+    return _on_node_tree(TokenSumStepwiseEngine(model, cluster, config))
+
+
+def _on_node_tree(engine):
+    """Swap the node-tree radix reference in for the engine's radix tree.
+    A cache-off engine keeps its non-sharing cache."""
+    if engine.config.enable_prefix_cache:
+        engine.cache = NodeRadixCache(block_manager=engine.blocks)
     return engine
