@@ -1166,8 +1166,8 @@ class SimulatedLLMEngine:
     def _readmit(self, m: _Running, hit: int, wave: List[Tuple[int, int]]) -> int:
         """Rebuild a parked member's engine-side state at re-admission and
         append its prefill-wave entry; returns the KV tokens swapped back
-        in (0 in recompute mode). The caller has already charged admission
-        (need/free/quota) with the same formulas as a fresh request."""
+        in (0 in recompute mode). The caller has already made room for it
+        (:meth:`_need`, :meth:`_make_room`) as for a fresh request."""
         swap = self.preemption == "swap"
         m.hit = hit
         # The tail (private prompt plus decoded tokens) is restored
