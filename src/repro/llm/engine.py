@@ -766,10 +766,9 @@ class SimulatedLLMEngine:
         stores (built sorted so the recorder skips the per-wave dict and
         sort). Every value is invariant to how decode was grouped: the
         block figures use the *charged* total (allocated + reserved —
-        invariant to decode progress, unlike raw ``used_blocks``).
-        ``radix_store_bytes`` is the one field that depends on the radix
-        tree's storage, so the suite comparing this engine with its
-        node-tree reference leaves it out."""
+        invariant to decode progress, unlike raw ``used_blocks``), and
+        ``radix_store_bytes`` is the bytes the live edges hold, which the
+        node-tree reference reports alike."""
         cache = self.cache
         bm = self.blocks
         charged = bm.used_blocks + self._reserved_blocks

@@ -12,11 +12,12 @@ skipping its prefill. Mirrors the structure SGLang/vLLM use:
   refcount up to the root and are never evicted, exactly like vLLM's block
   refcounts / SGLang's ``lock_ref``.
 
-:class:`RadixPrefixCache` keeps the tree in flat slot-indexed arrays over
-one contiguous numpy token store (see the class). Its reference, a
-per-node object tree with a full-tree scan per eviction victim, lives
-with the tests (``tests/reference/radix.py``); the radix suites hold the
-two to identical decisions, block allocations and engine clocks.
+:class:`RadixPrefixCache` keeps the tree in flat slot-indexed lists, each
+edge one immutable ``bytes`` of packed tokens (see the class). Its
+reference, a per-node object tree with a full-tree scan per eviction
+victim, lives with the tests (``tests/reference/radix.py``); the radix
+suites hold the two to identical decisions, block allocations and engine
+clocks.
 
 Token counts are the currency: the engine charges the tree's
 ``total_tokens`` against KV memory and asks it to ``evict`` under pressure.
@@ -25,6 +26,7 @@ Token counts are the currency: the engine charges the tree's
 from __future__ import annotations
 
 from array import array
+from struct import Struct
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -34,11 +36,15 @@ from repro.llm.blocks import BlockAllocation, BlockManager
 
 #: Packed token width of :func:`pack_tokens` ("q" = int64, wide enough for
 #: any realistic vocabulary id). Packing a probe costs O(len) Python-int
-#: marshalling, so the cache never packs probes itself: callers that replay
-#: the same token sequences (the client packs once per distinct prompt, see
-#: ``SimulatedLLMClient``) pass ``packed=`` and amortize it to nothing.
+#: marshalling, which the cache pays on every call that brings no packed
+#: form: callers that replay the same token sequences (the client packs
+#: once per distinct prompt, see ``SimulatedLLMClient``) pass ``packed=``
+#: and amortize it to nothing.
 _PACK_CODE = "q"
 _PACK_BYTES = 8
+#: Reads one packed token at a byte offset, in :func:`pack_tokens`' native
+#: byte order (``=`` is native order at the standard 8-byte width).
+_unpack_token = Struct("=q").unpack_from
 
 
 def pack_tokens(tokens: Sequence[int]) -> Optional[bytes]:
@@ -55,50 +61,30 @@ def pack_tokens(tokens: Sequence[int]) -> Optional[bytes]:
 #: links are slot indices >= 0 or -1 for the ends).
 _NOT_IN = -2
 
-#: Edge compares at or below this length use a scalar loop against the
-#: probe tuple — numpy slice/compare setup costs more than it saves on
-#: tiny edges. Longer edges (shared headers, whole-prompt leaves) take one
-#: vectorized compare + argmax.
-_SMALL_EDGE = 8
-
-#: Edge compares at or below this length try a C-level ``startswith``
-#: full-match pre-check unconditionally — the ``tobytes`` copy is cheap
-#: at this size and a warm walk is mostly full-edge matches. Longer edges
-#: gate the pre-check on a last-token equality probe first: a divergent
-#: edge almost always differs at its last position too, so the full-width
-#: copy is only paid when a full match is likely.
-_PRECHECK_EDGE = 256
-
-#: Bound on the probe-array memo (id(tokens) -> (array, bytes) views). The
-#: memo holds the tuple alongside the views so the id stays valid; clearing
-#: it wholesale on overflow keeps the common case (a client replaying
-#: interned prompt tuples) hot without unbounded growth.
-_PROBE_MEMO_CAP = 4096
-
 
 class RadixPrefixCache:
     """Prefix cache with LRU eviction and pinned (refcounted) paths, stored
-    as a flat array-backed radix tree.
+    as a flat radix tree.
 
-    * **Node records** live in flat parallel arrays indexed by slot:
-      edge span (``_estart``/``_elen`` into one contiguous numpy token
-      store), parent slot, LRU stamp, node id, lock/pin refcounts, child
-      count, and intrusive LRU links. The scalar record arrays are plain
-      Python lists (amortized-doubling, machine ints) — CPython reads a
-      list element ~5x faster than a numpy scalar, and the tree walk is
-      all scalar reads; the *token payload* is the numpy part, where
-      vectorized compares actually pay. Evicted slots go on a free list
-      and are reused; node *ids* are never reused, so ``(slot, id)`` pin
-      tickets detect stale unpins.
+    * **Node records** live in flat parallel lists indexed by slot: the
+      edge, its first token and length, parent slot, LRU stamp, node id,
+      lock/pin refcounts, child count, and intrusive LRU links. CPython
+      reads a list element ~5x faster than a numpy scalar, and the tree
+      walk is all scalar reads. Evicted slots go on a free list and are
+      reused; node *ids* are never reused, so ``(slot, id)`` pin tickets
+      detect stale unpins.
+    * **Edges are packed bytes**: each is one immutable ``bytes`` of
+      int64 tokens in :func:`pack_tokens`' layout, the layout every
+      ``Request.prompt_bytes`` already has. A new leaf's edge is a slice
+      of the probe's packed bytes, or the probe's bytes object itself when
+      the leaf holds the whole prompt; an edge split copies the edge into
+      its head and tail. Eviction drops the edge with its slot.
     * **Child dispatch** is one ``(parent_slot, first_token) -> child_slot``
       dict for the whole tree — no per-node dicts.
-    * **LCP compares** are vectorized: the probe is a numpy view (zero-copy
-      ``frombuffer`` of the packed bytes when supplied), an edge compare is
-      one slice equality + ``argmax`` instead of a per-token Python loop.
-    * **Edge splits are O(1)**: head and tail point at disjoint sub-spans
-      of the same store region — no token is copied. Eviction strands the
-      victim's span; the store compacts (copying exactly the live tokens)
-      when stranded waste exceeds the live mass.
+    * **LCP compares** are C-level: a full-edge match is one
+      ``bytes.startswith`` of the edge against the probe's bytes at the
+      walk position, with no copy. Only an edge that diverges from the
+      probe views both as int64 arrays to find where.
     * **LRU eviction** walks an intrusive doubly-linked list kept strictly
       sorted by ``(last_access, node_id)``: every touch carries a fresh
       global-maximum stamp, so touched nodes re-append at the tail (O(1))
@@ -111,6 +97,7 @@ class RadixPrefixCache:
       is handled by jumping the cursor back to the parent.
 
     Token ids must fit int64 — the same bound :func:`pack_tokens` assumes.
+    A probe that arrives without its packed bytes is packed per call.
     """
 
     def __init__(self, *, block_manager: Optional[BlockManager] = None):
@@ -129,9 +116,12 @@ class RadixPrefixCache:
         #: Live non-root nodes (maintained, not recounted — surfaced by
         #: :meth:`stats`).
         self.n_nodes = 0
-        # Slot 0 is the root (empty edge, id 0). The record arrays grow by
+        # Slot 0 is the root (empty edge, id 0). The record lists grow by
         # append in _new_slot — list appends are already amortized-doubling.
-        self._estart: List[int] = [0]
+        #: Per-slot edge tokens, packed (None on a dead slot).
+        self._edge: List[Optional[bytes]] = [b""]
+        #: Per-slot first edge token: the slot's child-dispatch key.
+        self._first: List[int] = [0]
         self._elen: List[int] = [0]
         self._parent: List[int] = [-1]
         self._stamp: List[int] = [0]
@@ -148,8 +138,6 @@ class RadixPrefixCache:
         self._free: List[int] = []
         self._n_slots = 1
         self._next_id = 1
-        self._store = _np.zeros(256, dtype=_np.int64)
-        self._store_n = 0
         self._lru_head = -1
         self._lru_tail = -1
         #: One-slot identity memo: the engine probes the same prompt tuple
@@ -168,20 +156,22 @@ class RadixPrefixCache:
         #: leaves only, so a live cursor node still spells
         #: ``tokens[:pos]`` from the root.
         self._cursor: Optional[tuple] = None
-        self._probe_memo: Dict[int, Tuple[Tuple[int, ...], object]] = {}
 
     def _tick(self) -> int:
         self._clock += 1
         return self._clock
 
     # ------------------------------------------------------------- storage
-    def _new_slot(self, parent: int, estart: int, elen: int, now: int) -> int:
+    def _new_slot(
+        self, parent: int, edge: bytes, first: int, elen: int, now: int
+    ) -> int:
         if self._free:
             s = self._free.pop()
         else:
             s = self._n_slots
             self._n_slots += 1
-            self._estart.append(0)
+            self._edge.append(None)
+            self._first.append(0)
             self._elen.append(0)
             self._parent.append(-1)
             self._stamp.append(0)
@@ -193,7 +183,8 @@ class RadixPrefixCache:
             self._lru_next.append(_NOT_IN)
             self._dead.append(True)
             self._allocs.append(None)
-        self._estart[s] = estart
+        self._edge[s] = edge
+        self._first[s] = first
         self._elen[s] = elen
         self._parent[s] = parent
         self._stamp[s] = now
@@ -209,66 +200,16 @@ class RadixPrefixCache:
         self.n_nodes += 1
         return s
 
-    def _store_reserve(self, m: int) -> int:
-        """Ensure the token store has room for ``m`` appended tokens;
-        returns the append offset. May compact (rewriting ``_estart``) when
-        evicted spans outweigh the live tokens."""
-        need = self._store_n + m
-        if need > self._store.shape[0]:
-            stranded = self._store_n - self.total_tokens
-            if stranded > self.total_tokens and stranded >= 1024:
-                self._compact_store()
-                need = self._store_n + m
-            if need > self._store.shape[0]:
-                cap = self._store.shape[0]
-                while cap < need:
-                    cap *= 2
-                new = _np.empty(cap, dtype=_np.int64)
-                new[: self._store_n] = self._store[: self._store_n]
-                self._store = new
-        return self._store_n
-
-    def _compact_store(self) -> None:
-        """Copy live edge spans to the front of a fresh buffer. Spans are
-        disjoint (splits divide, never duplicate), so this moves exactly
-        ``total_tokens`` tokens. Child-dispatch keys are unaffected — they
-        hold token *values*, not offsets."""
-        new = _np.empty(self._store.shape[0], dtype=_np.int64)
-        pos = 0
-        estart, elen, dead, store = self._estart, self._elen, self._dead, self._store
-        for s in range(1, self._n_slots):
-            if dead[s]:
-                continue
-            k = int(elen[s])
-            st = int(estart[s])
-            new[pos : pos + k] = store[st : st + k]
-            estart[s] = pos
-            pos += k
-        self._store = new
-        self._store_n = pos
-
-    def _probe_arr(self, tokens: Tuple[int, ...], packed: Optional[bytes]):
-        """``(array, bytes)`` views of the probe: the int64 array drives
-        vectorized compares, the bytes drive the medium-edge ``startswith``
-        pre-check. Zero-copy over ``packed`` when the caller supplied it, and
-        not memoized (that would keep one-shot chunk prefixes alive); else
-        one marshalling pass memoized by tuple identity (clients intern
-        prompt tuples, so replays hit the memo)."""
+    @staticmethod
+    def _probe_bytes(tokens: Tuple[int, ...], packed: Optional[bytes]) -> bytes:
+        """The probe packed as :func:`pack_tokens` packs it: ``packed``
+        itself when the caller supplied it, else one marshalling pass."""
         if packed is not None and len(packed) == len(tokens) * _PACK_BYTES:
-            return _np.frombuffer(packed, dtype=_np.int64), packed
-        key = id(tokens)
-        memo = self._probe_memo.get(key)
-        if memo is not None and memo[0] is tokens:
-            return memo[1], memo[2]
+            return packed
         try:
-            arr = _np.asarray(tokens, dtype=_np.int64)
+            return array(_PACK_CODE, tokens).tobytes()
         except (OverflowError, TypeError, ValueError) as exc:
             raise ServingError(f"radix cache requires int64 token ids: {exc}")
-        pb = arr.tobytes()
-        if len(self._probe_memo) >= _PROBE_MEMO_CAP:
-            self._probe_memo.clear()
-        self._probe_memo[key] = (tokens, arr, pb)
-        return arr, pb
 
     # ----------------------------------------------------------- LRU order
     def _lru_unlink(self, s: int) -> None:
@@ -313,36 +254,29 @@ class RadixPrefixCache:
             self._lru_append(s)
 
     # --------------------------------------------------------------- match
-    def _edge_lcp(self, c: int, tokens, pa, pb, pos: int, m: int) -> int:
-        """Common-prefix length of edge ``c`` vs the probe at ``pos``,
-        bounded by ``m`` (``m >= 1``; the first token matched via the
-        dispatch key).
+    def _edge_lcp(self, c: int, pb: bytes, pos: int, m: int) -> int:
+        """Common-prefix length of edge ``c`` vs the probe bytes ``pb`` at
+        token ``pos``, bounded by ``m`` (``m >= 1``; the first token matched
+        via the dispatch key).
 
-        Three regimes: tiny edges take a scalar loop; medium edges try one
-        C-level ``startswith`` against the probe bytes first (full-edge
-        matches — the common case on a warm walk — then cost one small
-        ``tobytes`` copy instead of a vectorized compare); long edges
-        gate that pre-check on last-token equality, so a divergent edge
-        (which almost always differs at its last position too) skips the
-        full-width ``tobytes`` copy and goes straight to compare+argmax,
-        while a warm full-edge match (shared 2k-token prompt header) still
-        gets the C fast path."""
+        A full match is one C-level compare with no copy: the edge is a
+        prefix of the probe at ``pos``, or, when the probe ends inside the
+        edge (``m`` below the edge length), the edge's first ``m`` tokens
+        end the probe. Only a divergent edge views both sides as int64
+        arrays, and ``argmax`` of their inequality finds where."""
         if m == 1:
             return 1
-        store = self._store
-        s = self._estart[c]
-        if m <= _SMALL_EDGE:
-            lcp = 1
-            while lcp < m and store[s + lcp] == tokens[pos + lcp]:
-                lcp += 1
-            return lcp
-        if (
-            m <= _PRECHECK_EDGE or store[s + m - 1] == tokens[pos + m - 1]
-        ) and pb.startswith(store[s : s + m].tobytes(), pos * _PACK_BYTES):
+        edge = self._edge[c]
+        off = pos * _PACK_BYTES
+        if m == self._elen[c]:
+            if pb.startswith(edge, off):
+                return m
+        elif pb.endswith(edge[: m * _PACK_BYTES]):
             return m
-        neq = store[s : s + m] != pa[pos : pos + m]
-        j = int(neq.argmax())
-        return m if not neq[j] else j
+        neq = _np.frombuffer(edge, _np.int64, m) != _np.frombuffer(
+            pb, _np.int64, m, off
+        )
+        return int(neq.argmax())
 
     def match(self, tokens: Sequence[int], packed: Optional[bytes] = None) -> int:
         """Length of the longest cached prefix of ``tokens``.
@@ -356,7 +290,7 @@ class RadixPrefixCache:
         if not isinstance(tokens, tuple):
             tokens = tuple(tokens)
         n = len(tokens)
-        pa, pb = self._probe_arr(tokens, packed) if n else (None, None)
+        pb = self._probe_bytes(tokens, packed) if n else b""
         self._stamp[0] = now
         node = 0
         pos = 0
@@ -370,7 +304,7 @@ class RadixPrefixCache:
             k = elen[c]
             rem = n - pos
             m = k if k <= rem else rem
-            lcp = self._edge_lcp(c, tokens, pa, pb, pos, m)
+            lcp = self._edge_lcp(c, pb, pos, m)
             touched.append(c)
             if lcp != k:
                 break
@@ -402,7 +336,7 @@ class RadixPrefixCache:
         the one-slot cursor, so an :meth:`insert` of the same tuple (the
         prefix-aware router's commit after its probes) resumes where this
         walk stopped. A probe whose first token misses at the root returns
-        before building its array views.
+        before packing an unpacked probe.
         """
         if not isinstance(tokens, tuple):
             tokens = tuple(tokens)
@@ -412,7 +346,7 @@ class RadixPrefixCache:
         if c is None:
             self._cursor = (tokens, 0, 0, 0, None, None)
             return 0
-        pa, pb = self._probe_arr(tokens, packed)
+        pb = self._probe_bytes(tokens, packed)
         elen = self._elen
         nid = self._nid
         node = 0
@@ -421,7 +355,7 @@ class RadixPrefixCache:
             k = elen[c]
             rem = n - pos
             m = k if k <= rem else rem
-            lcp = self._edge_lcp(c, tokens, pa, pb, pos, m)
+            lcp = self._edge_lcp(c, pb, pos, m)
             if lcp != k:
                 # The partially matched last edge is the deepest touched.
                 self._cursor = (tokens, node, nid[node], pos, c, nid[c])
@@ -481,7 +415,7 @@ class RadixPrefixCache:
         if not isinstance(tokens, tuple):
             tokens = tuple(tokens)
         n = len(tokens)
-        pa, pb = self._probe_arr(tokens, packed) if n else (None, None)
+        pb = self._probe_bytes(tokens, packed) if n else b""
         self._stamp[0] = now
         cursor = self._cursor
         self._cursor = None  # this insert may split the cursor's path
@@ -515,11 +449,11 @@ class RadixPrefixCache:
                     # The engine pre-checks capacity before inserting, so
                     # this draw from the pool cannot fail mid-admission.
                     alloc = self._bm.allocate(added)
-                start = self._store_reserve(added)
-                self._store[start : start + added] = pa[pos:]
-                self._store_n = start + added
-                leaf = self._new_slot(node, start, added, now)
-                children[(node, tokens[pos])] = leaf
+                first = tokens[pos]
+                # A whole-prompt leaf shares the probe's bytes object.
+                edge = pb[pos * _PACK_BYTES :] if pos else pb
+                leaf = self._new_slot(node, edge, first, added, now)
+                children[(node, first)] = leaf
                 self._nchild[node] += 1
                 if alloc is not None:
                     alloc.owner = leaf
@@ -535,18 +469,20 @@ class RadixPrefixCache:
             k = self._elen[c]
             rem = n - pos
             m = k if k <= rem else rem
-            lcp = self._edge_lcp(c, tokens, pa, pb, pos, m)
+            lcp = self._edge_lcp(c, pb, pos, m)
             if lcp == k:
                 touched.append(c)
                 node = c
                 pos += lcp
                 continue
-            # Split edge c at lcp: the new head (mid) keeps [s, s+lcp) and
-            # the tail keeps [s+lcp, s+k) — disjoint spans of the same
-            # store region, no copy. Pins through the tail also pin the
-            # head, so mid inherits the tail's lock refcount.
-            s = self._estart[c]
-            mid = self._new_slot(node, s, lcp, now)
+            # Split edge c at lcp: the new head (mid) takes the edge's
+            # first lcp tokens and c keeps the rest, each a copy. Pins
+            # through the tail also pin the head, so mid inherits the
+            # tail's lock refcount.
+            edge = self._edge[c]
+            cut = lcp * _PACK_BYTES
+            tail_first = _unpack_token(edge, cut)[0]
+            mid = self._new_slot(node, edge[:cut], self._first[c], lcp, now)
             self._lock[mid] = self._lock[c]
             if self._bm is not None:
                 a_mid, a_tail = self._bm.split(self._allocs[c], lcp)
@@ -556,10 +492,11 @@ class RadixPrefixCache:
                 self._allocs[c] = a_tail
             children[(node, tokens[pos])] = mid
             self._nchild[mid] = 1
-            self._estart[c] = s + lcp
+            self._edge[c] = edge[cut:]
+            self._first[c] = tail_first
             self._elen[c] = k - lcp
             self._parent[c] = mid
-            children[(mid, int(self._store[s + lcp]))] = c
+            children[(mid, tail_first)] = c
             touched.append(mid)
             touched.append(c)
             node = mid
@@ -606,7 +543,7 @@ class RadixPrefixCache:
         if n == 0:
             return None
         last: Optional[int] = None
-        pa, pb = self._probe_arr(tokens, None)
+        pb = self._probe_bytes(tokens, None)
         children = self._children
         elen = self._elen
         node = 0
@@ -618,7 +555,7 @@ class RadixPrefixCache:
             k = elen[c]
             rem = n - pos
             m = k if k <= rem else rem
-            lcp = self._edge_lcp(c, tokens, pa, pb, pos, m)
+            lcp = self._edge_lcp(c, pb, pos, m)
             last = c
             pos += lcp
             if lcp < k:
@@ -753,7 +690,7 @@ class RadixPrefixCache:
         self.evicted_nodes += 1
         self.n_nodes -= 1
         p = self._parent[s]
-        del self._children[(p, int(self._store[self._estart[s]]))]
+        del self._children[(p, self._first[s])]
         self._nchild[p] -= 1
         self._lru_unlink(s)
         freed = k
@@ -763,6 +700,7 @@ class RadixPrefixCache:
             bm.release(self._allocs[s])
             freed = bm.free_blocks - freed
         self._allocs[s] = None
+        self._edge[s] = None
         self._dead[s] = True
         self._free.append(s)
         memo = self._last_end
@@ -773,13 +711,13 @@ class RadixPrefixCache:
     # --------------------------------------------------------------- stats
     @property
     def token_store_bytes(self) -> int:
-        """Bytes of the contiguous token store buffer. O(1) — the trace
-        recorder samples it per admission wave."""
-        return int(self._store.nbytes)
+        """Bytes the live edges hold: ``total_tokens`` at int64 width.
+        O(1) — the trace recorder samples it per admission wave."""
+        return self.total_tokens * _PACK_BYTES
 
     def stats(self) -> Dict[str, object]:
-        """Operator telemetry snapshot: node and token counts, the token
-        store's size, hit/miss counters and eviction totals."""
+        """Operator telemetry snapshot: node and token counts, the edges'
+        bytes, hit/miss counters and eviction totals."""
         return {
             "nodes": self.n_nodes,
             "total_tokens": self.total_tokens,
@@ -793,8 +731,8 @@ class RadixPrefixCache:
     # ---------------------------------------------------------- invariants
     def check_invariants(self) -> None:
         """Debug/testing: verify token/node accounting, tree structure,
-        pin refcounts, block ownership, store-span disjointness, and the
-        strict ``(stamp, id)`` order of the LRU list."""
+        pin refcounts, block ownership, edge bytes and dispatch keys, and
+        the strict ``(stamp, id)`` order of the LRU list."""
         live = [s for s in range(1, self._n_slots) if not self._dead[s]]
         if len(live) != self.n_nodes:
             raise ServingError(
@@ -807,7 +745,7 @@ class RadixPrefixCache:
                 f"token accounting drift: counted {count}, "
                 f"recorded {self.total_tokens}"
             )
-        if self._dead[0] or int(self._elen[0]) != 0:
+        if self._dead[0] or int(self._elen[0]) != 0 or self._edge[0] != b"":
             raise ServingError("root slot corrupted")
         # Child dispatch: every key consistent, tallies match _nchild.
         nchild_tally: Dict[int, int] = {}
@@ -819,7 +757,7 @@ class RadixPrefixCache:
                 raise ServingError("child keyed under a dead parent")
             if int(self._parent[c]) != p:
                 raise ServingError("parent pointer corrupted")
-            if int(self._store[int(self._estart[c])]) != tok:
+            if self._first[c] != tok or _unpack_token(self._edge[c])[0] != tok:
                 raise ServingError("child keyed by wrong first token")
             nchild_tally[p] = nchild_tally.get(p, 0) + 1
             child_locks[p] = child_locks.get(p, 0) + int(self._lock[c])
@@ -832,8 +770,8 @@ class RadixPrefixCache:
         for s in live:
             if int(self._elen[s]) <= 0:
                 raise ServingError("non-root node with empty edge")
-            if int(self._estart[s]) + int(self._elen[s]) > self._store_n:
-                raise ServingError("edge span outside the token store")
+            if len(self._edge[s]) != int(self._elen[s]) * _PACK_BYTES:
+                raise ServingError("edge bytes out of sync with edge length")
             if self._pins[s] < 0 or self._lock[s] < 0:
                 raise ServingError("negative pin refcount")
             if int(self._lock[s]) != int(self._pins[s]) + child_locks.get(s, 0):
@@ -886,14 +824,6 @@ class RadixPrefixCache:
                             f"slot {s} straddle block out of sync with "
                             f"parent allocation"
                         )
-        # Store spans of live nodes never overlap (splits divide, eviction
-        # strands — nothing duplicates).
-        spans = sorted((int(self._estart[s]), int(self._elen[s])) for s in live)
-        end = 0
-        for st, k in spans:
-            if st < end:
-                raise ServingError("overlapping edge spans in the token store")
-            end = st + k
         # LRU list: doubly linked, strictly sorted by (stamp, id), covering
         # exactly the live non-root slots.
         seen = 0

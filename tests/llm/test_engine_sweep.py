@@ -17,8 +17,8 @@ first-token, finished) stamps, all compared ``==``.
 The cost model uses only + - x /, so the floats do not depend on the
 Python version.
 
-``stats()["token_store_bytes"]`` is left out: it is the size of the radix
-tree's token buffer, a storage detail, not a result of the replay.
+``stats()["token_store_bytes"]`` is left out: it is ``total_tokens``
+times 8, so ``total_tokens`` already pins it.
 
 Regenerate the fixture (only after a change that is meant to move these
 numbers) with ``PYTHONPATH=src python -m tests.llm.test_engine_sweep``.

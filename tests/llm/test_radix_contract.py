@@ -18,6 +18,7 @@ divergence shrinks to a short operation sequence that replays it.
 """
 
 import random
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -87,9 +88,7 @@ def tree_state(cache):
     def path(s):
         spans = []
         while s != 0:
-            start = cache._estart[s]
-            edge = cache._store[start : start + cache._elen[s]]
-            spans.append(tuple(int(t) for t in edge))
+            spans.append(tuple(array("q", cache._edge[s])))
             s = cache._parent[s]
         return sum(reversed(spans), ())
 

